@@ -191,7 +191,7 @@ def _default_budget() -> int:
     try:
         return int(value)
     except ValueError:
-        return 64
+        raise ValueError(f"PRELOSS_LOOP_BUDGET must be an integer, got {value!r}") from None
 
 
 # ----------------------------------------------------------------- commands
@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, family=True):
-        p.add_argument("--loop-budget", type=int, default=_default_budget())
+        p.add_argument("--loop-budget", type=int, default=None,
+                       help="loop budget (default: $PRELOSS_LOOP_BUDGET or 64)")
         p.add_argument("--json", action="store_true")
         if family:
             p.add_argument("--family", default="",
@@ -387,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "loop_budget" in vars(args) and args.loop_budget is None:
+            args.loop_budget = _default_budget()
         return args.fn(args)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)

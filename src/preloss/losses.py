@@ -111,14 +111,14 @@ def loss_canonicalize(E: LossFunction) -> LossFunction:
         return E
     gens = _prune(E.gens)
     if len(gens) > 1:
-        kept: List[Predicate] = []
-        remaining = list(gens)
-        for i, g in enumerate(remaining):
-            others = kept + remaining[i + 1:]
-            cover = lp.convex_cover([h.entries for h in others], g.entries)
-            if not cover.member:
-                kept.append(g)
-        gens = kept
+        # Every query below runs on the same distinct state classes.
+        vectors = lp.state_classes([g.entries for g in gens])
+        kept: List[int] = []
+        for i, v in enumerate(vectors):
+            others = [vectors[j] for j in kept] + vectors[i + 1:]
+            if not lp.convex_cover(others, v).member:
+                kept.append(i)
+        gens = [gens[i] for i in kept]
     return LossFunction(E.ctx, tuple(gens), canonical=True)
 
 

@@ -14,6 +14,18 @@ Certificates: a positive answer returns the convex weights; a negative
 answer returns separating state weights w >= 0 with
 ``w . e < min_i w . g_i`` (checkable in extended arithmetic, including the
 generators excluded for carrying an infinite entry at a constrained state).
+
+Distinct state classes: states at which every vector of a query has the
+same entry give identical LP rows.  ``loss_canonicalize`` asks n queries
+over one generator list, so it collapses such states once with
+``state_classes`` and asks every query on the class representatives (the
+first state of each class).  The first state of each distinct row key of
+a query is also the first state of some class, so each query builds the
+same rows in the same order, makes the same pivots and returns the same
+answer and the same number of solves.  Its certificate is re-checked on
+the collapsed vectors; since every state carries its representative's
+entries, the same weights dominate the target at every state, and a
+witness on the representatives gives the same dot products at full size.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .scalars import Scalar, ZERO, is_inf
+from .scalars import INF, ONE, Scalar, ZERO
 
 counters = {"lp_solves": 0, "member_queries": 0}
 
@@ -72,6 +84,16 @@ def check_separation(
     return True
 
 
+def state_classes(vectors: Sequence[Sequence[Scalar]]) -> List[Tuple[Scalar, ...]]:
+    """Restrict the vectors to the first state of each class of equal columns.
+
+    Two states fall in one class when every vector has the same entry at
+    both.  The classes keep the order of their first states.  Every context
+    has at least one state, so no vector comes back empty.
+    """
+    return list(zip(*dict.fromkeys(zip(*vectors))))
+
+
 def convex_cover(gens: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> CoverResult:
     """Decide whether target dominates a convex combination of gens."""
     counters["member_queries"] += 1
@@ -80,71 +102,63 @@ def convex_cover(gens: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> 
     if n_gens == 0:
         raise ValueError("no generators")
 
-    constrained = [x for x in range(n_states) if not is_inf(target[x])]
+    # The constrained states, each with its column of generator entries.
+    constrained = [(x, col, e) for x, (col, e) in enumerate(zip(zip(*gens), target))
+                   if e is not INF]
     if not constrained:
-        weights = [Fraction(0)] * n_gens
-        weights[0] = Fraction(1)
+        weights = [ZERO] * n_gens
+        weights[0] = ONE
         return _verified(gens, target, CoverResult(True, weights=tuple(weights)))
 
-    included: List[int] = []
     inf_state_of = {}
-    for i, g in enumerate(gens):
-        bad = next((x for x in constrained if is_inf(g[x])), None)
-        if bad is None:
-            included.append(i)
-        else:
-            inf_state_of[i] = bad
+    for x, col, _ in constrained:
+        for i, v in enumerate(col):
+            if v is INF:
+                inf_state_of.setdefault(i, x)
+    included = [i for i in range(n_gens) if i not in inf_state_of]
 
     if not included:
-        witness = [Fraction(0)] * n_states
+        witness = [ZERO] * n_states
         for x in inf_state_of.values():
-            witness[x] = Fraction(1)
+            witness[x] = ONE
         return _verified(gens, target, CoverResult(False, witness=tuple(witness)))
 
     # Fast path: a single included generator below target pointwise.
     for i in included:
-        if all(gens[i][x] <= target[x] for x in constrained):
-            weights = [Fraction(0)] * n_gens
-            weights[i] = Fraction(1)
+        if all(col[i] <= e for _, col, e in constrained):
+            weights = [ZERO] * n_gens
+            weights[i] = ONE
             return _verified(gens, target, CoverResult(True, weights=tuple(weights)))
 
     # Deduplicate identical constraint rows and drop vacuous all-zero rows.
-    row_map = {}
-    rows: List[Tuple[Tuple[Fraction, ...], Fraction]] = []
-    row_state: List[int] = []
-    for x in constrained:
-        coeffs = tuple(Fraction(gens[i][x]) for i in included)
-        rhs = Fraction(target[x])
-        if all(c == 0 for c in coeffs):
-            continue
-        key = (coeffs, rhs)
-        if key not in row_map:
-            row_map[key] = len(rows)
-            rows.append(key)
-            row_state.append(x)
+    row_state = {}
+    for x, col, e in constrained:
+        coeffs = tuple(col[i] for i in included) if inf_state_of else col
+        if any(coeffs):
+            row_state.setdefault((coeffs, e), x)
 
-    if not rows:
+    if not row_state:
         # Every constrained row is vacuous: any single generator works.
-        weights = [Fraction(0)] * n_gens
-        weights[included[0]] = Fraction(1)
+        weights = [ZERO] * n_gens
+        weights[included[0]] = ONE
         return _verified(gens, target, CoverResult(True, weights=tuple(weights)))
 
-    lam, dual = _simplex_max_sum([r[0] for r in rows], [r[1] for r in rows])
+    lam, dual = _simplex_max_sum([r[0] for r in row_state], [r[1] for r in row_state])
 
     if lam is not None:
-        weights = [Fraction(0)] * n_gens
+        weights = [ZERO] * n_gens
         for pos, i in enumerate(included):
             weights[i] = lam[pos]
         return _verified(gens, target, CoverResult(True, weights=tuple(weights)))
 
     w_rows, sigma = dual
-    witness = [Fraction(0)] * n_states
-    for pos, x in enumerate(row_state):
-        witness[x] = w_rows[pos]
+    witness = [ZERO] * n_states
+    for w, x in zip(w_rows, row_state.values()):
+        witness[x] = w
     if inf_state_of:
         bump_states = sorted(set(inf_state_of.values()))
-        bound = sum(Fraction(target[x]) for x in bump_states)
-        eps = (Fraction(1) - sigma) / (2 * (bound + 1))
+        bound = sum(_exact(target[x]) for x in bump_states)
+        eps = (ONE - sigma) / (2 * (bound + 1))
         for x in bump_states:
             witness[x] += eps
     return _verified(gens, target, CoverResult(False, witness=tuple(witness)))
@@ -176,7 +190,7 @@ def _simplex_max_sum(
     one = Fraction(1)
     zero = Fraction(0)
 
-    tab = [list(matrix[r]) + [zero] * m + [rhs[r]] for r in range(m)]
+    tab = [[*map(_exact, matrix[r]), *[zero] * m, _exact(rhs[r])] for r in range(m)]
     for r in range(m):
         tab[r][k + r] = one
     obj = [one] * k + [zero] * m
@@ -229,6 +243,11 @@ def _simplex_max_sum(
 
         _pivot(tab, obj, basis, pivot_row, enter)
         z = sum((tab[r][-1] for r, b in enumerate(basis) if b < k), zero)
+
+
+def _exact(v) -> Fraction:
+    """Entries arrive as Fractions; callers passing ints get them converted."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def _pivot(tab, obj, basis, r, c):

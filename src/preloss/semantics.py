@@ -269,7 +269,7 @@ def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transfo
         if isinstance(s, Assign):
             t = _assign_tf(s.meta.kernel, z)
         elif isinstance(s, HidVar):
-            t = _hidvar_tf(s.meta.kernel, z)
+            t = _hidvar_tf(s, z)
         elif isinstance(s, Unvar):
             t = _unvar_tf(s, z)
         elif isinstance(s, Assert):

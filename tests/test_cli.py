@@ -130,6 +130,29 @@ def test_json_reports_are_byte_identical(capsys):
     assert report["timings"]["lp_solves"] > 0
 
 
+# Whole --json reports, timings included, pinned by sha256: the same inputs
+# must keep making the same LP queries and solves and the same output.
+PINNED_REPORTS = [
+    (["wpl", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss"],
+     {"lp_solves": 10, "member_queries": 10, "wpl_clauses": 4},
+     "27f9cbb2a9c173f09e21edf2fcf74cc672a166d12c22499c5f6ff4ddc55d8a06"),
+    (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
+      "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"],
+     {"lp_solves": 494, "member_queries": 718, "wpl_clauses": 664},
+     "9142da377636189624523eaebe37f519fa6803e55e38d9e66c0a59656114e2ea"),
+]
+
+
+def test_json_reports_are_pinned(capsys):
+    import hashlib
+
+    for argv, timings, digest in PINNED_REPORTS:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["timings"] == timings
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_json_fails_report_is_self_certifying(capsys, tmp_path):
     a = tmp_path / "a.prog"
     a.write_text("vars:\n b : {0,1}\nbody:\n skip")
@@ -163,6 +186,16 @@ def test_env_var_loop_budget(capsys, tmp_path, monkeypatch):
     loss.write_text("context c:{0,1}\nexpr: true")
     code, out, _ = run(capsys, "wpl", f"{CORPUS}/geometric.prog", "--post", str(loss))
     assert "truncated(3)" in out
+
+
+def test_env_var_loop_budget_not_an_integer(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("PRELOSS_LOOP_BUDGET", "abc")
+    loss = tmp_path / "ones.loss"
+    loss.write_text("context c:{0,1}\nexpr: true")
+    code, out, err = run(capsys, "wpl", f"{CORPUS}/geometric.prog", "--post", str(loss))
+    assert code == 2
+    assert out == ""
+    assert err == "error: PRELOSS_LOOP_BUDGET must be an integer, got 'abc'\n"
 
 
 def test_wpl_with_extension_context(capsys, tmp_path):

@@ -9,12 +9,12 @@ from preloss.losses import (
     LossFunction, embed, eval_loss, is_zero_loss, loss_add, loss_canonicalize,
     loss_conj, loss_equal, loss_map, loss_member, loss_member_certified,
     loss_min, loss_refines, loss_scale, one_loss, point_dist, uniform_dist,
-    zero_loss,
+    zero_loss, _prune,
 )
 from preloss.predicates import Predicate
 from preloss.scalars import INF
 
-from conftest import gen_dist, gen_kernel, gen_loss
+from conftest import gen_context, gen_dist, gen_kernel, gen_loss, gen_scalar
 
 X123 = VarContext.of(("x", (1, 2, 3)))
 
@@ -243,3 +243,50 @@ def test_membership_order_antisymmetry_on_samples():
         a, b = gen_loss(rng, X123), gen_loss(rng, X123)
         if loss_refines(a, b) and loss_refines(b, a):
             assert loss_equal(a, b)
+
+
+def _canonical_gens_on_full_states(E):
+    """Reference: every redundancy query on the full state vectors."""
+    gens = _prune(E.gens)
+    if len(gens) > 1:
+        kept = []
+        for i, g in enumerate(gens):
+            others = kept + gens[i + 1:]
+            if not lp.convex_cover([h.entries for h in others], g.entries).member:
+                kept.append(g)
+        gens = kept
+    return tuple(gens)
+
+
+def _loss_with_duplicate_states(rng):
+    """Random generators whose entries repeat across states by construction.
+
+    Each state copies a class's column, so whole columns repeat.  Some
+    generators are midpoints of others, so the LP decides their redundancy.
+    """
+    ctx = gen_context(rng, max_states=12)
+    n = ctx.n_states
+    classes = [rng.randrange(max(1, n // 2)) for _ in range(n)]
+    gens = []
+    for _ in range(rng.randint(2, 6)):
+        values = [gen_scalar(rng, inf_prob=0.05) for _ in range(n)]
+        gens.append(Predicate(ctx, tuple(values[c] for c in classes)))
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(gens, 2)
+        gens.append(a.scale(Fraction(1, 2)) + b.scale(Fraction(1, 2)))
+    rng.shuffle(gens)
+    return LossFunction(ctx, tuple(gens))
+
+
+def test_canonicalize_on_state_classes_matches_full_states():
+    rng = random.Random(20260808)
+    for _ in range(150):
+        E = _loss_with_duplicate_states(rng)
+        before = dict(lp.counters)
+        expected = _canonical_gens_on_full_states(E)
+        reference_delta = {k: lp.counters[k] - before[k] for k in before}
+        before = dict(lp.counters)
+        got = loss_canonicalize(E).gens
+        delta = {k: lp.counters[k] - before[k] for k in before}
+        assert got == expected
+        assert delta == reference_delta

@@ -98,6 +98,37 @@ def test_hidvar_transformer_agrees_with_diag_composition():
         assert direct.apply(e).entries == via_composed.entries
 
 
+def test_linear_transformer_matches_clause_by_clause_with_hidvar():
+    """A loop body that declares a hidden variable compiles to one matrix
+    equal to evaluating its clauses one by one."""
+    from preloss.semantics import _wpl_program, linear_transformer
+
+    src = "while n < 2 { hidvar t : {0,1} := 0 @ 1/2 | 1; n := n + t; unvar t }"
+    z = VarContext.of(("z", (0, 1)))
+    body = typed(src, N4).stmts[0].body
+    rng = random.Random(11)
+    for ext in (EMPTY, z):
+        tf = linear_transformer(body, ext)
+        assert tf is not None
+        for _ in range(8):
+            E = gen_loss(rng, tf.dst, inf_prob=0.1)
+            via_matrix = loss_map(tf, E)
+            via_clauses = _wpl_program(body, E, ext, 64, {})
+            assert loss_equal(via_matrix, via_clauses)
+            assert sorted(g.sort_token() for g in via_matrix.gens) == \
+                sorted(g.sort_token() for g in via_clauses.gens)
+
+
+def test_while_with_hidvar_body_evaluates():
+    prog = typed("while n < 2 { hidvar t : {0,1} := 0 @ 1/2 | 1; n := n + t; unvar t }", N4)
+    res = weakest_preloss(prog, one_loss(N4), loop_budget=8)
+    (status,) = res.loop_status.values()
+    assert status.kind == "truncated" and status.n == 8
+    (g,) = res.pre.gens
+    assert g.at((2,)) == g.at((3,)) == 1  # the loop exits at once
+    assert Fraction(1, 2) < g.at((0,)) < g.at((1,)) < 1  # truncated after 8 terms
+
+
 def test_while_terms_and_convergence():
     prog = typed("while c = 1 { c := 1 @ 1/2 | 0 }", VarContext.of(("c", (0, 1))))
     ctx = prog.meta.pre
