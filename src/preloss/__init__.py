@@ -15,7 +15,7 @@ from .losses import (
 )
 from .predicates import Predicate
 from .scalars import INF, Scalar, scalar
-from .semantics import WplRequest, WplResult, weakest_preloss, wpl, wpl_extended
+from .semantics import WplResult, weakest_preloss
 from .adversary import min_bayes_risk, min_bayes_risk_exhaustive, run_strategy
 from .refinement import (
     Verdict, check_backward_simulation, check_forward_simulation,
@@ -33,7 +33,7 @@ __all__ = [
     "loss_conj", "loss_equal", "loss_map", "loss_member", "loss_min",
     "loss_refines", "loss_scale", "one_loss", "point_dist", "uniform_dist",
     "zero_loss", "Predicate", "INF", "Scalar", "scalar",
-    "WplRequest", "WplResult", "weakest_preloss", "wpl", "wpl_extended",
+    "WplResult", "weakest_preloss",
     "min_bayes_risk", "min_bayes_risk_exhaustive", "run_strategy",
     "Verdict", "check_backward_simulation", "check_forward_simulation",
     "data_refines", "program_refines",

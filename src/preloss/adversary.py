@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .contexts import VarContext
 from .losses import LossFunction
@@ -111,6 +111,57 @@ def _push(s: Stmt, mu: List[Fraction]) -> List[Fraction]:
 
 
 Cont = Tuple[Stmt, ...]
+Key = Tuple[tuple, str]
+# A finished branch's value, from its history and its sub-distribution.
+Leaf = Callable[[tuple, List[Fraction]], Scalar]
+# A `[]` site's value, from its (history, site) key and thunks walking each side.
+Choose = Callable[[Key, Callable[[], Scalar], Callable[[], Scalar]], Scalar]
+
+
+def _walk(cont: Cont, mu: List[Fraction], history: tuple, leaf: Leaf, choose: Choose) -> Scalar:
+    """Fold over the observation-history branches of ``cont`` run from ``mu``.
+
+    Kernels push ``mu`` forward, prints split it per observed value and
+    conditionals per branch; each split is recorded in the history and its
+    parts are added.  Zero-mass branches and ``abort`` are worth ZERO.
+    """
+    if not any(mu):
+        return ZERO
+    if not cont:
+        return leaf(history, mu)
+    s, rest = cont[0], cont[1:]
+    if isinstance(s, Abort):
+        return ZERO
+    if isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
+        return _walk(rest, _push(s, mu), history, leaf, choose)
+    if isinstance(s, Print):
+        obs = s.meta.obs
+        total: Scalar = ZERO
+        for w_idx, value in enumerate(obs.values):
+            split = [Fraction(0)] * len(mu)
+            for i, w in enumerate(mu):
+                if w:
+                    for idx, p in obs.rows[i]:
+                        if idx == w_idx:
+                            split[i] += w * p
+            total = total + _walk(rest, split, history + (("print", s.meta.label, value),),
+                                  leaf, choose)
+        return total
+    if isinstance(s, If):
+        g = s.meta.guard
+        mu_t = [w * Fraction(g.entries[i]) for i, w in enumerate(mu)]
+        mu_f = [w - t for w, t in zip(mu, mu_t)]
+        return (
+            _walk(s.then.stmts + rest, mu_t, history + (("branch", s.meta.label, True),),
+                  leaf, choose)
+            + _walk(s.orelse.stmts + rest, mu_f, history + (("branch", s.meta.label, False),),
+                    leaf, choose)
+        )
+    if isinstance(s, NonDet):
+        return choose((history, s.meta.label),
+                      lambda: _walk(s.left.stmts + rest, mu, history, leaf, choose),
+                      lambda: _walk(s.right.stmts + rest, mu, history, leaf, choose))
+    raise LoopFreeError(f"unsupported statement in the oracle: {s!r}")
 
 
 def min_bayes_risk(prog: Program, prior: Sequence[Fraction], loss: LossFunction) -> Scalar:
@@ -118,7 +169,9 @@ def min_bayes_risk(prog: Program, prior: Sequence[Fraction], loss: LossFunction)
     _require_ready(prog, prior)
     if loss.ctx != prog.meta.post:
         raise ValueError("loss context must match the program's post context")
-    return _risk(prog.stmts, list(prior), loss)
+    return _walk(prog.stmts, list(prior), (),
+                 lambda history, mu: _final_risk(mu, loss),
+                 lambda key, left, right: min(left(), right()))
 
 
 def _final_risk(mu: List[Fraction], loss: LossFunction) -> Scalar:
@@ -133,139 +186,42 @@ def _final_risk(mu: List[Fraction], loss: LossFunction) -> Scalar:
     return best
 
 
-def _risk(cont: Cont, mu: List[Fraction], loss: LossFunction) -> Scalar:
-    if not any(mu):
-        return ZERO
-    if not cont:
-        return _final_risk(mu, loss)
-    s, rest = cont[0], cont[1:]
-    if isinstance(s, Abort):
-        return ZERO
-    if isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
-        return _risk(rest, _push(s, mu), loss)
-    if isinstance(s, Print):
-        obs = s.meta.obs
-        total: Scalar = ZERO
-        for w_idx in range(len(obs.values)):
-            split = [Fraction(0)] * len(mu)
-            for i, w in enumerate(mu):
-                if w:
-                    for idx, p in obs.rows[i]:
-                        if idx == w_idx:
-                            split[i] += w * p
-            total = total + _risk(rest, split, loss)
-        return total
-    if isinstance(s, If):
-        g = s.meta.guard
-        mu_t = [w * Fraction(g.entries[i]) for i, w in enumerate(mu)]
-        mu_f = [w - t for w, t in zip(mu, mu_t)]
-        return (
-            _risk(s.then.stmts + rest, mu_t, loss)
-            + _risk(s.orelse.stmts + rest, mu_f, loss)
-        )
-    if isinstance(s, NonDet):
-        left = _risk(s.left.stmts + rest, mu, loss)
-        right = _risk(s.right.stmts + rest, mu, loss)
-        return left if left <= right else right
-    raise LoopFreeError(f"unsupported statement in the oracle: {s!r}")
-
-
 # ------------------------------------------------------------ run_strategy
 
 def run_strategy(prog: Program, prior: Sequence[Fraction], strategy: Dict) -> List[Branch]:
     """Execute under an explicit (history, site) -> 'left'|'right' strategy."""
     _require_ready(prog, prior)
     done: List[Branch] = []
-    _run(prog.stmts, prog.meta.pre, list(prior), (), strategy, done, prog.meta.post)
-    return done
 
+    def leaf(history, mu):
+        total = sum(mu)
+        done.append(Branch(history, total, prog.meta.post, tuple(w / total for w in mu)))
+        return ZERO
 
-def _run(cont, ctx, mu, history, strategy, done, final_ctx):
-    total = sum(mu)
-    if total == 0:
-        return
-    if not cont:
-        done.append(Branch(history, total, final_ctx, tuple(w / total for w in mu)))
-        return
-    s, rest = cont[0], cont[1:]
-    if isinstance(s, Abort):
-        return
-    if isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
-        _run(rest, s.meta.post, _push(s, mu), history, strategy, done, final_ctx)
-        return
-    if isinstance(s, Print):
-        obs = s.meta.obs
-        for w_idx, value in enumerate(obs.values):
-            split = [Fraction(0)] * len(mu)
-            for i, w in enumerate(mu):
-                if w:
-                    for idx, p in obs.rows[i]:
-                        if idx == w_idx:
-                            split[i] += w * p
-            _run(rest, ctx, split, history + (("print", s.meta.label, value),),
-                 strategy, done, final_ctx)
-        return
-    if isinstance(s, If):
-        g = s.meta.guard
-        mu_t = [w * Fraction(g.entries[i]) for i, w in enumerate(mu)]
-        mu_f = [w - t for w, t in zip(mu, mu_t)]
-        _run(s.then.stmts + rest, ctx, mu_t, history + (("branch", s.meta.label, True),),
-             strategy, done, final_ctx)
-        _run(s.orelse.stmts + rest, ctx, mu_f, history + (("branch", s.meta.label, False),),
-             strategy, done, final_ctx)
-        return
-    if isinstance(s, NonDet):
-        key = (history, s.meta.label)
+    def choose(key, left, right):
         if key not in strategy:
             raise StrategyError(f"strategy undefined at {key}")
         side = strategy[key]
         if side not in ("left", "right"):
             raise StrategyError(f"strategy value {side!r} at {key}")
-        chosen = s.left if side == "left" else s.right
-        _run(chosen.stmts + rest, ctx, mu, history, strategy, done, final_ctx)
-        return
-    raise LoopFreeError(f"unsupported statement in the oracle: {s!r}")
+        return left() if side == "left" else right()
+
+    _walk(prog.stmts, list(prior), (), leaf, choose)
+    return done
 
 
 # --------------------------------------------------------------- exhaustive
 
-def choice_points(prog: Program, prior: Sequence[Fraction]) -> List[Tuple[tuple, str]]:
+def choice_points(prog: Program, prior: Sequence[Fraction]) -> List[Key]:
     """All (history, site) pairs reachable under any strategy."""
     _require_ready(prog, prior)
-    found: Dict[Tuple[tuple, str], None] = {}
+    found: Dict[Key, None] = {}
 
-    def walk(cont, mu, history):
-        if not any(mu) or not cont:
-            return
-        s, rest = cont[0], cont[1:]
-        if isinstance(s, Abort):
-            return
-        if isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
-            walk(rest, _push(s, mu), history)
-        elif isinstance(s, Print):
-            obs = s.meta.obs
-            for w_idx, value in enumerate(obs.values):
-                split = [Fraction(0)] * len(mu)
-                for i, w in enumerate(mu):
-                    if w:
-                        for idx, p in obs.rows[i]:
-                            if idx == w_idx:
-                                split[i] += w * p
-                walk(rest, split, history + (("print", s.meta.label, value),))
-        elif isinstance(s, If):
-            g = s.meta.guard
-            mu_t = [w * Fraction(g.entries[i]) for i, w in enumerate(mu)]
-            mu_f = [w - t for w, t in zip(mu, mu_t)]
-            walk(s.then.stmts + rest, mu_t, history + (("branch", s.meta.label, True),))
-            walk(s.orelse.stmts + rest, mu_f, history + (("branch", s.meta.label, False),))
-        elif isinstance(s, NonDet):
-            found.setdefault((history, s.meta.label))
-            walk(s.left.stmts + rest, mu, history)
-            walk(s.right.stmts + rest, mu, history)
-        else:
-            raise LoopFreeError(f"unsupported statement in the oracle: {s!r}")
+    def choose(key, left, right):
+        found.setdefault(key)
+        return left() + right()
 
-    walk(prog.stmts, list(prior), ())
+    _walk(prog.stmts, list(prior), (), lambda history, mu: ZERO, choose)
     return list(found)
 
 

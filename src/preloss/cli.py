@@ -108,22 +108,22 @@ def _verdict_json(v: Verdict):
     return out
 
 
-def _print_verdict(v: Verdict):
-    print(f"verdict: {v.kind}" + (f" ({v.reason})" if v.reason else ""))
+def _verdict_lines(v: Verdict) -> List[str]:
+    lines = [f"verdict: {v.kind}" + (f" ({v.reason})" if v.reason else "")]
     if v.context_name:
-        print(f"  at: {v.context_name}")
-    if v.squares:
-        for s in v.squares:
-            print(f"  square {s.name}: {s.verdict.kind}")
+        lines.append(f"  at: {v.context_name}")
+    for s in v.squares:
+        lines.append(f"  square {s.name}: {s.verdict.kind}")
     if v.kind == "holds":
-        print(f"  checked {v.checked} family losses (holds for this family only)")
+        lines.append(f"  checked {v.checked} family losses (holds for this family only)")
     if v.kind == "fails":
-        print("  witness loss:")
-        for line in loss_literal(v.witness_loss).splitlines():
-            print(f"    {line}")
-        print(f"  witness prior: {_prior_text(v.lhs_pre.ctx, v.witness_prior)}")
-        print(f"  lhs value: {fmt_scalar(v.lhs_value)}  rhs value: {fmt_scalar(v.rhs_value)}")
-        print(f"  certificate re-checked: {v.certificate_ok()}")
+        lines.append("  witness loss:")
+        lines += [f"    {line}" for line in loss_literal(v.witness_loss).splitlines()]
+        lines.append(f"  witness prior: {_prior_text(v.lhs_pre.ctx, v.witness_prior)}")
+        lines.append(f"  lhs value: {fmt_scalar(v.lhs_value)}  "
+                     f"rhs value: {fmt_scalar(v.rhs_value)}")
+        lines.append(f"  certificate re-checked: {v.certificate_ok()}")
+    return lines
 
 
 def _verdict_exit(v: Verdict) -> int:
@@ -253,18 +253,8 @@ def cmd_refine(args) -> int:
     _emit(args, _report(args, inputs, "refine", _verdict_json(verdict),
                         {"family": args.family or "", "ext": args.ext or "",
                          "loop_budget": args.loop_budget}),
-          started, _human_verdict_lines(verdict))
+          started, _verdict_lines(verdict))
     return _verdict_exit(verdict)
-
-
-def _human_verdict_lines(v: Verdict) -> List[str]:
-    import io
-    import contextlib
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _print_verdict(v)
-    return buf.getvalue().splitlines()
 
 
 def cmd_datatype(args) -> int:
@@ -277,7 +267,7 @@ def cmd_datatype(args) -> int:
     verdict = data_refines(da, dc, contexts, opts, args.loop_budget)
     _emit(args, _report(args, inputs, "datatype", _verdict_json(verdict),
                         {"family": args.family or "", "loop_budget": args.loop_budget}),
-          started, _human_verdict_lines(verdict))
+          started, _verdict_lines(verdict))
     return _verdict_exit(verdict)
 
 
@@ -296,7 +286,7 @@ def cmd_simulate(args) -> int:
     _emit(args, _report(args, inputs, f"simulate --{args.direction}",
                         _verdict_json(verdict),
                         {"family": args.family or "", "loop_budget": args.loop_budget}),
-          started, _human_verdict_lines(verdict))
+          started, _verdict_lines(verdict))
     return _verdict_exit(verdict)
 
 

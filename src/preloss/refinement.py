@@ -11,7 +11,7 @@ choiceless for backward); a failed gate yields Inconclusive, never Holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -140,19 +140,9 @@ def data_refines(
         comp_c = inline(ctx_prog, d_concrete)
         verdict = program_refines(comp_a, comp_c, family, EMPTY, loop_budget)
         if verdict.kind != "holds":
-            return _with_context(verdict, name)
+            return replace(verdict, context_name=name)
         checked += verdict.checked
     return Verdict(kind="holds", checked=checked)
-
-
-def _with_context(v: Verdict, name: str) -> Verdict:
-    return Verdict(
-        kind=v.kind, checked=v.checked, reason=v.reason,
-        witness_loss=v.witness_loss, witness_prior=v.witness_prior,
-        lhs_value=v.lhs_value, rhs_value=v.rhs_value,
-        lhs_pre=v.lhs_pre, rhs_pre=v.rhs_pre,
-        context_name=name, squares=v.squares, loop_notes=v.loop_notes,
-    )
 
 
 def _check_signature(da: Datatype, dc: Datatype):
@@ -273,14 +263,8 @@ def _gate_verdict(squares: List[SquareResult], gate_ok: bool, gate_reason: str) 
                        checked=sum(s.verdict.checked for s in squares_t))
     for s in squares_t:
         if s.verdict.kind != "holds":
-            base = s.verdict
-            return Verdict(
-                kind=base.kind, checked=base.checked,
-                reason=base.reason or f"square '{s.name}' does not hold",
-                witness_loss=base.witness_loss, witness_prior=base.witness_prior,
-                lhs_value=base.lhs_value, rhs_value=base.rhs_value,
-                lhs_pre=base.lhs_pre, rhs_pre=base.rhs_pre,
-                context_name=s.name, squares=squares_t, loop_notes=base.loop_notes,
-            )
+            return replace(s.verdict,
+                           reason=s.verdict.reason or f"square '{s.name}' does not hold",
+                           context_name=s.name, squares=squares_t)
     return Verdict(kind="holds", checked=sum(s.verdict.checked for s in squares_t),
                    squares=squares_t)

@@ -8,7 +8,7 @@ is what makes excluded generators weightless in the membership LP.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 
 class Infinity:
@@ -95,32 +95,6 @@ def scalar(value) -> Scalar:
 
 def is_inf(value: Scalar) -> bool:
     return isinstance(value, Infinity)
-
-
-def is_finite(value: Scalar) -> bool:
-    return not isinstance(value, Infinity)
-
-
-def ext_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def ext_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def ext_cmp(a: Scalar, b: Scalar) -> int:
-    """Total order with INF maximal: returns -1, 0 or 1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
-def ext_sum(values: Iterable[Scalar]) -> Scalar:
-    total: Scalar = ZERO
-    for v in values:
-        total = total + v
-    return total
 
 
 def fmt_scalar(value: Scalar) -> str:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from itertools import accumulate, islice
+from typing import Dict, Iterator, Optional, Tuple
 
 from .contexts import EMPTY, VarContext
 from .kernels import Kernel, Transformer
@@ -47,14 +48,6 @@ class LoopStatus:
 
 
 @dataclass(frozen=True)
-class WplRequest:
-    program: Program
-    post: LossFunction
-    extension: VarContext = EMPTY
-    loop_budget: int = 64
-
-
-@dataclass(frozen=True)
 class WplResult:
     pre: LossFunction
     loop_status: Dict[str, LoopStatus] = field(default_factory=dict)
@@ -62,10 +55,6 @@ class WplResult:
     @property
     def truncated(self) -> bool:
         return any(s.kind == "truncated" for s in self.loop_status.values())
-
-
-def wpl(req: WplRequest) -> WplResult:
-    return weakest_preloss(req.program, req.post, req.extension, req.loop_budget)
 
 
 def weakest_preloss(
@@ -88,21 +77,6 @@ def weakest_preloss(
     statuses: Dict[str, LoopStatus] = {}
     pre = _wpl_program(program, loss_canonicalize(post), extension, loop_budget, statuses)
     return WplResult(pre, statuses)
-
-
-def wpl_extended(
-    program: Program,
-    post: LossFunction,
-    extension: VarContext,
-    loop_budget: int = 64,
-) -> WplResult:
-    """Weakest pre-loss over an explicitly named correlated context.
-
-    The extension variables ride along unchanged through every construct
-    (they must be disjoint from the program's own variables); the post loss
-    lives over the program's post context merged with the extension.
-    """
-    return weakest_preloss(program, post, extension, loop_budget)
 
 
 def _working(ctx: VarContext, z: VarContext) -> VarContext:
@@ -205,29 +179,36 @@ def _wpl_print(s: Print, E: LossFunction, z) -> LossFunction:
     return total
 
 
-def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
+def _loop_terms(s: While, E: LossFunction, z, budget, statuses) -> Iterator[LossFunction]:
+    """The loop's terms term_0 = !g * E, term_n+1 = g * wpl(body, term_n), without end.
+
+    A straight-line body is applied as one matrix (``linear_transformer``);
+    any other body is evaluated clause by clause with ``budget`` for its loops.
+    """
     working = _working(s.meta.pre, z)
     g = s.meta.guard.extend_to(working)
     not_g = s.meta.guard.complement().extend_to(working)
     body_tf = linear_transformer(s.body, z)
-
     term = loss_conj(not_g, E)
-    total = term
-    n = 0
     while True:
+        yield term
+        if body_tf is not None:
+            inner = loss_map(body_tf, term)
+        else:
+            inner = _wpl_program(s.body, term, z, budget, statuses)
+        term = loss_conj(g, inner)
+
+
+def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
+    total: Optional[LossFunction] = None
+    for n, term in enumerate(_loop_terms(s, E, z, budget, statuses)):
+        total = term if total is None else loss_add(total, term)
         if is_zero_loss(term):
             status = LoopStatus("converged", n)
             break
         if n >= budget:
             status = LoopStatus("truncated", budget)
             break
-        if body_tf is not None:
-            inner = loss_map(body_tf, term)
-        else:
-            inner = _wpl_program(s.body, term, z, budget, statuses)
-        term = loss_conj(g, inner)
-        total = loss_add(total, term)
-        n += 1
     label = s.meta.label or "while"
     statuses[label] = status if label not in statuses else statuses[label].merge(status)
     return total
@@ -240,19 +221,10 @@ def while_partial_sums(
 
     S_N sums terms 0..N; each S_N under-approximates the loop's true
     weakest pre-loss and the sequence is increasing in the refinement
-    order.
+    order.  Loops nested in the body get a budget of 64.
     """
-    working = _working(s.meta.pre, z)
-    g = s.meta.guard.extend_to(working)
-    not_g = s.meta.guard.complement().extend_to(working)
-    term = loss_conj(not_g, E)
-    sums = [term]
-    statuses: Dict[str, LoopStatus] = {}
-    for _ in range(n_terms):
-        inner = _wpl_program(s.body, term, z, 64, statuses)
-        term = loss_conj(g, inner)
-        sums.append(loss_add(sums[-1], term))
-    return tuple(sums)
+    terms = _loop_terms(s, E, z, 64, {})
+    return tuple(accumulate(islice(terms, n_terms + 1), loss_add))
 
 
 def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transformer]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from preloss.predicates import Predicate
 from preloss.semantics import weakest_preloss
 from preloss.typecheck import typecheck_program
 
-from conftest import gen_loss
+from conftest import ProgramShape, gen_dist, gen_loss, gen_typed_program
 
 N4 = VarContext.of(("n", range(4)))
 B = VarContext.of(("b", (0, 1)))
@@ -132,3 +133,31 @@ def test_duality_on_handpicked_programs():
             risk = min_bayes_risk(prog, prior, E)
             value = eval_loss(weakest_preloss(prog, E).pre, prior)
             assert risk == value, src
+
+
+def test_walker_branches_are_consistent():
+    """Every strategy over the choice points runs to branches with distinct
+    histories, and the least total branch mass over all strategies is the
+    optimal risk against the all-ones loss, which is also wpl at the prior."""
+    split_cases = 0  # cases whose choices meet split histories
+    for i in range(120):
+        rng = random.Random(90_000 + i)
+        shape = ProgramShape(loops=False, max_nondet=3)
+        ctx, prog, post = gen_typed_program(rng, depth=rng.randint(2, 4), shape=shape,
+                                            max_states=8)
+        prior = gen_dist(rng, ctx, total=True)
+        points = choice_points(prog, prior)
+        if len(points) > 8:
+            continue
+        masses, widths = [], []
+        for sides in itertools.product(("left", "right"), repeat=len(points)):
+            branches = run_strategy(prog, prior, dict(zip(points, sides)))
+            histories = [b.history for b in branches]
+            assert len(set(histories)) == len(histories), f"case {i}"
+            masses.append(sum(b.mass for b in branches))
+            widths.append(len(branches))
+        risk = min_bayes_risk(prog, prior, one_loss(post))
+        assert min(masses) == risk, f"case {i}"
+        assert eval_loss(weakest_preloss(prog, one_loss(post)).pre, prior) == risk, f"case {i}"
+        split_cases += bool(points) and max(widths) > 1
+    assert split_cases >= 15

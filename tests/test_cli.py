@@ -99,6 +99,40 @@ def test_simulate_gate_exit_code(capsys):
     assert "inconclusive" in out and "square" in out
 
 
+HUMAN_VERDICTS = [
+    (["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+      "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--family", "k=2,random=10,seed=7"],
+     3,
+     ["verdict: fails",
+      f"  at: {CORPUS}/ctx_flip_or_keep.ctx",
+      "  witness loss:",
+      "    context s:{0,1}",
+      "    table: (0)=1",
+      "  witness prior: (0)=1",
+      "  lhs value: 1/2  rhs value: 0",
+      "  certificate re-checked: True"]),
+    (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+      "--rep", f"{CORPUS}/rep_leak.prog", "--family", "k=1,random=5,seed=7"],
+     4,
+     ["verdict: inconclusive (rep is not hidden (contains if/while/print); "
+      "the forward simulation rule does not apply)",
+      "  square init: holds",
+      "  square op move: holds",
+      "  square final: holds"]),
+]
+
+
+def test_human_verdict_output_is_pinned(capsys):
+    import re
+
+    for argv, exit_code, lines in HUMAN_VERDICTS:
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        *body, elapsed = out.splitlines()
+        assert body == lines
+        assert re.fullmatch(r"\[\d+\.\d\ds elapsed\]", elapsed)
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", f"{CORPUS}/parity_reveal.prog",
                        "--post", f"{CORPUS}/parity_post.loss",

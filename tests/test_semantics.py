@@ -11,9 +11,7 @@ from preloss.losses import (
 )
 from preloss.parsing import parse_program_text
 from preloss.predicates import Predicate
-from preloss.semantics import (
-    WplRequest, weakest_preloss, while_partial_sums, wpl,
-)
+from preloss.semantics import weakest_preloss, while_partial_sums
 from preloss.typecheck import typecheck_program
 
 from conftest import gen_kernel, gen_loss, gen_predicate
@@ -234,9 +232,9 @@ def test_correlation_law_random_kernels():
         assert loss_equal(lhs, rhs)
 
 
-def test_wpl_request_wrapper():
+def test_wpl_of_skip_is_the_post_loss():
     prog = typed("skip", B)
-    res = wpl(WplRequest(prog, one_loss(B)))
+    res = weakest_preloss(prog, one_loss(B))
     assert loss_equal(res.pre, one_loss(B))
 
 
@@ -272,16 +270,14 @@ def test_unvar_transformer_matches_tensor_route():
     assert direct.rows == tensored.rows
 
 
-def test_wpl_extended_alias():
-    from preloss.semantics import wpl_extended
-
+def test_wpl_over_an_extension_context():
     z = VarContext.of(("z", (0, 1)))
     prog = typed("print b", B)
     E = one_loss(B.merge(z))
-    res = wpl_extended(prog, E, z)
+    res = weakest_preloss(prog, E, extension=z)
     assert loss_equal(res.pre, one_loss(B.merge(z)))
     with pytest.raises(Exception):
-        wpl_extended(prog, E, VarContext.of(("b", (0, 1))))  # name clash
+        weakest_preloss(prog, E, extension=VarContext.of(("b", (0, 1))))  # name clash
 
 
 def test_randbit_composites_equal_on_sample_losses():
