@@ -9,7 +9,8 @@ field holds deterministic operation counters, wall-clock is shown only in
 the human output.
 
 Exit codes: 0 success/holds, 1 syntax error, 2 type error, 3 refinement
-fails, 4 inconclusive (healthiness gate or loop truncation).
+fails, 4 inconclusive (healthiness gate or loop truncation), 5 internal
+error (a failed certificate re-check or another unexpected exception).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import lp
 from . import semantics as _semantics
@@ -48,6 +49,7 @@ EXIT_SYNTAX = 1
 EXIT_TYPE = 2
 EXIT_FAILS = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 
 class _Inputs:
@@ -138,11 +140,12 @@ def _counters_snapshot():
     }
 
 
-def _emit(args, report: dict, started: float, human: Optional[List[str]] = None):
+def _emit(args, report: dict, started: float, human: Callable[[], List[str]]):
+    """Print the report under --json, else the lines ``human()`` builds."""
     if getattr(args, "json", False):
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
-        for line in human or []:
+        for line in human():
             print(line)
         print(f"[{time.monotonic() - started:.2f}s elapsed]")
 
@@ -238,7 +241,7 @@ def cmd_wpl(args) -> int:
         human.append("warning: truncated loops give a refinement lower bound only")
     _emit(args, _report(args, inputs, "wpl", result,
                         {"ext": args.ext or "", "loop_budget": args.loop_budget}),
-          started, human)
+          started, lambda: human)
     return EXIT_OK
 
 
@@ -253,7 +256,7 @@ def cmd_refine(args) -> int:
     _emit(args, _report(args, inputs, "refine", _verdict_json(verdict),
                         {"family": args.family or "", "ext": args.ext or "",
                          "loop_budget": args.loop_budget}),
-          started, _verdict_lines(verdict))
+          started, lambda: _verdict_lines(verdict))
     return _verdict_exit(verdict)
 
 
@@ -267,7 +270,7 @@ def cmd_datatype(args) -> int:
     verdict = data_refines(da, dc, contexts, opts, args.loop_budget)
     _emit(args, _report(args, inputs, "datatype", _verdict_json(verdict),
                         {"family": args.family or "", "loop_budget": args.loop_budget}),
-          started, _verdict_lines(verdict))
+          started, lambda: _verdict_lines(verdict))
     return _verdict_exit(verdict)
 
 
@@ -286,7 +289,7 @@ def cmd_simulate(args) -> int:
     _emit(args, _report(args, inputs, f"simulate --{args.direction}",
                         _verdict_json(verdict),
                         {"family": args.family or "", "loop_budget": args.loop_budget}),
-          started, _verdict_lines(verdict))
+          started, lambda: _verdict_lines(verdict))
     return _verdict_exit(verdict)
 
 
@@ -308,7 +311,7 @@ def cmd_oracle(args) -> int:
                      f"(agrees: {exhaustive == risk})")
     _emit(args, _report(args, inputs, "oracle", result,
                         {"prior": args.prior, "exhaustive": bool(args.exhaustive)}),
-          started, human)
+          started, lambda: human)
     return EXIT_OK
 
 
@@ -390,6 +393,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TYPE
+    except Exception as exc:  # a defect, e.g. a certificate that fails its re-check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -138,11 +138,16 @@ class Transformer:
     def apply(self, e: Predicate) -> Predicate:
         if e.ctx != self.dst:
             raise ContextError("transformer applied to wrong context")
+        values = e.entries
         entries = []
         for row in self.rows:
+            if len(row) == 1 and row[0][1] == 1:
+                # A point mass (deterministic assignments, unvar) copies.
+                entries.append(values[row[0][0]])
+                continue
             total: Scalar = ZERO
             for j, w in row:
-                total = total + e.entries[j] * w
+                total = total + values[j] * w
             entries.append(total)
         return Predicate(self.src, tuple(entries))
 

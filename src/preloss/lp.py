@@ -8,7 +8,24 @@ of the generators is pointwise below e.  Solved as
 
 which is feasible for the query iff the optimum reaches 1 (scaling down a
 larger sum stays below e because e >= 0).  Runs a dense primal simplex with
-Bland's rule over Fractions; no tolerances.
+Bland's rule; no tolerances, no floats.
+
+Integer rows: each tableau row is a list of Python integers over one
+positive denominator of its own (the lcm of its entries' denominators at
+the start).  A pivot on entry p of row r (positive, as the ratio test only
+picks positive entries) makes that row ``row / p``; every
+other row with a nonzero entry f in the pivot column becomes
+``row * p - f * pivot_row`` over ``den * p``, and each changed row is
+divided by the gcd of its entries and denominator, so rows stay in lowest
+terms and no per-entry ``Fraction`` is built.  The objective row carries
+``-z`` in its right-hand entry, so the objective value follows the pivots.
+Every entry keeps the exact rational value it had as a ``Fraction``, so
+the decisions are the same: Bland's rule looks at signs, which a positive
+denominator keeps; the ratio test compares rhs/coeff within each row, where
+the row's denominator cancels, by cross-multiplying, and breaks ties on the
+smaller basis index as before.  Hence the same pivots, and the weights,
+duals and optimum, turned back into ``Fraction``s only on return, are the
+same numbers; the certificates built from them are re-checked as before.
 
 Certificates: a positive answer returns the convex weights; a negative
 answer returns separating state weights w >= 0 with
@@ -32,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .scalars import INF, ONE, Scalar, ZERO
@@ -171,7 +189,7 @@ def _verified(gens, target, result: CoverResult) -> CoverResult:
     else:
         ok = check_separation(gens, target, result.witness)
     if not ok:
-        raise RuntimeError("internal error: LP certificate failed verification")
+        raise RuntimeError("LP certificate failed verification")
     return result
 
 
@@ -187,62 +205,76 @@ def _simplex_max_sum(
     counters["lp_solves"] += 1
     m = len(matrix)
     k = len(matrix[0])
-    one = Fraction(1)
-    zero = Fraction(0)
 
-    tab = [[*map(_exact, matrix[r]), *[zero] * m, _exact(rhs[r])] for r in range(m)]
+    # Row r < m holds constraint r, row m the objective; entry k + m of a
+    # row is its right-hand side, and row r's values are rows[r] / dens[r].
+    rows: List[List[int]] = []
+    dens: List[int] = []
     for r in range(m):
-        tab[r][k + r] = one
-    obj = [one] * k + [zero] * m
-    z = zero
+        den = lcm(rhs[r].denominator, *(v.denominator for v in matrix[r]))
+        row = [v.numerator * (den // v.denominator) for v in matrix[r]]
+        row += [0] * m
+        row[k + r] = den
+        row.append(rhs[r].numerator * (den // rhs[r].denominator))
+        rows.append(row)
+        dens.append(den)
+    obj = [1] * k + [0] * (m + 1)   # reduced costs, then -z
+    rows.append(obj)
+    dens.append(1)
     basis = list(range(k, k + m))
 
+    def value(r: int, j: int) -> Fraction:
+        return Fraction(rows[r][j], dens[r])
+
     def current_lambda() -> List[Fraction]:
-        lam = [zero] * k
+        lam = [ZERO] * k
         for r, b in enumerate(basis):
             if b < k:
-                lam[b] = tab[r][-1]
+                lam[b] = value(r, -1)
         return lam
 
     while True:
-        if z >= 1:
+        obj = rows[m]
+        if -obj[-1] >= dens[m]:
             lam = current_lambda()
+            z = -value(m, -1)
             if z > 1:
                 lam = [v / z for v in lam]
             return lam, None
 
         enter = next((j for j in range(k + m) if obj[j] > 0), None)
         if enter is None:
-            dual = [-obj[k + r] for r in range(m)]
-            return None, (dual, z)
+            dual = [-value(m, k + r) for r in range(m)]
+            return None, (dual, -value(m, -1))
 
-        best_ratio = None
+        # Ratio rhs / coeff; a row's denominator cancels, so two ratios
+        # compare by cross-multiplying the numerators.
         pivot_row = None
         for r in range(m):
-            coeff = tab[r][enter]
+            coeff = rows[r][enter]
             if coeff > 0:
-                ratio = tab[r][-1] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[pivot_row]
-                ):
-                    best_ratio = ratio
-                    pivot_row = r
+                if pivot_row is None:
+                    pivot_row, best_rhs, best_coeff = r, rows[r][-1], coeff
+                    continue
+                lhs = rows[r][-1] * best_coeff
+                cur = best_rhs * coeff
+                if lhs < cur or (lhs == cur and basis[r] < basis[pivot_row]):
+                    pivot_row, best_rhs, best_coeff = r, rows[r][-1], coeff
 
         if pivot_row is None:
             # Unbounded: follow the ray until the weight sum reaches 1.
             lam = current_lambda()
-            direction = [zero] * k
+            direction = [ZERO] * k
             if enter < k:
-                direction[enter] = one
+                direction[enter] = ONE
             for r, b in enumerate(basis):
                 if b < k:
-                    direction[b] -= tab[r][enter]
-            t = (one - z) / obj[enter]
+                    direction[b] -= value(r, enter)
+            t = (ONE + value(m, -1)) / value(m, enter)
             lam = [v + t * d for v, d in zip(lam, direction)]
             return lam, None
 
-        _pivot(tab, obj, basis, pivot_row, enter)
-        z = sum((tab[r][-1] for r, b in enumerate(basis) if b < k), zero)
+        _pivot(rows, dens, basis, pivot_row, enter)
 
 
 def _exact(v) -> Fraction:
@@ -250,15 +282,25 @@ def _exact(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
 
-def _pivot(tab, obj, basis, r, c):
-    piv = tab[r][c]
-    tab[r] = [v / piv for v in tab[r]]
-    for r2 in range(len(tab)):
-        if r2 != r and tab[r2][c]:
-            factor = tab[r2][c]
-            tab[r2] = [v - factor * w for v, w in zip(tab[r2], tab[r])]
-    if obj[c]:
-        factor = obj[c]
-        for j in range(len(obj)):
-            obj[j] -= factor * tab[r][j]
+def _pivot(rows, dens, basis, r, c):
+    """Pivot on (r, c), whose entry is positive; rows stay in lowest terms."""
+    prow = rows[r]
+    p = prow[c]
+    g = gcd(*prow)
+    if g > 1:
+        prow = [v // g for v in prow]
+        p //= g
+    rows[r] = prow
+    dens[r] = p
+    for r2, row in enumerate(rows):
+        f = row[c]
+        if f and r2 != r:
+            new = [v * p - f * w for v, w in zip(row, prow)]
+            den = dens[r2] * p
+            g = gcd(den, *new)
+            if g > 1:
+                new = [v // g for v in new]
+                den //= g
+            rows[r2] = new
+            dens[r2] = den
     basis[r] = c

@@ -48,13 +48,25 @@ class Predicate:
         entries[idx] = ONE
         return Predicate(ctx, tuple(entries))
 
+    def __hash__(self) -> int:
+        # Generators are hashed many times (pruning sets, image caches);
+        # the value is the dataclass hash, computed once per object and kept
+        # outside the fields, so equality, repr and replace are unchanged.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.ctx, self.entries))
+            return h
+
     def _require_same_ctx(self, other: "Predicate"):
         if self.ctx != other.ctx:
             raise ContextError("predicate context mismatch")
 
     def __add__(self, other: "Predicate") -> "Predicate":
         self._require_same_ctx(other)
-        return Predicate(self.ctx, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Predicate(self.ctx, tuple(
+            a if not b else b if not a else a + b
+            for a, b in zip(self.entries, other.entries)))
 
     def scale(self, r) -> "Predicate":
         r = scalar(r)
@@ -63,7 +75,9 @@ class Predicate:
     def conj(self, other: "Predicate") -> "Predicate":
         """Pointwise product (the conjunction monoid)."""
         self._require_same_ctx(other)
-        return Predicate(self.ctx, tuple(a * b for a, b in zip(self.entries, other.entries)))
+        return Predicate(self.ctx, tuple(
+            b if a == 1 else a if b == 1 else a * b
+            for a, b in zip(self.entries, other.entries)))
 
     def complement(self) -> "Predicate":
         """The unique e' with e + e' = 1; requires e <= 1 pointwise."""

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from preloss.cli import main
 
@@ -252,3 +253,38 @@ def test_wpl_context_mismatch_is_type_error(capsys, tmp_path):
     code, out, err = run(capsys, "wpl", str(prog), "--post", str(loss))
     assert code == 2
     assert "post" in err
+
+
+def test_json_verdict_checks_its_certificate_once(capsys, monkeypatch):
+    from preloss.refinement import Verdict
+
+    calls = []
+    original = Verdict.certificate_ok
+
+    def counted(self):
+        calls.append(self.kind)
+        return original(self)
+
+    monkeypatch.setattr(Verdict, "certificate_ok", counted)
+    code, out, _ = run(capsys, "datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+                       "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--json")
+    assert code == 3
+    assert json.loads(out)["result"]["certificate_checked"] is True
+    assert calls == ["fails"]
+
+
+def test_failed_lp_certificate_exits_internal(capsys, monkeypatch):
+    from preloss import lp
+    from preloss.cli import EXIT_INTERNAL
+
+    def wrong_weights(matrix, rhs):
+        return [Fraction(0)] * len(matrix[0]), None   # sums to 0, not 1
+
+    monkeypatch.setattr(lp, "_simplex_max_sum", wrong_weights)
+    code, out, err = run(capsys, "datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+                         "--context", f"{CORPUS}/ctx_flip_or_keep.ctx")
+    assert code == EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: RuntimeError: LP certificate failed verification"]
+    assert "Traceback" not in err

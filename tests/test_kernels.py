@@ -155,3 +155,28 @@ def test_diag_route_matches_direct_summation():
             return sum((w * e.at((s[0], x.state(j)[0])) for j, w in row), Fraction(0))
 
         assert composed.apply(e) == Predicate.from_function(y, direct_fn)
+
+
+def test_apply_equals_the_row_sum():
+    """Point-mass rows are copied; every row must still equal its plain sum."""
+    from preloss.scalars import INF, ZERO
+
+    rng = random.Random(31)
+    pool = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2)]
+    weights = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2)]
+    for _ in range(200):
+        src = gen_context(rng, max_states=8)
+        dst = gen_context(rng, max_states=8)
+        rows = []
+        for _ in range(src.n_states):
+            targets = rng.sample(range(dst.n_states), rng.randint(0, min(3, dst.n_states)))
+            rows.append({j: rng.choice(weights) for j in targets})
+        f = Transformer.from_rows(src, dst, rows)
+        e = Predicate(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
+        expected = []
+        for row in f.rows:
+            total = ZERO
+            for j, w in row:
+                total = total + e.entries[j] * w
+            expected.append(total)
+        assert f.apply(e).entries == tuple(expected)

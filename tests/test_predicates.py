@@ -108,3 +108,37 @@ def test_cone_monotonicity_sampled():
             assert (a + c).le(b + c)
             assert a.scale(Fraction(3, 2)).le(b.scale(Fraction(3, 2)))
         assert Predicate.zero(ctx).le(a)
+
+
+def _mixed_predicate(rng, ctx):
+    """Entries drawn from 0, 1, INF and proper fractions, so every fast path runs."""
+    pool = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2), Fraction(7, 12)]
+    return Predicate(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
+
+
+def test_add_and_conj_equal_the_entrywise_formulas():
+    rng = random.Random(17)
+    for _ in range(300):
+        a, b = _mixed_predicate(rng, Z4B), _mixed_predicate(rng, Z4B)
+        for x, y in ((a, b), (b, a), (a, Predicate.zero(Z4B)), (Predicate.ones(Z4B), a)):
+            total = x + y
+            product = x.conj(y)
+            assert total.entries == tuple(p + q for p, q in zip(x.entries, y.entries))
+            assert product.entries == tuple(p * q for p, q in zip(x.entries, y.entries))
+            assert total == Predicate(Z4B, total.entries)
+            assert product == Predicate(Z4B, product.entries)
+
+
+def test_cached_hash_keeps_equality_and_repr():
+    from dataclasses import replace
+
+    rng = random.Random(23)
+    preds = [_mixed_predicate(rng, Z4B) for _ in range(200)]
+    for p in preds:
+        q = Predicate(p.ctx, tuple(p.entries))
+        text, equal = repr(p), p == q
+        assert hash(p) == hash(q) == hash((p.ctx, p.entries))
+        assert (repr(p), p == q) == (text, equal) == (text, True)
+        assert replace(p) == p and hash(replace(p)) == hash(p)
+    copies = [Predicate(p.ctx, p.entries) for p in preds]
+    assert len(set(preds + copies)) == len(set(p.entries for p in preds))
