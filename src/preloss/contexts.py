@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 Value = Union[int, str, tuple]
@@ -118,6 +118,14 @@ class VarContext:
             idx += vi * self._strides[pos]
         return idx
 
+    def projection(self, target: "VarContext") -> Tuple[int, ...]:
+        """Index in this context of each target state's projection onto it.
+
+        ``target`` must hold every variable of this context, with the same
+        domain.  The map is cached per pair of contexts.
+        """
+        return _projection(self, target)
+
     def merge(self, other: "VarContext") -> "VarContext":
         clash = set(self.names) & set(other.names)
         if clash:
@@ -163,3 +171,13 @@ class VarContext:
 
 
 EMPTY = VarContext(())
+
+
+@lru_cache(maxsize=64)
+def _projection(source: VarContext, target: VarContext) -> Tuple[int, ...]:
+    positions = [target.position_of(n) for n in source.names]
+    for n in source.names:
+        if target.domain_of(n) != source.domain_of(n):
+            raise ContextError(f"domain mismatch for {n!r} in extension")
+    index_of = source.index_of
+    return tuple(index_of([s[p] for p in positions]) for s in target.states())

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from functools import cached_property
+from math import lcm
+from typing import Dict, Optional, Sequence, Tuple
 
 from .contexts import ContextError, VarContext
-from .predicates import Predicate
-from .scalars import ZERO, Scalar
+from .predicates import INF_NUM, Predicate
 
 Row = Tuple[Tuple[int, Fraction], ...]
 
@@ -42,6 +43,15 @@ class Kernel:
                 total += w
             if total > 1:
                 raise ValueError(f"kernel row sum {total} exceeds 1")
+
+    def __hash__(self) -> int:
+        # Kernels key the transformer caches of ``semantics``; the dataclass
+        # hash is computed once per object.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.src, self.dst, self.rows))
+            return h
 
     @staticmethod
     def from_rows(src: VarContext, dst: VarContext, rows: Sequence[Dict[int, Fraction]]) -> "Kernel":
@@ -135,21 +145,36 @@ class Transformer:
         row = tuple((j, Fraction(1)) for j in range(ctx.n_states))
         return Transformer(EMPTY, ctx, (row,))
 
+    @cached_property
+    def _int_rows(self) -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...],
+                                 Optional[Tuple[int, ...]]]:
+        """The weights as integers over one common denominator, zeros dropped.
+
+        The third part lists each row's source state when every row is a
+        single weight 1 (deterministic assignments, unvar); else it is None.
+        """
+        den = lcm(*{w.denominator for row in self.rows for _, w in row})
+        rows = tuple(tuple((j, w.numerator * (den // w.denominator)) for j, w in row if w)
+                     for row in self.rows)
+        copies = None
+        if den == 1 and all(len(row) == 1 and row[0][1] == 1 for row in rows):
+            copies = tuple(row[0][0] for row in rows)
+        return den, rows, copies
+
     def apply(self, e: Predicate) -> Predicate:
         if e.ctx != self.dst:
             raise ContextError("transformer applied to wrong context")
-        values = e.entries
-        entries = []
-        for row in self.rows:
-            if len(row) == 1 and row[0][1] == 1:
-                # A point mass (deterministic assignments, unvar) copies.
-                entries.append(values[row[0][0]])
-                continue
-            total: Scalar = ZERO
-            for j, w in row:
-                total = total + values[j] * w
-            entries.append(total)
-        return Predicate(self.src, tuple(entries))
+        den, rows, copies = self._int_rows
+        nums = e.nums
+        if copies is not None:
+            return Predicate.from_ints(self.src, e.den, list(map(nums.__getitem__, copies)))
+        if INF_NUM in nums:
+            # Weights are positive, so a row reaching an INF entry is INF.
+            out = [INF_NUM if any(nums[j] == INF_NUM for j, _ in row)
+                   else sum(nums[j] * w for j, w in row) for row in rows]
+        else:
+            out = [sum(nums[j] * w for j, w in row) for row in rows]
+        return Predicate.from_ints(self.src, den * e.den, out)
 
     def compose(self, other: "Transformer") -> "Transformer":
         """Function composition self . other (other is applied first).

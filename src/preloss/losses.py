@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import le
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
 from .contexts import ContextError, VarContext
 from .kernels import Transformer
-from .predicates import Predicate
+from .predicates import INF_NUM, Predicate
 from .scalars import Scalar, scalar
 
 
@@ -94,14 +96,25 @@ def _prune(gens: Sequence[Predicate]) -> List[Predicate]:
     """Cheap reductions: exact duplicates and pointwise-dominated generators.
 
     A generator above another pointwise sits in the other's upward closure.
+    Each generator's key is its integer form over the generators' common
+    denominator, with INF mapped above every finite entry; that map is
+    strictly monotone, so the keys sort as ``Predicate.sort_token`` does.
+    Sorted that way, a generator can only be dominated by earlier ones.
     """
-    ordered = sorted(set(gens), key=Predicate.sort_token)
+    distinct = {}
+    for g in gens:
+        distinct.setdefault((g.den, g.nums), g)
+    den = lcm(*{d for d, _ in distinct})
+    keys = {form: tuple(map((den // form[0]).__mul__, form[1])) for form in distinct}
+    if any(INF_NUM in form[1] for form in distinct):
+        top = 1 + max(max(k) for k in keys.values())
+        keys = {form: tuple(top if n < 0 else n for n in k) for form, k in keys.items()}
+    kept_keys: List[Tuple[int, ...]] = []
     kept: List[Predicate] = []
-    for g in ordered:
-        if any(h.le(g) for h in kept):
-            continue
-        kept = [h for h in kept if not g.le(h)]
-        kept.append(g)
+    for key, form in sorted((k, form) for form, k in keys.items()):
+        if not any(all(map(le, h, key)) for h in kept_keys):
+            kept_keys.append(key)
+            kept.append(distinct[form])
     return kept
 
 
@@ -112,7 +125,8 @@ def loss_canonicalize(E: LossFunction) -> LossFunction:
     gens = _prune(E.gens)
     if len(gens) > 1:
         # Every query below runs on the same distinct state classes.
-        vectors = lp.state_classes([g.entries for g in gens])
+        states = lp.state_classes([g.nums for g in gens])
+        vectors = [g.values_at(states) for g in gens]
         kept: List[int] = []
         for i, v in enumerate(vectors):
             others = [vectors[j] for j in kept] + vectors[i + 1:]
@@ -154,9 +168,11 @@ def loss_map(f: Transformer, E: LossFunction) -> LossFunction:
     images = {}
     gens = []
     for g in E.gens:
-        if g not in images:
-            images[g] = f.apply(g)
-        gens.append(images[g])
+        form = (g.den, g.nums)
+        image = images.get(form)
+        if image is None:
+            image = images[form] = f.apply(g)
+        gens.append(image)
     return loss_canonicalize(LossFunction(f.src, tuple(gens)))
 
 

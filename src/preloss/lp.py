@@ -34,15 +34,19 @@ generators excluded for carrying an infinite entry at a constrained state).
 
 Distinct state classes: states at which every vector of a query has the
 same entry give identical LP rows.  ``loss_canonicalize`` asks n queries
-over one generator list, so it collapses such states once with
+over one generator list, so it finds the classes once with
 ``state_classes`` and asks every query on the class representatives (the
-first state of each class).  The first state of each distinct row key of
-a query is also the first state of some class, so each query builds the
-same rows in the same order, makes the same pivots and returns the same
-answer and the same number of solves.  Its certificate is re-checked on
-the collapsed vectors; since every state carries its representative's
-entries, the same weights dominate the target at every state, and a
-witness on the representatives gives the same dot products at full size.
+first state of each class).  The classes are keyed on the generators'
+integer forms (``Predicate.nums``, each over its own denominator), where
+equal entries are equal ints, so no ``Fraction`` is hashed; the query
+vectors are then built as ``Fraction``s at the representatives only.  The
+first state of each distinct row key of a query is also the first state of
+some class, so each query builds the same rows in the same order, makes the
+same pivots and returns the same answer and the same number of solves.  Its
+certificate is re-checked on the collapsed vectors; since every state
+carries its representative's entries, the same weights dominate the target
+at every state, and a witness on the representatives gives the same dot
+products at full size.
 """
 
 from __future__ import annotations
@@ -102,14 +106,17 @@ def check_separation(
     return True
 
 
-def state_classes(vectors: Sequence[Sequence[Scalar]]) -> List[Tuple[Scalar, ...]]:
-    """Restrict the vectors to the first state of each class of equal columns.
+def state_classes(vectors: Sequence[Sequence[int]]) -> List[int]:
+    """The first state of each class of states with equal columns, in order.
 
     Two states fall in one class when every vector has the same entry at
-    both.  The classes keep the order of their first states.  Every context
-    has at least one state, so no vector comes back empty.
+    both.  The vectors are integer forms (``Predicate.nums``), each over its
+    own denominator, so equal entries are equal integers and the columns
+    hash as tuples of ints.  Every context has at least one state, so at
+    least one class comes back.
     """
-    return list(zip(*dict.fromkeys(zip(*vectors))))
+    first = {}
+    return [x for x, col in enumerate(zip(*vectors)) if first.setdefault(col, x) == x]
 
 
 def convex_cover(gens: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> CoverResult:

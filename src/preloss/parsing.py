@@ -310,6 +310,8 @@ class Parser:
             den = self.peek()
             if den.kind != "int":
                 raise self.error("expected a denominator")
+            if int(den.text) == 0:
+                raise self.error("zero denominator")
             return Fraction(num, int(self.advance().text))
         return Fraction(num)
 

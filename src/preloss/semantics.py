@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -125,8 +126,13 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
     raise ValueError(f"cannot evaluate statement {s!r}")
 
 
+@lru_cache(maxsize=32)
 def _assign_tf(kernel: Kernel, z: VarContext) -> Transformer:
-    """f-dual tensored with the identity on the extension."""
+    """f-dual tensored with the identity on the extension.
+
+    Cached, like ``_declare_tf``: every ``wpl`` run over the same statement
+    gets the same transformer, so its integer rows are built once.
+    """
     if not len(z.vars):
         return kernel.dual()
     zn = z.n_states
@@ -145,9 +151,12 @@ def _hidvar_tf(s: HidVar, z: VarContext) -> Transformer:
     because the new variable sits between the program variables and the
     extension in the working order.
     """
-    kernel = s.meta.kernel
-    src = _working(s.meta.pre, z)
-    dst = _working(s.meta.post, z)
+    return _declare_tf(s.meta.kernel, _working(s.meta.pre, z), _working(s.meta.post, z), z)
+
+
+@lru_cache(maxsize=32)
+def _declare_tf(kernel: Kernel, src: VarContext, dst: VarContext, z: VarContext) -> Transformer:
+    """The matrix of ``_hidvar_tf``, cached per kernel and contexts."""
     d = kernel.dst.n_states
     zn = z.n_states
     rows = []
@@ -263,9 +272,5 @@ def _unvar_tf(s: Unvar, z: VarContext) -> Transformer:
     """Dual of the deterministic discard: cylinder extension of predicates."""
     pre_w = _working(s.meta.pre, z)
     post_w = _working(s.meta.post, z)
-    positions = [pre_w.position_of(n) for n in post_w.names]
-    rows = []
-    for state in pre_w.states():
-        projected = tuple(state[p] for p in positions)
-        rows.append({post_w.index_of(projected): Fraction(1)})
+    rows = [{j: Fraction(1)} for j in post_w.projection(pre_w)]
     return Transformer.from_rows(pre_w, post_w, rows)

@@ -288,3 +288,66 @@ def test_failed_lp_certificate_exits_internal(capsys, monkeypatch):
     assert err.splitlines() == [
         "internal error: RuntimeError: LP certificate failed verification"]
     assert "Traceback" not in err
+
+
+def test_zero_denominator_is_a_syntax_error(capsys, tmp_path):
+    skip = tmp_path / "skip.prog"
+    skip.write_text("vars:\n b : {0,1}\nbody:\n skip")
+    loss = tmp_path / "zero.loss"
+    loss.write_text("context b:{0,1}\ntable: (0)=1/0\n")
+    prog = tmp_path / "zero.prog"
+    prog.write_text("vars:\n c : {0,1}\nbody:\n c := 1 @ 1/0 | 0\n")
+    cases = [
+        (["wpl", str(skip), "--post", str(loss)], "syntax error: 2:8: zero denominator"),
+        (["check", str(prog)], "syntax error: 4:13: zero denominator"),
+        (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
+          "--prior", "(0)=1/0"], "syntax error: 1:7: zero denominator"),
+    ]
+    for argv, line in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.splitlines() == [line]
+        assert "Traceback" not in err
+
+
+# Reports whose losses carry inf entries, pinned at what the entrywise
+# Fraction code gave: results and counters (inputs hold temporary paths).
+INF_POST = """context n:{0,1,2,3} b:{0,1}
+table: (0,0)=inf (0,1)=inf (1,1)=1/2 (2,0)=1 (3,0)=inf (3,1)=inf
+table: (0,1)=1 (1,0)=inf (2,1)=2/3 (3,0)=1 (3,1)=inf
+table: (0,0)=1/3 (0,1)=1/3 (1,0)=1/3 (1,1)=1/3 (2,0)=inf (2,1)=inf (3,0)=2 (3,1)=1/4
+"""
+
+
+def test_json_reports_with_inf_entries_are_pinned(capsys, tmp_path):
+    post = tmp_path / "post_inf.loss"
+    post.write_text(INF_POST)
+    code, out, _ = run(capsys, "wpl", f"{CORPUS}/parity_reveal.prog", "--post", str(post),
+                       "--json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["result"] == {
+        "pre_loss": {"context": "n:{0,1,2,3}",
+                     "generators": ["(1)=inf (3)=1", "(1)=inf (2)=inf (3)=1/4",
+                                    "(0)=1/3 (1)=1/3 (3)=1", "(0)=1/3 (1)=1/3 (2)=inf (3)=1/4",
+                                    "(0)=1 (3)=1", "(0)=1 (2)=inf (3)=1/4"]},
+        "loops": {}, "truncated": False}
+    assert report["timings"] == {"lp_solves": 12, "member_queries": 24, "wpl_clauses": 4}
+
+    a = tmp_path / "a.prog"
+    a.write_text("vars:\n b : {0,1}\nbody:\n skip\n")
+    b = tmp_path / "b.prog"
+    b.write_text("vars:\n b : {0,1}\nbody:\n print b\n")
+    witness = tmp_path / "w.loss"
+    witness.write_text("context b:{0,1}\ntable: (0)=inf (1)=1\ntable: (0)=1 (1)=inf\n")
+    code, out, _ = run(capsys, "refine", str(a), str(b), "--witness", str(witness),
+                       "--family", "k=1,random=0,witnesses=off", "--json")
+    report = json.loads(out)
+    assert code == 3
+    assert report["result"] == {
+        "kind": "fails", "checked": 0,
+        "witness_loss": {"context": "b:{0,1}", "generators": ["(0)=1 (1)=inf", "(0)=inf (1)=1"]},
+        "witness_prior": "(0)=1/2 (1)=1/2", "lhs": "inf", "rhs": "1",
+        "certificate_checked": True}
+    assert report["timings"] == {"lp_solves": 0, "member_queries": 6, "wpl_clauses": 8}

@@ -64,3 +64,18 @@ def test_unknown_value_reports_variable():
     ctx = VarContext.of(("x", (0, 1)))
     with pytest.raises(ContextError, match="x"):
         ctx.index_of((5,))
+
+
+def test_projection_is_cached_and_matches_index_of():
+    from preloss.contexts import _projection
+
+    small = VarContext.of(("b", (0, 1)), ("m", ("x", "y")))
+    big = VarContext.of(("n", range(3)), ("m", ("x", "y")), ("b", (0, 1)))
+    expected = tuple(small.index_of((s[2], s[1])) for s in big.states())
+    hits = _projection.cache_info().hits
+    assert small.projection(big) == expected
+    assert VarContext.of(("b", (0, 1)), ("m", ("x", "y"))).projection(big) is small.projection(big)
+    assert _projection.cache_info().hits >= hits + 2
+    assert _projection.cache_info().maxsize is not None
+    with pytest.raises(ContextError, match="domain mismatch"):
+        small.projection(VarContext.of(("b", (0, 1, 2)), ("m", ("x", "y"))))

@@ -180,3 +180,33 @@ def test_apply_equals_the_row_sum():
                 total = total + e.entries[j] * w
             expected.append(total)
         assert f.apply(e).entries == tuple(expected)
+
+
+def test_integer_rows_apply_equals_the_row_sum():
+    """Copy-only transformers, zero weights, int weights and INF sources."""
+    from preloss.scalars import INF, ZERO
+
+    rng = random.Random(41)
+    pool = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2), Fraction(7, 6)]
+    weights = [1, Fraction(1), Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(2, 7), 2]
+    for case in range(300):
+        src = gen_context(rng, max_states=8)
+        dst = gen_context(rng, max_states=8)
+        if case % 3 == 0:   # every row a single weight 1: the rows are copied
+            rows = [{rng.randrange(dst.n_states): Fraction(1)} for _ in range(src.n_states)]
+        else:
+            rows = [{j: rng.choice(weights)
+                     for j in rng.sample(range(dst.n_states), rng.randint(0, min(3, dst.n_states)))}
+                    for _ in range(src.n_states)]
+        f = Transformer.from_rows(src, dst, rows)
+        e = Predicate(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
+        expected = []
+        for row in f.rows:
+            total = ZERO
+            for j, w in row:
+                total = total + e.entries[j] * w
+            expected.append(total)
+        for source in (e, e + Predicate.zero(dst)):
+            image = f.apply(source)
+            assert image.entries == tuple(expected)
+            assert image == Predicate(src, tuple(expected))

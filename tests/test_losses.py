@@ -290,3 +290,39 @@ def test_canonicalize_on_state_classes_matches_full_states():
         delta = {k: lp.counters[k] - before[k] for k in before}
         assert got == expected
         assert delta == reference_delta
+
+
+def _prune_reference(gens):
+    """The entrywise prune: dedupe, sort by sort_token, drop dominated ones."""
+    def below(h, g):
+        return all(a <= b for a, b in zip(h.entries, g.entries))
+
+    distinct = {}
+    for g in gens:
+        distinct.setdefault(g.entries, g)
+    kept = []
+    for g in sorted(distinct.values(), key=Predicate.sort_token):
+        if any(below(h, g) for h in kept):
+            continue
+        kept = [h for h in kept if not below(g, h)]
+        kept.append(g)
+    return kept
+
+
+def test_prune_on_integer_keys_matches_the_entrywise_reference():
+    rng = random.Random(43)
+    pool = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2), Fraction(7, 12),
+            Fraction(2, 9)]
+    for _ in range(300):
+        ctx = gen_context(rng, max_states=6)
+        gens = [Predicate(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
+                for _ in range(rng.randint(1, 7))]
+        for _ in range(rng.randint(0, 4)):   # duplicates and dominating copies, via ints
+            g = rng.choice(gens)
+            gens.append(g + Predicate.zero(ctx) if rng.random() < 0.5
+                        else g + Predicate(ctx, tuple(rng.choice(pool[:2] + pool[3:])
+                                                      for _ in range(ctx.n_states))))
+        rng.shuffle(gens)
+        got = _prune(gens)
+        assert isinstance(got, list)
+        assert [g.entries for g in got] == [g.entries for g in _prune_reference(gens)]

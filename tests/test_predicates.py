@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from preloss.contexts import VarContext
+from preloss.contexts import ContextError, VarContext
 from preloss.exprs import Bin, Lit, Name, indicator, predicate_of
 from preloss.parsing import parse_expr_text
-from preloss.predicates import Predicate
-from preloss.scalars import INF
+from preloss.predicates import INF_NUM, Predicate
+from preloss.scalars import INF, fmt_scalar
 
 from conftest import gen_predicate
 
@@ -142,3 +143,89 @@ def test_cached_hash_keeps_equality_and_repr():
         assert replace(p) == p and hash(replace(p)) == hash(p)
     copies = [Predicate(p.ctx, p.entries) for p in preds]
     assert len(set(preds + copies)) == len(set(p.entries for p in preds))
+
+
+# Plain entrywise formulas over Fractions and INF: the reference for the
+# integer form, which every operation below runs on.
+POOL = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2), Fraction(7, 12),
+        Fraction(3, 4), Fraction(2), Fraction(1, 6)]
+
+
+def _pool_predicate(rng, ctx, pool=POOL):
+    return Predicate(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
+
+
+def _via_ints(p):
+    """An equal predicate whose entries come out of integer operations."""
+    return p + Predicate.zero(p.ctx)
+
+
+def _assert_lowest_terms(p):
+    finite = [n for n in p.nums if n != INF_NUM]
+    assert p.den > 0 and min(finite, default=0) >= 0
+    assert gcd(p.den, *finite) == 1
+
+
+def test_integer_form_equals_the_entrywise_formulas():
+    rng = random.Random(29)
+    small = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(1, 2)]
+    for _ in range(400):
+        a, b = _pool_predicate(rng, Z4B), _pool_predicate(rng, Z4B)
+        for x, y in ((a, b), (_via_ints(a), b), (a, _via_ints(b)), (a, a), (b, Predicate.ones(Z4B))):
+            X, Y = x.entries, y.entries
+            for result, expected in ((x + y, [p + q for p, q in zip(X, Y)]),
+                                     (x.conj(y), [p * q for p, q in zip(X, Y)]),
+                                     (x.scale(Fraction(3, 4)), [Fraction(3, 4) * p for p in X]),
+                                     (x.scale(0), [p * 0 for p in X]),
+                                     (x.scale(INF), [INF * p for p in X])):
+                assert result.entries == tuple(expected)
+                _assert_lowest_terms(result)
+            assert x.le(y) == all(p <= q for p, q in zip(X, Y))
+            assert y.le(x) == all(q <= p for p, q in zip(X, Y))
+            assert x.is_zero == all(p == 0 for p in X)
+        c = _pool_predicate(rng, Z4B, small + [Fraction(5, 4)] * (rng.random() < 0.3)
+                            + [INF] * (rng.random() < 0.3))
+        bad = [p for p in c.entries if p is INF or p > 1]
+        if bad:
+            with pytest.raises(ValueError, match=f"entry {fmt_scalar(bad[0])} > 1"):
+                c.complement()
+        else:
+            assert c.complement().entries == tuple(1 - p for p in c.entries)
+            _assert_lowest_terms(c.complement())
+    assert Predicate.zero(Z4B).is_zero and not Predicate.constant(Z4B, INF).is_zero
+
+
+def test_extend_to_equals_the_projection_formula():
+    rng = random.Random(31)
+    small = VarContext.of(("b", (0, 1)), ("m", ("x", "y", "z")))
+    big = VarContext.of(("n", range(3)), ("m", ("x", "y", "z")), ("c", (0, 1)), ("b", (0, 1)))
+    positions = [big.position_of(name) for name in small.names]
+    for _ in range(60):
+        p = _pool_predicate(rng, small)
+        for q in (p, _via_ints(p)):
+            e = q.extend_to(big)
+            assert e.entries == tuple(q.at([s[i] for i in positions]) for s in big.states())
+            _assert_lowest_terms(e)
+    with pytest.raises(ContextError, match="domain mismatch"):
+        p.extend_to(VarContext.of(("b", (0, 1, 2)), ("m", ("x", "y", "z"))))
+    with pytest.raises(ContextError, match="unknown variable"):
+        p.extend_to(VarContext.of(("b", (0, 1)), ("k", (0, 1))))
+
+
+def test_fraction_built_and_integer_built_predicates_are_one_value():
+    rng = random.Random(37)
+    built, derived = [], []
+    for _ in range(300):
+        p = _pool_predicate(rng, Z4B)
+        q = _via_ints(p).conj(Predicate.ones(Z4B))
+        assert "entries" not in q.__dict__   # the integer route builds no Fractions
+        assert p == q and q == p and hash(p) == hash(q)
+        assert hash(q) == hash((q.ctx, q.entries))
+        assert (p.den, p.nums) == (q.den, q.nums)
+        built.append(p)
+        derived.append(q)
+    assert len(set(built + derived)) == len(set(built)) == len({p.entries for p in built})
+    assert Predicate(Z4B, (1,) * 8) == Predicate.ones(Z4B)
+    assert Predicate(Z4B, (Fraction(2, 4),) * 8) == Predicate.constant(Z4B, Fraction(1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Predicate(Z4B, (Fraction(-1),) + (Fraction(0),) * 7).nums

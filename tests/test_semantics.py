@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from preloss.contexts import EMPTY, VarContext
 from preloss.kernels import Transformer
@@ -14,7 +15,9 @@ from preloss.predicates import Predicate
 from preloss.semantics import weakest_preloss, while_partial_sums
 from preloss.typecheck import typecheck_program
 
-from conftest import gen_kernel, gen_loss, gen_predicate
+from conftest import (
+    ProgramShape, gen_context, gen_kernel, gen_loss, gen_predicate, gen_program,
+)
 
 B = VarContext.of(("b", (0, 1)))
 N4 = VarContext.of(("n", range(4)))
@@ -297,3 +300,30 @@ def test_randbit_composites_equal_on_sample_losses():
     for E in losses:
         assert loss_equal(weakest_preloss(comp_a, E).pre,
                           weakest_preloss(comp_c, E).pre)
+
+
+STRAIGHT_LINE = dict(nondet=False, visible=False, loops=False)
+
+
+@seed(20260808)
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, 2 ** 32 - 1), extended=st.booleans())
+def test_fuzzed_straight_line_bodies_match_clause_by_clause(case, extended):
+    """Bodies of hidvar, unvar, assert and assignments: one matrix equals
+    evaluating the clauses one by one, with and without an extension."""
+    from preloss.losses import loss_canonicalize
+    from preloss.semantics import _wpl_program, linear_transformer
+
+    rng = random.Random(case)
+    ctx = gen_context(rng, max_states=6)
+    body, _ = gen_program(rng, ctx, 0, ProgramShape(**STRAIGHT_LINE))
+    typecheck_program(body, ctx)
+    z = VarContext.of(("z", (0, 1))) if extended else EMPTY
+    tf = linear_transformer(body, z)
+    assert tf is not None
+    E = loss_canonicalize(gen_loss(rng, tf.dst, inf_prob=0.1))
+    via_matrix = loss_map(tf, E)
+    via_clauses = _wpl_program(body, E, z, 64, {})
+    assert loss_equal(via_matrix, via_clauses)
+    assert sorted(g.sort_token() for g in via_matrix.gens) == \
+        sorted(g.sort_token() for g in via_clauses.gens)
