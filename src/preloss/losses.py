@@ -19,7 +19,7 @@ from . import lp
 from .contexts import ContextError, VarContext
 from .kernels import Transformer
 from .predicates import INF_NUM, Predicate
-from .scalars import Scalar, scalar
+from .scalars import ZERO, Scalar, scalar
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +69,24 @@ def loss_member(e: Predicate, E: LossFunction) -> bool:
 
 
 def loss_member_certified(e: Predicate, E: LossFunction) -> lp.CoverResult:
-    """Exact membership of e in E's upper convex closure, with certificate."""
+    """Exact membership of e in E's upper convex closure, with certificate.
+
+    The query runs on the distinct state classes of the generators and the
+    target; a separating witness is put back onto full states, with each
+    class's weight at its first state and zero elsewhere.
+    """
     if e.ctx != E.ctx:
         raise ContextError("membership query context mismatch")
-    return lp.convex_cover([g.entries for g in E.gens], e.entries)
+    preds = E.gens + (e,)
+    states = lp.state_classes([p.nums for p in preds])
+    den, vectors = _int_vectors(preds, states)
+    res = lp.convex_cover(vectors[:-1], vectors[-1], den)
+    if res.member:
+        return res
+    witness = [ZERO] * e.ctx.n_states
+    for x, w in zip(states, res.witness):
+        witness[x] = w
+    return lp.CoverResult(False, witness=tuple(witness))
 
 
 def loss_refines(E1: LossFunction, E2: LossFunction) -> bool:
@@ -90,6 +104,27 @@ def is_zero_loss(E: LossFunction) -> bool:
     if any(g.is_zero for g in E.gens):
         return True
     return loss_member(Predicate.zero(E.ctx), E)
+
+
+def _int_vectors(preds: Sequence[Predicate], states: Sequence[int]) -> Tuple[int, List[list]]:
+    """The predicates' values at the states as numerators over one denominator.
+
+    The denominator is the lcm of the predicates' own; ``INF_NUM`` stays
+    ``INF_NUM``.  This is the form ``lp.convex_cover`` takes.
+    """
+    den = lcm(*{p.den for p in preds})
+    vectors = []
+    for p in preds:
+        nums = p.nums
+        values = [nums[x] for x in states]
+        f = den // p.den
+        if f > 1:
+            if INF_NUM in values:
+                values = [n if n == INF_NUM else n * f for n in values]
+            else:
+                values = list(map(f.__mul__, values))
+        vectors.append(values)
+    return den, vectors
 
 
 def _prune(gens: Sequence[Predicate]) -> List[Predicate]:
@@ -126,11 +161,11 @@ def loss_canonicalize(E: LossFunction) -> LossFunction:
     if len(gens) > 1:
         # Every query below runs on the same distinct state classes.
         states = lp.state_classes([g.nums for g in gens])
-        vectors = [g.values_at(states) for g in gens]
+        den, vectors = _int_vectors(gens, states)
         kept: List[int] = []
         for i, v in enumerate(vectors):
             others = [vectors[j] for j in kept] + vectors[i + 1:]
-            if not lp.convex_cover(others, v).member:
+            if not lp.convex_cover(others, v, den).member:
                 kept.append(i)
         gens = [gens[i] for i in kept]
     return LossFunction(E.ctx, tuple(gens), canonical=True)

@@ -53,10 +53,11 @@ class Token:
     col: int
 
 
-def lex(text: str, first_line: int = 1) -> List[Token]:
+def lex(text: str, first_line: int = 1, first_col: int = 1) -> List[Token]:
+    """Tokens of text whose first character sits at (first_line, first_col)."""
     tokens: List[Token] = []
     line = first_line
-    col = 1
+    col = first_col
     i = 0
     n = len(text)
     while i < n:
@@ -450,15 +451,15 @@ def parse_program_text(text: str) -> Program:
     return prog
 
 
-def parse_expr_text(text: str, first_line: int = 1) -> Expr:
-    p = Parser(lex(text, first_line))
+def parse_expr_text(text: str, first_line: int = 1, first_col: int = 1) -> Expr:
+    p = Parser(lex(text, first_line, first_col))
     e = p.parse_expr()
     p.expect_eof()
     return e
 
 
-def parse_decls_text(text: str, first_line: int = 1) -> VarContext:
-    p = Parser(lex(text, first_line))
+def parse_decls_text(text: str, first_line: int = 1, first_col: int = 1) -> VarContext:
+    p = Parser(lex(text, first_line, first_col))
     ctx = p.parse_decls()
     p.expect_eof()
     return ctx
@@ -545,37 +546,30 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
-def parse_scalar_text(text: str, line_no: int = 1) -> Scalar:
-    p = Parser(lex(text, line_no))
-    if p.peek().text == "inf":
-        p.advance()
-        p.expect_eof()
-        return INF
-    value = p._parse_rational()
-    p.expect_eof()
-    return scalar(value)
-
-
 def parse_loss_text(text: str) -> Tuple[VarContext, List[Predicate]]:
-    """Loss literal: `context <decls>` then `expr:`/`table:` generator lines."""
+    """Loss literal: `context <decls>` then `expr:`/`table:` generator lines.
+
+    Error columns count from the start of the raw line.
+    """
     ctx = None
     gens: List[Predicate] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
+        col = len(raw) - len(raw.lstrip()) + 1   # of the line's first non-blank character
         if ctx is None:
             if not line.startswith("context"):
-                raise ParseError("loss literal must start with a 'context' line", line_no, 1)
-            ctx = parse_decls_text(line[len("context"):], first_line=line_no)
+                raise ParseError("loss literal must start with a 'context' line", line_no, col)
+            ctx = parse_decls_text(line[len("context"):], line_no, col + len("context"))
             continue
         if line.startswith("expr:"):
-            expr = parse_expr_text(line[len("expr:"):], first_line=line_no)
+            expr = parse_expr_text(line[len("expr:"):], line_no, col + len("expr:"))
             gens.append(predicate_of(ctx, expr, mode="any"))
         elif line.startswith("table:"):
-            gens.append(_parse_table_line(ctx, line[len("table:"):], line_no))
+            gens.append(_parse_table_line(ctx, line[len("table:"):], line_no, col + len("table:")))
         else:
-            raise ParseError("expected an 'expr:' or 'table:' generator line", line_no, 1)
+            raise ParseError("expected an 'expr:' or 'table:' generator line", line_no, col)
     if ctx is None:
         raise ParseError("empty loss literal", 1, 1)
     if not gens:
@@ -583,10 +577,11 @@ def parse_loss_text(text: str) -> Tuple[VarContext, List[Predicate]]:
     return ctx, gens
 
 
-def _parse_table_line(ctx: VarContext, text: str, line_no: int) -> Predicate:
-    p = Parser(lex(text, line_no))
+def _parse_table_line(ctx: VarContext, text: str, line_no: int, first_col: int) -> Predicate:
+    p = Parser(lex(text, line_no, first_col))
     entries: List[Scalar] = [scalar(0)] * ctx.n_states
     while not p.at_kind("eof"):
+        state_tok = p.peek()
         value = p._parse_value()
         if not isinstance(value, tuple):
             value = (value,)
@@ -599,7 +594,7 @@ def _parse_table_line(ctx: VarContext, text: str, line_no: int) -> Predicate:
         try:
             entries[ctx.index_of(value)] = weight
         except Exception as exc:
-            raise ParseError(str(exc), line_no, 1) from None
+            raise ParseError(str(exc), state_tok.line, state_tok.col) from None
     return Predicate(ctx, tuple(entries))
 
 

@@ -8,8 +8,9 @@ value uses it.  Equal predicates over one context have the same integer
 form.  The loss algebra runs on it with Python ints: ``+``, ``conj``,
 ``scale``, ``complement``, ``extend_to``, ``le``, ``is_zero`` and
 ``Transformer.apply`` (``kernels.py``), and in ``losses.py`` the dedupe,
-order and dominance of ``_prune``, the state classes of
-``loss_canonicalize`` and ``loss_map``'s image cache.  ``INF`` stays inside
+order and dominance of ``_prune``, the state classes, ``loss_map``'s image
+cache and every LP membership query, which takes the generators' and the
+target's numerators over their common denominator.  ``INF`` stays inside
 the form: it absorbs in sums, ``INF * 0 = 0`` and ``INF * x = INF`` for
 ``x > 0``.
 
@@ -19,8 +20,8 @@ with ``Predicate(ctx, entries)`` (parsing, expressions, families) keeps its
 entries and derives the integer form on first use instead, so code that
 only reads entries, such as the forward oracle, never builds it.
 ``Fraction``s are built only at the edges: printing (``table``, ``repr``,
-``sort_token``), ``at``, ``expectation`` and so ``eval_loss``, the
-adversary, and the LP query vectors (``values_at``).
+``sort_token``), ``at``, ``expectation`` and so ``eval_loss``, and the
+adversary.
 
 Equality and hashing keep the dataclass meaning, ``(ctx, entries)``, and
 read the integer form.  The hash is ``hash((ctx, entries))``, computed
@@ -36,7 +37,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, le, mul
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .contexts import ContextError, State, VarContext, fmt_state
 from .scalars import INF, Scalar, fmt_scalar, scalar
@@ -259,11 +260,6 @@ class Predicate:
     @property
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    def values_at(self, states: Iterable[int]) -> Tuple[Scalar, ...]:
-        """The values at the given state indices, as Fractions and INF."""
-        nums = self.nums
-        return _scalars(self.den, [nums[x] for x in states])
 
     def at(self, state: Sequence) -> Scalar:
         return self.entries[self.ctx.index_of(tuple(state))]

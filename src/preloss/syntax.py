@@ -269,20 +269,6 @@ def stmt_text(s: Stmt, indent: str = "") -> str:
     raise TypeError(f"unknown statement {s!r}")
 
 
-def datatype_text(d: Datatype) -> str:
-    parts = ["shared:", decls_text(d.shared), "encap:", decls_text(d.encap)]
-    parts += ["init:", program_text(d.init, "  ")]
-    for name, prog in d.ops:
-        parts += [f"op {name}:", program_text(prog, "  ")]
-    parts += ["final:", program_text(d.final, "  ")]
-    return "\n".join(p for p in parts if p != "")
-
-
-def context_text(c: ProgramContext) -> str:
-    parts = ["client:", decls_text(c.client), "body:", program_text(c.body, "  ")]
-    return "\n".join(p for p in parts if p != "")
-
-
 def program_file_text(initial: VarContext, prog: Program) -> str:
     parts = ["vars:", decls_text(initial), "body:", program_text(prog, "  ")]
     return "\n".join(p for p in parts if p != "")

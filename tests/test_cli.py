@@ -165,25 +165,30 @@ def test_json_reports_are_byte_identical(capsys):
     assert report["timings"]["lp_solves"] > 0
 
 
-# Whole --json reports, timings included, pinned by sha256: the same inputs
-# must keep making the same LP queries and solves and the same output.
+# Whole --json reports, timings included, pinned by sha256 with their exit
+# codes: the same inputs must keep making the same LP queries and solves and
+# the same output.
 PINNED_REPORTS = [
-    (["wpl", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss"],
+    (["wpl", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss"], 0,
      {"lp_solves": 10, "member_queries": 10, "wpl_clauses": 4},
      "27f9cbb2a9c173f09e21edf2fcf74cc672a166d12c22499c5f6ff4ddc55d8a06"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
-      "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"],
+      "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"], 0,
      {"lp_solves": 494, "member_queries": 718, "wpl_clauses": 664},
      "9142da377636189624523eaebe37f519fa6803e55e38d9e66c0a59656114e2ea"),
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
+     {"lp_solves": 1365, "member_queries": 1464, "wpl_clauses": 1881},
+     "68c7a39674bef63e94c64e5c16dc614dc7f25d2144f146a165f5d7777de74f4a"),
 ]
 
 
 def test_json_reports_are_pinned(capsys):
     import hashlib
 
-    for argv, timings, digest in PINNED_REPORTS:
+    for argv, exit_code, timings, digest in PINNED_REPORTS:
         code, out, _ = run(capsys, *argv, "--json")
-        assert code == 0
+        assert code == exit_code
         assert json.loads(out)["timings"] == timings
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -277,7 +282,7 @@ def test_failed_lp_certificate_exits_internal(capsys, monkeypatch):
     from preloss import lp
     from preloss.cli import EXIT_INTERNAL
 
-    def wrong_weights(matrix, rhs):
+    def wrong_weights(matrix, rhs, den):
         return [Fraction(0)] * len(matrix[0]), None   # sums to 0, not 1
 
     monkeypatch.setattr(lp, "_simplex_max_sum", wrong_weights)
@@ -298,7 +303,7 @@ def test_zero_denominator_is_a_syntax_error(capsys, tmp_path):
     prog = tmp_path / "zero.prog"
     prog.write_text("vars:\n c : {0,1}\nbody:\n c := 1 @ 1/0 | 0\n")
     cases = [
-        (["wpl", str(skip), "--post", str(loss)], "syntax error: 2:8: zero denominator"),
+        (["wpl", str(skip), "--post", str(loss)], "syntax error: 2:14: zero denominator"),
         (["check", str(prog)], "syntax error: 4:13: zero denominator"),
         (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
           "--prior", "(0)=1/0"], "syntax error: 1:7: zero denominator"),

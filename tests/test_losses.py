@@ -9,7 +9,7 @@ from preloss.losses import (
     LossFunction, embed, eval_loss, is_zero_loss, loss_add, loss_canonicalize,
     loss_conj, loss_equal, loss_map, loss_member, loss_member_certified,
     loss_min, loss_refines, loss_scale, one_loss, point_dist, uniform_dist,
-    zero_loss, _prune,
+    zero_loss, _int_vectors, _prune,
 )
 from preloss.predicates import Predicate
 from preloss.scalars import INF
@@ -21,6 +21,12 @@ X123 = VarContext.of(("x", (1, 2, 3)))
 
 def units(ctx):
     return [Predicate.unit(ctx, s) for s in ctx.states()]
+
+
+def full_query(E, e):
+    """E's generators and e on every state, as ``lp.convex_cover`` takes them."""
+    den, vectors = _int_vectors(E.gens + (e,), range(E.ctx.n_states))
+    return vectors[:-1], vectors[-1], den
 
 
 def test_member_generator_itself():
@@ -35,7 +41,8 @@ def test_member_convex_combination():
     mid = u[0].scale(Fraction(1, 2)) + u[1].scale(Fraction(1, 2))
     res = loss_member_certified(mid, E)
     assert res.member
-    assert lp.check_cover([g.entries for g in E.gens], mid.entries, res.weights)
+    gens, target, _ = full_query(E, mid)
+    assert lp.check_cover(gens, target, res.weights)
 
 
 def test_non_member_with_separation_certificate():
@@ -43,7 +50,8 @@ def test_non_member_with_separation_certificate():
     E = LossFunction(X123, (u[0], u[1]))
     res = loss_member_certified(u[2], E)
     assert not res.member
-    assert lp.check_separation([g.entries for g in E.gens], u[2].entries, res.witness)
+    gens, target, _ = full_query(E, u[2])
+    assert lp.check_separation(gens, target, res.witness)
 
 
 def test_refines_reflexive_and_zero_least():
@@ -224,7 +232,8 @@ def test_member_with_inf_target_and_generators():
     target = Predicate(ctx, (Fraction(0), Fraction(1, 2), Fraction(0)))
     res = loss_member_certified(target, E)
     assert not res.member
-    assert lp.check_separation([g.entries for g in E.gens], target.entries, res.witness)
+    gens, vector, _ = full_query(E, target)
+    assert lp.check_separation(gens, vector, res.witness)
     # target infinite at state 0 admits gi
     assert loss_member(Predicate(ctx, (INF, Fraction(1), Fraction(0))), E)
 
@@ -252,7 +261,7 @@ def _canonical_gens_on_full_states(E):
         kept = []
         for i, g in enumerate(gens):
             others = kept + gens[i + 1:]
-            if not lp.convex_cover([h.entries for h in others], g.entries).member:
+            if not lp.convex_cover(*full_query(LossFunction(E.ctx, tuple(others)), g)).member:
                 kept.append(g)
         gens = kept
     return tuple(gens)
@@ -263,25 +272,28 @@ def _loss_with_duplicate_states(rng):
 
     Each state copies a class's column, so whole columns repeat.  Some
     generators are midpoints of others, so the LP decides their redundancy.
+    Also returns a maker of random predicates with the same repeated columns.
     """
     ctx = gen_context(rng, max_states=12)
     n = ctx.n_states
     classes = [rng.randrange(max(1, n // 2)) for _ in range(n)]
-    gens = []
-    for _ in range(rng.randint(2, 6)):
-        values = [gen_scalar(rng, inf_prob=0.05) for _ in range(n)]
-        gens.append(Predicate(ctx, tuple(values[c] for c in classes)))
+
+    def make(inf_prob=0.05):
+        values = [gen_scalar(rng, inf_prob=inf_prob) for _ in range(n)]
+        return Predicate(ctx, tuple(values[c] for c in classes))
+
+    gens = [make() for _ in range(rng.randint(2, 6))]
     for _ in range(rng.randint(0, 3)):
         a, b = rng.sample(gens, 2)
         gens.append(a.scale(Fraction(1, 2)) + b.scale(Fraction(1, 2)))
     rng.shuffle(gens)
-    return LossFunction(ctx, tuple(gens))
+    return LossFunction(ctx, tuple(gens)), make
 
 
 def test_canonicalize_on_state_classes_matches_full_states():
     rng = random.Random(20260808)
     for _ in range(150):
-        E = _loss_with_duplicate_states(rng)
+        E, _ = _loss_with_duplicate_states(rng)
         before = dict(lp.counters)
         expected = _canonical_gens_on_full_states(E)
         reference_delta = {k: lp.counters[k] - before[k] for k in before}
@@ -290,6 +302,33 @@ def test_canonicalize_on_state_classes_matches_full_states():
         delta = {k: lp.counters[k] - before[k] for k in before}
         assert got == expected
         assert delta == reference_delta
+
+
+def test_member_on_state_classes_matches_full_states():
+    """Class queries give the member, weights and full-length witness of full ones."""
+    rng = random.Random(20261018)
+    answers = {True: 0, False: 0}
+    collapsed_witnesses = 0
+    for _ in range(200):
+        E, make = _loss_with_duplicate_states(rng)
+        a, b = rng.sample(E.gens, 2)
+        targets = [make(), make(0.3), make(0.0), Predicate.zero(E.ctx), rng.choice(E.gens),
+                   a.scale(Fraction(1, 3)) + b.scale(Fraction(2, 3)),
+                   Predicate(E.ctx, tuple(gen_scalar(rng) for _ in range(E.ctx.n_states)))]
+        for e in targets:
+            before = dict(lp.counters)
+            expected = lp.convex_cover(*full_query(E, e))
+            reference_delta = {k: lp.counters[k] - before[k] for k in before}
+            before = dict(lp.counters)
+            got = loss_member_certified(e, E)
+            delta = {k: lp.counters[k] - before[k] for k in before}
+            assert got == expected
+            assert delta == reference_delta
+            answers[got.member] += 1
+            classes = lp.state_classes([g.nums for g in E.gens + (e,)])
+            collapsed_witnesses += not got.member and len(classes) < E.ctx.n_states
+    assert min(answers.values()) > 200
+    assert collapsed_witnesses > 200
 
 
 def _prune_reference(gens):

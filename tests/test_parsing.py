@@ -139,6 +139,31 @@ def test_loss_literal_errors():
         parse_loss_text("context b:{0,1}\n")
 
 
+def _loss_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_loss_text(text)
+    return info.value.line, info.value.col, str(info.value)
+
+
+def test_loss_line_errors_count_columns_from_the_raw_line():
+    # table: the zero denominator is the 14th character of its line
+    assert _loss_error("context b:{0,1}\ntable: (0)=1/0")[:2] == (2, 14)
+    # expr: the stray ')' is the 12th character
+    assert _loss_error("context b:{0,1}\nexpr: b = 0)")[:2] == (2, 12)
+    # context: the missing domain brace after ':' is the 11th character
+    assert _loss_error("context b:0,1}")[:2] == (1, 11)
+    # indented lines count their indentation, tabs as one column each
+    assert _loss_error("context b:{0,1}\n    table: (0)=1/0")[:2] == (2, 18)
+    assert _loss_error("context b:{0,1}\n\t  expr: b = 0)")[:2] == (2, 15)
+    assert _loss_error("  context b:{0,1}\n  lines: nope")[:2] == (2, 3)
+    assert _loss_error("   expr: b = 0")[:2] == (1, 4)
+
+
+def test_unknown_table_state_points_at_its_token():
+    assert _loss_error("context b:{0,1}\ntable: (0)=1 (7)=1/2") == (
+        2, 14, "2:14: value 7 not in domain of 'b'")
+
+
 def test_prior_parsing():
     ctx = VarContext.of(("n", range(4)))
     assert parse_prior_text(ctx, "uniform") == tuple([Fraction(1, 4)] * 4)
