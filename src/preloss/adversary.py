@@ -24,7 +24,7 @@ from .losses import LossFunction
 from .scalars import ZERO, Scalar
 from .syntax import (
     Abort, Assert, Assign, HidVar, If, NonDet, Print, Program, Skip, Stmt,
-    Unvar, While,
+    Unvar, While, walk,
 )
 
 
@@ -44,21 +44,17 @@ class Branch:
     posterior: Tuple[Fraction, ...]  # normalized over ctx states
 
 
-def label_sites(prog: Program, counter=None) -> Program:
+_SITE_KINDS = {Print: "pr", If: "if", NonDet: "nd"}
+
+
+def label_sites(prog: Program) -> Program:
     """Assign stable preorder labels to print/if/nondet sites."""
-    if counter is None:
-        counter = itertools.count()
-    for s in prog.stmts:
-        if isinstance(s, Print):
-            s.meta.label = f"pr#{next(counter)}"
-        elif isinstance(s, If):
-            s.meta.label = f"if#{next(counter)}"
-            label_sites(s.then, counter)
-            label_sites(s.orelse, counter)
-        elif isinstance(s, NonDet):
-            s.meta.label = f"nd#{next(counter)}"
-            label_sites(s.left, counter)
-            label_sites(s.right, counter)
+    n = 0
+    for s in walk(prog):
+        kind = _SITE_KINDS.get(type(s))
+        if kind is not None:
+            s.meta.label = f"{kind}#{n}"
+            n += 1
         elif isinstance(s, While):
             raise LoopFreeError("the forward oracle handles loop-free programs only")
     return prog
@@ -123,17 +119,23 @@ def _walk(cont: Cont, mu: List[Fraction], history: tuple, leaf: Leaf, choose: Ch
 
     Kernels push ``mu`` forward, prints split it per observed value and
     conditionals per branch; each split is recorded in the history and its
-    parts are added.  Zero-mass branches and ``abort`` are worth ZERO.
+    parts are added.  Zero-mass branches and ``abort`` are worth ZERO.  A
+    run of kernel statements is pushed in a loop, so only splits recurse.
     """
-    if not any(mu):
+    i = 0
+    while any(mu):
+        if i == len(cont):
+            return leaf(history, mu)
+        s = cont[i]
+        if not isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
+            break
+        mu = _push(s, mu)
+        i += 1
+    else:
         return ZERO
-    if not cont:
-        return leaf(history, mu)
-    s, rest = cont[0], cont[1:]
+    rest = cont[i + 1:]
     if isinstance(s, Abort):
         return ZERO
-    if isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
-        return _walk(rest, _push(s, mu), history, leaf, choose)
     if isinstance(s, Print):
         obs = s.meta.obs
         total: Scalar = ZERO

@@ -193,11 +193,6 @@ def predicate_of(ctx: VarContext, expr: Expr, *, mode: str = "any") -> Predicate
     return Predicate(ctx, tuple(entries))
 
 
-def indicator(ctx: VarContext, expr: Expr) -> Predicate:
-    """Indicator predicate of a boolean expression (1 where it holds)."""
-    return predicate_of(ctx, expr, mode="bool")
-
-
 _PREC = {
     "||": 1,
     "xor": 2,

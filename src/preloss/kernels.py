@@ -137,14 +137,6 @@ class Transformer:
         rows = tuple(((0, Fraction(1)),) for _ in range(ctx.n_states))
         return Transformer(ctx, EMPTY, rows)
 
-    @staticmethod
-    def sum_out(ctx: VarContext) -> "Transformer":
-        """The summation functional Pred(ctx) -> Pred(empty)."""
-        from .contexts import EMPTY
-
-        row = tuple((j, Fraction(1)) for j in range(ctx.n_states))
-        return Transformer(EMPTY, ctx, (row,))
-
     @cached_property
     def _int_rows(self) -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...],
                                  Optional[Tuple[int, ...]]]:

@@ -211,12 +211,6 @@ def loss_map(f: Transformer, E: LossFunction) -> LossFunction:
     return loss_canonicalize(LossFunction(f.src, tuple(gens)))
 
 
-def loss_extend(E: LossFunction, extra: VarContext) -> LossFunction:
-    return LossFunction(
-        E.ctx.merge(extra), tuple(g.extend(extra) for g in E.gens), canonical=E.canonical
-    )
-
-
 def eval_loss(E: LossFunction, dist: Sequence[Fraction]) -> Scalar:
     """Minimum expected value over the generators at a sub-distribution."""
     _check_subdist(E.ctx, dist)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .contexts import VarContext, Value
+from .contexts import VarContext, Value, fmt_value
 from .exprs import Bin, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
 from .predicates import Predicate
 from .scalars import INF, Scalar, scalar
@@ -580,6 +580,7 @@ def parse_loss_text(text: str) -> Tuple[VarContext, List[Predicate]]:
 def _parse_table_line(ctx: VarContext, text: str, line_no: int, first_col: int) -> Predicate:
     p = Parser(lex(text, line_no, first_col))
     entries: List[Scalar] = [scalar(0)] * ctx.n_states
+    seen = set()
     while not p.at_kind("eof"):
         state_tok = p.peek()
         value = p._parse_value()
@@ -592,24 +593,35 @@ def _parse_table_line(ctx: VarContext, text: str, line_no: int, first_col: int) 
         else:
             weight = scalar(p._parse_rational())
         try:
-            entries[ctx.index_of(value)] = weight
+            idx = ctx.index_of(value)
         except Exception as exc:
             raise ParseError(str(exc), state_tok.line, state_tok.col) from None
+        if idx in seen:
+            raise ParseError(f"repeated state {fmt_value(value)}", state_tok.line, state_tok.col)
+        seen.add(idx)
+        entries[idx] = weight
     return Predicate(ctx, tuple(entries))
 
 
 def parse_prior_text(ctx: VarContext, text: str) -> Tuple[Fraction, ...]:
-    """Prior spec: `uniform` or `(state)=p/q` pairs; omitted states get 0."""
+    """Prior spec: `uniform` or `(state)=p/q` pairs, each state at most once;
+    omitted states get 0."""
     stripped = text.strip()
     if stripped == "uniform":
         n = ctx.n_states
         return tuple(Fraction(1, n) for _ in range(n))
     p = Parser(lex(text))
     weights = [Fraction(0)] * ctx.n_states
+    seen = set()
     while not p.at_kind("eof"):
+        state_tok = p.peek()
         value = p._parse_value()
         if not isinstance(value, tuple):
             value = (value,)
         p.expect("=")
-        weights[ctx.index_of(value)] = p._parse_rational()
+        idx = ctx.index_of(value)
+        if idx in seen:
+            raise ParseError(f"repeated state {fmt_value(value)}", state_tok.line, state_tok.col)
+        seen.add(idx)
+        weights[idx] = p._parse_rational()
     return tuple(weights)

@@ -1,4 +1,5 @@
-"""Program, datatype and program-context ASTs, with a pretty printer.
+"""Program, datatype and program-context ASTs, the one walk over their
+statements (``sub_programs``, ``walk``), and a pretty printer.
 
 Statement nodes carry a mutable ``meta`` slot filled in by the typechecker
 (pre/post contexts and elaborated kernels); ``meta`` never takes part in
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .contexts import Value, VarContext, fmt_value
 from .exprs import Expr, pretty as expr_pretty
@@ -157,6 +158,28 @@ def single(stmt: Stmt) -> Program:
     return Program((stmt,))
 
 
+# ------------------------------------------------------------------ walking
+
+def sub_programs(s: Stmt) -> Tuple[Program, ...]:
+    """The programs nested directly in a statement, in source order."""
+    kind = type(s)
+    if kind is If:
+        return (s.then, s.orelse)
+    if kind is While:
+        return (s.body,)
+    if kind is NonDet:
+        return (s.left, s.right)
+    return ()
+
+
+def walk(prog: Program) -> Iterator[Stmt]:
+    """Every statement of ``prog`` and of its nested programs, in preorder."""
+    for s in prog.stmts:
+        yield s
+        for sub in sub_programs(s):
+            yield from walk(sub)
+
+
 # ---------------------------------------------------------------- printing
 
 def _domain_text(domain: Tuple[Value, ...]) -> str:
@@ -166,10 +189,6 @@ def _domain_text(domain: Tuple[Value, ...]) -> str:
         if list(domain) == list(range(lo, hi + 1)):
             return f"int {lo}..{hi}"
     return "{" + ", ".join(fmt_value(v) for v in domain) + "}"
-
-
-def decls_text(ctx: VarContext, indent: str = "  ") -> str:
-    return "\n".join(f"{indent}{n} : {_domain_text(d)}" for n, d in ctx.vars)
 
 
 def dist_text(d: DistExpr) -> str:
@@ -267,8 +286,3 @@ def stmt_text(s: Stmt, indent: str = "") -> str:
     if isinstance(s, CallOp):
         return f"{pad}call {s.name}"
     raise TypeError(f"unknown statement {s!r}")
-
-
-def program_file_text(initial: VarContext, prog: Program) -> str:
-    parts = ["vars:", decls_text(initial), "body:", program_text(prog, "  ")]
-    return "\n".join(p for p in parts if p != "")

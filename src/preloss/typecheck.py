@@ -5,6 +5,10 @@ Typechecking annotates each node's ``meta`` with pre/post contexts and the
 elaborated kernels/guards the evaluator consumes.  Contexts are finite, so
 every expression is evaluated at every state up front: all type errors
 (unbound names, bad guard ranges, arity mismatches) surface here.
+
+Classifiers and inlining visit statements with ``syntax.walk``.  Inlining
+edits one copy of the datatype and one of the context body in place,
+splicing a copy of an operation's body at each `call`.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contexts import Value, VarContext, fmt_value
-from .exprs import EvalError, evaluate, predicate_of
+from .exprs import Bin, EvalError, Index, Lit, Name, TupleE, Unary, evaluate, predicate_of
 from .kernels import Kernel
 from .syntax import (
-    Abort, Assert, Assign, CallOp, Datatype, DistExpr, HidVar, If, NonDet,
-    Print, Program, ProgramContext, Skip, Stmt, Unvar, While,
+    Abort, Assert, Assign, CallOp, Datatype, DistBranch, DistExpr, HidVar, If,
+    NonDet, Print, Program, ProgramContext, Skip, Stmt, Unvar, While, sub_programs, walk,
 )
 
 
@@ -259,24 +263,12 @@ def _guard_pred(expr, ctx: VarContext, pos):
 
 def classify_hidden(prog: Program) -> bool:
     """No if/while/print: the program reveals nothing (assert counts hidden)."""
-    for s in prog.stmts:
-        if isinstance(s, (If, While, Print)):
-            return False
-        if isinstance(s, NonDet) and not (classify_hidden(s.left) and classify_hidden(s.right)):
-            return False
-    return True
+    return not any(isinstance(s, (If, While, Print)) for s in walk(prog))
 
 
 def classify_choiceless(prog: Program) -> bool:
     """No nondeterministic choice anywhere."""
-    for s in prog.stmts:
-        if isinstance(s, NonDet):
-            return False
-        if isinstance(s, If) and not (classify_choiceless(s.then) and classify_choiceless(s.orelse)):
-            return False
-        if isinstance(s, While) and not classify_choiceless(s.body):
-            return False
-    return True
+    return not any(isinstance(s, NonDet) for s in walk(prog))
 
 
 # ------------------------------------------------------------------ datatypes
@@ -307,22 +299,10 @@ def validate_datatype(d: Datatype) -> VarContext:
 
 
 def _declared_names(prog: Program) -> List[str]:
-    names = []
-    for s in prog.stmts:
-        if isinstance(s, HidVar):
-            names.append(s.name)
-        elif isinstance(s, (If,)):
-            names += _declared_names(s.then) + _declared_names(s.orelse)
-        elif isinstance(s, While):
-            names += _declared_names(s.body)
-        elif isinstance(s, NonDet):
-            names += _declared_names(s.left) + _declared_names(s.right)
-    return names
+    return [s.name for s in walk(prog) if isinstance(s, HidVar)]
 
 
 def _rename_expr(e, mapping):
-    from .exprs import Bin, Index, Lit, Name, TupleE, Unary
-
     if isinstance(e, Name):
         return Name(mapping[e.id]) if e.id in mapping else e
     if isinstance(e, Unary):
@@ -339,83 +319,37 @@ def _rename_expr(e, mapping):
 
 
 def _rename_dist(d: DistExpr, mapping) -> DistExpr:
-    from .syntax import DistBranch
-
     return DistExpr(
         tuple(DistBranch(_rename_expr(b.expr, mapping), b.weight) for b in d.branches),
         uniform=d.uniform,
     )
 
 
-def rename_program(prog: Program, mapping: Dict[str, str]) -> Program:
-    """Rewrite variable names (declaration sites and expression uses)."""
-    out = []
-    for s in prog.stmts:
-        if isinstance(s, Skip) or isinstance(s, Abort) or isinstance(s, CallOp):
-            out.append(clone(s))
-        elif isinstance(s, Assign):
-            node = Assign(tuple(mapping.get(t, t) for t in s.targets), _rename_dist(s.dist, mapping))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, HidVar):
-            hint = None
-            if s.domain_hint is not None:
-                hint = tuple(_rename_dist(d, mapping) for d in s.domain_hint)
-            node = HidVar(mapping.get(s.name, s.name), s.domain, _rename_dist(s.dist, mapping), hint)
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, Unvar):
-            node = Unvar(mapping.get(s.name, s.name))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, If):
-            node = If(_rename_expr(s.guard, mapping),
-                      rename_program(s.then, mapping), rename_program(s.orelse, mapping))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, While):
-            node = While(_rename_expr(s.guard, mapping), rename_program(s.body, mapping))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, Print):
-            node = Print(_rename_dist(s.dist, mapping))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, Assert):
-            node = Assert(_rename_expr(s.guard, mapping))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, NonDet):
-            node = NonDet(rename_program(s.left, mapping), rename_program(s.right, mapping))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        else:
-            raise TypeError(f"unknown statement {s!r}")
-    return Program(tuple(out))
+def _rename(prog: Program, mapping: Dict[str, str]) -> None:
+    """Rewrite variable names in place (declaration sites and expression uses)."""
+    for s in walk(prog):
+        if isinstance(s, Assign):
+            s.targets = tuple(mapping.get(t, t) for t in s.targets)
+        if isinstance(s, (HidVar, Unvar)):
+            s.name = mapping.get(s.name, s.name)
+        if isinstance(s, HidVar) and s.domain_hint is not None:
+            s.domain_hint = tuple(_rename_dist(d, mapping) for d in s.domain_hint)
+        if isinstance(s, (Assign, HidVar, Print)):
+            s.dist = _rename_dist(s.dist, mapping)
+        if isinstance(s, (If, While, Assert)):
+            s.guard = _rename_expr(s.guard, mapping)
 
 
-def _splice_calls(prog: Program, bodies: Dict[str, Program]) -> Program:
-    out: List[Stmt] = []
-    for s in prog.stmts:
-        if isinstance(s, CallOp):
-            if s.name not in bodies:
-                raise TypecheckError(f"unknown operation {s.name!r}", s.meta.pos)
-            out.extend(clone(bodies[s.name]).stmts)
-        elif isinstance(s, If):
-            node = If(s.guard, _splice_calls(s.then, bodies), _splice_calls(s.orelse, bodies))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, While):
-            node = While(s.guard, _splice_calls(s.body, bodies))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        elif isinstance(s, NonDet):
-            node = NonDet(_splice_calls(s.left, bodies), _splice_calls(s.right, bodies))
-            node.meta.pos = s.meta.pos
-            out.append(node)
-        else:
-            out.append(s)
-    return Program(tuple(out))
+def _splice_calls(body: Program, bodies: Dict[str, Program]) -> None:
+    """Replace, in place, every `call` in ``body`` by a clone of its operation."""
+    progs = [body]
+    for s in walk(body):
+        if isinstance(s, CallOp) and s.name not in bodies:
+            raise TypecheckError(f"unknown operation {s.name!r}", s.meta.pos)
+        progs.extend(sub_programs(s))
+    for p in progs:
+        p.stmts = tuple(t for s in p.stmts
+                        for t in (clone(bodies[s.name]).stmts if isinstance(s, CallOp) else (s,)))
 
 
 def inline(ctx_prog: ProgramContext, d: Datatype) -> Program:
@@ -431,12 +365,9 @@ def inline(ctx_prog: ProgramContext, d: Datatype) -> Program:
 
     d = clone(d)
     validate_datatype(d)
+    progs = (d.init, *(p for _, p in d.ops), d.final)
     internal = list(dict.fromkeys(
-        list(d.encap.names)
-        + _declared_names(d.init)
-        + [n for _, p in d.ops for n in _declared_names(p)]
-        + _declared_names(d.final)
-    ))
+        [*d.encap.names, *(n for p in progs for n in _declared_names(p))]))
     reserved = set(d.shared.names) | set(ctx_prog.client.names) | set(internal)
     atom_names = d.shared.atoms | d.encap.atoms | ctx_prog.client.atoms
     mapping: Dict[str, str] = {}
@@ -454,11 +385,10 @@ def inline(ctx_prog: ProgramContext, d: Datatype) -> Program:
             raise TypecheckError(f"fresh name {candidate!r} would capture an atom")
         mapping[name] = candidate
 
-    init = rename_program(d.init, mapping)
-    final = rename_program(d.final, mapping)
-    bodies = {name: rename_program(p, mapping) for name, p in d.ops}
-
-    body = _splice_calls(clone(ctx_prog.body), bodies)
-    composite = Program(init.stmts + body.stmts + final.stmts)
+    for p in progs:
+        _rename(p, mapping)
+    body = clone(ctx_prog.body)
+    _splice_calls(body, dict(d.ops))
+    composite = Program(d.init.stmts + body.stmts + d.final.stmts)
     typecheck_program(composite, d.shared.merge(ctx_prog.client))
     return composite

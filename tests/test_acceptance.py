@@ -5,6 +5,7 @@ budgets are asserted.
 """
 
 import json
+import pathlib
 import random
 import time
 from contextlib import contextmanager
@@ -78,15 +79,15 @@ def run_cli_json(capsys, argv):
 
 
 def load_dt(name):
-    return parse_datatype_file(open(f"{CORPUS}/{name}").read(), name=name)
+    return parse_datatype_file(pathlib.Path(f"{CORPUS}/{name}").read_text(), name=name)
 
 
 def load_ctx(name):
-    return parse_context_file(open(f"{CORPUS}/{name}").read(), name=name)
+    return parse_context_file(pathlib.Path(f"{CORPUS}/{name}").read_text(), name=name)
 
 
 def load_prog(name):
-    initial, prog = parse_program_file(open(f"{CORPUS}/{name}").read())
+    initial, prog = parse_program_file(pathlib.Path(f"{CORPUS}/{name}").read_text())
     typecheck_program(prog, initial)
     return prog
 

@@ -316,6 +316,49 @@ def test_zero_denominator_is_a_syntax_error(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+
+def test_repeated_state_is_a_syntax_error(capsys, tmp_path):
+    skip = tmp_path / "skip.prog"
+    skip.write_text("vars:\n b : {0,1}\nbody:\n skip")
+    loss = tmp_path / "repeat.loss"
+    loss.write_text("context b:{0,1}\ntable: (0)=1 (1)=1 (0)=0\n")
+    cases = [
+        (["wpl", str(skip), "--post", str(loss)], "syntax error: 2:20: repeated state (0)"),
+        (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
+          "--prior", "(0)=1/2 (0)=1/2 (1)=1/2"], "syntax error: 1:9: repeated state (0)"),
+    ]
+    for argv, line in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.splitlines() == [line]
+
+
+def test_oracle_on_a_long_straight_line_program(capsys, tmp_path):
+    """Statements that do not split are pushed without recursing, one per line."""
+    from preloss.losses import LossFunction, eval_loss
+    from preloss.parsing import parse_loss_text, parse_prior_text, parse_program_file
+    from preloss.semantics import weakest_preloss
+    from preloss.typecheck import typecheck_program
+
+    prog = tmp_path / "long.prog"
+    prog.write_text("vars:\n x : {0,1}\nbody:\n" + ";\n".join([" x := 1 - x"] * 1200))
+    loss = tmp_path / "l.loss"
+    loss.write_text("context x:{0,1}\nexpr: x = 0\nexpr: 2 * x\n")
+    prior = "(0)=1/3 (1)=2/3"
+    code, out, err = run(capsys, "oracle", str(prog), "--post", str(loss),
+                         "--prior", prior, "--exhaustive", "--json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["agrees"] is True
+
+    initial, parsed = parse_program_file(prog.read_text())
+    typecheck_program(parsed, initial)
+    lctx, gens = parse_loss_text(loss.read_text())
+    post = LossFunction(lctx, tuple(gens))
+    value = eval_loss(weakest_preloss(parsed, post).pre, parse_prior_text(initial, prior))
+    assert result["risk"] == result["exhaustive"] == str(value) == "1/3"
+
 # Reports whose losses carry inf entries, pinned at what the entrywise
 # Fraction code gave: results and counters (inputs hold temporary paths).
 INF_POST = """context n:{0,1,2,3} b:{0,1}

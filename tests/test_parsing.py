@@ -9,7 +9,7 @@ from preloss.parsing import (
     sniff_kind,
 )
 from preloss.syntax import (
-    Assign, HidVar, NonDet, Print, Skip, program_file_text, program_text,
+    Assign, HidVar, NonDet, Print, Skip, program_text,
 )
 
 def test_skip_and_statement_sequencing():
@@ -181,7 +181,7 @@ def test_pretty_roundtrip_on_corpus():
 
     for path in sorted(pathlib.Path("corpus").glob("*.prog")):
         initial, prog = parse_program_file(path.read_text())
-        text = program_file_text(initial, prog)
+        text = f"vars: {initial.pretty()}\nbody:\n{program_text(prog, '  ')}"
         initial2, prog2 = parse_program_file(text)
         assert initial2 == initial and prog2 == prog, path
 

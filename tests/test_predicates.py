@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from preloss.contexts import ContextError, VarContext
-from preloss.exprs import Bin, Lit, Name, indicator, predicate_of
+from preloss.exprs import Bin, Lit, Name, predicate_of
 from preloss.parsing import parse_expr_text
 from preloss.predicates import INF_NUM, Predicate
 from preloss.scalars import INF, fmt_scalar
@@ -17,7 +17,7 @@ Z4B = VarContext.of(("n", range(4)), ("b", range(2)))
 
 def test_conj_idempotent_on_indicators():
     ctx = VarContext.of(("b", (0, 1)))
-    e = indicator(ctx, Bin("=", Name("b"), Lit(0)))
+    e = predicate_of(ctx, Bin("=", Name("b"), Lit(0)), mode="bool")
     assert e.conj(e) == e
 
 
@@ -34,7 +34,7 @@ def test_scale_by_zero_kills_infinities():
 
 
 def test_indicator_parity_example():
-    e = indicator(Z4B, parse_expr_text("(n + b) mod 2 = 0"))
+    e = predicate_of(Z4B, parse_expr_text("(n + b) mod 2 = 0"), mode="bool")
     expected = {(0, 0), (1, 1), (2, 0), (3, 1)}
     for s in Z4B.states():
         assert e.at(s) == (1 if s in expected else 0)
@@ -42,8 +42,8 @@ def test_indicator_parity_example():
 
 def test_indicator_true_and_disjunction():
     ctx = VarContext.of(("n", range(4)))
-    assert indicator(ctx, parse_expr_text("true")) == Predicate.ones(ctx)
-    e = indicator(ctx, parse_expr_text("n = 0 || n = 3"))
+    assert predicate_of(ctx, parse_expr_text("true"), mode="bool") == Predicate.ones(ctx)
+    e = predicate_of(ctx, parse_expr_text("n = 0 || n = 3"), mode="bool")
     assert [e.at((i,)) for i in range(4)] == [1, 0, 0, 1]
 
 
@@ -52,17 +52,17 @@ def test_indicator_errors():
     from preloss.exprs import EvalError
 
     with pytest.raises(EvalError, match="unbound"):
-        indicator(ctx, Name("m"))
+        predicate_of(ctx, Name("m"), mode="bool")
     with pytest.raises(EvalError):
-        indicator(ctx, parse_expr_text("n + 1"))  # not boolean-valued
+        predicate_of(ctx, parse_expr_text("n + 1"), mode="bool")  # not boolean-valued
     with pytest.raises(EvalError):
         predicate_of(ctx, parse_expr_text("n - 2"))  # negative
 
 
 def test_complement():
     ctx = VarContext.of(("b", (0, 1)))
-    b0 = indicator(ctx, parse_expr_text("b = 0"))
-    assert b0.complement() == indicator(ctx, parse_expr_text("b = 1"))
+    b0 = predicate_of(ctx, parse_expr_text("b = 0"), mode="bool")
+    assert b0.complement() == predicate_of(ctx, parse_expr_text("b = 1"), mode="bool")
     assert Predicate.ones(ctx).complement().is_zero
     third = Predicate.constant(ctx, Fraction(1, 3))
     assert third.complement() == Predicate.constant(ctx, Fraction(2, 3))
@@ -74,7 +74,7 @@ def test_complement():
 def test_extension_is_independent_of_new_vars():
     ctx = VarContext.of(("n", range(4)))
     extra = VarContext.of(("b", (0, 1)))
-    even = indicator(ctx, parse_expr_text("n mod 2 = 0"))
+    even = predicate_of(ctx, parse_expr_text("n mod 2 = 0"), mode="bool")
     ext = even.extend(extra)
     assert ext.ctx == ctx.merge(extra)
     for n in range(4):
@@ -88,7 +88,7 @@ def test_extension_is_independent_of_new_vars():
 def test_extend_to_arbitrary_position():
     small = VarContext.of(("b", (0, 1)))
     big = VarContext.of(("n", range(3)), ("b", (0, 1)), ("z", (0, 1)))
-    e = indicator(small, parse_expr_text("b = 1")).extend_to(big)
+    e = predicate_of(small, parse_expr_text("b = 1"), mode="bool").extend_to(big)
     for s in big.states():
         assert e.at(s) == (1 if s[1] == 1 else 0)
 

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from preloss.contexts import VarContext
@@ -25,15 +27,15 @@ def typed(src, ctx):
 
 
 def load_dt(path):
-    return parse_datatype_file(open(f"corpus/{path}").read(), name=path)
+    return parse_datatype_file(pathlib.Path(f"corpus/{path}").read_text(), name=path)
 
 
 def load_ctx(path):
-    return parse_context_file(open(f"corpus/{path}").read(), name=path)
+    return parse_context_file(pathlib.Path(f"corpus/{path}").read_text(), name=path)
 
 
 def load_prog(path):
-    initial, prog = parse_program_file(open(f"corpus/{path}").read())
+    initial, prog = parse_program_file(pathlib.Path(f"corpus/{path}").read_text())
     return typecheck_program(prog, initial) and prog
 
 

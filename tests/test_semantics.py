@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from preloss.contexts import EMPTY, VarContext
 from preloss.kernels import Transformer
 from preloss.losses import (
     LossFunction, embed, eval_loss, is_zero_loss, loss_conj, loss_equal,
-    loss_extend, loss_map, loss_refines, one_loss, uniform_dist,
+    loss_map, loss_refines, one_loss, uniform_dist,
 )
 from preloss.parsing import parse_program_text
 from preloss.predicates import Predicate
@@ -212,11 +213,15 @@ def test_extension_by_unused_variable_matches_plain():
     rng = random.Random(7)
     z = VarContext.of(("z", (0, 1)))
     prog = typed("print b; {b := 0} [] {b := 1}", B)
+
+    def extend(E):
+        return LossFunction(B.merge(z), tuple(g.extend(z) for g in E.gens))
+
     for _ in range(10):
         E = gen_loss(rng, B)
         plain = weakest_preloss(prog, E).pre
-        extended = weakest_preloss(prog, loss_extend(E, z), extension=z).pre
-        assert loss_equal(extended, loss_extend(plain, z))
+        extended = weakest_preloss(prog, extend(E), extension=z).pre
+        assert loss_equal(extended, extend(plain))
 
 
 def test_correlation_law_random_kernels():
@@ -247,9 +252,9 @@ def test_composite_database_value_gap():
     from preloss.parsing import parse_context_file, parse_datatype_file
     from preloss.typecheck import inline
 
-    da = parse_datatype_file(open("corpus/encdb_membership.dt").read())
-    dc = parse_datatype_file(open("corpus/encdb_offset_scan.dt").read())
-    probe = parse_context_file(open("corpus/ctx_lookup_probe.ctx").read())
+    da = parse_datatype_file(pathlib.Path("corpus/encdb_membership.dt").read_text())
+    dc = parse_datatype_file(pathlib.Path("corpus/encdb_offset_scan.dt").read_text())
+    probe = parse_context_file(pathlib.Path("corpus/ctx_lookup_probe.ctx").read_text())
     comp_a, comp_c = inline(probe, da), inline(probe, dc)
     post = comp_a.meta.post
     E = embed(Predicate.from_function(post, lambda s: 1 if s[1][s[3]] != "c" else 0))
@@ -290,9 +295,9 @@ def test_randbit_composites_equal_on_sample_losses():
     from preloss.parsing import parse_context_file, parse_datatype_file
     from preloss.typecheck import inline
 
-    da = parse_datatype_file(open("corpus/randbit_direct.dt").read())
-    dc = parse_datatype_file(open("corpus/randbit_cached.dt").read())
-    ctx = parse_context_file(open("corpus/ctx_sample_then_read.ctx").read())
+    da = parse_datatype_file(pathlib.Path("corpus/randbit_direct.dt").read_text())
+    dc = parse_datatype_file(pathlib.Path("corpus/randbit_cached.dt").read_text())
+    ctx = parse_context_file(pathlib.Path("corpus/ctx_sample_then_read.ctx").read_text())
     comp_a, comp_c = inline(ctx, da), inline(ctx, dc)
     rng = _random.Random(77)
     post = comp_a.meta.post
