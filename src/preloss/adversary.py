@@ -10,6 +10,12 @@ Distinct live branches always carry distinct histories, so the global
 minimum decomposes into independent per-history choices; the exhaustive
 mode re-derives the same value by enumerating whole strategy maps, as an
 audit of that decomposition.
+
+The walk runs on integers: a sub-distribution is a list of numerators over
+one denominator, and each step multiplies it by the integer rows a kernel,
+guard or observation keeps (``Kernel.int_rows``, ``Predicate.nums``,
+``ObsKernel.int_columns``).  ``Fraction``s are built only at the edges: a
+branch's final risk, and ``Branch.mass`` and ``posterior``.
 """
 
 from __future__ import annotations
@@ -17,11 +23,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .contexts import VarContext
 from .losses import LossFunction
-from .scalars import ZERO, Scalar
+from .predicates import INF_NUM
+from .scalars import INF, ZERO, Scalar
 from .syntax import (
     Abort, Assert, Assign, HidVar, If, NonDet, Print, Program, Skip, Stmt,
     Unvar, While, walk,
@@ -60,146 +69,182 @@ def label_sites(prog: Program) -> Program:
     return prog
 
 
-def _require_ready(prog: Program, prior: Sequence[Fraction]):
+def _require_ready(prog: Program, prior: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Check the program and prior, and label the sites on first use.
+
+    Returns the prior as integer numerators over one denominator.
+    """
     if prog.meta.pre is None:
         raise ValueError("program must be typechecked first")
     if len(prior) != prog.meta.pre.n_states:
         raise ValueError("prior length mismatch")
     if any(w < 0 for w in prior) or sum(prior) != 1:
         raise ValueError("prior must be a total distribution")
-    label_sites(prog)
+    # Labels are set once per program; ``derived`` keeps True for them.
+    prog.meta.derived("sites", lambda: label_sites(prog) is prog)
+    den = lcm(*(w.denominator for w in prior))
+    return [w.numerator * (den // w.denominator) for w in prior], den
 
 
-def _push(s: Stmt, mu: List[Fraction]) -> List[Fraction]:
+# A sub-distribution is a list of integer numerators over one denominator
+# ``den``: each step multiplies by integer kernel, guard or observation
+# weights and by their denominator.  Past ``_REDUCE_ABOVE`` the form is
+# reduced, so long runs of random steps keep small integers.
+_REDUCE_ABOVE = 1 << 64
+
+
+def _reduce(nums: List[int], den: int) -> Tuple[List[int], int]:
+    g = gcd(den, *nums)
+    return ([w // g for w in nums], den // g) if g > 1 else (nums, den)
+
+
+def _push(s: Stmt, nums: List[int], den: int) -> Tuple[List[int], int]:
     """Forward image of a sub-distribution under a non-splitting statement."""
-    if isinstance(s, (Skip,)):
-        return mu
-    if isinstance(s, Assign):
-        k = s.meta.kernel
-        out = [Fraction(0)] * k.dst.n_states
-        for i, w in enumerate(mu):
+    kind = type(s)
+    if kind is Skip:
+        return nums, den
+    if kind is Assign:
+        kden, rows, copies = s.meta.kernel.int_rows
+        out = [0] * len(nums)
+        if copies is not None:
+            for i, w in enumerate(nums):
+                out[copies[i]] += w
+            return out, den
+        for i, w in enumerate(nums):
             if w:
-                for j, p in k.rows[i]:
+                for j, p in rows[i]:
                     out[j] += w * p
-        return out
-    if isinstance(s, HidVar):
+        return out, den * kden
+    if kind is HidVar:
         k = s.meta.kernel
+        kden, rows, _ = k.int_rows
         d = k.dst.n_states
-        out = [Fraction(0)] * (len(mu) * d)
-        for y, w in enumerate(mu):
+        out = [0] * (len(nums) * d)
+        for y, w in enumerate(nums):
             if w:
-                for x, p in k.rows[y]:
-                    out[y * d + x] += w * p
-        return out
-    if isinstance(s, Unvar):
-        pre, post = s.meta.pre, s.meta.post
-        positions = [pre.position_of(n) for n in post.names]
-        out = [Fraction(0)] * post.n_states
-        for i, w in enumerate(mu):
-            if w:
-                state = pre.state(i)
-                out[post.index_of(tuple(state[p] for p in positions))] += w
-        return out
-    if isinstance(s, Assert):
+                for x, p in rows[y]:
+                    out[y * d + x] = w * p
+        return out, den * kden
+    if kind is Unvar:
+        post = s.meta.post
+        out = [0] * post.n_states
+        for i, j in enumerate(post.projection(s.meta.pre)):
+            out[j] += nums[i]
+        return out, den
+    if kind is Assert:
         g = s.meta.guard
-        return [w * Fraction(g.entries[i]) if w else w for i, w in enumerate(mu)]
+        return list(map(mul, nums, g.nums)), den * g.den
     raise ValueError(f"not a kernel statement: {s!r}")
 
 
 Cont = Tuple[Stmt, ...]
 Key = Tuple[tuple, str]
 # A finished branch's value, from its history and its sub-distribution.
-Leaf = Callable[[tuple, List[Fraction]], Scalar]
+Leaf = Callable[[tuple, List[int], int], Scalar]
 # A `[]` site's value, from its (history, site) key and thunks walking each side.
 Choose = Callable[[Key, Callable[[], Scalar], Callable[[], Scalar]], Scalar]
 
+_KERNEL_STMTS = (Skip, Assign, HidVar, Unvar, Assert)
 
-def _walk(cont: Cont, mu: List[Fraction], history: tuple, leaf: Leaf, choose: Choose) -> Scalar:
-    """Fold over the observation-history branches of ``cont`` run from ``mu``.
 
-    Kernels push ``mu`` forward, prints split it per observed value and
-    conditionals per branch; each split is recorded in the history and its
-    parts are added.  Zero-mass branches and ``abort`` are worth ZERO.  A
-    run of kernel statements is pushed in a loop, so only splits recurse.
+def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
+          leaf: Leaf, choose: Choose) -> Scalar:
+    """Fold over the observation-history branches of ``cont`` run from ``nums / den``.
+
+    Kernels push the sub-distribution forward, prints split it per observed
+    value and conditionals per branch; each split is recorded in the
+    history and its parts are added.  Zero-mass branches and ``abort`` are
+    worth ZERO.  Kernel statements, and splits that leave mass on one part
+    only, continue in the loop, so only splits into two or more parts and
+    choices recurse.
     """
     i = 0
-    while any(mu):
+    while any(nums):
         if i == len(cont):
-            return leaf(history, mu)
+            return leaf(history, nums, den)
         s = cont[i]
-        if not isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
-            break
-        mu = _push(s, mu)
         i += 1
-    else:
-        return ZERO
-    rest = cont[i + 1:]
-    if isinstance(s, Abort):
-        return ZERO
-    if isinstance(s, Print):
-        obs = s.meta.obs
-        total: Scalar = ZERO
-        for w_idx, value in enumerate(obs.values):
-            split = [Fraction(0)] * len(mu)
-            for i, w in enumerate(mu):
-                if w:
-                    for idx, p in obs.rows[i]:
-                        if idx == w_idx:
-                            split[i] += w * p
-            total = total + _walk(rest, split, history + (("print", s.meta.label, value),),
-                                  leaf, choose)
-        return total
-    if isinstance(s, If):
-        g = s.meta.guard
-        mu_t = [w * Fraction(g.entries[i]) for i, w in enumerate(mu)]
-        mu_f = [w - t for w, t in zip(mu, mu_t)]
-        return (
-            _walk(s.then.stmts + rest, mu_t, history + (("branch", s.meta.label, True),),
-                  leaf, choose)
-            + _walk(s.orelse.stmts + rest, mu_f, history + (("branch", s.meta.label, False),),
-                    leaf, choose)
-        )
-    if isinstance(s, NonDet):
-        return choose((history, s.meta.label),
-                      lambda: _walk(s.left.stmts + rest, mu, history, leaf, choose),
-                      lambda: _walk(s.right.stmts + rest, mu, history, leaf, choose))
-    raise LoopFreeError(f"unsupported statement in the oracle: {s!r}")
+        if isinstance(s, _KERNEL_STMTS):
+            nums, den = _push(s, nums, den)
+        elif isinstance(s, Print):
+            obs = s.meta.obs
+            oden, columns = obs.int_columns
+            parts = []
+            for value, column in zip(obs.values, columns):
+                part = [0] * len(nums)
+                for j, p in column:
+                    part[j] = nums[j] * p
+                if any(part):
+                    parts.append((("print", s.meta.label, value), part))
+            den *= oden
+            if len(parts) != 1:
+                rest = cont[i:]
+                total: Scalar = ZERO
+                for step, part in parts:
+                    total = total + _walk(rest, part, den, history + (step,), leaf, choose)
+                return total
+            [(step, nums)] = parts
+            history += (step,)
+        elif isinstance(s, If):
+            g = s.meta.guard
+            gden = g.den
+            mu_t = list(map(mul, nums, g.nums))
+            mu_f = [w * (gden - x) for w, x in zip(nums, g.nums)]
+            den *= gden
+            t_step, f_step = ("branch", s.meta.label, True), ("branch", s.meta.label, False)
+            if any(mu_t) and any(mu_f):
+                rest = cont[i:]
+                return (_walk(s.then.stmts + rest, mu_t, den, history + (t_step,), leaf, choose)
+                        + _walk(s.orelse.stmts + rest, mu_f, den, history + (f_step,),
+                                leaf, choose))
+            taken, nums, step = (s.then, mu_t, t_step) if any(mu_t) else (s.orelse, mu_f, f_step)
+            cont, i = taken.stmts + cont[i:], 0
+            history += (step,)
+        elif isinstance(s, Abort):
+            return ZERO
+        elif isinstance(s, NonDet):
+            rest = cont[i:]
+            return choose((history, s.meta.label),
+                          lambda: _walk(s.left.stmts + rest, nums, den, history, leaf, choose),
+                          lambda: _walk(s.right.stmts + rest, nums, den, history, leaf, choose))
+        else:
+            raise LoopFreeError(f"unsupported statement in the oracle: {s!r}")
+        if den > _REDUCE_ABOVE:
+            nums, den = _reduce(nums, den)
+    return ZERO
+
+
+def _final_risk(nums: List[int], den: int, loss: LossFunction) -> Scalar:
+    """The least expected loss of a generator on ``nums / den``; INF_NUM stands for INF."""
+    best: Optional[Tuple[int, int]] = None
+    for g in loss.gens:
+        gn = g.nums
+        if INF_NUM in gn and any(w and e == INF_NUM for e, w in zip(gn, nums)):
+            total = INF_NUM
+        else:
+            # An INF entry at a state of weight 0 adds INF_NUM * 0 = 0.
+            total = sum(map(mul, gn, nums))
+        if best is None or (total != INF_NUM
+                            and (best[0] == INF_NUM or total * best[1] < best[0] * g.den)):
+            best = total, g.den
+    total, gden = best
+    return INF if total == INF_NUM else Fraction(total, gden * den)
 
 
 def min_bayes_risk(prog: Program, prior: Sequence[Fraction], loss: LossFunction) -> Scalar:
     """Optimal resolver's expected loss, by per-history greedy choice."""
-    _require_ready(prog, prior)
+    nums, den = _require_ready(prog, prior)
     if loss.ctx != prog.meta.post:
         raise ValueError("loss context must match the program's post context")
-    return _walk(prog.stmts, list(prior), (),
-                 lambda history, mu: _final_risk(mu, loss),
+    return _walk(prog.stmts, nums, den, (),
+                 lambda history, nums, den: _final_risk(nums, den, loss),
                  lambda key, left, right: min(left(), right()))
-
-
-def _final_risk(mu: List[Fraction], loss: LossFunction) -> Scalar:
-    best: Optional[Scalar] = None
-    for g in loss.gens:
-        total: Scalar = ZERO
-        for e, w in zip(g.entries, mu):
-            if w:
-                total = total + e * w
-        if best is None or total < best:
-            best = total
-    return best
 
 
 # ------------------------------------------------------------ run_strategy
 
-def run_strategy(prog: Program, prior: Sequence[Fraction], strategy: Dict) -> List[Branch]:
-    """Execute under an explicit (history, site) -> 'left'|'right' strategy."""
-    _require_ready(prog, prior)
-    done: List[Branch] = []
-
-    def leaf(history, mu):
-        total = sum(mu)
-        done.append(Branch(history, total, prog.meta.post, tuple(w / total for w in mu)))
-        return ZERO
-
+def _follow(strategy: Dict) -> Choose:
+    """Take the side that ``strategy`` names at each (history, site) key."""
     def choose(key, left, right):
         if key not in strategy:
             raise StrategyError(f"strategy undefined at {key}")
@@ -208,7 +253,21 @@ def run_strategy(prog: Program, prior: Sequence[Fraction], strategy: Dict) -> Li
             raise StrategyError(f"strategy value {side!r} at {key}")
         return left() if side == "left" else right()
 
-    _walk(prog.stmts, list(prior), (), leaf, choose)
+    return choose
+
+
+def run_strategy(prog: Program, prior: Sequence[Fraction], strategy: Dict) -> List[Branch]:
+    """Execute under an explicit (history, site) -> 'left'|'right' strategy."""
+    nums, den = _require_ready(prog, prior)
+    done: List[Branch] = []
+
+    def leaf(history, nums, den):
+        total = sum(nums)
+        done.append(Branch(history, Fraction(total, den), prog.meta.post,
+                           tuple(Fraction(w, total) for w in nums)))
+        return ZERO
+
+    _walk(prog.stmts, nums, den, (), leaf, _follow(strategy))
     return done
 
 
@@ -216,31 +275,34 @@ def run_strategy(prog: Program, prior: Sequence[Fraction], strategy: Dict) -> Li
 
 def choice_points(prog: Program, prior: Sequence[Fraction]) -> List[Key]:
     """All (history, site) pairs reachable under any strategy."""
-    _require_ready(prog, prior)
+    nums, den = _require_ready(prog, prior)
     found: Dict[Key, None] = {}
 
     def choose(key, left, right):
         found.setdefault(key)
         return left() + right()
 
-    _walk(prog.stmts, list(prior), (), lambda history, mu: ZERO, choose)
+    _walk(prog.stmts, nums, den, (), lambda history, nums, den: ZERO, choose)
     return list(found)
 
 
 def min_bayes_risk_exhaustive(
     prog: Program, prior: Sequence[Fraction], loss: LossFunction, cap: int = 14
 ) -> Scalar:
-    """Minimum risk over explicitly enumerated whole strategies."""
+    """Minimum risk over explicitly enumerated whole strategies.
+
+    Each strategy's risk sums the final risk of every branch it runs to, as
+    ``run_strategy`` would list them.
+    """
     points = choice_points(prog, prior)
     if len(points) > cap:
         raise ValueError(f"{len(points)} choice points exceed the exhaustive cap {cap}")
+    nums, den = _require_ready(prog, prior)
     best: Optional[Scalar] = None
     for sides in itertools.product(("left", "right"), repeat=len(points)):
-        strategy = dict(zip(points, sides))
-        total: Scalar = ZERO
-        for b in run_strategy(prog, prior, strategy):
-            contribution = _final_risk([w * b.mass for w in b.posterior], loss)
-            total = total + contribution
+        total = _walk(prog.stmts, nums, den, (),
+                      lambda history, nums, den: _final_risk(nums, den, loss),
+                      _follow(dict(zip(points, sides))))
         if best is None or total < best:
             best = total
     return best

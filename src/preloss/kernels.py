@@ -20,6 +20,22 @@ from .contexts import ContextError, VarContext
 from .predicates import INF_NUM, Predicate
 
 Row = Tuple[Tuple[int, Fraction], ...]
+IntRows = Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def _int_form(rows: Tuple[Row, ...]) -> Tuple[int, IntRows, Optional[Tuple[int, ...]]]:
+    """The weights as integers over one common denominator, zeros dropped.
+
+    The third part lists each row's only column when every row is a single
+    weight 1 (deterministic assignments, unvar); else it is None.
+    """
+    den = lcm(*{w.denominator for row in rows for _, w in row})
+    int_rows = tuple(tuple((j, w.numerator * (den // w.denominator)) for j, w in row if w)
+                     for row in rows)
+    copies = None
+    if den == 1 and all(len(row) == 1 and row[0][1] == 1 for row in int_rows):
+        copies = tuple(row[0][0] for row in int_rows)
+    return den, int_rows, copies
 
 
 def _freeze_rows(rows: Sequence[Dict[int, Fraction]]) -> Tuple[Row, ...]:
@@ -35,23 +51,17 @@ class Kernel:
     def __post_init__(self):
         if len(self.rows) != self.src.n_states:
             raise ContextError("kernel row count mismatch")
-        for row in self.rows:
-            total = Fraction(0)
-            for _, w in row:
-                if w <= 0:
-                    raise ValueError("kernel entries must be strictly positive")
-                total += w
-            if total > 1:
-                raise ValueError(f"kernel row sum {total} exceeds 1")
+        den, int_rows, _ = self.int_rows
+        for row, int_row in zip(self.rows, int_rows):
+            if len(int_row) < len(row) or any(p < 0 for _, p in int_row):
+                raise ValueError("kernel entries must be strictly positive")
+            total = sum(p for _, p in int_row)
+            if total > den:
+                raise ValueError(f"kernel row sum {Fraction(total, den)} exceeds 1")
 
-    def __hash__(self) -> int:
-        # Kernels key the transformer caches of ``semantics``; the dataclass
-        # hash is computed once per object.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.src, self.dst, self.rows))
-            return h
+    # The weights as integers over one denominator (``_int_form``): the row
+    # checks above and the forward oracle's steps run on them.
+    int_rows = cached_property(lambda self: _int_form(self.rows))
 
     @staticmethod
     def from_rows(src: VarContext, dst: VarContext, rows: Sequence[Dict[int, Fraction]]) -> "Kernel":
@@ -137,26 +147,12 @@ class Transformer:
         rows = tuple(((0, Fraction(1)),) for _ in range(ctx.n_states))
         return Transformer(ctx, EMPTY, rows)
 
-    @cached_property
-    def _int_rows(self) -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...],
-                                 Optional[Tuple[int, ...]]]:
-        """The weights as integers over one common denominator, zeros dropped.
-
-        The third part lists each row's source state when every row is a
-        single weight 1 (deterministic assignments, unvar); else it is None.
-        """
-        den = lcm(*{w.denominator for row in self.rows for _, w in row})
-        rows = tuple(tuple((j, w.numerator * (den // w.denominator)) for j, w in row if w)
-                     for row in self.rows)
-        copies = None
-        if den == 1 and all(len(row) == 1 and row[0][1] == 1 for row in rows):
-            copies = tuple(row[0][0] for row in rows)
-        return den, rows, copies
+    int_rows = cached_property(lambda self: _int_form(self.rows))
 
     def apply(self, e: Predicate) -> Predicate:
         if e.ctx != self.dst:
             raise ContextError("transformer applied to wrong context")
-        den, rows, copies = self._int_rows
+        den, rows, copies = self.int_rows
         nums = e.nums
         if copies is not None:
             return Predicate.from_ints(self.src, e.den, list(map(nums.__getitem__, copies)))

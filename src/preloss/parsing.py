@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .contexts import VarContext, Value, fmt_value
+from .contexts import ContextError, VarContext, Value, fmt_value
 from .exprs import Bin, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
 from .predicates import Predicate
 from .scalars import INF, Scalar, scalar
@@ -592,15 +592,20 @@ def _parse_table_line(ctx: VarContext, text: str, line_no: int, first_col: int) 
             weight: Scalar = INF
         else:
             weight = scalar(p._parse_rational())
-        try:
-            idx = ctx.index_of(value)
-        except Exception as exc:
-            raise ParseError(str(exc), state_tok.line, state_tok.col) from None
-        if idx in seen:
-            raise ParseError(f"repeated state {fmt_value(value)}", state_tok.line, state_tok.col)
-        seen.add(idx)
-        entries[idx] = weight
+        entries[_new_state(ctx, value, state_tok, seen)] = weight
     return Predicate(ctx, tuple(entries))
+
+
+def _new_state(ctx: VarContext, value: tuple, tok: Token, seen: set) -> int:
+    """The index of a state not listed before; errors point at its token."""
+    try:
+        idx = ctx.index_of(value)
+    except ContextError as exc:
+        raise ParseError(str(exc), tok.line, tok.col) from None
+    if idx in seen:
+        raise ParseError(f"repeated state {fmt_value(value)}", tok.line, tok.col)
+    seen.add(idx)
+    return idx
 
 
 def parse_prior_text(ctx: VarContext, text: str) -> Tuple[Fraction, ...]:
@@ -619,9 +624,5 @@ def parse_prior_text(ctx: VarContext, text: str) -> Tuple[Fraction, ...]:
         if not isinstance(value, tuple):
             value = (value,)
         p.expect("=")
-        idx = ctx.index_of(value)
-        if idx in seen:
-            raise ParseError(f"repeated state {fmt_value(value)}", state_tok.line, state_tok.col)
-        seen.add(idx)
-        weights[idx] = p._parse_rational()
+        weights[_new_state(ctx, value, state_tok, seen)] = p._parse_rational()
     return tuple(weights)

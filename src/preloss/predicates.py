@@ -17,11 +17,10 @@ the form: it absorbs in sums, ``INF * 0 = 0`` and ``INF * x = INF`` for
 Fraction entries.  ``entries``, a tuple of ``Fraction``s and ``INF``, is
 derived from the integer form on first use and cached.  A predicate built
 with ``Predicate(ctx, entries)`` (parsing, expressions, families) keeps its
-entries and derives the integer form on first use instead, so code that
-only reads entries, such as the forward oracle, never builds it.
+entries and derives the integer form on first use instead.  The forward
+oracle (``adversary.py``) reads the integer form of guards and losses.
 ``Fraction``s are built only at the edges: printing (``table``, ``repr``,
-``sort_token``), ``at``, ``expectation`` and so ``eval_loss``, and the
-adversary.
+``sort_token``), ``at``, ``expectation`` and so ``eval_loss``.
 
 Equality and hashing keep the dataclass meaning, ``(ctx, entries)``, and
 read the integer form.  The hash is ``hash((ctx, entries))``, computed

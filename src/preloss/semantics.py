@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -97,7 +96,7 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
     if isinstance(s, Abort):
         return zero_loss(_working(s.meta.pre, z))
     if isinstance(s, Assign):
-        return loss_map(_assign_tf(s.meta.kernel, z), E)
+        return loss_map(_assign_tf(s, z), E)
     if isinstance(s, HidVar):
         return loss_map(_hidvar_tf(s, z), E)
     if isinstance(s, Unvar):
@@ -126,13 +125,17 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
     raise ValueError(f"cannot evaluate statement {s!r}")
 
 
-@lru_cache(maxsize=32)
-def _assign_tf(kernel: Kernel, z: VarContext) -> Transformer:
+def _assign_tf(s: Assign, z: VarContext) -> Transformer:
     """f-dual tensored with the identity on the extension.
 
-    Cached, like ``_declare_tf``: every ``wpl`` run over the same statement
-    gets the same transformer, so its integer rows are built once.
+    Kept on the statement per extension, like ``_hidvar_tf``: every ``wpl``
+    run over the same statement gets the same transformer, so its integer
+    rows are built once, and equal kernels are never compared.
     """
+    return s.meta.derived(("tf", z), lambda: _build_assign_tf(s.meta.kernel, z))
+
+
+def _build_assign_tf(kernel: Kernel, z: VarContext) -> Transformer:
     if not len(z.vars):
         return kernel.dual()
     zn = z.n_states
@@ -149,14 +152,13 @@ def _hidvar_tf(s: HidVar, z: VarContext) -> Transformer:
 
     Equals (diagonal-copy dual . (id (x) f-dual)) (x) id_Z; built directly
     because the new variable sits between the program variables and the
-    extension in the working order.
+    extension in the working order.  Kept on the statement per extension.
     """
-    return _declare_tf(s.meta.kernel, _working(s.meta.pre, z), _working(s.meta.post, z), z)
+    return s.meta.derived(("tf", z), lambda: _build_declare_tf(s, z))
 
 
-@lru_cache(maxsize=32)
-def _declare_tf(kernel: Kernel, src: VarContext, dst: VarContext, z: VarContext) -> Transformer:
-    """The matrix of ``_hidvar_tf``, cached per kernel and contexts."""
+def _build_declare_tf(s: HidVar, z: VarContext) -> Transformer:
+    kernel = s.meta.kernel
     d = kernel.dst.n_states
     zn = z.n_states
     rows = []
@@ -164,21 +166,19 @@ def _declare_tf(kernel: Kernel, src: VarContext, dst: VarContext, z: VarContext)
         base = kernel.rows[y]
         for zi in range(zn):
             rows.append({(y * d + x) * zn + zi: w for x, w in base})
-    return Transformer.from_rows(src, dst, rows)
+    return Transformer.from_rows(_working(s.meta.pre, z), _working(s.meta.post, z), rows)
 
 
 def _wpl_print(s: Print, E: LossFunction, z) -> LossFunction:
     working = _working(s.meta.pre, z)
-    obs = s.meta.obs
+    den, columns = s.meta.obs.int_columns
     n = s.meta.pre.n_states
     total: Optional[LossFunction] = None
-    for w_idx in range(len(obs.values)):
-        entries = [Fraction(0)] * n
-        for state, row in enumerate(obs.rows):
-            for idx, weight in row:
-                if idx == w_idx:
-                    entries[state] += weight
-        p = Predicate(s.meta.pre, tuple(entries))
+    for column in columns:
+        nums = [0] * n
+        for state, w in column:
+            nums[state] = w
+        p = Predicate.from_ints(s.meta.pre, den, nums)
         if p.is_zero:
             continue
         term = loss_conj(p.extend_to(working), E)
@@ -191,13 +191,14 @@ def _wpl_print(s: Print, E: LossFunction, z) -> LossFunction:
 def _loop_terms(s: While, E: LossFunction, z, budget, statuses) -> Iterator[LossFunction]:
     """The loop's terms term_0 = !g * E, term_n+1 = g * wpl(body, term_n), without end.
 
-    A straight-line body is applied as one matrix (``linear_transformer``);
-    any other body is evaluated clause by clause with ``budget`` for its loops.
+    A straight-line body is applied as one matrix (``linear_transformer``,
+    built once per loop statement and extension); any other body is
+    evaluated clause by clause with ``budget`` for its loops.
     """
     working = _working(s.meta.pre, z)
     g = s.meta.guard.extend_to(working)
     not_g = s.meta.guard.complement().extend_to(working)
-    body_tf = linear_transformer(s.body, z)
+    body_tf = s.meta.derived(("body_tf", z), lambda: linear_transformer(s.body, z))
     term = loss_conj(not_g, E)
     while True:
         yield term
@@ -248,7 +249,7 @@ def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transfo
         if isinstance(s, Skip):
             continue
         if isinstance(s, Assign):
-            t = _assign_tf(s.meta.kernel, z)
+            t = _assign_tf(s, z)
         elif isinstance(s, HidVar):
             t = _hidvar_tf(s, z)
         elif isinstance(s, Unvar):

@@ -17,13 +17,25 @@ from .exprs import Expr, pretty as expr_pretty
 
 
 class Meta:
-    """Typechecker annotations; not part of structural equality."""
+    """Typechecker annotations; not part of structural equality.
 
-    __slots__ = ("pos", "pre", "post", "kernel", "guard", "obs", "label")
+    ``cache`` holds values derived from the annotations (``derived``);
+    typechecking a node again empties it.
+    """
+
+    __slots__ = ("pos", "pre", "post", "kernel", "guard", "obs", "label", "cache")
 
     def __init__(self):
         for name in self.__slots__:
             setattr(self, name, None)
+
+    def derived(self, key, build):
+        """``build()``, made once per ``key`` and kept with this node."""
+        if self.cache is None:
+            self.cache = {}
+        if key not in self.cache:
+            self.cache[key] = build()
+        return self.cache[key]
 
     def __deepcopy__(self, memo):
         fresh = Meta()

@@ -17,6 +17,8 @@ import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contexts import Value, VarContext, fmt_value
@@ -42,6 +44,16 @@ class ObsKernel:
 
     values: Tuple[Value, ...]
     rows: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
+
+    @cached_property
+    def int_columns(self) -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]]:
+        """Per value, its (state, weight) pairs, as integers over one denominator."""
+        den = lcm(*{w.denominator for row in self.rows for _, w in row})
+        cols: List[List[Tuple[int, int]]] = [[] for _ in self.values]
+        for state, row in enumerate(self.rows):
+            for idx, w in row:
+                cols[idx].append((state, w.numerator * (den // w.denominator)))
+        return den, tuple(map(tuple, cols))
 
 
 def clone(node):
@@ -89,7 +101,7 @@ def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> List[List[Tuple[Value, Fr
             except EvalError as exc:
                 raise TypecheckError(f"{exc} (at state {fmt_value(state)})", pos) from None
             v = _normalize_value(v)
-            acc[v] = acc.get(v, Fraction(0)) + w
+            acc[v] = acc[v] + w if v in acc else w
         rows.append(list(acc.items()))
     return rows
 
@@ -115,7 +127,7 @@ def _kernel_of_assign(ctx: VarContext, targets: Tuple[str, ...], dist: DistExpr,
             for p, v in zip(positions, parts):
                 new_state[p] = v
             idx = ctx.index_of(tuple(new_state))
-            row[idx] = row.get(idx, Fraction(0)) + w
+            row[idx] = row[idx] + w if idx in row else w
         rows.append(row)
     return Kernel.from_rows(ctx, ctx, rows)
 
@@ -129,7 +141,7 @@ def _kernel_of_hidvar(ctx: VarContext, domain: Tuple[Value, ...], dist: DistExpr
             if value not in domain:
                 continue  # outside the declared domain: abort mass
             idx = target.index_of((value,))
-            row[idx] = row.get(idx, Fraction(0)) + w
+            row[idx] = row[idx] + w if idx in row else w
         rows.append(row)
     return Kernel.from_rows(ctx, target, rows)
 
@@ -181,6 +193,7 @@ def typecheck_program(
 
 def _check_program(prog: Program, pre: VarContext, op_names, counter) -> VarContext:
     prog.meta.pre = pre
+    prog.meta.cache = None
     ctx = pre
     for s in prog.stmts:
         ctx = _check_stmt(s, ctx, op_names, counter)
@@ -191,6 +204,7 @@ def _check_program(prog: Program, pre: VarContext, op_names, counter) -> VarCont
 def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
     pos = s.meta.pos
     s.meta.pre = pre
+    s.meta.cache = None
     if isinstance(s, (Skip, Abort)):
         post = pre
     elif isinstance(s, Assign):

@@ -9,13 +9,16 @@ from preloss.adversary import (
     min_bayes_risk_exhaustive, run_strategy,
 )
 from preloss.contexts import VarContext
-from preloss.losses import embed, eval_loss, one_loss, uniform_dist
+from preloss.losses import LossFunction, embed, eval_loss, one_loss, uniform_dist
 from preloss.parsing import parse_program_text
 from preloss.predicates import Predicate
+from preloss.scalars import INF, ZERO
 from preloss.semantics import weakest_preloss
 from preloss.typecheck import typecheck_program
 
-from conftest import ProgramShape, gen_dist, gen_loss, gen_typed_program
+from conftest import (
+    ProgramShape, gen_context, gen_dist, gen_loss, gen_program, gen_typed_program,
+)
 
 N4 = VarContext.of(("n", range(4)))
 B = VarContext.of(("b", (0, 1)))
@@ -161,3 +164,236 @@ def test_walker_branches_are_consistent():
         assert eval_loss(weakest_preloss(prog, one_loss(post)).pre, prior) == risk, f"case {i}"
         split_cases += bool(points) and max(widths) > 1
     assert split_cases >= 15
+
+
+# ------------------------------------------------ the Fraction walker, kept as a reference
+# A private copy of the forward oracle as it computed before it ran on
+# integer numerators: every step in ``Fraction``s, recursing at every split.
+
+def _ref_push(s, mu):
+    from preloss.syntax import Assert, Assign, HidVar, Skip, Unvar
+
+    if isinstance(s, Skip):
+        return mu
+    if isinstance(s, Assign):
+        k = s.meta.kernel
+        out = [Fraction(0)] * k.dst.n_states
+        for i, w in enumerate(mu):
+            if w:
+                for j, p in k.rows[i]:
+                    out[j] += w * p
+        return out
+    if isinstance(s, HidVar):
+        k = s.meta.kernel
+        d = k.dst.n_states
+        out = [Fraction(0)] * (len(mu) * d)
+        for y, w in enumerate(mu):
+            if w:
+                for x, p in k.rows[y]:
+                    out[y * d + x] += w * p
+        return out
+    if isinstance(s, Unvar):
+        pre, post = s.meta.pre, s.meta.post
+        positions = [pre.position_of(n) for n in post.names]
+        out = [Fraction(0)] * post.n_states
+        for i, w in enumerate(mu):
+            if w:
+                state = pre.state(i)
+                out[post.index_of(tuple(state[p] for p in positions))] += w
+        return out
+    assert isinstance(s, Assert)
+    g = s.meta.guard
+    return [w * Fraction(g.entries[i]) if w else w for i, w in enumerate(mu)]
+
+
+def _ref_walk(cont, mu, history, leaf, choose):
+    from preloss.syntax import Abort, Assert, Assign, HidVar, If, NonDet, Print, Skip, Unvar
+
+    i = 0
+    while any(mu):
+        if i == len(cont):
+            return leaf(history, mu)
+        s = cont[i]
+        if not isinstance(s, (Skip, Assign, HidVar, Unvar, Assert)):
+            break
+        mu = _ref_push(s, mu)
+        i += 1
+    else:
+        return ZERO
+    rest = cont[i + 1:]
+    if isinstance(s, Abort):
+        return ZERO
+    if isinstance(s, Print):
+        obs = s.meta.obs
+        total = ZERO
+        for w_idx, value in enumerate(obs.values):
+            split = [Fraction(0)] * len(mu)
+            for j, w in enumerate(mu):
+                if w:
+                    for idx, p in obs.rows[j]:
+                        if idx == w_idx:
+                            split[j] += w * p
+            total = total + _ref_walk(rest, split, history + (("print", s.meta.label, value),),
+                                      leaf, choose)
+        return total
+    if isinstance(s, If):
+        g = s.meta.guard
+        mu_t = [w * Fraction(g.entries[j]) for j, w in enumerate(mu)]
+        mu_f = [w - t for w, t in zip(mu, mu_t)]
+        return (_ref_walk(s.then.stmts + rest, mu_t, history + (("branch", s.meta.label, True),),
+                          leaf, choose)
+                + _ref_walk(s.orelse.stmts + rest, mu_f,
+                            history + (("branch", s.meta.label, False),), leaf, choose))
+    assert isinstance(s, NonDet)
+    return choose((history, s.meta.label),
+                  lambda: _ref_walk(s.left.stmts + rest, mu, history, leaf, choose),
+                  lambda: _ref_walk(s.right.stmts + rest, mu, history, leaf, choose))
+
+
+def _ref_final_risk(mu, loss):
+    best = None
+    for g in loss.gens:
+        total = ZERO
+        for e, w in zip(g.entries, mu):
+            if w:
+                total = total + e * w
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def _ref_min_bayes_risk(prog, prior, loss):
+    return _ref_walk(prog.stmts, list(prior), (),
+                     lambda history, mu: _ref_final_risk(mu, loss),
+                     lambda key, left, right: min(left(), right()))
+
+
+def _ref_run_strategy(prog, prior, strategy):
+    from preloss.adversary import Branch
+
+    done = []
+
+    def leaf(history, mu):
+        total = sum(mu)
+        done.append(Branch(history, total, prog.meta.post, tuple(w / total for w in mu)))
+        return ZERO
+
+    _ref_walk(prog.stmts, list(prior), (), leaf,
+              lambda key, left, right: left() if strategy[key] == "left" else right())
+    return done
+
+
+def _ref_choice_points(prog, prior):
+    found = {}
+
+    def choose(key, left, right):
+        found.setdefault(key)
+        return left() + right()
+
+    _ref_walk(prog.stmts, list(prior), (), lambda history, mu: ZERO, choose)
+    return list(found)
+
+
+def _ref_exhaustive(prog, prior, loss, points):
+    best = None
+    for sides in itertools.product(("left", "right"), repeat=len(points)):
+        strategy = dict(zip(points, sides))
+        total = ZERO
+        for b in _ref_run_strategy(prog, prior, strategy):
+            total = total + _ref_final_risk([w * b.mass for w in b.posterior], loss)
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def _loop_free_case(rng):
+    """A typechecked loop-free program where about half the ``skip``s are ``abort``s."""
+    from preloss.syntax import Abort, Skip, sub_programs, walk
+
+    shape = ProgramShape(loops=False, max_nondet=3, max_states=8)
+    ctx = gen_context(rng, max_states=6)
+    prog, _ = gen_program(rng, ctx, rng.randint(1, 4), shape)
+    for p in [prog] + [sub for s in walk(prog) for sub in sub_programs(s)]:
+        p.stmts = tuple(Abort() if isinstance(s, Skip) and rng.random() < 0.5 else s
+                        for s in p.stmts)
+    typecheck_program(prog, ctx)
+    return ctx, prog
+
+
+def test_integer_walker_matches_fraction_walker():
+    """Risks, choice points, branches and the exhaustive audit equal the Fraction walker's.
+
+    The cases have ``abort``, ``assert``, fractional guards, zero-mass
+    branches, priors with zero and point weights and losses with ``INF``;
+    a point prior makes many prints and conditionals leave mass on one part.
+    """
+    from preloss.adversary import label_sites
+
+    counts = dict.fromkeys(("inf_risk", "abort", "one_part", "strategies"), 0)
+    for i in range(400):
+        rng = random.Random(31_000 + i)
+        ctx, prog = _loop_free_case(rng)
+        post = prog.meta.post
+        if rng.random() < 0.3:
+            prior = [Fraction(0)] * ctx.n_states
+            prior[rng.randrange(ctx.n_states)] = Fraction(1)
+            prior = tuple(prior)
+        else:
+            prior = gen_dist(rng, ctx, total=True)
+        label_sites(prog)
+        points = _ref_choice_points(prog, prior)
+        assert choice_points(prog, prior) == points, f"case {i}"
+        for _ in range(3):
+            loss = gen_loss(rng, post, max_gens=3, inf_prob=0.15)
+            risk = _ref_min_bayes_risk(prog, prior, loss)
+            assert min_bayes_risk(prog, prior, loss) == risk, f"case {i}"
+            if len(points) <= 6:
+                assert min_bayes_risk_exhaustive(prog, prior, loss) == \
+                    _ref_exhaustive(prog, prior, loss, points) == risk, f"case {i}"
+            counts["inf_risk"] += risk == INF
+        sides_list = list(itertools.product(("left", "right"), repeat=len(points)))
+        for sides in rng.sample(sides_list, min(4, len(sides_list))):
+            strategy = dict(zip(points, sides))
+            branches = run_strategy(prog, prior, strategy)
+            assert branches == _ref_run_strategy(prog, prior, strategy), f"case {i}"
+            counts["strategies"] += 1
+            counts["one_part"] += any(len(b.history) > 0 for b in branches) and len(branches) == 1
+        counts["abort"] += "Abort" in repr(prog)
+    assert min(counts.values()) >= 20, counts
+
+
+def test_sites_are_labelled_once_per_program(monkeypatch):
+    """The exhaustive audit labels its program once, not once per strategy."""
+    from preloss import adversary
+
+    calls = []
+    label = adversary.label_sites
+    monkeypatch.setattr(adversary, "label_sites", lambda prog: calls.append(prog) or label(prog))
+    prog = typed("print b; { b := 0 } [] { b := 1 }; { skip } [] { b := 1 - b }", B)
+    assert min_bayes_risk_exhaustive(prog, uniform_dist(B), one_loss(B)) == 1
+    assert min_bayes_risk(prog, uniform_dist(B), one_loss(B)) == 1
+    assert len(calls) == 1
+    looping = typed("while b = 1 { b := 0 }", B)
+    for _ in range(2):  # a rejected program is not marked as labelled
+        with pytest.raises(LoopFreeError):
+            choice_points(looping, uniform_dist(B))
+    assert len(calls) == 3
+
+
+def test_long_random_runs_stay_exact():
+    """Denominators past 2**64 are reduced without changing any value.
+
+    Each round keeps 2/3 of the mass, so the numerators' gcd does not
+    divide the denominator; prints in the run leave mass on one value.
+    """
+    x2 = VarContext.of(("x", (0, 1)))
+    prog = typed("; ".join(["x := 0 @ 1/3 | 1; assert x = 1; print x"] * 60), x2)
+    loss = LossFunction(x2, (Predicate(x2, (Fraction(5), Fraction(7))),))
+    prior = (Fraction(1, 2), Fraction(1, 2))
+    risk = min_bayes_risk(prog, prior, loss)
+    assert risk == 7 * Fraction(2, 3) ** 60
+    assert risk == min_bayes_risk_exhaustive(prog, prior, loss) == \
+        eval_loss(weakest_preloss(prog, loss).pre, prior)
+    (branch,) = run_strategy(prog, prior, {})
+    assert branch.mass == Fraction(2, 3) ** 60 and branch.posterior == (0, 1)
+    assert len(branch.history) == 60

@@ -399,3 +399,68 @@ def test_json_reports_with_inf_entries_are_pinned(capsys, tmp_path):
         "witness_prior": "(0)=1/2 (1)=1/2", "lhs": "inf", "rhs": "1",
         "certificate_checked": True}
     assert report["timings"] == {"lp_solves": 0, "member_queries": 6, "wpl_clauses": 8}
+
+
+def test_oracle_on_long_print_runs(capsys, tmp_path):
+    """A print that leaves mass on one observed value only extends the history in the loop."""
+    from preloss.losses import LossFunction, eval_loss
+    from preloss.parsing import parse_loss_text, parse_prior_text, parse_program_file
+    from preloss.semantics import weakest_preloss
+    from preloss.typecheck import typecheck_program
+
+    prog = tmp_path / "prints.prog"
+    prog.write_text("vars:\n x : {0,1}\nbody:\n" + ";\n".join([" print x"] * 1200))
+    loss = tmp_path / "l.loss"
+    loss.write_text("context x:{0,1}\nexpr: x = 0\nexpr: 2 * x\n")
+    prior = "(0)=1/3 (1)=2/3"
+    code, out, err = run(capsys, "oracle", str(prog), "--post", str(loss),
+                         "--prior", prior, "--exhaustive", "--json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["agrees"] is True
+
+    initial, parsed = parse_program_file(prog.read_text())
+    typecheck_program(parsed, initial)
+    lctx, gens = parse_loss_text(loss.read_text())
+    value = eval_loss(weakest_preloss(parsed, LossFunction(lctx, tuple(gens))).pre,
+                      parse_prior_text(initial, prior))
+    assert result["risk"] == result["exhaustive"] == str(value) == "0"
+
+
+def test_prior_state_outside_the_context_is_a_positioned_syntax_error(capsys):
+    cases = [
+        ("(7)=1", "syntax error: 1:1: value 7 not in domain of 'n'"),
+        ("(1)=1/2  (9)=1/2", "syntax error: 1:10: value 9 not in domain of 'n'"),
+        ("(0,1)=1", "syntax error: 1:1: state arity 2 != context arity 1"),
+    ]
+    for prior, line in cases:
+        code, out, err = run(capsys, "oracle", f"{CORPUS}/parity_reveal.prog",
+                             "--post", f"{CORPUS}/parity_post.loss", "--prior", prior)
+        assert code == 1, prior
+        assert out == ""
+        assert err.splitlines() == [line]
+
+
+def test_repeated_main_calls_share_no_state(capsys, tmp_path, monkeypatch):
+    """``main`` reuses one parser; options of one call do not reach the next."""
+    from preloss import cli
+
+    witness = tmp_path / "w.loss"
+    witness.write_text("context s:{0,1} x:{0,1} y:{0,1}\nexpr: y\n")
+    base = ["datatype", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
+            "--context", f"{CORPUS}/ctx_sample_then_read.ctx",
+            "--family", "k=0,random=0,witnesses=off", "--json"]
+    with_witness = base + ["--witness", str(witness)]
+
+    def first_call(argv):
+        monkeypatch.setattr(cli, "_parser", None)
+        return run(capsys, *argv)
+
+    fresh_plain, fresh_witness = first_call(base), first_call(with_witness)
+    assert json.loads(fresh_witness[1])["result"]["checked"] == \
+        json.loads(fresh_plain[1])["result"]["checked"] + 1
+    shared = []
+    for argv in (with_witness, base, with_witness, with_witness, base):
+        shared.append(run(capsys, *argv))
+    assert shared == [fresh_witness, fresh_plain, fresh_witness, fresh_witness, fresh_plain]
+    assert cli._parser is not None

@@ -121,6 +121,49 @@ def test_linear_transformer_matches_clause_by_clause_with_hidvar():
                 sorted(g.sort_token() for g in via_clauses.gens)
 
 
+def test_wpl_transformers_are_kept_on_each_statement(monkeypatch):
+    """Each statement keeps its transformers per extension, and each loop its
+    body matrix: equal kernels are never compared, no module-level cache
+    keeps a program alive, and repeated runs give the same pre-loss."""
+    import gc
+    import weakref
+
+    from preloss import semantics
+    from preloss.kernels import Kernel
+
+    def no_compare(self, other):
+        raise AssertionError("kernels compared by value")
+
+    monkeypatch.setattr(Kernel, "__eq__", no_compare)
+    built = []
+    linear = semantics.linear_transformer
+    monkeypatch.setattr(semantics, "linear_transformer",
+                        lambda prog, z=EMPTY: built.append(z) or linear(prog, z))
+    src = ("hidvar t : {0,1} := n mod 2 @ 1/3 | 0; n := (n + t) mod 4; unvar t; "
+           "while n < 2 { hidvar u : {0,1} := 0 @ 1/2 | 1; n := n + u; unvar u }")
+    z = VarContext.of(("z", (0, 1)))
+    E = embed(Predicate.from_function(N4.merge(z), lambda s: (s[0] + s[1]) % 2))
+    twins = [typed(src, N4), typed(src, N4)]  # equal kernels, distinct objects
+    pres = [weakest_preloss(p, E, z).pre for p in twins for _ in range(3)]
+    assert all(loss_equal(pre, pres[0]) for pre in pres)
+    assert built == [z, z]  # one body matrix per loop statement and extension
+    assign = twins[0].stmts[1]
+    assert semantics._assign_tf(assign, z) is semantics._assign_tf(assign, z)
+    assert semantics._assign_tf(assign, z) is not semantics._assign_tf(assign, EMPTY)
+    gone = weakref.ref(assign.meta.kernel)
+    del assign, twins
+    gc.collect()
+    assert gone() is None
+    # Typechecking again, here over a larger domain, drops what was kept.
+    prog = typed(src, N4)
+    weakest_preloss(prog, E, z)
+    N6 = VarContext.of(("n", range(6)))
+    typecheck_program(prog, N6)
+    E6 = embed(Predicate.from_function(N6.merge(z), lambda s: (s[0] + s[1]) % 2))
+    assert loss_equal(weakest_preloss(prog, E6, z).pre,
+                      weakest_preloss(typed(src, N6), E6, z).pre)
+
+
 def test_while_with_hidvar_body_evaluates():
     prog = typed("while n < 2 { hidvar t : {0,1} := 0 @ 1/2 | 1; n := n + t; unvar t }", N4)
     res = weakest_preloss(prog, one_loss(N4), loop_budget=8)
