@@ -4,13 +4,20 @@ Values are ints, exact rationals, symbolic atoms (strings) or tuples.
 Booleans are the ints 0/1; comparisons yield 0/1 and `&&`/`||` short
 circuit.  An identifier resolves to a variable of the context if declared,
 otherwise to an atom if it occurs in some domain of the context.
+
+``compile_expr`` turns an expression into a closure over the states of one
+context (closure compilation, Feeley & Lapalme, "Using closures for code
+generation", 1987): names are resolved and operators dispatched once per
+expression, not once per state, with a fast path for ``int`` operands.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from operator import itemgetter
+from typing import Callable, Tuple, Union
 
 from .contexts import State, VarContext, fmt_value
 from .predicates import Predicate
@@ -98,75 +105,118 @@ def _values_equal(a: Value, b: Value) -> bool:
     raise EvalError(f"cannot compare {fmt_value(a)} with {fmt_value(b)}")
 
 
-def evaluate(expr: Expr, ctx: VarContext, state: State) -> Value:
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Name):
-        if expr.id in ctx:
-            return state[ctx.position_of(expr.id)]
-        if expr.id in ctx.atoms:
-            return expr.id
-        raise EvalError(f"unbound variable {expr.id!r}")
-    if isinstance(expr, TupleE):
-        return tuple(evaluate(e, ctx, state) for e in expr.items)
-    if isinstance(expr, Index):
-        base = evaluate(expr.base, ctx, state)
-        if not isinstance(base, tuple):
-            raise EvalError(f"indexing a non-tuple value {fmt_value(base)}")
-        i = _as_int(evaluate(expr.index, ctx, state), "index")
-        if not 0 <= i < len(base):
-            raise EvalError(f"index {i} out of range for arity {len(base)}")
-        return base[i]
-    if isinstance(expr, Unary):
+def compile_expr(expr: Expr, ctx: VarContext) -> Callable[[State], Value]:
+    """The expression as a function of a state of ``ctx``.
+
+    Names are resolved to a state position or an atom, and operators are
+    dispatched, once here rather than at every state.  The function returns
+    the values and raises the ``EvalError``s of a node-by-node evaluation, in
+    the same order: operands left to right, ``&&``/``||`` short-circuit, and
+    an unbound name fails only when it is reached.
+    """
+    kind = type(expr)
+    if kind is Lit:
+        value = expr.value
+        return lambda s: value
+    if kind is Name:
+        name = expr.id
+        if name in ctx:
+            return itemgetter(ctx.position_of(name))
+        if name in ctx.atoms:
+            return lambda s: name
+        message = f"unbound variable {name!r}"
+    elif kind is TupleE:
+        items = [compile_expr(e, ctx) for e in expr.items]
+        return lambda s: tuple([f(s) for f in items])
+    elif kind is Index:
+        base_of, index_of = compile_expr(expr.base, ctx), compile_expr(expr.index, ctx)
+
+        def index(s):
+            base = base_of(s)
+            if not isinstance(base, tuple):
+                raise EvalError(f"indexing a non-tuple value {fmt_value(base)}")
+            i = _as_int(index_of(s), "index")
+            if not 0 <= i < len(base):
+                raise EvalError(f"index {i} out of range for arity {len(base)}")
+            return base[i]
+        return index
+    elif kind is Unary:
+        f = compile_expr(expr.operand, ctx)
         if expr.op == "-":
-            return -_as_number(evaluate(expr.operand, ctx, state), "negation")
+            return lambda s: -_as_number(f(s), "negation")
         if expr.op == "!":
-            return 1 - _as_bit(evaluate(expr.operand, ctx, state), "'!'")
-        raise EvalError(f"unknown unary {expr.op}")
-    if isinstance(expr, Bin):
+            return lambda s: 1 - _as_bit(f(s), "'!'")
+        message = f"unknown unary {expr.op}"
+    elif kind is Bin:
         op = expr.op
+        fa, fb = compile_expr(expr.left, ctx), compile_expr(expr.right, ctx)
         if op == "&&":
-            if _as_bit(evaluate(expr.left, ctx, state), "'&&'") == 0:
-                return 0
-            return _as_bit(evaluate(expr.right, ctx, state), "'&&'")
+            return lambda s: 0 if _as_bit(fa(s), "'&&'") == 0 else _as_bit(fb(s), "'&&'")
         if op == "||":
-            if _as_bit(evaluate(expr.left, ctx, state), "'||'") == 1:
-                return 1
-            return _as_bit(evaluate(expr.right, ctx, state), "'||'")
-        a = evaluate(expr.left, ctx, state)
-        b = evaluate(expr.right, ctx, state)
-        if op == "xor":
-            return _as_bit(a, "'xor'") ^ _as_bit(b, "'xor'")
-        if op == "=":
-            return int(_values_equal(a, b))
-        if op == "!=":
-            return int(not _values_equal(a, b))
-        if op in ("<", "<=", ">", ">="):
-            x, y = _as_number(a, op), _as_number(b, op)
-            return int({"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y}[op])
-        if op == "+":
-            return _as_number(a, "'+'") + _as_number(b, "'+'")
-        if op == "-":
-            return _as_number(a, "'-'") - _as_number(b, "'-'")
-        if op == "*":
-            return _as_number(a, "'*'") * _as_number(b, "'*'")
-        if op == "div":
-            y = _as_int(b, "'div'")
-            if y == 0:
-                raise EvalError("division by zero")
-            return _as_int(a, "'div'") // y
-        if op == "mod":
-            y = _as_int(b, "'mod'")
-            if y == 0:
-                raise EvalError("mod by zero")
-            return _as_int(a, "'mod'") % y
-        if op == "/":
-            y = _as_number(b, "'/'")
-            if y == 0:
-                raise EvalError("division by zero")
-            return Fraction(_as_number(a, "'/'")) / y
+            return lambda s: 1 if _as_bit(fa(s), "'||'") == 1 else _as_bit(fb(s), "'||'")
+        ints, values = _STRICT.get(op) or (None, _unknown_operator(op))
+        if ints is None:
+            return lambda s: values(fa(s), fb(s))
+
+        def strict(s):
+            a, b = fa(s), fb(s)
+            if type(a) is int and type(b) is int:
+                return ints(a, b)
+            return values(a, b)
+        return strict
+    else:
+        message = f"unknown expression node {expr!r}"
+
+    def fail(s):
+        raise EvalError(message)
+    return fail
+
+
+def _numeric(fn: Callable, what: str):
+    return fn, lambda a, b: fn(_as_number(a, what), _as_number(b, what))
+
+
+def _comparison(fn: Callable, op: str):
+    return (lambda a, b: int(fn(a, b)),
+            lambda a, b: int(fn(_as_number(a, op), _as_number(b, op))))
+
+
+def _integer_division(fn: Callable, what: str, zero: str):
+    def values(a, b):
+        y = _as_int(b, what)  # the divisor is checked before the dividend
+        if y == 0:
+            raise EvalError(zero)
+        return fn(_as_int(a, what), y)
+    return (lambda a, b: fn(a, b) if b else values(a, b)), values
+
+
+def _divide(a: Value, b: Value) -> Fraction:
+    y = _as_number(b, "'/'")  # the divisor is checked before the dividend
+    if y == 0:
+        raise EvalError("division by zero")
+    return Fraction(_as_number(a, "'/'")) / y
+
+
+def _unknown_operator(op: str):
+    def values(a, b):
         raise EvalError(f"unknown operator {op}")
-    raise EvalError(f"unknown expression node {expr!r}")
+    return values
+
+
+# Binary operators that evaluate both operands, left then right: per
+# operator, its value on two ``int``s (or None) and on any two values.
+_STRICT = {
+    "xor": (None, lambda a, b: _as_bit(a, "'xor'") ^ _as_bit(b, "'xor'")),
+    "=": (lambda a, b: int(a == b), lambda a, b: int(_values_equal(a, b))),
+    "!=": (lambda a, b: int(a != b), lambda a, b: int(not _values_equal(a, b))),
+    "<": _comparison(operator.lt, "<"), "<=": _comparison(operator.le, "<="),
+    ">": _comparison(operator.gt, ">"), ">=": _comparison(operator.ge, ">="),
+    "+": _numeric(operator.add, "'+'"), "-": _numeric(operator.sub, "'-'"),
+    "*": _numeric(operator.mul, "'*'"),
+    "div": _integer_division(operator.floordiv, "'div'", "division by zero"),
+    "mod": _integer_division(operator.mod, "'mod'", "mod by zero"),
+    "/": (None, _divide),
+}
 
 
 def predicate_of(ctx: VarContext, expr: Expr, *, mode: str = "any") -> Predicate:
@@ -175,10 +225,11 @@ def predicate_of(ctx: VarContext, expr: Expr, *, mode: str = "any") -> Predicate
     mode: 'any' allows any nonnegative rational, 'unit' restricts to [0,1]
     (guards), 'bool' restricts to {0,1} (indicators).
     """
+    value_of = compile_expr(expr, ctx)
     entries = []
     for s in ctx.states():
         try:
-            v = evaluate(expr, ctx, s)
+            v = value_of(s)
         except EvalError as exc:
             raise EvalError(f"{exc} (at state {fmt_value(s)})") from None
         if not isinstance(v, (int, Fraction)):

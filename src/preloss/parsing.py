@@ -4,17 +4,21 @@ loss-function literals and prior specifications.
 The surface grammar is whitespace-insensitive with ``//`` line comments.
 Nondeterministic choice between distribution expressions
 (``x := {0} [] {1}``) is sugar for choice between statements.
+
+The lexer is one compiled alternation walked with ``finditer``; tokens are
+named tuples with 1-based line and column.  The parser bounds how deep the
+syntax tree nests (``MAX_NESTING``): deeper input is a positioned syntax
+error, so no later pass over the tree runs out of Python stack.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .contexts import ContextError, VarContext, Value, fmt_value
-from .exprs import Bin, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
+from .exprs import Bin, EvalError, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
 from .predicates import Predicate
 from .scalars import INF, Scalar, scalar
 from .syntax import (
@@ -37,75 +41,84 @@ KEYWORDS = frozenset(
 
 SECTION_WORDS = frozenset("vars body shared encap init op final client".split())
 
+# Deepest nesting the parser accepts, in levels of ``Parser.depth``.  Every
+# later pass over the syntax tree recurses once or a few times per level
+# (copying a datatype for inlining most: about eleven frames), so this
+# keeps them all within Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
 _PUNCTS = [":=", "[]", "||", "&&", "!=", "<=", ">=", "..",
            ";", ":", ",", "(", ")", "{", "}", "[", "]", "|", "@",
            "=", "<", ">", "+", "-", "*", "/", "!"]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_INT_RE = re.compile(r"[0-9]+")
+# One alternation, tried left to right at each position: a newline, a run of
+# blanks, a comment, a token (punctuation longest first), or any other
+# character, which is an error.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<nl>\n)", r"(?P<blank>[ \t\r]+)", r"(?P<comment>//[^\n]*)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)", r"(?P<int>[0-9]+)",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCTS)) + ")", r"(?P<bad>.)",
+]))
+
+_TOKEN_KINDS = frozenset(("ident", "int", "punct"))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | punct | eof
     text: str
     line: int
     col: int
 
 
+# ``Token(...)`` runs a Python-level ``__new__``; building the tuple directly
+# skips that frame, and the lexer makes one Token per token.
+_new_token = tuple.__new__
+
+
 def lex(text: str, first_line: int = 1, first_col: int = 1) -> List[Token]:
-    """Tokens of text whose first character sits at (first_line, first_col)."""
+    """Tokens of text whose first character sits at (first_line, first_col).
+
+    A column counts the characters before it on its line; a comment does not
+    advance it, so an ``eof`` after a comment sits where the comment starts.
+    """
     tokens: List[Token] = []
+    append = tokens.append
     line = first_line
-    col = first_col
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    base = -first_col  # the column of offset i is i - base on the current line
+    end = len(text)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in _TOKEN_KINDS:
+            append(_new_token(Token, (kind, m.group(), line, m.start() - base)))
+        elif kind == "nl":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for p in _PUNCTS:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            base = m.start()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - base)
+        elif kind == "comment" and m.end() == end:
+            end = m.start()
+    tokens.append(Token("eof", "", line, end - base))
     return tokens
 
 
 class Parser:
+    """Recursive descent over a token list that ends in one ``eof`` token.
+
+    ``depth`` counts the open nesting levels (blocks, brackets, prefix
+    operators, operands of a chain) and ``deepest`` the deepest level the
+    syntax tree built so far reaches.  In a left-nested chain (``a + b + c``,
+    ``x[0][1]``, ``{p} [] {q} [] {r}``) each link moves what the chain holds
+    so far one level down, so ``deepest`` grows by one per link.
+    """
+
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+        self.deepest = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -114,82 +127,123 @@ class Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.pos].text == text  # the eof token's text is ""
 
     def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return ParseError(message, tok.line, tok.col)
 
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise self.error(f"expected {text!r}, found {self.peek().text!r}")
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise self.error(f"expected {text!r}, found {tok.text!r}")
+        self.pos += 1
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident" or tok.text in KEYWORDS:
             raise self.error(f"expected {what}, found {tok.text!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_eof(self):
         if not self.at_kind("eof"):
             raise self.error(f"unexpected trailing input {self.peek().text!r}")
+
+    # ------------------------------------------------------------ nesting
+
+    def _open(self, tok: Token) -> None:
+        """Enter one nesting level at ``tok``; close it with ``_close``."""
+        self.depth += 1
+        if self.depth > self.deepest:
+            self.deepest = self.depth
+            if self.depth > MAX_NESTING:
+                raise ParseError("nesting too deep", tok.line, tok.col)
+
+    def _close(self) -> None:
+        self.depth -= 1
+
+    def _start_chain(self) -> int:
+        """Measure the next chain from here; returns the ``deepest`` to merge back."""
+        outer = self.deepest
+        self.deepest = self.depth
+        return outer
+
+    def _link(self, tok: Token) -> None:
+        """A chain link at ``tok``: the chain so far moves one level down."""
+        self.deepest += 1
+        if self.deepest > MAX_NESTING:
+            raise ParseError("nesting too deep", tok.line, tok.col)
+
+    def _end_chain(self, outer: int) -> None:
+        if outer > self.deepest:
+            self.deepest = outer
 
     # ------------------------------------------------------------ programs
 
     def parse_program(self, stop: frozenset = frozenset()) -> Program:
         stmts = [self.parse_stmt(stop)]
         while self.at(";"):
-            self.advance()
+            self.pos += 1
             if self._at_stop(stop):
                 break
             stmts.append(self.parse_stmt(stop))
         return Program(tuple(stmts))
 
     def _at_stop(self, stop: frozenset) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "eof" or tok.text == "}":
             return True
         return tok.kind == "ident" and tok.text in stop
 
+    def _block(self) -> Program:
+        """A braced program, one nesting level down."""
+        self._open(self.expect("{"))
+        prog = self.parse_program()
+        self.expect("}")
+        self._close()
+        return prog
+
     def parse_stmt(self, stop: frozenset) -> Stmt:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        text = tok.text
         pos = (tok.line, tok.col)
 
         def stamp(node):
             node.meta.pos = pos
             return node
 
-        if self.at("skip"):
-            self.advance()
+        if text == "skip":
+            self.pos += 1
             return stamp(Skip())
-        if self.at("abort"):
-            self.advance()
+        if text == "abort":
+            self.pos += 1
             return stamp(Abort())
-        if self.at("unvar"):
-            self.advance()
+        if text == "unvar":
+            self.pos += 1
             return stamp(Unvar(self.expect_ident().text))
-        if self.at("call"):
-            self.advance()
+        if text == "call":
+            self.pos += 1
             return stamp(CallOp(self.expect_ident().text))
-        if self.at("assert"):
-            self.advance()
+        if text == "assert":
+            self.pos += 1
             return stamp(Assert(self.parse_expr()))
-        if self.at("print"):
-            self.advance()
+        if text == "print":
+            self.pos += 1
             alts = self.parse_dexpr_alternatives()
             if len(alts) == 1:
                 return stamp(Print(alts[0]))
             return stamp(self._fold_nondet([single(stamp(Print(d))) for d in alts]))
-        if self.at("hidvar"):
-            self.advance()
+        if text == "hidvar":
+            self.pos += 1
             name = self.expect_ident().text
             domain = None
             if self.at(":"):
-                self.advance()
+                self.pos += 1
                 domain = self.parse_domain()
             self.expect(":=")
             alts = self.parse_dexpr_alternatives()
@@ -198,41 +252,32 @@ class Parser:
             hint = tuple(alts)
             limbs = [single(stamp(HidVar(name, domain, d, domain_hint=hint))) for d in alts]
             return stamp(self._fold_nondet(limbs))
-        if self.at("if"):
-            self.advance()
+        if text == "if":
+            self.pos += 1
             guard = self.parse_expr()
-            self.expect("{")
-            then = self.parse_program()
-            self.expect("}")
+            then = self._block()
             self.expect("else")
-            self.expect("{")
-            orelse = self.parse_program()
-            self.expect("}")
+            orelse = self._block()
             return stamp(If(guard, then, orelse))
-        if self.at("while"):
-            self.advance()
+        if text == "while":
+            self.pos += 1
             guard = self.parse_expr()
-            self.expect("{")
-            body = self.parse_program()
-            self.expect("}")
+            body = self._block()
             return stamp(While(guard, body))
-        if self.at("{"):
-            self.advance()
-            left = self.parse_program()
-            self.expect("}")
-            limbs = [left]
+        if text == "{":
+            outer = self._start_chain()
+            limbs = [self._block()]
             while self.at("[]"):
-                self.advance()
-                self.expect("{")
-                limbs.append(self.parse_program())
-                self.expect("}")
+                self._link(self.advance())
+                limbs.append(self._block())
+            self._end_chain(outer)
             if len(limbs) == 1:
                 raise self.error("expected '[]' after braced program")
             return stamp(self._fold_nondet(limbs))
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
+        if tok.kind == "ident" and text not in KEYWORDS:
             targets = [self.expect_ident().text]
             while self.at(","):
-                self.advance()
+                self.pos += 1
                 targets.append(self.expect_ident().text)
             self.expect(":=")
             alts = self.parse_dexpr_alternatives()
@@ -240,7 +285,7 @@ class Parser:
             if len(alts) == 1:
                 return stamp(Assign(targets, alts[0]))
             return stamp(self._fold_nondet([single(stamp(Assign(targets, d))) for d in alts]))
-        raise self.error(f"expected a statement, found {tok.text!r}")
+        raise self.error(f"expected a statement, found {text!r}")
 
     @staticmethod
     def _fold_nondet(limbs: List[Program]) -> NonDet:
@@ -252,25 +297,31 @@ class Parser:
     # ------------------------------------------------- distribution exprs
 
     def parse_dexpr_alternatives(self) -> List[DistExpr]:
+        """``d [] d [] ...``; more than one is folded into a chain of choices."""
+        outer = self._start_chain()
         alts = [self._parse_dexpr_alt()]
         while self.at("[]"):
-            self.advance()
+            self._link(self.advance())
             alts.append(self._parse_dexpr_alt())
+        self._end_chain(outer)
         return alts
 
     def _parse_dexpr_alt(self) -> DistExpr:
         if self.at("{"):
-            self.advance()
+            self._open(self.advance())
             d = self.parse_dexpr()
             self.expect("}")
+            self._close()
             return d
         return self.parse_dexpr()
 
     def parse_dexpr(self) -> DistExpr:
         if self.at("uniform"):
-            self.advance()
+            self.pos += 1
             self.expect("(")
-            if (self.peek().kind == "int" or self.at("-")) and self.peek(1).text == "..":
+            # the current token is not eof here, so the next one exists
+            if ((self.at_kind("int") or self.at("-"))
+                    and self.tokens[self.pos + 1].text == ".."):
                 lo = self._parse_signed_int()
                 self.expect("..")
                 hi = self._parse_signed_int()
@@ -280,13 +331,13 @@ class Parser:
             else:
                 exprs = [self.parse_expr()]
                 while self.at(","):
-                    self.advance()
+                    self.pos += 1
                     exprs.append(self.parse_expr())
             self.expect(")")
             return DistExpr(tuple(DistBranch(e, None) for e in exprs), uniform=True)
         branches = [self._parse_branch()]
         while self.at("|"):
-            self.advance()
+            self.pos += 1
             branches.append(self._parse_branch())
         for b in branches[:-1]:
             if b.weight is None:
@@ -297,7 +348,7 @@ class Parser:
         e = self.parse_expr()
         weight = None
         if self.at("@"):
-            self.advance()
+            self.pos += 1
             weight = self._parse_rational()
         return DistBranch(e, weight)
 
@@ -307,7 +358,7 @@ class Parser:
             raise self.error(f"expected a rational, found {tok.text!r}")
         num = int(self.advance().text)
         if self.at("/"):
-            self.advance()
+            self.pos += 1
             den = self.peek()
             if den.kind != "int":
                 raise self.error("expected a denominator")
@@ -319,7 +370,7 @@ class Parser:
     def _parse_signed_int(self) -> int:
         sign = 1
         if self.at("-"):
-            self.advance()
+            self.pos += 1
             sign = -1
         tok = self.peek()
         if tok.kind != "int":
@@ -339,57 +390,70 @@ class Parser:
         return self._parse_binary(1)
 
     def _parse_binary(self, min_prec: int) -> Expr:
+        outer = self._start_chain()
         left = self._parse_unary()
         while True:
-            op = self.peek().text
-            prec = self._BIN_PREC.get(op)
-            if prec is None or prec < min_prec or self.peek().kind == "eof":
+            tok = self.tokens[self.pos]
+            prec = self._BIN_PREC.get(tok.text)  # eof, with text "", is no operator
+            if prec is None or prec < min_prec:
+                self._end_chain(outer)
                 return left
-            self.advance()
+            self.pos += 1
+            self._link(tok)
+            self._open(tok)
             right = self._parse_binary(prec + 1)
-            left = Bin(op, left, right)
+            self._close()
+            left = Bin(tok.text, left, right)
 
     def _parse_unary(self) -> Expr:
-        if self.at("!"):
-            self.advance()
-            return Unary("!", self._parse_unary())
-        if self.at("-"):
-            self.advance()
-            return Unary("-", self._parse_unary())
+        tok = self.tokens[self.pos]
+        if tok.text == "!" or tok.text == "-":
+            self.pos += 1
+            self._open(tok)
+            operand = self._parse_unary()
+            self._close()
+            return Unary(tok.text, operand)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
+        outer = self._start_chain()
         e = self._parse_atom()
         while self.at("["):
-            self.advance()
+            tok = self.advance()
+            self._link(tok)
+            self._open(tok)
             idx = self.parse_expr()
             self.expect("]")
+            self._close()
             e = Index(e, idx)
+        self._end_chain(outer)
         return e
 
     def _parse_atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "int":
-            self.advance()
+            self.pos += 1
             return Lit(int(tok.text))
         if tok.text == "true":
-            self.advance()
+            self.pos += 1
             return Lit(1)
         if tok.text == "false":
-            self.advance()
+            self.pos += 1
             return Lit(0)
         if tok.kind == "ident":
             if tok.text in KEYWORDS:
                 raise self.error(f"keyword {tok.text!r} cannot start an expression")
-            self.advance()
+            self.pos += 1
             return Name(tok.text)
-        if self.at("("):
-            self.advance()
+        if tok.text == "(":
+            self.pos += 1
+            self._open(tok)
             items = [self.parse_expr()]
             while self.at(","):
-                self.advance()
+                self.pos += 1
                 items.append(self.parse_expr())
             self.expect(")")
+            self._close()
             if len(items) == 1:
                 return items[0]
             return TupleE(tuple(items))
@@ -421,13 +485,15 @@ class Parser:
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.advance()
             return tok.text
-        if self.at("("):
-            self.advance()
+        if tok.text == "(":
+            self.pos += 1
+            self._open(tok)
             items = [self._parse_value()]
             while self.at(","):
-                self.advance()
+                self.pos += 1
                 items.append(self._parse_value())
             self.expect(")")
+            self._close()
             return tuple(items)
         raise self.error(f"expected a value, found {tok.text!r}")
 
@@ -495,9 +561,9 @@ def parse_datatype_file(text: str, name: Optional[str] = None) -> Datatype:
     ops = []
     while p.at("op"):
         p.advance()
-        op_name = p.expect_ident("operation name").text
+        op_tok = p.expect_ident("operation name")
         p.expect(":")
-        ops.append((op_name, p.parse_program(stop=SECTION_WORDS)))
+        ops.append((op_tok, p.parse_program(stop=SECTION_WORDS)))
     if not ops:
         raise p.error("datatype needs at least one 'op' section")
     p.expect("final")
@@ -505,11 +571,12 @@ def parse_datatype_file(text: str, name: Optional[str] = None) -> Datatype:
     final = p.parse_program(stop=SECTION_WORDS)
     p.expect_eof()
     seen = set()
-    for op_name, _ in ops:
-        if op_name in seen:
-            raise ParseError(f"duplicate operation {op_name!r}", 1, 1)
-        seen.add(op_name)
-    return Datatype(shared, encap, init, tuple(ops), final, name=name)
+    for op_tok, _ in ops:
+        if op_tok.text in seen:
+            raise ParseError(f"duplicate operation {op_tok.text!r}", op_tok.line, op_tok.col)
+        seen.add(op_tok.text)
+    return Datatype(shared, encap, init, tuple((tok.text, prog) for tok, prog in ops), final,
+                    name=name)
 
 
 def parse_context_file(text: str, name: Optional[str] = None) -> ProgramContext:
@@ -564,8 +631,13 @@ def parse_loss_text(text: str) -> Tuple[VarContext, List[Predicate]]:
             ctx = parse_decls_text(line[len("context"):], line_no, col + len("context"))
             continue
         if line.startswith("expr:"):
-            expr = parse_expr_text(line[len("expr:"):], line_no, col + len("expr:"))
-            gens.append(predicate_of(ctx, expr, mode="any"))
+            rest, first_col = line[len("expr:"):], col + len("expr:")
+            expr = parse_expr_text(rest, line_no, first_col)
+            first_col += len(rest) - len(rest.lstrip(" \t\r"))  # of the first token
+            try:
+                gens.append(predicate_of(ctx, expr, mode="any"))
+            except EvalError as exc:
+                raise EvalError(f"{line_no}:{first_col}: {exc}") from None
         elif line.startswith("table:"):
             gens.append(_parse_table_line(ctx, line[len("table:"):], line_no, col + len("table:")))
         else:

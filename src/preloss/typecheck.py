@@ -4,7 +4,11 @@ validation, syntactic classifiers, and datatype inlining (the copy rule).
 Typechecking annotates each node's ``meta`` with pre/post contexts and the
 elaborated kernels/guards the evaluator consumes.  Contexts are finite, so
 every expression is evaluated at every state up front: all type errors
-(unbound names, bad guard ranges, arity mismatches) surface here.
+(unbound names, bad guard ranges, arity mismatches) surface here.  Each
+expression is compiled once per context (``exprs.compile_expr``); a
+statement's branch weights are summed as integers over their common
+denominator, and an assignment finds its target states by index
+arithmetic on the context's strides.
 
 Classifiers and inlining visit statements with ``syntax.walk``.  Inlining
 edits one copy of the datatype and one of the context body in place,
@@ -18,11 +22,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contexts import Value, VarContext, fmt_value
-from .exprs import Bin, EvalError, Index, Lit, Name, TupleE, Unary, evaluate, predicate_of
+from .exprs import Bin, EvalError, Index, Lit, Name, TupleE, Unary, compile_expr, predicate_of
 from .kernels import Kernel
 from .syntax import (
     Abort, Assert, Assign, CallOp, Datatype, DistBranch, DistExpr, HidVar, If,
@@ -63,22 +67,23 @@ def clone(node):
 
 # ------------------------------------------------------------- distributions
 
-def _branch_weights(dist: DistExpr, pos) -> List[Fraction]:
+def _branch_weights(dist: DistExpr, pos) -> Tuple[int, List[int]]:
+    """The branch weights as integers over one common denominator."""
     if dist.uniform:
         k = len(dist.branches)
-        return [Fraction(1, k)] * k
-    weights: List[Optional[Fraction]] = [b.weight for b in dist.branches]
-    explicit = sum((w for w in weights if w is not None), Fraction(0))
-    if explicit > 1:
-        raise TypecheckError(f"branch weights sum to {explicit} > 1", pos)
-    if weights and weights[-1] is None:
-        weights[-1] = Fraction(1) - explicit
-    out = []
-    for w in weights:
-        if w is None or w <= 0:
+        return k, [1] * k
+    weights = [b.weight for b in dist.branches]
+    den = lcm(*(w.denominator for w in weights if w is not None))
+    nums = [None if w is None else w.numerator * (den // w.denominator) for w in weights]
+    explicit = sum(n for n in nums if n is not None)
+    if explicit > den:
+        raise TypecheckError(f"branch weights sum to {Fraction(explicit, den)} > 1", pos)
+    if nums and nums[-1] is None:
+        nums[-1] = den - explicit
+    for n in nums:
+        if n is None or n <= 0:
             raise TypecheckError("every branch needs a positive weight", pos)
-        out.append(w)
-    return out
+    return den, nums
 
 
 def _normalize_value(v: Value) -> Value:
@@ -89,74 +94,105 @@ def _normalize_value(v: Value) -> Value:
     return v
 
 
-def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> List[List[Tuple[Value, Fraction]]]:
-    """Per pre-state list of (value, weight) outcomes, weights accumulated."""
-    weights = _branch_weights(dist, pos)
+def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> Tuple[int, List[List[Tuple[Value, int]]]]:
+    """Per pre-state list of (value, weight) outcomes, weights accumulated.
+
+    The weights are integers over the returned common denominator.
+    """
+    den, weights = _branch_weights(dist, pos)
+    branches = [(compile_expr(b.expr, ctx), w) for b, w in zip(dist.branches, weights)]
     rows = []
     for state in ctx.states():
-        acc: Dict[Value, Fraction] = {}
-        for branch, w in zip(dist.branches, weights):
+        acc: Dict[Value, int] = {}
+        for value_of, w in branches:
             try:
-                v = evaluate(branch.expr, ctx, state)
+                v = value_of(state)
             except EvalError as exc:
                 raise TypecheckError(f"{exc} (at state {fmt_value(state)})", pos) from None
-            v = _normalize_value(v)
-            acc[v] = acc[v] + w if v in acc else w
+            if type(v) is not int:
+                v = _normalize_value(v)
+            acc[v] = acc.get(v, 0) + w
         rows.append(list(acc.items()))
-    return rows
+    return den, rows
+
+
+def _fractions(den: int, weights) -> Dict[int, Fraction]:
+    """``n -> Fraction(n, den)`` for the given weights, one per distinct weight."""
+    return {n: Fraction(n, den) for n in set(weights)}
+
+
+def _kernel(src: VarContext, dst: VarContext, den: int, rows: List[Dict[int, int]]) -> Kernel:
+    fraction = _fractions(den, (n for row in rows for n in row.values()))
+    return Kernel.from_rows(src, dst, [{j: fraction[n] for j, n in row.items()} for row in rows])
 
 
 def _kernel_of_assign(ctx: VarContext, targets: Tuple[str, ...], dist: DistExpr, pos) -> Kernel:
-    positions = [ctx.position_of(t) for t in targets]
-    domains = [ctx.domain_of(t) for t in targets]
+    # A state's index is the sum over variables of value index times stride,
+    # as in ``VarContext.index_of``: per target, the offset of each value in
+    # its domain and the stride and size that locate the current value.
+    sizes = [len(dom) for _, dom in ctx.vars]
+    places = []
+    for t in targets:
+        p = ctx.position_of(t)
+        stride = prod(sizes[p + 1:])
+        offsets = {v: i * stride for i, v in enumerate(ctx.vars[p][1])}
+        places.append((offsets, stride, sizes[p]))
+    arity = len(targets)
+    den, outcome_rows = eval_dist(dist, ctx, pos)
     rows = []
-    for state, outcomes in zip(ctx.states(), eval_dist(dist, ctx, pos)):
-        row: Dict[int, Fraction] = {}
+    for i, outcomes in enumerate(outcome_rows):
+        base = i - sum(i // stride % size * stride for _, stride, size in places)
+        row: Dict[int, int] = {}
         for value, w in outcomes:
-            if len(targets) > 1:
-                if not isinstance(value, tuple) or len(value) != len(targets):
+            if arity > 1:
+                if not isinstance(value, tuple) or len(value) != arity:
                     raise TypecheckError(
-                        f"assignment to {len(targets)} variables needs a "
-                        f"{len(targets)}-tuple, got {fmt_value(value)}", pos)
+                        f"assignment to {arity} variables needs a "
+                        f"{arity}-tuple, got {fmt_value(value)}", pos)
                 parts = value
             else:
                 parts = (value,)
-            if any(p not in dom for p, dom in zip(parts, domains)):
-                continue  # value outside the target domain: abort mass
-            new_state = list(state)
-            for p, v in zip(positions, parts):
-                new_state[p] = v
-            idx = ctx.index_of(tuple(new_state))
-            row[idx] = row[idx] + w if idx in row else w
+            idx = base
+            for part, (offsets, _, _) in zip(parts, places):
+                offset = offsets.get(part)
+                if offset is None:
+                    break  # value outside the target domain: abort mass
+                idx += offset
+            else:
+                row[idx] = row.get(idx, 0) + w
         rows.append(row)
-    return Kernel.from_rows(ctx, ctx, rows)
+    return _kernel(ctx, ctx, den, rows)
 
 
 def _kernel_of_hidvar(ctx: VarContext, domain: Tuple[Value, ...], dist: DistExpr, pos) -> Kernel:
     target = VarContext((("_new", domain),))
+    index = {v: i for i, v in enumerate(domain)}
+    den, outcome_rows = eval_dist(dist, ctx, pos)
     rows = []
-    for outcomes in eval_dist(dist, ctx, pos):
-        row: Dict[int, Fraction] = {}
+    for outcomes in outcome_rows:
+        row: Dict[int, int] = {}
         for value, w in outcomes:
-            if value not in domain:
+            idx = index.get(value)
+            if idx is None:
                 continue  # outside the declared domain: abort mass
-            idx = target.index_of((value,))
-            row[idx] = row[idx] + w if idx in row else w
+            row[idx] = row.get(idx, 0) + w
         rows.append(row)
-    return Kernel.from_rows(ctx, target, rows)
+    return _kernel(ctx, target, den, rows)
 
 
 def _obs_of_print(ctx: VarContext, dist: DistExpr, pos) -> ObsKernel:
     values: List[Value] = []
     index: Dict[Value, int] = {}
+    den, outcome_rows = eval_dist(dist, ctx, pos)
+    fraction = _fractions(den, (w for outcomes in outcome_rows for _, w in outcomes))
     rows = []
-    for outcomes in eval_dist(dist, ctx, pos):
+    for outcomes in outcome_rows:
         row = []
         for value, w in outcomes:
             if value not in index:
                 index[value] = len(values)
                 values.append(value)
-            row.append((index[value], w))
+            row.append((index[value], fraction[w]))
         rows.append(tuple(row))
     return ObsKernel(tuple(values), tuple(rows))
 
@@ -165,7 +201,7 @@ def _infer_domain(s: HidVar, ctx: VarContext) -> Tuple[Value, ...]:
     dists = s.domain_hint if s.domain_hint is not None else (s.dist,)
     seen: Dict[Value, None] = {}
     for d in dists:
-        for outcomes in eval_dist(d, ctx, s.meta.pos):
+        for outcomes in eval_dist(d, ctx, s.meta.pos)[1]:
             for value, _ in outcomes:
                 seen.setdefault(value)
     if not seen:

@@ -464,3 +464,59 @@ def test_repeated_main_calls_share_no_state(capsys, tmp_path, monkeypatch):
         shared.append(run(capsys, *argv))
     assert shared == [fresh_witness, fresh_plain, fresh_witness, fresh_witness, fresh_plain]
     assert cli._parser is not None
+
+
+def test_loss_expression_errors_carry_positions(capsys, tmp_path):
+    skip = tmp_path / "skip.prog"
+    skip.write_text("vars:\n b : {0,1}\nbody:\n skip")
+    cases = [
+        ("context b:{0,1}\nexpr: b = x\n", "type error: 2:7: unbound variable 'x' (at state (0))"),
+        ("context b:{0,1}\n  expr:   0 - b  // c\n",
+         "type error: 2:11: negative expression value -1 at state (1)"),
+    ]
+    for text, line in cases:
+        loss = tmp_path / "bad.loss"
+        loss.write_text(text)
+        code, out, err = run(capsys, "wpl", str(skip), "--post", str(loss))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [line]
+
+
+def test_nesting_past_the_bound_is_a_positioned_syntax_error(capsys, tmp_path):
+    """The deepest accepted input answers everywhere; one level deeper is exit 1."""
+    from preloss.parsing import MAX_NESTING, parse_program_file
+    from preloss.syntax import program_text
+
+    loss = tmp_path / "x.loss"
+    loss.write_text("context x : {0,1}\nexpr: x\n")
+    # body text at depth n, and the column (on line 2) of the token that goes one too deep
+    shapes = {
+        "parens": (lambda n: "x := " + "(" * n + "x" + ")" * n, 12 + MAX_NESTING),
+        "blocks": (lambda n: "if x { " * n + "print x" + " } else { skip }" * n,
+                   12 + 7 * MAX_NESTING),
+        "chain": (lambda n: "x := x" + " * 1" * n, 14 + 4 * MAX_NESTING),
+    }
+    for name, (body, col) in shapes.items():
+        prog = tmp_path / f"{name}.prog"
+        prog.write_text(f"vars: x : {{0,1}}\nbody: {body(MAX_NESTING)}\n")
+        for argv in (["check"], ["wpl", "--post", str(loss)],
+                     ["oracle", "--post", str(loss), "--exhaustive"]):
+            code, out, err = run(capsys, argv[0], str(prog), *argv[1:])
+            assert code == 0 and err == "", (name, argv, err)
+        _, parsed = parse_program_file(prog.read_text())
+        assert parse_program_file(f"vars: x : {{0,1}}\nbody: {program_text(parsed)}")[1] == parsed
+        prog.write_text(f"vars: x : {{0,1}}\nbody: {body(MAX_NESTING + 1)}\n")
+        code, out, err = run(capsys, "check", str(prog))
+        assert code == 1, name
+        assert err.splitlines() == [f"syntax error: 2:{col}: nesting too deep"], name
+
+    # inlining copies a datatype, the deepest recursion per level of any pass
+    deep_op = shapes["blocks"][0](MAX_NESTING).replace("x", "s")
+    dt = tmp_path / "deep.dt"
+    dt.write_text(f"shared:\n s : {{0,1}}\nencap:\ninit:\n skip\nop f:\n {deep_op}\n"
+                  "final:\n skip\n")
+    ctx = tmp_path / "deep.ctx"
+    ctx.write_text("client:\nbody:\n call f\n")
+    code, out, err = run(capsys, "datatype", str(dt), str(dt), "--context", str(ctx))
+    assert code == 0 and "verdict: holds" in out, err

@@ -90,7 +90,8 @@ def test_datatype_file_roundtrip_structure():
     d = parse_datatype_file(text)
     assert d.shared == VarContext.of(("s", (0, 1)))
     assert d.op_names() == ("next",)
-    with pytest.raises(ParseError):
+    # a repeated operation is reported at its repeated name
+    with pytest.raises(ParseError, match=r"^9:4: duplicate operation 'next'$"):
         parse_datatype_file(text.replace("op next:", "op next: skip\nop next:"))
 
 
