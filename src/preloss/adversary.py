@@ -12,10 +12,11 @@ mode re-derives the same value by enumerating whole strategy maps, as an
 audit of that decomposition.
 
 The walk runs on integers: a sub-distribution is a list of numerators over
-one denominator, and each step multiplies it by the integer rows a kernel,
-guard or observation keeps (``Kernel.int_rows``, ``Predicate.nums``,
-``ObsKernel.int_columns``).  ``Fraction``s are built only at the edges: a
-branch's final risk, and ``Branch.mass`` and ``posterior``.
+one denominator, and each step multiplies it by the integer weights a
+kernel or guard keeps (``Kernel.nums``, ``Predicate.nums``); a print splits
+it by the columns of its kernel (``Kernel.columns``).  ``Fraction``s are
+built only at the edges: a branch's final risk, and ``Branch.mass`` and
+``posterior``.
 """
 
 from __future__ import annotations
@@ -104,27 +105,23 @@ def _push(s: Stmt, nums: List[int], den: int) -> Tuple[List[int], int]:
     if kind is Skip:
         return nums, den
     if kind is Assign:
-        kden, rows, copies = s.meta.kernel.int_rows
+        k = s.meta.kernel
+        rows = k.nums
         out = [0] * len(nums)
-        if copies is not None:
-            for i, w in enumerate(nums):
-                out[copies[i]] += w
-            return out, den
         for i, w in enumerate(nums):
             if w:
                 for j, p in rows[i]:
                     out[j] += w * p
-        return out, den * kden
+        return out, den * k.den
     if kind is HidVar:
         k = s.meta.kernel
-        kden, rows, _ = k.int_rows
-        d = k.dst.n_states
+        rows, d = k.nums, k.dst.n_states
         out = [0] * (len(nums) * d)
         for y, w in enumerate(nums):
             if w:
                 for x, p in rows[y]:
                     out[y * d + x] = w * p
-        return out, den * kden
+        return out, den * k.den
     if kind is Unvar:
         post = s.meta.post
         out = [0] * post.n_states
@@ -167,16 +164,15 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
         if isinstance(s, _KERNEL_STMTS):
             nums, den = _push(s, nums, den)
         elif isinstance(s, Print):
-            obs = s.meta.obs
-            oden, columns = obs.int_columns
+            k = s.meta.kernel
             parts = []
-            for value, column in zip(obs.values, columns):
+            for value, column in zip(k.dst.vars[0][1], k.columns):
                 part = [0] * len(nums)
                 for j, p in column:
                     part[j] = nums[j] * p
                 if any(part):
                     parts.append((("print", s.meta.label, value), part))
-            den *= oden
+            den *= k.den
             if len(parts) != 1:
                 rest = cont[i:]
                 total: Scalar = ZERO

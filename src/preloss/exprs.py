@@ -244,7 +244,8 @@ def predicate_of(ctx: VarContext, expr: Expr, *, mode: str = "any") -> Predicate
     return Predicate(ctx, tuple(entries))
 
 
-_PREC = {
+# Binary operator precedences, for the parser and for ``pretty``.
+BIN_PREC = {
     "||": 1,
     "xor": 2,
     "&&": 3,
@@ -266,7 +267,7 @@ def pretty(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, Unary):
         return f"{expr.op}{pretty(expr.operand, 7)}"
     if isinstance(expr, Bin):
-        prec = _PREC[expr.op]
+        prec = BIN_PREC[expr.op]
         text = f"{pretty(expr.left, prec)} {expr.op} {pretty(expr.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     raise ValueError(f"unknown expression node {expr!r}")

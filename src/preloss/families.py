@@ -1,9 +1,10 @@
 """Finite test families standing in for "all post losses" in refinement checks.
 
 A family is a deterministic battery (singleton indicators, the all-ones
-predicate, complements, small subset indicators), registered witness losses
-known to separate the bundled examples, and seeded random losses.  A Fails
-verdict against any member is final; Holds is always relative to the family.
+predicate, complements, small subset indicators), a fixed table of witness
+losses known to separate the bundled examples, and seeded random losses.
+A Fails verdict against any member is final; Holds is always relative to
+the family.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .contexts import VarContext
+from .contexts import State, VarContext
 from .losses import LossFunction, embed, loss_canonicalize
 from .predicates import Predicate
 
@@ -40,16 +41,33 @@ class FamilyOptions:
             key = key.strip()
             value = value.strip()
             if key in ("k", "max_subset"):
-                opts = replace(opts, max_subset=int(value))
+                opts = replace(opts, max_subset=_int_option(key, value, nonnegative=True))
             elif key == "random":
-                opts = replace(opts, random=int(value))
+                opts = replace(opts, random=_int_option(key, value, nonnegative=True))
             elif key == "seed":
-                opts = replace(opts, seed=int(value))
+                opts = replace(opts, seed=_int_option(key, value, nonnegative=False))
             elif key == "witnesses":
-                opts = replace(opts, witnesses=value not in ("off", "0", "false"))
+                if value not in _SWITCHES:
+                    raise ValueError(f"family option 'witnesses' needs one of "
+                                     f"on/off/1/0/true/false, got {value!r}")
+                opts = replace(opts, witnesses=_SWITCHES[value])
             else:
                 raise ValueError(f"unknown family option {key!r}")
         return opts
+
+
+_SWITCHES = {"on": True, "1": True, "true": True, "off": False, "0": False, "false": False}
+
+
+def _int_option(key: str, value: str, nonnegative: bool) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = None
+    if n is None or (nonnegative and n < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise ValueError(f"family option {key!r} needs {kind}, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -72,16 +90,6 @@ class TestFamily:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-# Witness losses registered for the bundled example inputs, keyed by the
-# exact context they apply to.
-_WITNESS_REGISTRY: List[Tuple[Callable[[VarContext], bool], Callable[[VarContext], LossFunction]]] = []
-
-
-def register_witness(matches: Callable[[VarContext], bool],
-                     build: Callable[[VarContext], LossFunction]):
-    _WITNESS_REGISTRY.append((matches, build))
 
 
 def _guess_state_loss(ctx: VarContext) -> LossFunction:
@@ -126,9 +134,9 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
     if opts.witnesses:
         if n <= 16:
             push(_guess_state_loss(ctx), "witness")
-        for matches, build in _WITNESS_REGISTRY:
-            if matches(ctx):
-                push(build(ctx), "witness")
+        for witness_ctx, indicator in _WITNESSES:
+            if ctx == witness_ctx:
+                push(embed(Predicate.from_function(ctx, indicator)), "witness")
 
     # Extra witnesses carry their own context; only matching ones apply
     # (datatype checks build families over several post contexts).
@@ -172,23 +180,14 @@ def resolve_family(
 
 
 # --------------------------------------------------- bundled example witnesses
+# Each is the indicator of a set of states, added to families over exactly
+# its context: the parity pair and the encrypted-database examples.
 
-def _parity_ctx() -> VarContext:
-    return VarContext.of(("n", range(4)), ("b", range(2)))
-
-
-register_witness(
-    lambda ctx: ctx == _parity_ctx(),
-    lambda ctx: embed(Predicate.from_function(ctx, lambda s: 1 if (s[0] + s[1]) % 2 == 0 else 0)),
-)
-
-
-def _encdb_ctx() -> VarContext:
-    arrays = (("a", "b", "c", "a"), ("a", "b", "a", "c"))
-    return VarContext.of(("x", ("a", "b", "c")), ("U", arrays), ("r", range(2)), ("v", (2, 3)))
-
-
-register_witness(
-    lambda ctx: ctx == _encdb_ctx(),
-    lambda ctx: embed(Predicate.from_function(ctx, lambda s: 1 if s[1][s[3]] != "c" else 0)),
+_WITNESSES: Tuple[Tuple[VarContext, Callable[[State], int]], ...] = (
+    (VarContext.of(("n", range(4)), ("b", range(2))),
+     lambda s: 1 if (s[0] + s[1]) % 2 == 0 else 0),
+    (VarContext.of(("x", ("a", "b", "c")),
+                   ("U", (("a", "b", "c", "a"), ("a", "b", "a", "c"))),
+                   ("r", range(2)), ("v", (2, 3))),
+     lambda s: 1 if s[1][s[3]] != "c" else 0),
 )

@@ -5,7 +5,17 @@ most 1, zero entries omitted).  A ``Transformer`` is an arbitrary
 nonnegative-rational matrix read contravariantly: it maps predicates over
 its ``dst`` context to predicates over its ``src`` context.  Every kernel
 dual is a transformer; so are the discard functional and the diagonal-copy
-dual used by the hidden-declaration semantics.
+dual used by the hidden-declaration semantics.  A `print` elaborates to a
+kernel too: a channel from states to the values it may show.
+
+Integer form.  Both classes store one form, as ``Predicate`` does: per row,
+its (column, weight) pairs with integer weights ``nums`` over one positive
+denominator ``den``, columns ascending, in lowest terms (the gcd of ``den``
+and every weight is 1).  Equal matrices over the same contexts have the
+same form.  ``from_ints`` builds it from integer rows and ``from_rows`` from
+``Fraction`` rows; ``rows``, the weights as ``Fraction``s, is derived on
+first read.  Products and tensors run on the integers, in one body each
+(``_product``, ``_tensor``) shared by both classes.
 """
 
 from __future__ import annotations
@@ -13,127 +23,178 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Dict, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contexts import ContextError, VarContext
 from .predicates import INF_NUM, Predicate
 
-Row = Tuple[Tuple[int, Fraction], ...]
-IntRows = Tuple[Tuple[Tuple[int, int], ...], ...]
+IntRow = Tuple[Tuple[int, int], ...]
+IntRows = Tuple[IntRow, ...]
 
 
-def _int_form(rows: Tuple[Row, ...]) -> Tuple[int, IntRows, Optional[Tuple[int, ...]]]:
-    """The weights as integers over one common denominator, zeros dropped.
-
-    The third part lists each row's only column when every row is a single
-    weight 1 (deterministic assignments, unvar); else it is None.
-    """
-    den = lcm(*{w.denominator for row in rows for _, w in row})
-    int_rows = tuple(tuple((j, w.numerator * (den // w.denominator)) for j, w in row if w)
-                     for row in rows)
-    copies = None
-    if den == 1 and all(len(row) == 1 and row[0][1] == 1 for row in int_rows):
-        copies = tuple(row[0][0] for row in int_rows)
-    return den, int_rows, copies
+def _lowest(den: int, rows: Sequence[Dict[int, int]]) -> Tuple[int, IntRows]:
+    """``rows / den`` in lowest terms, each row's columns ascending."""
+    g = gcd(den, *(w for row in rows for w in row.values()))
+    if g > 1:
+        return den // g, tuple(tuple(sorted((j, w // g) for j, w in row.items())) for row in rows)
+    return den, tuple(tuple(sorted(row.items())) for row in rows)
 
 
-def _freeze_rows(rows: Sequence[Dict[int, Fraction]]) -> Tuple[Row, ...]:
-    return tuple(tuple(sorted(r.items())) for r in rows)
+def _over_one_den(rows: Sequence[Dict[int, Fraction]]) -> Tuple[int, List[Dict[int, int]]]:
+    """Rational rows as integer rows over the lcm of their denominators."""
+    den = lcm(*{w.denominator for row in rows for w in row.values()})
+    return den, [{j: w.numerator * (den // w.denominator) for j, w in row.items()}
+                 for row in rows]
+
+
+def _fraction_rows(den: int, rows: IntRows) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
+    return tuple(tuple((j, Fraction(w, den)) for j, w in row) for row in rows)
+
+
+def _product(a, b) -> Tuple[int, List[Dict[int, int]]]:
+    """The matrix product ``a @ b`` as integer rows over ``a.den * b.den``."""
+    if a.dst != b.src:
+        raise ContextError(f"{type(a).__name__.lower()} composition context mismatch")
+    other = b.nums
+    rows = []
+    for row in a.nums:
+        acc: Dict[int, int] = {}
+        for mid, w in row:
+            for j, w2 in other[mid]:
+                acc[j] = acc.get(j, 0) + w * w2
+        rows.append(acc)
+    return a.den * b.den, rows
+
+
+def _tensor(a, b) -> Tuple[VarContext, VarContext, int, List[Dict[int, int]]]:
+    """The product matrix on merged (disjoint) contexts, as integer rows."""
+    n2 = b.dst.n_states
+    rows = [{j1 * n2 + j2: w1 * w2 for j1, w1 in r1 for j2, w2 in r2}
+            for r1 in a.nums for r2 in b.nums]
+    return a.src.merge(b.src), a.dst.merge(b.dst), a.den * b.den, rows
 
 
 @dataclass(frozen=True)
 class Kernel:
+    """Sub-stochastic matrix src -> dst in integer form.
+
+    The constructor takes a form already in lowest terms; ``from_ints``
+    and ``from_rows`` reduce theirs.
+    """
+
     src: VarContext
     dst: VarContext
-    rows: Tuple[Row, ...]
+    den: int
+    nums: IntRows
 
     def __post_init__(self):
-        if len(self.rows) != self.src.n_states:
+        if len(self.nums) != self.src.n_states:
             raise ContextError("kernel row count mismatch")
-        den, int_rows, _ = self.int_rows
-        for row, int_row in zip(self.rows, int_rows):
-            if len(int_row) < len(row) or any(p < 0 for _, p in int_row):
-                raise ValueError("kernel entries must be strictly positive")
-            total = sum(p for _, p in int_row)
+        den = self.den
+        for row in self.nums:
+            total = 0
+            for _, p in row:
+                if p <= 0:
+                    raise ValueError("kernel entries must be strictly positive")
+                total += p
             if total > den:
                 raise ValueError(f"kernel row sum {Fraction(total, den)} exceeds 1")
 
-    # The weights as integers over one denominator (``_int_form``): the row
-    # checks above and the forward oracle's steps run on them.
-    int_rows = cached_property(lambda self: _int_form(self.rows))
+    rows = cached_property(lambda self: _fraction_rows(self.den, self.nums))
+
+    @cached_property
+    def columns(self) -> Tuple[IntRow, ...]:
+        """The transpose: per ``dst`` state, its (``src`` state, weight) pairs."""
+        cols: List[List[Tuple[int, int]]] = [[] for _ in range(self.dst.n_states)]
+        for i, row in enumerate(self.nums):
+            for j, w in row:
+                cols[j].append((i, w))
+        return tuple(map(tuple, cols))
 
     @staticmethod
-    def from_rows(src: VarContext, dst: VarContext, rows: Sequence[Dict[int, Fraction]]) -> "Kernel":
-        return Kernel(src, dst, _freeze_rows(rows))
+    def from_ints(src: VarContext, dst: VarContext, den: int,
+                  rows: Sequence[Dict[int, int]]) -> "Kernel":
+        """The kernel with weights rows[i][j] / den."""
+        return Kernel(src, dst, *_lowest(den, rows))
+
+    @staticmethod
+    def from_rows(src: VarContext, dst: VarContext,
+                  rows: Sequence[Dict[int, Fraction]]) -> "Kernel":
+        return Kernel.from_ints(src, dst, *_over_one_den(rows))
 
     @staticmethod
     def identity(ctx: VarContext) -> "Kernel":
-        return Kernel(ctx, ctx, tuple(((i, Fraction(1)),) for i in range(ctx.n_states)))
+        return Kernel(ctx, ctx, 1, tuple(((i, 1),) for i in range(ctx.n_states)))
 
     @property
     def is_total(self) -> bool:
-        return all(sum(w for _, w in row) == 1 for row in self.rows)
+        return all(sum(w for _, w in row) == self.den for row in self.nums)
 
     def dual(self) -> "Transformer":
-        return Transformer(self.src, self.dst, self.rows)
+        return Transformer(self.src, self.dst, self.den, self.nums)
 
     def dual_apply(self, e: Predicate) -> Predicate:
         return self.dual().apply(e)
 
     def compose(self, other: "Kernel") -> "Kernel":
         """Forward composition: run self, then other (src -> other.dst)."""
-        if self.dst != other.src:
-            raise ContextError("kernel composition context mismatch")
-        rows = []
-        for row in self.rows:
-            acc: Dict[int, Fraction] = {}
-            for mid, w in row:
-                for out, w2 in other.rows[mid]:
-                    acc[out] = acc.get(out, Fraction(0)) + w * w2
-            rows.append({k: v for k, v in acc.items() if v})
-        return Kernel.from_rows(self.src, other.dst, rows)
+        return Kernel.from_ints(self.src, other.dst, *_product(self, other))
 
     def tensor(self, other: "Kernel") -> "Kernel":
         """Product kernel on merged (disjoint) contexts."""
-        src = self.src.merge(other.src)
-        dst = self.dst.merge(other.dst)
-        n2 = other.dst.n_states
-        rows = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                rows.append({j1 * n2 + j2: w1 * w2 for j1, w1 in r1 for j2, w2 in r2})
-        return Kernel.from_rows(src, dst, rows)
+        return Kernel.from_ints(*_tensor(self, other))
 
 
 def diag_kernel(ctx: VarContext) -> Kernel:
     """Point mass at (y, y): a kernel from ctx to ctx x fresh copy."""
     copy = VarContext(tuple((n + "$", d) for n, d in ctx.vars))
-    dst = ctx.merge(copy)
     n = ctx.n_states
-    rows = tuple(((i * n + i, Fraction(1)),) for i in range(n))
-    return Kernel(ctx, dst, rows)
+    return Kernel(ctx, ctx.merge(copy), 1, tuple(((i * n + i, 1),) for i in range(n)))
 
 
 @dataclass(frozen=True)
 class Transformer:
-    """Linear predicate transformer Pred(dst) -> Pred(src) as a matrix."""
+    """Linear predicate transformer Pred(dst) -> Pred(src) as a matrix.
+
+    The integer form is as for ``Kernel``; ``from_rows`` drops zero weights.
+    """
 
     src: VarContext
     dst: VarContext
-    rows: Tuple[Row, ...]
+    den: int
+    nums: IntRows
 
     def __post_init__(self):
-        if len(self.rows) != self.src.n_states:
+        if len(self.nums) != self.src.n_states:
             raise ContextError("transformer row count mismatch")
+
+    rows = cached_property(lambda self: _fraction_rows(self.den, self.nums))
+
+    @cached_property
+    def copies(self) -> Optional[Tuple[int, ...]]:
+        """Each row's only column when every row is a single weight 1, else None.
+
+        Deterministic assignments and unvar are such; ``apply`` copies entries.
+        """
+        if self.den == 1 and all(len(row) == 1 and row[0][1] == 1 for row in self.nums):
+            return tuple(row[0][0] for row in self.nums)
+        return None
+
+    @staticmethod
+    def from_ints(src: VarContext, dst: VarContext, den: int,
+                  rows: Sequence[Dict[int, int]]) -> "Transformer":
+        """The transformer with weights rows[i][j] / den."""
+        return Transformer(src, dst, *_lowest(den, rows))
 
     @staticmethod
     def from_rows(src, dst, rows) -> "Transformer":
-        return Transformer(src, dst, _freeze_rows(rows))
+        return Transformer.from_ints(
+            src, dst, *_over_one_den([{j: w for j, w in row.items() if w} for row in rows]))
 
     @staticmethod
     def identity(ctx: VarContext) -> "Transformer":
-        return Transformer(ctx, ctx, tuple(((i, Fraction(1)),) for i in range(ctx.n_states)))
+        return Transformer(ctx, ctx, 1, tuple(((i, 1),) for i in range(ctx.n_states)))
 
     @staticmethod
     def ones(ctx: VarContext) -> "Transformer":
@@ -144,16 +205,12 @@ class Transformer:
         """
         from .contexts import EMPTY
 
-        rows = tuple(((0, Fraction(1)),) for _ in range(ctx.n_states))
-        return Transformer(ctx, EMPTY, rows)
-
-    int_rows = cached_property(lambda self: _int_form(self.rows))
+        return Transformer(ctx, EMPTY, 1, (((0, 1),),) * ctx.n_states)
 
     def apply(self, e: Predicate) -> Predicate:
         if e.ctx != self.dst:
             raise ContextError("transformer applied to wrong context")
-        den, rows, copies = self.int_rows
-        nums = e.nums
+        rows, nums, copies = self.nums, e.nums, self.copies
         if copies is not None:
             return Predicate.from_ints(self.src, e.den, list(map(nums.__getitem__, copies)))
         if INF_NUM in nums:
@@ -162,7 +219,7 @@ class Transformer:
                    else sum(nums[j] * w for j, w in row) for row in rows]
         else:
             out = [sum(nums[j] * w for j, w in row) for row in rows]
-        return Predicate.from_ints(self.src, den * e.den, out)
+        return Predicate.from_ints(self.src, self.den * e.den, out)
 
     def compose(self, other: "Transformer") -> "Transformer":
         """Function composition self . other (other is applied first).
@@ -170,34 +227,17 @@ class Transformer:
         As matrices this is the product self @ other, giving a transformer
         from other.dst predicates to self.src predicates.
         """
-        if self.dst != other.src:
-            raise ContextError("transformer composition context mismatch")
-        rows = []
-        for row in self.rows:
-            acc: Dict[int, Fraction] = {}
-            for mid, w in row:
-                for j, w2 in other.rows[mid]:
-                    acc[j] = acc.get(j, Fraction(0)) + w * w2
-            rows.append({k: v for k, v in acc.items() if v})
-        return Transformer.from_rows(self.src, other.dst, rows)
+        return Transformer.from_ints(self.src, other.dst, *_product(self, other))
 
     def tensor(self, other: "Transformer") -> "Transformer":
-        src = self.src.merge(other.src)
-        dst = self.dst.merge(other.dst)
-        n2 = other.dst.n_states
-        rows = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                rows.append({j1 * n2 + j2: w1 * w2 for j1, w1 in r1 for j2, w2 in r2})
-        return Transformer.from_rows(src, dst, rows)
+        return Transformer.from_ints(*_tensor(self, other))
 
     @property
     def is_partial(self) -> bool:
         """Row sums at most 1, i.e. maps the all-ones predicate below 1."""
-        return all(sum(w for _, w in row) <= 1 for row in self.rows)
+        return all(sum(w for _, w in row) <= self.den for row in self.nums)
 
 
 def diag_dual(ctx: VarContext) -> Transformer:
     """Dual of the diagonal copy map: e(y, y') restricted to y' = y."""
-    k = diag_kernel(ctx)
-    return k.dual()
+    return diag_kernel(ctx).dual()

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
 from .contexts import ContextError, VarContext, Value, fmt_value
-from .exprs import Bin, EvalError, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
+from .exprs import BIN_PREC, Bin, EvalError, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
 from .predicates import Predicate
 from .scalars import INF, Scalar, scalar
 from .syntax import (
@@ -379,13 +379,6 @@ class Parser:
 
     # --------------------------------------------------------- expressions
 
-    _BIN_PREC = {
-        "||": 1, "xor": 2, "&&": 3,
-        "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-        "+": 5, "-": 5,
-        "*": 6, "div": 6, "mod": 6, "/": 6,
-    }
-
     def parse_expr(self) -> Expr:
         return self._parse_binary(1)
 
@@ -394,7 +387,7 @@ class Parser:
         left = self._parse_unary()
         while True:
             tok = self.tokens[self.pos]
-            prec = self._BIN_PREC.get(tok.text)  # eof, with text "", is no operator
+            prec = BIN_PREC.get(tok.text)  # eof, with text "", is no operator
             if prec is None or prec < min_prec:
                 self._end_chain(outer)
                 return left

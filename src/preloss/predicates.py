@@ -18,7 +18,9 @@ Fraction entries.  ``entries``, a tuple of ``Fraction``s and ``INF``, is
 derived from the integer form on first use and cached.  A predicate built
 with ``Predicate(ctx, entries)`` (parsing, expressions, families) keeps its
 entries and derives the integer form on first use instead.  The forward
-oracle (``adversary.py``) reads the integer form of guards and losses.
+oracle (``adversary.py``) reads the integer form of guards and losses, and
+that of kernels: ``Kernel`` and ``Transformer`` keep their weights in the
+same form, per row over one denominator in lowest terms.
 ``Fraction``s are built only at the edges: printing (``table``, ``repr``,
 ``sort_token``), ``at``, ``expectation`` and so ``eval_loss``.
 

@@ -194,29 +194,7 @@ def check_forward_simulation(
     context extension.  Holds certifies the data refinement to the
     family's strength.
     """
-    _check_signature(d_abstract, d_concrete)
-    validate_datatype(d_abstract)
-    validate_datatype(d_concrete)
-    rep = _typecheck_rep(rep, d_abstract.encap, d_concrete.encap, "forward")
-    shared = d_abstract.shared
-    working_a = shared.merge(d_abstract.encap)
-
-    squares = [
-        _square("init", _seq(d_abstract.init, rep), _seq(d_concrete.init),
-                shared, family, loop_budget)
-    ]
-    for name, op_a in d_abstract.ops:
-        op_c = d_concrete.op(name)
-        squares.append(
-            _square(f"op {name}", _seq(op_a, rep), _seq(rep, op_c),
-                    working_a, family, loop_budget))
-    squares.append(
-        _square("final", _seq(d_abstract.final), _seq(rep, d_concrete.final),
-                working_a, family, loop_budget))
-
-    return _gate_verdict(squares, classify_hidden(rep),
-                         "rep is not hidden (contains if/while/print); the "
-                         "forward simulation rule does not apply")
+    return _check_simulation(d_abstract, d_concrete, rep, family, loop_budget, forward=True)
 
 
 def check_backward_simulation(
@@ -231,26 +209,46 @@ def check_backward_simulation(
     Squares: init_A <= init_C ; rep, rep ; op_A <= op_C ; rep for every
     operation, and rep ; final_A <= final_C.
     """
+    return _check_simulation(d_abstract, d_concrete, rep, family, loop_budget, forward=False)
+
+
+def _check_simulation(d_abstract: Datatype, d_concrete: Datatype, rep: Program,
+                      family: FamilyLike, loop_budget: int, forward: bool) -> Verdict:
+    """The three squares of either simulation, then its healthiness gate.
+
+    ``rep`` maps the encapsulated state of the side it follows (abstract
+    for forward, concrete for backward) to that of the side it precedes.
+    """
     _check_signature(d_abstract, d_concrete)
     validate_datatype(d_abstract)
     validate_datatype(d_concrete)
-    rep = _typecheck_rep(rep, d_concrete.encap, d_abstract.encap, "backward")
+    source, target = d_abstract.encap, d_concrete.encap
+    if not forward:
+        source, target = target, source
+    rep = _typecheck_rep(rep, source, target, "forward" if forward else "backward")
     shared = d_abstract.shared
-    working_c = shared.merge(d_concrete.encap)
+    working = shared.merge(source)
 
-    squares = [
-        _square("init", _seq(d_abstract.init), _seq(d_concrete.init, rep),
-                shared, family, loop_budget)
-    ]
+    def side(prog: Program, stage: str, rep_follows: bool) -> Program:
+        # Nothing runs before init or after final.
+        if rep_follows:
+            return _seq(prog) if stage == "final" else _seq(prog, rep)
+        return _seq(prog) if stage == "init" else _seq(rep, prog)
+
+    def square(name: str, stage: str, prog_a: Program, prog_c: Program,
+               pre: VarContext) -> SquareResult:
+        return _square(name, side(prog_a, stage, forward), side(prog_c, stage, not forward),
+                       pre, family, loop_budget)
+
+    squares = [square("init", "init", d_abstract.init, d_concrete.init, shared)]
     for name, op_a in d_abstract.ops:
-        op_c = d_concrete.op(name)
-        squares.append(
-            _square(f"op {name}", _seq(rep, op_a), _seq(op_c, rep),
-                    working_c, family, loop_budget))
-    squares.append(
-        _square("final", _seq(rep, d_abstract.final), _seq(d_concrete.final),
-                working_c, family, loop_budget))
+        squares.append(square(f"op {name}", "op", op_a, d_concrete.op(name), working))
+    squares.append(square("final", "final", d_abstract.final, d_concrete.final, working))
 
+    if forward:
+        return _gate_verdict(squares, classify_hidden(rep),
+                             "rep is not hidden (contains if/while/print); the "
+                             "forward simulation rule does not apply")
     return _gate_verdict(squares, classify_choiceless(rep),
                          "rep is not choiceless (contains nondeterministic "
                          "choice); the backward simulation rule does not apply")

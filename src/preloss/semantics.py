@@ -16,7 +16,6 @@ budget is hit; truncation is always surfaced as an under-approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -129,8 +128,8 @@ def _assign_tf(s: Assign, z: VarContext) -> Transformer:
     """f-dual tensored with the identity on the extension.
 
     Kept on the statement per extension, like ``_hidvar_tf``: every ``wpl``
-    run over the same statement gets the same transformer, so its integer
-    rows are built once, and equal kernels are never compared.
+    run over the same statement gets the same transformer, so its rows and
+    copy map are built once, and equal kernels are never compared.
     """
     return s.meta.derived(("tf", z), lambda: _build_assign_tf(s.meta.kernel, z))
 
@@ -140,11 +139,11 @@ def _build_assign_tf(kernel: Kernel, z: VarContext) -> Transformer:
         return kernel.dual()
     zn = z.n_states
     src = kernel.src.merge(z)
-    rows = []
-    for row in kernel.rows:
-        for zi in range(zn):
-            rows.append({j * zn + zi: w for j, w in row})
-    return Transformer.from_rows(src, src, rows)
+    # The kernel's weights, each row repeated per extension state: still in
+    # lowest terms, and the columns stay ascending.
+    rows = tuple(tuple((j * zn + zi, w) for j, w in row)
+                 for row in kernel.nums for zi in range(zn))
+    return Transformer(src, src, kernel.den, rows)
 
 
 def _hidvar_tf(s: HidVar, z: VarContext) -> Transformer:
@@ -161,24 +160,23 @@ def _build_declare_tf(s: HidVar, z: VarContext) -> Transformer:
     kernel = s.meta.kernel
     d = kernel.dst.n_states
     zn = z.n_states
-    rows = []
-    for y in range(kernel.src.n_states):
-        base = kernel.rows[y]
-        for zi in range(zn):
-            rows.append({(y * d + x) * zn + zi: w for x, w in base})
-    return Transformer.from_rows(_working(s.meta.pre, z), _working(s.meta.post, z), rows)
+    # As in ``_build_assign_tf``, the kernel's rows repeated: in lowest terms.
+    rows = tuple(tuple(((y * d + x) * zn + zi, w) for x, w in base)
+                 for y, base in enumerate(kernel.nums) for zi in range(zn))
+    return Transformer(_working(s.meta.pre, z), _working(s.meta.post, z), kernel.den, rows)
 
 
 def _wpl_print(s: Print, E: LossFunction, z) -> LossFunction:
+    """Sum over the shown values of (probability of the value) * E."""
     working = _working(s.meta.pre, z)
-    den, columns = s.meta.obs.int_columns
+    kernel = s.meta.kernel
     n = s.meta.pre.n_states
     total: Optional[LossFunction] = None
-    for column in columns:
+    for column in kernel.columns:
         nums = [0] * n
         for state, w in column:
             nums[state] = w
-        p = Predicate.from_ints(s.meta.pre, den, nums)
+        p = Predicate.from_ints(s.meta.pre, kernel.den, nums)
         if p.is_zero:
             continue
         term = loss_conj(p.extend_to(working), E)
@@ -256,10 +254,9 @@ def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transfo
             t = _unvar_tf(s, z)
         elif isinstance(s, Assert):
             working = _working(s.meta.pre, z)
-            guard = s.meta.guard.extend_to(working)
-            rows = [({i: guard.entries[i]} if guard.entries[i] != 0 else {})
-                    for i in range(working.n_states)]
-            t = Transformer.from_rows(working, working, rows)
+            guard = s.meta.guard.extend_to(working)  # in lowest terms, no INF
+            t = Transformer(working, working, guard.den,
+                            tuple(((i, n),) if n else () for i, n in enumerate(guard.nums)))
         else:
             return None
         acc = t if acc is None else acc.compose(t)
@@ -273,5 +270,4 @@ def _unvar_tf(s: Unvar, z: VarContext) -> Transformer:
     """Dual of the deterministic discard: cylinder extension of predicates."""
     pre_w = _working(s.meta.pre, z)
     post_w = _working(s.meta.post, z)
-    rows = [{j: Fraction(1)} for j in post_w.projection(pre_w)]
-    return Transformer.from_rows(pre_w, post_w, rows)
+    return Transformer(pre_w, post_w, 1, tuple(((j, 1),) for j in post_w.projection(pre_w)))

@@ -23,7 +23,7 @@ class Meta:
     typechecking a node again empties it.
     """
 
-    __slots__ = ("pos", "pre", "post", "kernel", "guard", "obs", "label", "cache")
+    __slots__ = ("pos", "pre", "post", "kernel", "guard", "label", "cache")
 
     def __init__(self):
         for name in self.__slots__:

@@ -8,7 +8,9 @@ every expression is evaluated at every state up front: all type errors
 expression is compiled once per context (``exprs.compile_expr``); a
 statement's branch weights are summed as integers over their common
 denominator, and an assignment finds its target states by index
-arithmetic on the context's strides.
+arithmetic on the context's strides.  Kernels are built in their integer
+form (``Kernel.from_ints``).  A `print` elaborates, like a `hidvar`, to a
+kernel onto one variable: the values it may show, in first-met order.
 
 Classifiers and inlining visit statements with ``syntax.walk``.  Inlining
 edits one copy of the datatype and one of the context body in place,
@@ -19,9 +21,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,24 +40,6 @@ class TypecheckError(ValueError):
             message = f"{pos[0]}:{pos[1]}: {message}"
         super().__init__(message)
         self.pos = pos
-
-
-@dataclass(frozen=True)
-class ObsKernel:
-    """Observation emitter for print: per state, (value index, weight) pairs."""
-
-    values: Tuple[Value, ...]
-    rows: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
-
-    @cached_property
-    def int_columns(self) -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]]:
-        """Per value, its (state, weight) pairs, as integers over one denominator."""
-        den = lcm(*{w.denominator for row in self.rows for _, w in row})
-        cols: List[List[Tuple[int, int]]] = [[] for _ in self.values]
-        for state, row in enumerate(self.rows):
-            for idx, w in row:
-                cols[idx].append((state, w.numerator * (den // w.denominator)))
-        return den, tuple(map(tuple, cols))
 
 
 def clone(node):
@@ -116,16 +98,6 @@ def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> Tuple[int, List[List[Tupl
     return den, rows
 
 
-def _fractions(den: int, weights) -> Dict[int, Fraction]:
-    """``n -> Fraction(n, den)`` for the given weights, one per distinct weight."""
-    return {n: Fraction(n, den) for n in set(weights)}
-
-
-def _kernel(src: VarContext, dst: VarContext, den: int, rows: List[Dict[int, int]]) -> Kernel:
-    fraction = _fractions(den, (n for row in rows for n in row.values()))
-    return Kernel.from_rows(src, dst, [{j: fraction[n] for j, n in row.items()} for row in rows])
-
-
 def _kernel_of_assign(ctx: VarContext, targets: Tuple[str, ...], dist: DistExpr, pos) -> Kernel:
     # A state's index is the sum over variables of value index times stride,
     # as in ``VarContext.index_of``: per target, the offset of each value in
@@ -161,13 +133,17 @@ def _kernel_of_assign(ctx: VarContext, targets: Tuple[str, ...], dist: DistExpr,
             else:
                 row[idx] = row.get(idx, 0) + w
         rows.append(row)
-    return _kernel(ctx, ctx, den, rows)
+    return Kernel.from_ints(ctx, ctx, den, rows)
 
 
-def _kernel_of_hidvar(ctx: VarContext, domain: Tuple[Value, ...], dist: DistExpr, pos) -> Kernel:
+def _kernel_of_hidvar(ctx: VarContext, domain: Tuple[Value, ...], den: int,
+                      outcome_rows: List[List[Tuple[Value, int]]]) -> Kernel:
+    """The kernel from ``ctx`` to one variable over ``domain``, from ``eval_dist`` outcomes.
+
+    A `print` is such a kernel too, over the values it may show.
+    """
     target = VarContext((("_new", domain),))
     index = {v: i for i, v in enumerate(domain)}
-    den, outcome_rows = eval_dist(dist, ctx, pos)
     rows = []
     for outcomes in outcome_rows:
         row: Dict[int, int] = {}
@@ -177,36 +153,13 @@ def _kernel_of_hidvar(ctx: VarContext, domain: Tuple[Value, ...], dist: DistExpr
                 continue  # outside the declared domain: abort mass
             row[idx] = row.get(idx, 0) + w
         rows.append(row)
-    return _kernel(ctx, target, den, rows)
+    return Kernel.from_ints(ctx, target, den, rows)
 
 
-def _obs_of_print(ctx: VarContext, dist: DistExpr, pos) -> ObsKernel:
-    values: List[Value] = []
-    index: Dict[Value, int] = {}
-    den, outcome_rows = eval_dist(dist, ctx, pos)
-    fraction = _fractions(den, (w for outcomes in outcome_rows for _, w in outcomes))
-    rows = []
-    for outcomes in outcome_rows:
-        row = []
-        for value, w in outcomes:
-            if value not in index:
-                index[value] = len(values)
-                values.append(value)
-            row.append((index[value], fraction[w]))
-        rows.append(tuple(row))
-    return ObsKernel(tuple(values), tuple(rows))
-
-
-def _infer_domain(s: HidVar, ctx: VarContext) -> Tuple[Value, ...]:
-    dists = s.domain_hint if s.domain_hint is not None else (s.dist,)
-    seen: Dict[Value, None] = {}
-    for d in dists:
-        for outcomes in eval_dist(d, ctx, s.meta.pos)[1]:
-            for value, _ in outcomes:
-                seen.setdefault(value)
-    if not seen:
-        raise TypecheckError(f"cannot infer a domain for {s.name!r}", s.meta.pos)
-    return tuple(seen)
+def _infer_domain(outcome_lists: Sequence[List[List[Tuple[Value, int]]]]) -> Tuple[Value, ...]:
+    """Every value in the ``eval_dist`` outcome rows, in first-met order."""
+    return tuple(dict.fromkeys(value for outcome_rows in outcome_lists
+                               for outcomes in outcome_rows for value, _ in outcomes))
 
 
 # ----------------------------------------------------------------- programs
@@ -254,8 +207,15 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
     elif isinstance(s, HidVar):
         if s.name in pre:
             raise TypecheckError(f"hidvar re-declares {s.name!r}", pos)
-        domain = s.domain if s.domain is not None else _infer_domain(s, pre)
-        s.meta.kernel = _kernel_of_hidvar(pre, domain, s.dist, pos)
+        domain = s.domain
+        if domain is None and s.domain_hint is not None:
+            domain = _infer_domain([eval_dist(d, pre, pos)[1] for d in s.domain_hint])
+        den, outcome_rows = eval_dist(s.dist, pre, pos)
+        if domain is None:
+            domain = _infer_domain([outcome_rows])
+        if not domain:
+            raise TypecheckError(f"cannot infer a domain for {s.name!r}", pos)
+        s.meta.kernel = _kernel_of_hidvar(pre, domain, den, outcome_rows)
         post = pre.append(s.name, domain)
     elif isinstance(s, Unvar):
         if s.name not in pre:
@@ -279,7 +239,8 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
                 f"while body must preserve its context, got [{body_post.pretty()}]", pos)
         post = pre
     elif isinstance(s, Print):
-        s.meta.obs = _obs_of_print(pre, s.dist, pos)
+        den, outcome_rows = eval_dist(s.dist, pre, pos)
+        s.meta.kernel = _kernel_of_hidvar(pre, _infer_domain([outcome_rows]), den, outcome_rows)
         post = pre
     elif isinstance(s, Assert):
         s.meta.guard = _guard_pred(s.guard, pre, pos)

@@ -224,13 +224,13 @@ def _ref_walk(cont, mu, history, leaf, choose):
     if isinstance(s, Abort):
         return ZERO
     if isinstance(s, Print):
-        obs = s.meta.obs
+        k = s.meta.kernel
         total = ZERO
-        for w_idx, value in enumerate(obs.values):
+        for w_idx, value in enumerate(k.dst.vars[0][1]):
             split = [Fraction(0)] * len(mu)
             for j, w in enumerate(mu):
                 if w:
-                    for idx, p in obs.rows[j]:
+                    for idx, p in k.rows[j]:
                         if idx == w_idx:
                             split[j] += w * p
             total = total + _ref_walk(rest, split, history + (("print", s.meta.label, value),),

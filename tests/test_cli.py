@@ -238,6 +238,26 @@ def test_env_var_loop_budget_not_an_integer(capsys, tmp_path, monkeypatch):
     assert err == "error: PRELOSS_LOOP_BUDGET must be an integer, got 'abc'\n"
 
 
+def test_bad_family_values_exit_2_naming_the_option(capsys, tmp_path):
+    prog = tmp_path / "a.prog"
+    prog.write_text("vars:\n b : {0,1}\nbody:\n print b")
+    cases = {
+        "k=x": "error: family option 'k' needs a nonnegative integer, got 'x'\n",
+        "max_subset=-1": "error: family option 'max_subset' needs a nonnegative integer, "
+                         "got '-1'\n",
+        "random=-3": "error: family option 'random' needs a nonnegative integer, got '-3'\n",
+        "seed=1.5": "error: family option 'seed' needs an integer, got '1.5'\n",
+        "witnesses=maybe": "error: family option 'witnesses' needs one of "
+                           "on/off/1/0/true/false, got 'maybe'\n",
+    }
+    for spec, message in cases.items():
+        code, out, err = run(capsys, "refine", str(prog), str(prog), "--family", spec)
+        assert (code, out, err) == (2, "", message), spec
+    for spec in ("k=0,random=0,witnesses=off", "seed=-7,witnesses=true", "witnesses=1"):
+        code, _, err = run(capsys, "refine", str(prog), str(prog), "--family", spec)
+        assert code == 0, (spec, err)
+
+
 def test_wpl_with_extension_context(capsys, tmp_path):
     prog = tmp_path / "p.prog"
     prog.write_text("vars:\n b : {0,1}\nbody:\n print b")

@@ -34,7 +34,7 @@ from preloss.parsing import ParseError, lex, parse_program_file
 from preloss.predicates import Predicate
 from preloss.scalars import scalar
 from preloss.syntax import Assert, Assign, HidVar, If, Print, While, walk
-from preloss.typecheck import ObsKernel, typecheck_program
+from preloss.typecheck import typecheck_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -398,17 +398,17 @@ def _reference_hidvar(ctx, domain, dist) -> Kernel:
     return Kernel.from_rows(ctx, target, rows)
 
 
-def _reference_obs(ctx, dist) -> ObsKernel:
+def _reference_obs(ctx, dist) -> Kernel:
     values, index, rows = [], {}, []
     for outcomes in _reference_eval_dist(dist, ctx):
-        row = []
+        row = {}
         for value, w in outcomes:
             if value not in index:
                 index[value] = len(values)
                 values.append(value)
-            row.append((index[value], w))
-        rows.append(tuple(row))
-    return ObsKernel(tuple(values), tuple(rows))
+            row[index[value]] = w
+        rows.append(row)
+    return Kernel.from_rows(ctx, VarContext((("_new", tuple(values)),)), rows)
 
 
 def _reference_guard(ctx, expr) -> Predicate:
@@ -426,7 +426,7 @@ def _check_elaboration(prog, counts: Dict[str, int]) -> None:
             assert s.meta.kernel == _reference_hidvar(pre, domain, s.dist)
             counts["kernels"] += 1
         elif isinstance(s, Print):
-            assert s.meta.obs == _reference_obs(pre, s.dist)
+            assert s.meta.kernel == _reference_obs(pre, s.dist)
             counts["observations"] += 1
         elif isinstance(s, (If, While, Assert)):
             assert s.meta.guard == _reference_guard(pre, s.guard)
