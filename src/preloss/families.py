@@ -104,7 +104,7 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
 
     def push(loss: LossFunction, provenance: str):
         loss = loss_canonicalize(loss)
-        key = tuple(sorted(g.sort_token() for g in loss.gens))
+        key = frozenset((g.den, g.nums) for g in loss.gens)
         if key in seen:
             return
         seen.add(key)

@@ -16,6 +16,10 @@ same form.  ``from_ints`` builds it from integer rows and ``from_rows`` from
 ``Fraction`` rows; ``rows``, the weights as ``Fraction``s, is derived on
 first read.  Products and tensors run on the integers, in one body each
 (``_product``, ``_tensor``) shared by both classes.
+
+``Transformer.apply`` runs on the matrix's ELLPACK form (``plan``, built
+once): per slot, one C-level gather, scale and add over all rows, so
+copies, partial copies and kernel duals take no Python step per entry.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add, itemgetter, mul
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .contexts import ContextError, VarContext
 from .predicates import INF_NUM, Predicate
@@ -127,10 +132,6 @@ class Kernel:
     def identity(ctx: VarContext) -> "Kernel":
         return Kernel(ctx, ctx, 1, tuple(((i, 1),) for i in range(ctx.n_states)))
 
-    @property
-    def is_total(self) -> bool:
-        return all(sum(w for _, w in row) == self.den for row in self.nums)
-
     def dual(self) -> "Transformer":
         return Transformer(self.src, self.dst, self.den, self.nums)
 
@@ -172,14 +173,24 @@ class Transformer:
     rows = cached_property(lambda self: _fraction_rows(self.den, self.nums))
 
     @cached_property
-    def copies(self) -> Optional[Tuple[int, ...]]:
-        """Each row's only column when every row is a single weight 1, else None.
+    def plan(self) -> Tuple[Tuple[Callable, Union[int, Tuple[int, ...]]], ...]:
+        """Per slot k, ``read`` and ``weights``, the slot's part of ``apply``.
 
-        Deterministic assignments and unvar are such; ``apply`` copies entries.
+        ``read`` takes each row's k-th column from the input padded with one
+        0, at index ``dst.n_states`` for rows shorter than k + 1.  ``weights``
+        is one int when the slot's weights are equal, else one per row.
         """
-        if self.den == 1 and all(len(row) == 1 and row[0][1] == 1 for row in self.nums):
-            return tuple(row[0][0] for row in self.nums)
-        return None
+        pad = self.dst.n_states
+        slots = []
+        for k in range(max(map(len, self.nums), default=0)):
+            cells = [row[k] if k < len(row) else None for row in self.nums]
+            first = next(cell[1] for cell in cells if cell is not None)
+            columns = [pad if cell is None else cell[0] for cell in cells]
+            weights = tuple(first if cell is None else cell[1] for cell in cells)
+            read = (itemgetter(*columns) if len(columns) > 1    # else a 1-tuple slice
+                    else itemgetter(slice(columns[0], columns[0] + 1)))
+            slots.append((read, first if weights.count(first) == len(weights) else weights))
+        return tuple(slots)
 
     @staticmethod
     def from_ints(src: VarContext, dst: VarContext, den: int,
@@ -210,15 +221,22 @@ class Transformer:
     def apply(self, e: Predicate) -> Predicate:
         if e.ctx != self.dst:
             raise ContextError("transformer applied to wrong context")
-        rows, nums, copies = self.nums, e.nums, self.copies
-        if copies is not None:
-            return Predicate.from_ints(self.src, e.den, list(map(nums.__getitem__, copies)))
+        nums = e.nums
         if INF_NUM in nums:
             # Weights are positive, so a row reaching an INF entry is INF.
             out = [INF_NUM if any(nums[j] == INF_NUM for j, _ in row)
-                   else sum(nums[j] * w for j, w in row) for row in rows]
+                   else sum(nums[j] * w for j, w in row) for row in self.nums]
         else:
-            out = [sum(nums[j] * w for j, w in row) for row in rows]
+            padded = nums + (0,)
+            acc = None
+            for read, w in self.plan:
+                term = read(padded)
+                if type(w) is tuple:
+                    term = map(mul, term, w)
+                elif w != 1:
+                    term = map(w.__mul__, term)
+                acc = term if acc is None else map(add, acc, term)
+            out = (0,) * len(self.nums) if acc is None else tuple(acc)
         return Predicate.from_ints(self.src, self.den * e.den, out)
 
     def compose(self, other: "Transformer") -> "Transformer":
@@ -231,11 +249,6 @@ class Transformer:
 
     def tensor(self, other: "Transformer") -> "Transformer":
         return Transformer.from_ints(*_tensor(self, other))
-
-    @property
-    def is_partial(self) -> bool:
-        """Row sums at most 1, i.e. maps the all-ones predicate below 1."""
-        return all(sum(w for _, w in row) <= self.den for row in self.nums)
 
 
 def diag_dual(ctx: VarContext) -> Transformer:

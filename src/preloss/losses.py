@@ -139,8 +139,11 @@ def _prune(gens: Sequence[Predicate]) -> List[Predicate]:
     distinct = {}
     for g in gens:
         distinct.setdefault((g.den, g.nums), g)
+    if len(distinct) == 1:
+        return list(distinct.values())
     den = lcm(*{d for d, _ in distinct})
-    keys = {form: tuple(map((den // form[0]).__mul__, form[1])) for form in distinct}
+    keys = {form: form[1] if form[0] == den else tuple(map((den // form[0]).__mul__, form[1]))
+            for form in distinct}
     if any(INF_NUM in form[1] for form in distinct):
         top = 1 + max(max(k) for k in keys.values())
         keys = {form: tuple(top if n < 0 else n for n in k) for form, k in keys.items()}

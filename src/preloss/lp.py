@@ -160,10 +160,11 @@ def state_classes(vectors: Sequence[Sequence[int]]) -> List[int]:
     both.  The vectors are integer forms (``Predicate.nums``), each over its
     own denominator, so equal entries are equal integers and the columns
     hash as tuples of ints.  Every context has at least one state, so at
-    least one class comes back.
+    least one class comes back.  Filled from the last state back, the dict
+    keeps each class's first state.
     """
-    first = {}
-    return [x for x, col in enumerate(zip(*vectors)) if first.setdefault(col, x) == x]
+    cols = list(zip(*vectors))
+    return sorted(dict(zip(reversed(cols), range(len(cols) - 1, -1, -1))).values())
 
 
 def convex_cover(gens: Sequence[Sequence[int]], target: Sequence[int], den: int) -> CoverResult:

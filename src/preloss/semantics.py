@@ -129,7 +129,7 @@ def _assign_tf(s: Assign, z: VarContext) -> Transformer:
 
     Kept on the statement per extension, like ``_hidvar_tf``: every ``wpl``
     run over the same statement gets the same transformer, so its rows and
-    copy map are built once, and equal kernels are never compared.
+    ELLPACK plan are built once, and equal kernels are never compared.
     """
     return s.meta.derived(("tf", z), lambda: _build_assign_tf(s.meta.kernel, z))
 

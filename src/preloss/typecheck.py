@@ -176,21 +176,21 @@ def typecheck_program(
     checking a program context standalone; holes preserve the context).
     """
     counter = itertools.count()
-    post = _check_program(prog, initial, op_names, counter)
+    post = _check_program(prog, initial, op_names, counter, {})
     return post
 
 
-def _check_program(prog: Program, pre: VarContext, op_names, counter) -> VarContext:
+def _check_program(prog: Program, pre: VarContext, op_names, counter, hints) -> VarContext:
     prog.meta.pre = pre
     prog.meta.cache = None
     ctx = pre
     for s in prog.stmts:
-        ctx = _check_stmt(s, ctx, op_names, counter)
+        ctx = _check_stmt(s, ctx, op_names, counter, hints)
     prog.meta.post = ctx
     return ctx
 
 
-def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
+def _check_stmt(s: Stmt, pre: VarContext, op_names, counter, hints) -> VarContext:
     pos = s.meta.pos
     s.meta.pre = pre
     s.meta.cache = None
@@ -207,12 +207,11 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
     elif isinstance(s, HidVar):
         if s.name in pre:
             raise TypecheckError(f"hidvar re-declares {s.name!r}", pos)
-        domain = s.domain
-        if domain is None and s.domain_hint is not None:
-            domain = _infer_domain([eval_dist(d, pre, pos)[1] for d in s.domain_hint])
-        den, outcome_rows = eval_dist(s.dist, pre, pos)
-        if domain is None:
-            domain = _infer_domain([outcome_rows])
+        if s.domain is None and s.domain_hint is not None:
+            domain, den, outcome_rows = _shared_limb(s, pre, pos, hints)
+        else:
+            den, outcome_rows = eval_dist(s.dist, pre, pos)
+            domain = s.domain if s.domain is not None else _infer_domain([outcome_rows])
         if not domain:
             raise TypecheckError(f"cannot infer a domain for {s.name!r}", pos)
         s.meta.kernel = _kernel_of_hidvar(pre, domain, den, outcome_rows)
@@ -223,8 +222,8 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
         post = pre.remove(s.name)
     elif isinstance(s, If):
         s.meta.guard = _guard_pred(s.guard, pre, pos)
-        post_then = _check_program(s.then, pre, op_names, counter)
-        post_else = _check_program(s.orelse, pre, op_names, counter)
+        post_then = _check_program(s.then, pre, op_names, counter, hints)
+        post_else = _check_program(s.orelse, pre, op_names, counter, hints)
         if post_then != post_else:
             raise TypecheckError(
                 f"if branches end in different contexts: "
@@ -233,7 +232,7 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
     elif isinstance(s, While):
         s.meta.guard = _guard_pred(s.guard, pre, pos)
         s.meta.label = f"while#{next(counter)}" + (f"@{pos[0]}:{pos[1]}" if pos else "")
-        body_post = _check_program(s.body, pre, op_names, counter)
+        body_post = _check_program(s.body, pre, op_names, counter, hints)
         if body_post != pre:
             raise TypecheckError(
                 f"while body must preserve its context, got [{body_post.pretty()}]", pos)
@@ -246,8 +245,8 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
         s.meta.guard = _guard_pred(s.guard, pre, pos)
         post = pre
     elif isinstance(s, NonDet):
-        post_l = _check_program(s.left, pre, op_names, counter)
-        post_r = _check_program(s.right, pre, op_names, counter)
+        post_l = _check_program(s.left, pre, op_names, counter, hints)
+        post_r = _check_program(s.right, pre, op_names, counter, hints)
         if post_l != post_r:
             raise TypecheckError(
                 f"nondeterministic branches end in different contexts: "
@@ -261,6 +260,18 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter) -> VarContext:
         raise TypecheckError(f"unknown statement {s!r}", pos)
     s.meta.post = post
     return post
+
+
+def _shared_limb(s: HidVar, pre: VarContext, pos, hints):
+    """Domain and outcomes of a limb of `hidvar x := d1 [] ... [] dk`; the limbs
+    share ``domain_hint``, evaluated once per typecheck and kept in ``hints``."""
+    keys = tuple((tuple((b.expr, b.weight) for b in d.branches), d.uniform)
+                 for d in s.domain_hint)
+    if (keys, pre) not in hints:
+        outcomes = [eval_dist(d, pre, pos) for d in s.domain_hint]
+        hints[keys, pre] = _infer_domain([rows for _, rows in outcomes]), outcomes
+    domain, outcomes = hints[keys, pre]
+    return (domain, *outcomes[s.domain_hint.index(s.dist)])
 
 
 def _guard_pred(expr, ctx: VarContext, pos):

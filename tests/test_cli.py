@@ -180,6 +180,10 @@ PINNED_REPORTS = [
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
      {"lp_solves": 1365, "member_queries": 1464, "wpl_clauses": 1881},
      "68c7a39674bef63e94c64e5c16dc614dc7f25d2144f146a165f5d7777de74f4a"),
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
+     {"lp_solves": 194, "member_queries": 245, "wpl_clauses": 850},
+     "e38a6cef2fcebb12b7b428585985a560d440f8c93670ab81520ecfb28436897e"),
 ]
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from preloss.contexts import VarContext
@@ -77,3 +79,80 @@ def test_family_context_consistency():
         from preloss.families import TestFamily
 
         TestFamily(N4, ())
+
+
+def _reference_family(ctx, opts):
+    """The first ``standard_family``: it deduped entries on ``sort_token``."""
+    import itertools
+    import random
+    from fractions import Fraction
+
+    from preloss import families
+    from preloss.losses import LossFunction, embed, loss_canonicalize
+    from preloss.predicates import Predicate
+
+    entries, seen = [], set()
+
+    def push(loss, provenance):
+        loss = loss_canonicalize(loss)
+        key = tuple(sorted(g.sort_token() for g in loss.gens))
+        if key not in seen:
+            seen.add(key)
+            entries.append((loss, provenance))
+
+    n = ctx.n_states
+    units = [Predicate.unit(ctx, s) for s in ctx.states()]
+    for u in units:
+        push(embed(u), "builtin")
+    push(embed(Predicate.ones(ctx)), "builtin")
+    for u in units:
+        push(embed(u.complement()), "builtin")
+    for size in range(2, min(opts.max_subset, n) + 1):
+        for combo in itertools.combinations(range(n), size):
+            push(embed(sum((units[i] for i in combo[1:]), units[combo[0]])), "builtin")
+    if opts.witnesses:
+        if n <= 16:
+            push(families._guess_state_loss(ctx), "witness")
+        for witness_ctx, indicator in families._WITNESSES:
+            if ctx == witness_ctx:
+                push(embed(Predicate.from_function(ctx, indicator)), "witness")
+    for loss in opts.extra:
+        if loss.ctx == ctx:
+            push(loss, "user")
+    rng = random.Random(opts.seed)
+    for _ in range(opts.random):
+        gens = [Predicate(ctx, tuple(Fraction(rng.randint(0, 8), 4) for _ in range(n)))
+                for _ in range(rng.randint(1, 4))]
+        push(LossFunction(ctx, tuple(gens)), f"random({opts.seed})")
+    return entries
+
+
+def test_dedupe_on_integer_forms_matches_sort_token():
+    """Corpus post contexts: the same entries, order and provenances."""
+    import pathlib
+
+    from preloss.losses import LossFunction
+    from preloss.parsing import parse_context_file, parse_datatype_file
+    from preloss.predicates import Predicate
+    from preloss.typecheck import inline
+
+    def post(datatype, context):
+        d = parse_datatype_file(pathlib.Path("corpus", datatype).read_text())
+        c = parse_context_file(pathlib.Path("corpus", context).read_text())
+        return inline(c, d).meta.post
+
+    parity = VarContext.of(("n", range(4)), ("b", (0, 1)))
+    half = Predicate.constant(parity, Fraction(1, 2))
+    extra = (LossFunction(parity, (half, half + half)), LossFunction(parity, (half,)))
+    cases = [
+        (post("encdb_membership.dt", "ctx_lookup_probe.ctx"), FamilyOptions()),
+        (post("encdb_membership.dt", "ctx_lookup_probe.ctx"), FamilyOptions(max_subset=1, random=0)),
+        (post("randbit_direct.dt", "ctx_sample_then_read.ctx"),
+         FamilyOptions.parse("k=2,random=50,seed=7")),
+        (parity, FamilyOptions(random=40, seed=3, extra=extra)),
+    ]
+    for ctx, opts in cases:
+        fam = standard_family(ctx, opts)
+        reference = _reference_family(ctx, opts)
+        assert [p for _, p in fam.entries] == [p for _, p in reference]
+        assert [l.gens for l, _ in fam.entries] == [l.gens for l, _ in reference]

@@ -10,6 +10,11 @@ from preloss.predicates import Predicate
 from conftest import gen_context, gen_kernel, gen_predicate
 
 
+def row_sums(m):
+    """Each row's weight total, from the integer form."""
+    return [Fraction(sum(w for _, w in row), m.den) for row in m.nums]
+
+
 def test_identity_dual_is_identity():
     ctx = VarContext.of(("x", range(3)))
     k = Kernel.identity(ctx)
@@ -32,10 +37,10 @@ def test_fair_coin_dual():
 def test_substochastic_dual_of_ones():
     src = VarContext.of(("x", (0, 1)))
     half = Kernel.from_rows(src, src, [{0: Fraction(1, 2)}, {1: Fraction(1, 2)}])
-    assert not half.is_total
+    assert row_sums(half) == [Fraction(1, 2)] * 2
     assert half.dual_apply(Predicate.ones(src)) == Predicate.constant(src, Fraction(1, 2))
     total = Kernel.identity(src)
-    assert total.is_total
+    assert row_sums(total) == [1, 1]
     assert total.dual_apply(Predicate.ones(src)) == Predicate.ones(src)
 
 
@@ -116,8 +121,8 @@ def test_tensor_partiality_closure():
         c, d = gen_context(rng, max_states=6, prefix="c"), gen_context(rng, max_states=6, prefix="c")
         f = gen_kernel(rng, a, b).dual()
         g = gen_kernel(rng, c, d).dual()
-        assert f.is_partial and g.is_partial
-        assert f.tensor(g).is_partial
+        assert all(s <= 1 for s in row_sums(f) + row_sums(g))
+        assert all(s <= 1 for s in row_sums(f.tensor(g)))
 
 
 def test_diag_dual_on_equality_predicate():
@@ -157,9 +162,22 @@ def test_diag_route_matches_direct_summation():
         assert composed.apply(e) == Predicate.from_function(y, direct_fn)
 
 
+def _fraction_apply(f, e):
+    """The reference: each row's sum of ``e.entries[j] * w`` in ``Fraction``s."""
+    from preloss.scalars import ZERO
+
+    out = []
+    for row in f.rows:
+        total = ZERO
+        for j, w in row:
+            total = total + e.entries[j] * w
+        out.append(total)
+    return Predicate(f.src, tuple(out))
+
+
 def test_apply_equals_the_row_sum():
     """Point-mass rows are copied; every row must still equal its plain sum."""
-    from preloss.scalars import INF, ZERO
+    from preloss.scalars import INF
 
     rng = random.Random(31)
     pool = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2)]
@@ -173,18 +191,12 @@ def test_apply_equals_the_row_sum():
             rows.append({j: rng.choice(weights) for j in targets})
         f = Transformer.from_rows(src, dst, rows)
         e = Predicate(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
-        expected = []
-        for row in f.rows:
-            total = ZERO
-            for j, w in row:
-                total = total + e.entries[j] * w
-            expected.append(total)
-        assert f.apply(e).entries == tuple(expected)
+        assert f.apply(e).entries == _fraction_apply(f, e).entries
 
 
 def test_integer_rows_apply_equals_the_row_sum():
     """Copy-only transformers, zero weights, int weights and INF sources."""
-    from preloss.scalars import INF, ZERO
+    from preloss.scalars import INF
 
     rng = random.Random(41)
     pool = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2), Fraction(7, 6)]
@@ -200,13 +212,65 @@ def test_integer_rows_apply_equals_the_row_sum():
                     for _ in range(src.n_states)]
         f = Transformer.from_rows(src, dst, rows)
         e = Predicate(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
-        expected = []
-        for row in f.rows:
-            total = ZERO
-            for j, w in row:
-                total = total + e.entries[j] * w
-            expected.append(total)
+        expected = _fraction_apply(f, e).entries
         for source in (e, e + Predicate.zero(dst)):
             image = f.apply(source)
-            assert image.entries == tuple(expected)
-            assert image == Predicate(src, tuple(expected))
+            assert image.entries == expected
+            assert image == Predicate(src, expected)
+
+
+def test_ell_plan_matches_the_fraction_row_sum():
+    """Every matrix shape the plan distinguishes, with and without INF inputs."""
+    rng = random.Random(53)
+    shapes = ("mixed", "uniform", "single", "empty", "partial")
+    seen = {shape: set() for shape in shapes}
+    for case in range(500):
+        shape = shapes[case % len(shapes)]
+        src = VarContext(()) if case % 7 == 0 else gen_context(rng, max_states=8)   # one row
+        dst = gen_context(rng, max_states=8)
+        w = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        rows = []
+        for _ in range(src.n_states):
+            if shape == "empty" or (shape == "partial" and rng.random() < 0.4):
+                rows.append({})
+            elif shape in ("single", "partial"):   # one weight-1 entry: a copy
+                rows.append({rng.randrange(dst.n_states): Fraction(1)})
+            else:
+                cols = rng.sample(range(dst.n_states), rng.randint(0, min(4, dst.n_states)))
+                rows.append({j: w if shape == "uniform" else
+                             Fraction(rng.randint(1, 6), rng.randint(1, 4)) for j in cols})
+        f = Transformer.from_rows(src, dst, rows)
+        seen[shape].update(type(weights).__name__ for _, weights in f.plan)
+        inf_prob = 0.3 if case % 2 else 0.0
+        for e in (gen_predicate(rng, dst, inf_prob=inf_prob), Predicate.zero(dst)):
+            assert f.apply(e) == _fraction_apply(f, e)
+    assert seen["empty"] == set() and seen["single"] == {"int"}
+    assert seen["uniform"] == {"int"} and seen["mixed"] == {"int", "tuple"}
+
+
+def test_ell_plan_on_the_statement_transformers():
+    """Assign, declare, unvar and assert, with and without a correlated extension."""
+    from preloss.parsing import parse_program_text
+    from preloss.semantics import linear_transformer
+    from preloss.syntax import Assert, Assign, HidVar, Program, Unvar, walk
+    from preloss.typecheck import typecheck_program
+
+    rng = random.Random(59)
+    n4 = VarContext.of(("n", range(4)), ("b", (0, 1)))
+    z = VarContext.of(("z", range(3)))
+    programs = [
+        ("n := n + 1", Assign), ("n := n @ 1/3 | 0", Assign), ("b := 1 - b", Assign),
+        ("hidvar x := n [] 2", HidVar), ("hidvar x := uniform(0..2)", HidVar),
+        ("hidvar x : {0,1} := b @ 1/4 | 1", HidVar),
+        ("hidvar x : {0,1} := b; unvar x", Unvar),
+        ("assert n = 2", Assert), ("assert 1/3", Assert),
+    ]
+    for text, kind in programs:
+        prog = parse_program_text(text)
+        typecheck_program(prog, n4)
+        stmt = next(s for s in walk(prog) if isinstance(s, kind))   # a choice's first limb
+        for ext in (VarContext(()), z):
+            f = linear_transformer(Program((stmt,)), ext)
+            for _ in range(10):
+                e = gen_predicate(rng, f.dst, inf_prob=0.2 if rng.random() < 0.5 else 0.0)
+                assert f.apply(e) == _fraction_apply(f, e)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from preloss import lp
 from preloss.predicates import INF_NUM
@@ -433,3 +434,17 @@ def _check_tampered(int_gens, int_target, gens, target, res, rng):
         assert not agree_separation(int_gens, int_target, gens, target, neg)
         noisy = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in w]
         agree_separation(int_gens, int_target, gens, target, noisy)
+
+
+def _state_classes_setdefault(vectors):
+    """The first formulation of ``lp.state_classes``: one ``setdefault`` per state."""
+    first = {}
+    return [x for x, col in enumerate(zip(*vectors)) if first.setdefault(col, x) == x]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(INF_NUM, 3), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_state_classes_match_the_setdefault_form(vectors):
+    assert lp.state_classes(vectors) == _state_classes_setdefault(vectors)
+    assert lp.state_classes(list(map(tuple, vectors))) == _state_classes_setdefault(vectors)

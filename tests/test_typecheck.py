@@ -4,7 +4,7 @@ import pytest
 
 from preloss.contexts import VarContext
 from preloss.parsing import parse_context_file, parse_datatype_file, parse_program_text
-from preloss.syntax import program_text
+from preloss.syntax import HidVar, program_text, walk
 from preloss.typecheck import (
     TypecheckError, classify_choiceless, classify_hidden, inline,
     typecheck_program, validate_datatype,
@@ -61,6 +61,21 @@ def test_domain_inference_covers_all_choice_limbs():
     assert post == B
     prog2, post2 = check("hidvar n := uniform(0..3)")
     assert post2 == VarContext.of(("n", range(4)))
+
+
+def test_choice_limbs_evaluate_each_distribution_once(monkeypatch):
+    """The limbs of `hidvar x := d1 [] ... [] dk` share one domain inference."""
+    from preloss import typecheck
+
+    calls = []
+    real = typecheck.eval_dist
+    monkeypatch.setattr(typecheck, "eval_dist", lambda *a: calls.append(a) or real(*a))
+    prog, post = check("hidvar x := 0 [] 1 [] 2 [] 3")
+    assert len(calls) == 4
+    assert post == VarContext.of(("x", range(4)))
+    limbs = [s for s in walk(prog) if isinstance(s, HidVar)]
+    assert [dict(s.meta.kernel.rows[0]) for s in limbs] == [{i: 1} for i in range(4)]
+    assert all(s.meta.post == post for s in limbs)
 
 
 def test_out_of_domain_assignment_becomes_abort_mass():
