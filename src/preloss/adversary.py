@@ -12,11 +12,12 @@ mode re-derives the same value by enumerating whole strategy maps, as an
 audit of that decomposition.
 
 The walk runs on integers: a sub-distribution is a list of numerators over
-one denominator, and each step multiplies it by the integer weights a
-kernel or guard keeps (``Kernel.nums``, ``Predicate.nums``); a print splits
-it by the columns of its kernel (``Kernel.columns``).  ``Fraction``s are
-built only at the edges: a branch's final risk, and ``Branch.mass`` and
-``posterior``.
+one denominator.  An assignment, declaration, discard or assertion pushes
+it through the statement's kernel (``Kernel.nums``, from the pre to the
+post context); a conditional multiplies it by its guard's weights
+(``Predicate.nums``), and a print splits it by the columns of its kernel
+(``Kernel.columns``).  ``Fraction``s are built only at the edges: a
+branch's final risk, and ``Branch.mass`` and ``posterior``.
 """
 
 from __future__ import annotations
@@ -101,37 +102,15 @@ def _reduce(nums: List[int], den: int) -> Tuple[List[int], int]:
 
 def _push(s: Stmt, nums: List[int], den: int) -> Tuple[List[int], int]:
     """Forward image of a sub-distribution under a non-splitting statement."""
-    kind = type(s)
-    if kind is Skip:
+    if type(s) is Skip:
         return nums, den
-    if kind is Assign:
-        k = s.meta.kernel
-        rows = k.nums
-        out = [0] * len(nums)
-        for i, w in enumerate(nums):
-            if w:
-                for j, p in rows[i]:
-                    out[j] += w * p
-        return out, den * k.den
-    if kind is HidVar:
-        k = s.meta.kernel
-        rows, d = k.nums, k.dst.n_states
-        out = [0] * (len(nums) * d)
-        for y, w in enumerate(nums):
-            if w:
-                for x, p in rows[y]:
-                    out[y * d + x] = w * p
-        return out, den * k.den
-    if kind is Unvar:
-        post = s.meta.post
-        out = [0] * post.n_states
-        for i, j in enumerate(post.projection(s.meta.pre)):
-            out[j] += nums[i]
-        return out, den
-    if kind is Assert:
-        g = s.meta.guard
-        return list(map(mul, nums, g.nums)), den * g.den
-    raise ValueError(f"not a kernel statement: {s!r}")
+    k = s.meta.kernel
+    out = [0] * k.dst.n_states
+    for w, row in zip(nums, k.nums):
+        if w:
+            for j, p in row:
+                out[j] += w * p
+    return out, den * k.den
 
 
 Cont = Tuple[Stmt, ...]

@@ -619,7 +619,8 @@ def parse_loss_text(text: str) -> Tuple[VarContext, List[Predicate]]:
             continue
         col = len(raw) - len(raw.lstrip()) + 1   # of the line's first non-blank character
         if ctx is None:
-            if not line.startswith("context"):
+            first = _TOKEN_RE.match(line)   # the line's first token, as ``lex`` reads it
+            if first.lastgroup != "ident" or first.group() != "context":
                 raise ParseError("loss literal must start with a 'context' line", line_no, col)
             ctx = parse_decls_text(line[len("context"):], line_no, col + len("context"))
             continue

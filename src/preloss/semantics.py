@@ -2,8 +2,12 @@
 
 Structural recursion over typechecked programs: each construct maps a loss
 function over its post context (extended by a correlated context Z) to one
-over its pre context (extended likewise).  Loops are evaluated by the term
-recurrence
+over its pre context (extended likewise).  An assignment, declaration or
+assertion maps each generator through one transformer: the dual of the
+statement's kernel, tensored with the identity on Z (``_kernel_tf``); a
+discard extends each generator to the dropped variable.  A straight-line
+body is the product of its statements' transformers
+(``linear_transformer``).  Loops are evaluated by the term recurrence
 
     term_0    = !g * E
     term_n+1  = g * wpl(body, term_n)
@@ -16,8 +20,7 @@ budget is hit; truncation is always surfaced as an under-approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from .contexts import EMPTY, VarContext
 from .kernels import Kernel, Transformer
@@ -94,17 +97,14 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
         return E
     if isinstance(s, Abort):
         return zero_loss(_working(s.meta.pre, z))
-    if isinstance(s, Assign):
-        return loss_map(_assign_tf(s, z), E)
-    if isinstance(s, HidVar):
-        return loss_map(_hidvar_tf(s, z), E)
+    if isinstance(s, (Assign, HidVar, Assert)):
+        return loss_map(_kernel_tf(s, z), E)
     if isinstance(s, Unvar):
+        # The cylinder extension keeps distinct generators distinct and
+        # irredundant ones irredundant: no canonicalization is needed.
         working = _working(s.meta.pre, z)
         gens = tuple(g.extend_to(working) for g in E.gens)
         return LossFunction(working, gens, canonical=E.canonical)
-    if isinstance(s, Assert):
-        g = s.meta.guard.extend_to(_working(s.meta.pre, z))
-        return loss_conj(g, E)
     if isinstance(s, If):
         working = _working(s.meta.pre, z)
         g = s.meta.guard.extend_to(working)
@@ -124,46 +124,25 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
     raise ValueError(f"cannot evaluate statement {s!r}")
 
 
-def _assign_tf(s: Assign, z: VarContext) -> Transformer:
-    """f-dual tensored with the identity on the extension.
+def _kernel_tf(s: Stmt, z: VarContext) -> Transformer:
+    """The dual of the statement's kernel, tensored with the identity on ``z``.
 
-    Kept on the statement per extension, like ``_hidvar_tf``: every ``wpl``
-    run over the same statement gets the same transformer, so its rows and
-    ELLPACK plan are built once, and equal kernels are never compared.
+    Kept on the statement per extension: every ``wpl`` run over the same
+    statement gets the same transformer, so its rows and ELLPACK plan are
+    built once, and equal kernels are never compared.
     """
-    return s.meta.derived(("tf", z), lambda: _build_assign_tf(s.meta.kernel, z))
+    return s.meta.derived(("tf", z), lambda: _build_kernel_tf(s.meta.kernel, z))
 
 
-def _build_assign_tf(kernel: Kernel, z: VarContext) -> Transformer:
+def _build_kernel_tf(kernel: Kernel, z: VarContext) -> Transformer:
     if not len(z.vars):
         return kernel.dual()
     zn = z.n_states
-    src = kernel.src.merge(z)
     # The kernel's weights, each row repeated per extension state: still in
     # lowest terms, and the columns stay ascending.
     rows = tuple(tuple((j * zn + zi, w) for j, w in row)
                  for row in kernel.nums for zi in range(zn))
-    return Transformer(src, src, kernel.den, rows)
-
-
-def _hidvar_tf(s: HidVar, z: VarContext) -> Transformer:
-    """Declaration clause: e'(y, z) = sum_x f(y)(x) e(y, x, z).
-
-    Equals (diagonal-copy dual . (id (x) f-dual)) (x) id_Z; built directly
-    because the new variable sits between the program variables and the
-    extension in the working order.  Kept on the statement per extension.
-    """
-    return s.meta.derived(("tf", z), lambda: _build_declare_tf(s, z))
-
-
-def _build_declare_tf(s: HidVar, z: VarContext) -> Transformer:
-    kernel = s.meta.kernel
-    d = kernel.dst.n_states
-    zn = z.n_states
-    # As in ``_build_assign_tf``, the kernel's rows repeated: in lowest terms.
-    rows = tuple(tuple(((y * d + x) * zn + zi, w) for x, w in base)
-                 for y, base in enumerate(kernel.nums) for zi in range(zn))
-    return Transformer(_working(s.meta.pre, z), _working(s.meta.post, z), kernel.den, rows)
+    return Transformer(kernel.src.merge(z), kernel.dst.merge(z), kernel.den, rows)
 
 
 def _wpl_print(s: Print, E: LossFunction, z) -> LossFunction:
@@ -222,19 +201,6 @@ def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
     return total
 
 
-def while_partial_sums(
-    s: While, E: LossFunction, z: VarContext, n_terms: int
-) -> Tuple[LossFunction, ...]:
-    """Partial sums S_0..S_N of the loop term recurrence (for N = n_terms).
-
-    S_N sums terms 0..N; each S_N under-approximates the loop's true
-    weakest pre-loss and the sequence is increasing in the refinement
-    order.  Loops nested in the body get a budget of 64.
-    """
-    terms = _loop_terms(s, E, z, 64, {})
-    return tuple(accumulate(islice(terms, n_terms + 1), loss_add))
-
-
 def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transformer]:
     """Compose a straight-line hidden+choiceless program into one matrix.
 
@@ -246,28 +212,11 @@ def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transfo
     for s in prog.stmts:
         if isinstance(s, Skip):
             continue
-        if isinstance(s, Assign):
-            t = _assign_tf(s, z)
-        elif isinstance(s, HidVar):
-            t = _hidvar_tf(s, z)
-        elif isinstance(s, Unvar):
-            t = _unvar_tf(s, z)
-        elif isinstance(s, Assert):
-            working = _working(s.meta.pre, z)
-            guard = s.meta.guard.extend_to(working)  # in lowest terms, no INF
-            t = Transformer(working, working, guard.den,
-                            tuple(((i, n),) if n else () for i, n in enumerate(guard.nums)))
-        else:
+        if not isinstance(s, (Assign, HidVar, Unvar, Assert)):
             return None
+        t = _kernel_tf(s, z)
         acc = t if acc is None else acc.compose(t)
     if acc is None:
         ctx = _working(prog.meta.pre, z)
         return Transformer.identity(ctx)
     return acc
-
-
-def _unvar_tf(s: Unvar, z: VarContext) -> Transformer:
-    """Dual of the deterministic discard: cylinder extension of predicates."""
-    pre_w = _working(s.meta.pre, z)
-    post_w = _working(s.meta.post, z)
-    return Transformer(pre_w, post_w, 1, tuple(((j, 1),) for j in post_w.projection(pre_w)))

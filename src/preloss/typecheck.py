@@ -9,8 +9,14 @@ expression is compiled once per context (``exprs.compile_expr``); a
 statement's branch weights are summed as integers over their common
 denominator, and an assignment finds its target states by index
 arithmetic on the context's strides.  Kernels are built in their integer
-form (``Kernel.from_ints``).  A `print` elaborates, like a `hidvar`, to a
-kernel onto one variable: the values it may show, in first-met order.
+form (``Kernel.from_ints``).
+
+Every assignment, declaration, discard and assertion elaborates to one
+kernel from its pre to its post context (``meta.kernel``): a `hidvar` draws
+the new variable next to the old ones, an `unvar` projects, and an `assert`
+keeps each state's mass times its guard.  A `print` elaborates, by the same
+helper as a `hidvar`, to a kernel onto one variable: the values it may show,
+in first-met order.  Only `if` and `while` keep a guard predicate.
 
 Classifiers and inlining visit statements with ``syntax.walk``.  Inlining
 edits one copy of the datatype and one of the context body in place,
@@ -136,24 +142,28 @@ def _kernel_of_assign(ctx: VarContext, targets: Tuple[str, ...], dist: DistExpr,
     return Kernel.from_ints(ctx, ctx, den, rows)
 
 
-def _kernel_of_hidvar(ctx: VarContext, domain: Tuple[Value, ...], den: int,
-                      outcome_rows: List[List[Tuple[Value, int]]]) -> Kernel:
-    """The kernel from ``ctx`` to one variable over ``domain``, from ``eval_dist`` outcomes.
+def _kernel_onto(pre: VarContext, name: str, domain: Tuple[Value, ...], den: int,
+                 outcome_rows: List[List[Tuple[Value, int]]], *, keep: bool) -> Kernel:
+    """The kernel that draws ``name`` over ``domain`` from ``eval_dist`` outcomes.
 
-    A `print` is such a kernel too, over the values it may show.
+    With ``keep`` its target is ``pre`` extended by the new variable, the
+    column of pre-state y and value x being ``y * len(domain) + x`` (a
+    `hidvar`); else the new variable alone (the values a `print` may show).
     """
-    target = VarContext((("_new", domain),))
+    dst = pre.append(name, domain) if keep else VarContext(((name, domain),))
     index = {v: i for i, v in enumerate(domain)}
+    stride = len(domain) if keep else 0
     rows = []
-    for outcomes in outcome_rows:
+    for y, outcomes in enumerate(outcome_rows):
         row: Dict[int, int] = {}
         for value, w in outcomes:
             idx = index.get(value)
             if idx is None:
                 continue  # outside the declared domain: abort mass
+            idx += y * stride
             row[idx] = row.get(idx, 0) + w
         rows.append(row)
-    return Kernel.from_ints(ctx, target, den, rows)
+    return Kernel.from_ints(pre, dst, den, rows)
 
 
 def _infer_domain(outcome_lists: Sequence[List[List[Tuple[Value, int]]]]) -> Tuple[Value, ...]:
@@ -214,12 +224,13 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter, hints) -> VarContex
             domain = s.domain if s.domain is not None else _infer_domain([outcome_rows])
         if not domain:
             raise TypecheckError(f"cannot infer a domain for {s.name!r}", pos)
-        s.meta.kernel = _kernel_of_hidvar(pre, domain, den, outcome_rows)
-        post = pre.append(s.name, domain)
+        s.meta.kernel = _kernel_onto(pre, s.name, domain, den, outcome_rows, keep=True)
+        post = s.meta.kernel.dst
     elif isinstance(s, Unvar):
         if s.name not in pre:
             raise TypecheckError(f"unvar of undeclared variable {s.name!r}", pos)
         post = pre.remove(s.name)
+        s.meta.kernel = Kernel(pre, post, 1, tuple(((j, 1),) for j in post.projection(pre)))
     elif isinstance(s, If):
         s.meta.guard = _guard_pred(s.guard, pre, pos)
         post_then = _check_program(s.then, pre, op_names, counter, hints)
@@ -239,10 +250,13 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter, hints) -> VarContex
         post = pre
     elif isinstance(s, Print):
         den, outcome_rows = eval_dist(s.dist, pre, pos)
-        s.meta.kernel = _kernel_of_hidvar(pre, _infer_domain([outcome_rows]), den, outcome_rows)
+        s.meta.kernel = _kernel_onto(pre, "_new", _infer_domain([outcome_rows]), den,
+                                     outcome_rows, keep=False)
         post = pre
     elif isinstance(s, Assert):
-        s.meta.guard = _guard_pred(s.guard, pre, pos)
+        g = _guard_pred(s.guard, pre, pos)  # in lowest terms, each weight at most 1
+        s.meta.kernel = Kernel(pre, pre, g.den, tuple(((i, n),) if n else ()
+                                                      for i, n in enumerate(g.nums)))
         post = pre
     elif isinstance(s, NonDet):
         post_l = _check_program(s.left, pre, op_names, counter, hints)

@@ -15,7 +15,7 @@ from preloss.adversary import (
     choice_points, min_bayes_risk, min_bayes_risk_exhaustive,
 )
 from preloss.cli import main as cli_main
-from preloss.contexts import EMPTY, VarContext
+from preloss.contexts import VarContext
 from preloss.families import FamilyOptions
 from preloss.kernels import Transformer
 from preloss.losses import (
@@ -32,7 +32,7 @@ from preloss.refinement import (
     program_refines,
 )
 from preloss.scalars import INF
-from preloss.semantics import weakest_preloss, while_partial_sums
+from preloss.semantics import weakest_preloss
 from preloss.typecheck import (
     classify_choiceless, classify_hidden, inline, typecheck_program,
 )
@@ -358,10 +358,12 @@ def test_criterion_8_loop_soundness():
     with criterion(8, "geometric loop partial sums"):
         ctx = VarContext.of(("c", (0, 1)))
         prog = typed("while c = 1 { c := 1 @ 1/2 | 0 }", ctx)
-        sums = while_partial_sums(prog.stmts[0], one_loss(ctx), EMPTY, 20)
-        for n in range(20):
+        # With budget n, ``wpl`` sums the loop's terms 0..n: the partial sum S_n.
+        sums = {n: weakest_preloss(prog, one_loss(ctx), loop_budget=n).pre
+                for n in range(1, 21)}
+        for n in range(1, 20):
             assert loss_refines(sums[n], sums[n + 1])
-        for n in range(21):
+        for n in range(1, 21):
             r = Fraction(1) - Fraction(1, 2 ** n)
             assert loss_refines(embed(Predicate.constant(ctx, r)), sums[n])
             assert sums[n].gens[0].at((1,)) == r

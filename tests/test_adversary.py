@@ -171,6 +171,7 @@ def test_walker_branches_are_consistent():
 # integer numerators: every step in ``Fraction``s, recursing at every split.
 
 def _ref_push(s, mu):
+    from preloss.exprs import predicate_of
     from preloss.syntax import Assert, Assign, HidVar, Skip, Unvar
 
     if isinstance(s, Skip):
@@ -185,12 +186,12 @@ def _ref_push(s, mu):
         return out
     if isinstance(s, HidVar):
         k = s.meta.kernel
-        d = k.dst.n_states
+        d = len(s.meta.post.domain_of(s.name))
         out = [Fraction(0)] * (len(mu) * d)
         for y, w in enumerate(mu):
             if w:
-                for x, p in k.rows[y]:
-                    out[y * d + x] += w * p
+                for j, p in k.rows[y]:
+                    out[y * d + j % d] += w * p
         return out
     if isinstance(s, Unvar):
         pre, post = s.meta.pre, s.meta.post
@@ -202,7 +203,7 @@ def _ref_push(s, mu):
                 out[post.index_of(tuple(state[p] for p in positions))] += w
         return out
     assert isinstance(s, Assert)
-    g = s.meta.guard
+    g = predicate_of(s.meta.pre, s.guard, mode="unit")
     return [w * Fraction(g.entries[i]) if w else w for i, w in enumerate(mu)]
 
 

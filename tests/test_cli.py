@@ -341,6 +341,19 @@ def test_zero_denominator_is_a_syntax_error(capsys, tmp_path):
 
 
 
+def test_context_glued_to_a_name_is_a_syntax_error(capsys, tmp_path):
+    """``contextb`` is one identifier: ``wpl`` and ``check`` both reject it."""
+    skip = tmp_path / "skip.prog"
+    skip.write_text("vars:\n b : {0,1}\nbody:\n skip")
+    loss = tmp_path / "glued.loss"
+    loss.write_text("contextb : {0,1}\nexpr: b = 0\n")
+    for argv in (["wpl", str(skip), "--post", str(loss)], ["check", str(loss)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("syntax error: 1:"), err
+
+
 def test_repeated_state_is_a_syntax_error(capsys, tmp_path):
     skip = tmp_path / "skip.prog"
     skip.write_text("vars:\n b : {0,1}\nbody:\n skip")

@@ -33,7 +33,7 @@ from preloss.kernels import Kernel
 from preloss.parsing import ParseError, lex, parse_program_file
 from preloss.predicates import Predicate
 from preloss.scalars import scalar
-from preloss.syntax import Assert, Assign, HidVar, If, Print, While, walk
+from preloss.syntax import Assert, Assign, HidVar, If, Print, Unvar, While, walk
 from preloss.typecheck import typecheck_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -415,20 +415,37 @@ def _reference_guard(ctx, expr) -> Predicate:
     return Predicate(ctx, tuple(scalar(_reference_evaluate(expr, ctx, s)) for s in ctx.states()))
 
 
+def _lifted(kernel: Kernel, post) -> Kernel:
+    """A kernel onto one new variable, lifted onto ``post``: the pre-state kept."""
+    d = kernel.dst.n_states
+    return Kernel.from_rows(kernel.src, post, [{y * d + x: w for x, w in row.items()}
+                                              for y, row in enumerate(map(dict, kernel.rows))])
+
+
 def _check_elaboration(prog, counts: Dict[str, int]) -> None:
     for s in walk(prog):
-        pre = s.meta.pre
+        pre, post = s.meta.pre, s.meta.post
         if isinstance(s, Assign):
             assert s.meta.kernel == _reference_assign(pre, s.targets, s.dist)
             counts["kernels"] += 1
         elif isinstance(s, HidVar):
-            domain = s.meta.post.domain_of(s.name)
-            assert s.meta.kernel == _reference_hidvar(pre, domain, s.dist)
+            domain = post.domain_of(s.name)
+            assert s.meta.kernel == _lifted(_reference_hidvar(pre, domain, s.dist), post)
+            counts["kernels"] += 1
+        elif isinstance(s, Unvar):
+            projection = [{post.index_of(tuple(state[pre.position_of(n)] for n in post.names)):
+                           Fraction(1)} for state in pre.states()]
+            assert s.meta.kernel == Kernel.from_rows(pre, post, projection)
             counts["kernels"] += 1
         elif isinstance(s, Print):
             assert s.meta.kernel == _reference_obs(pre, s.dist)
             counts["observations"] += 1
-        elif isinstance(s, (If, While, Assert)):
+        elif isinstance(s, Assert):
+            guard = _reference_guard(pre, s.guard)
+            diagonal = [{i: w} if w else {} for i, w in enumerate(guard.entries)]
+            assert s.meta.kernel == Kernel.from_rows(pre, pre, diagonal)
+            counts["guards"] += 1
+        elif isinstance(s, (If, While)):
             assert s.meta.guard == _reference_guard(pre, s.guard)
             counts["guards"] += 1
 

@@ -140,6 +140,15 @@ def test_loss_literal_errors():
         parse_loss_text("context b:{0,1}\n")
 
 
+def test_loss_literal_context_is_a_whole_token():
+    """``contextb`` is one identifier, not ``context`` then ``b``."""
+    assert _loss_error("contextb : {0,1}\nexpr: b = 0") == (
+        1, 1, "1:1: loss literal must start with a 'context' line")
+    assert _loss_error("  context_b:{0,1}\nexpr: true")[:2] == (1, 3)
+    ctx, _ = parse_loss_text("context\tb:{0,1}\nexpr: b = 0")
+    assert ctx == VarContext.of(("b", (0, 1)))
+
+
 def _loss_error(text):
     with pytest.raises(ParseError) as info:
         parse_loss_text(text)

@@ -13,7 +13,7 @@ from preloss.losses import (
 )
 from preloss.parsing import parse_program_text
 from preloss.predicates import Predicate
-from preloss.semantics import weakest_preloss, while_partial_sums
+from preloss.semantics import weakest_preloss
 from preloss.typecheck import typecheck_program
 
 from conftest import (
@@ -83,15 +83,19 @@ def test_unvar_is_cylinder_extension():
 
 
 def test_hidvar_transformer_agrees_with_diag_composition():
-    from preloss.kernels import diag_dual
-    from preloss.semantics import _hidvar_tf
+    from preloss.kernels import Kernel, diag_dual
+    from preloss.semantics import _kernel_tf
 
     prog = typed("hidvar b : {0,1} := n mod 2 @ 3/4 | 1 - n mod 2", N4)
     s = prog.stmts[0]
-    direct = _hidvar_tf(s, EMPTY)
-    k = s.meta.kernel  # N4 -> single-var space
-    copy = VarContext(tuple((n + "$", d) for n, d in N4.vars))
-    relabeled = type(k).from_rows(copy, k.dst, [dict(r) for r in k.rows])
+    direct = _kernel_tf(s, EMPTY)
+    k = s.meta.kernel  # N4 -> N4 with b
+    single = VarContext((("b", s.meta.post.domain_of("b")),))
+    d = single.n_states
+    # f, the kernel onto the single new variable, read off the lifted one.
+    f_rows = [{j % d: w for j, w in row} for row in k.rows]
+    copy = VarContext(tuple((n + "$", dom) for n, dom in N4.vars))
+    relabeled = Kernel.from_rows(copy, single, f_rows)
     composed = diag_dual(N4).compose(Transformer.identity(N4).tensor(relabeled.dual()))
     rng = random.Random(3)
     for _ in range(20):
@@ -148,8 +152,8 @@ def test_wpl_transformers_are_kept_on_each_statement(monkeypatch):
     assert all(loss_equal(pre, pres[0]) for pre in pres)
     assert built == [z, z]  # one body matrix per loop statement and extension
     assign = twins[0].stmts[1]
-    assert semantics._assign_tf(assign, z) is semantics._assign_tf(assign, z)
-    assert semantics._assign_tf(assign, z) is not semantics._assign_tf(assign, EMPTY)
+    assert semantics._kernel_tf(assign, z) is semantics._kernel_tf(assign, z)
+    assert semantics._kernel_tf(assign, z) is not semantics._kernel_tf(assign, EMPTY)
     gone = weakref.ref(assign.meta.kernel)
     del assign, twins
     gc.collect()
@@ -175,15 +179,16 @@ def test_while_with_hidvar_body_evaluates():
 
 
 def test_while_terms_and_convergence():
+    """With budget n, ``wpl`` sums the loop's terms 0..n: the partial sum S_n."""
     prog = typed("while c = 1 { c := 1 @ 1/2 | 0 }", VarContext.of(("c", (0, 1))))
     ctx = prog.meta.pre
-    sums = while_partial_sums(prog.stmts[0], one_loss(ctx), EMPTY, 20)
-    for n in range(21):
+    sums = {n: weakest_preloss(prog, one_loss(ctx), loop_budget=n).pre for n in range(1, 21)}
+    for n, S in sums.items():
         expected = Fraction(1) - Fraction(1, 2 ** n)
-        assert sums[n].gens[0].at((1,)) == expected
-        assert sums[n].gens[0].at((0,)) == 1
-        assert loss_refines(embed(Predicate.constant(ctx, expected)), sums[n])
-    for n in range(20):
+        assert S.gens[0].at((1,)) == expected
+        assert S.gens[0].at((0,)) == 1
+        assert loss_refines(embed(Predicate.constant(ctx, expected)), S)
+    for n in range(1, 20):
         assert loss_refines(sums[n], sums[n + 1])
     res = weakest_preloss(prog, one_loss(ctx), loop_budget=12)
     (status,) = res.loop_status.values()
@@ -309,11 +314,11 @@ def test_composite_database_value_gap():
 def test_unvar_transformer_matches_tensor_route():
     """Dropping a variable acts as (ones-column (x) identity): the dual of
     the deterministic projection."""
-    from preloss.semantics import _unvar_tf
+    from preloss.semantics import _kernel_tf
 
     ctx = VarContext.of(("x", range(3)), ("y", (0, 1)))
     prog = typed("unvar x", ctx)
-    direct = _unvar_tf(prog.stmts[0], EMPTY)
+    direct = _kernel_tf(prog.stmts[0], EMPTY)
     xs = VarContext.of(("x", range(3)))
     ys = VarContext.of(("y", (0, 1)))
     tensored = Transformer.ones(xs).tensor(Transformer.identity(ys))
