@@ -20,6 +20,11 @@ from .losses import LossFunction, embed, loss_canonicalize
 from .predicates import Predicate
 
 
+# Most subset indicators and random losses one family may hold.
+SUBSET_CAP = 4096
+RANDOM_CAP = 10000
+
+
 @dataclass(frozen=True)
 class FamilyOptions:
     max_subset: int = 2
@@ -27,8 +32,6 @@ class FamilyOptions:
     seed: int = 0
     witnesses: bool = True
     extra: Tuple[LossFunction, ...] = ()
-    subset_cap: int = 4096
-    random_cap: int = 10000
 
     @staticmethod
     def parse(spec: str) -> "FamilyOptions":
@@ -120,9 +123,9 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
     subset_total = sum(
         _n_choose(n, size) for size in range(2, min(opts.max_subset, n) + 1)
     )
-    if subset_total > opts.subset_cap:
+    if subset_total > SUBSET_CAP:
         raise ValueError(
-            f"{subset_total} subset indicators exceed the cap {opts.subset_cap}; "
+            f"{subset_total} subset indicators exceed the cap {SUBSET_CAP}; "
             f"lower max_subset")
     for size in range(2, min(opts.max_subset, n) + 1):
         for combo in itertools.combinations(range(n), size):
@@ -144,8 +147,8 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
         if loss.ctx == ctx:
             push(loss, "user")
 
-    if opts.random > opts.random_cap:
-        raise ValueError(f"{opts.random} random losses exceed the cap {opts.random_cap}")
+    if opts.random > RANDOM_CAP:
+        raise ValueError(f"{opts.random} random losses exceed the cap {RANDOM_CAP}")
     rng = random.Random(opts.seed)
     for _ in range(opts.random):
         k = rng.randint(1, 4)

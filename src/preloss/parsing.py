@@ -42,10 +42,12 @@ KEYWORDS = frozenset(
 SECTION_WORDS = frozenset("vars body shared encap init op final client".split())
 
 # Deepest nesting the parser accepts, in levels of ``Parser.depth``.  Every
-# later pass over the syntax tree recurses once or a few times per level
-# (copying a datatype for inlining most: about eleven frames), so this
-# keeps them all within Python's default recursion limit of 1000.
-MAX_NESTING = 64
+# later pass over the syntax tree recurses a few frames per level, so this
+# keeps them all within Python's default recursion limit of 1000.  Under a
+# caller 100 frames deep, the parser's own parentheses give out first, at
+# about 175 levels; typechecking, inlining, `wpl` and the oracle reach about
+# 290 nested `if`s or `while`s.
+MAX_NESTING = 128
 
 _PUNCTS = [":=", "[]", "||", "&&", "!=", "<=", ">=", "..",
            ";", ":", ",", "(", ")", "{", "}", "[", "]", "|", "@",

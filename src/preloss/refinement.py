@@ -24,7 +24,7 @@ from .scalars import Scalar
 from .semantics import weakest_preloss
 from .syntax import Datatype, Program, ProgramContext
 from .typecheck import (
-    TypecheckError, classify_choiceless, classify_hidden, clone, inline,
+    TypecheckError, classify_choiceless, classify_hidden, copy_program, inline,
     typecheck_program, validate_datatype,
 )
 
@@ -155,7 +155,7 @@ def _check_signature(da: Datatype, dc: Datatype):
 
 
 def _typecheck_rep(rep: Program, source: VarContext, target: VarContext, role: str) -> Program:
-    rep = clone(rep)
+    rep = copy_program(rep)
     try:
         post = typecheck_program(rep, source)
     except (TypecheckError, ValueError) as exc:
@@ -170,7 +170,7 @@ def _typecheck_rep(rep: Program, source: VarContext, target: VarContext, role: s
 
 
 def _seq(*parts: Program) -> Program:
-    return Program(tuple(s for part in parts for s in clone(part).stmts))
+    return Program(tuple(s for part in parts for s in copy_program(part).stmts))
 
 
 def _square(name: str, lhs: Program, rhs: Program, pre: VarContext,

@@ -3,7 +3,9 @@ statements (``sub_programs``, ``walk``), and a pretty printer.
 
 Statement nodes carry a mutable ``meta`` slot filled in by the typechecker
 (pre/post contexts and elaborated kernels); ``meta`` never takes part in
-structural equality, so ``parse(pretty(ast)) == ast``.
+structural equality, so ``parse(pretty(ast)) == ast``.  No pass edits any
+other field of a parsed node: inlining and the simulation squares build
+new trees (``typecheck.copy_program``).
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ class Meta:
 
     __slots__ = ("pos", "pre", "post", "kernel", "guard", "label", "cache")
 
-    def __init__(self):
+    def __init__(self, pos=None):
         for name in self.__slots__:
             setattr(self, name, None)
+        self.pos = pos
 
     def derived(self, key, build):
         """``build()``, made once per ``key`` and kept with this node."""
@@ -36,11 +39,6 @@ class Meta:
         if key not in self.cache:
             self.cache[key] = build()
         return self.cache[key]
-
-    def __deepcopy__(self, memo):
-        fresh = Meta()
-        fresh.pos = self.pos
-        return fresh
 
 
 def _meta_field():
@@ -172,16 +170,13 @@ def single(stmt: Stmt) -> Program:
 
 # ------------------------------------------------------------------ walking
 
+# The fields of each statement kind that hold nested programs, in source order.
+PROGRAM_FIELDS = {If: ("then", "orelse"), While: ("body",), NonDet: ("left", "right")}
+
+
 def sub_programs(s: Stmt) -> Tuple[Program, ...]:
     """The programs nested directly in a statement, in source order."""
-    kind = type(s)
-    if kind is If:
-        return (s.then, s.orelse)
-    if kind is While:
-        return (s.body,)
-    if kind is NonDet:
-        return (s.left, s.right)
-    return ()
+    return tuple(getattr(s, f) for f in PROGRAM_FIELDS.get(type(s), ()))
 
 
 def walk(prog: Program) -> Iterator[Stmt]:

@@ -18,15 +18,15 @@ keeps each state's mass times its guard.  A `print` elaborates, by the same
 helper as a `hidvar`, to a kernel onto one variable: the values it may show,
 in first-met order.  Only `if` and `while` keep a guard predicate.
 
-Classifiers and inlining visit statements with ``syntax.walk``.  Inlining
-edits one copy of the datatype and one of the context body in place,
-splicing a copy of an operation's body at each `call`.
+Classifiers visit statements with ``syntax.walk``.  Inlining builds the
+composite from fresh copies (``copy_program``), renaming clashing names and
+splicing a copy of an operation's body at each `call`: no parsed tree is edited.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,8 +35,8 @@ from .contexts import Value, VarContext, fmt_value
 from .exprs import Bin, EvalError, Index, Lit, Name, TupleE, Unary, compile_expr, predicate_of
 from .kernels import Kernel
 from .syntax import (
-    Abort, Assert, Assign, CallOp, Datatype, DistBranch, DistExpr, HidVar, If,
-    NonDet, Print, Program, ProgramContext, Skip, Stmt, Unvar, While, sub_programs, walk,
+    PROGRAM_FIELDS, Abort, Assert, Assign, CallOp, Datatype, DistBranch, DistExpr, HidVar,
+    If, Meta, NonDet, Print, Program, ProgramContext, Skip, Stmt, Unvar, While, walk,
 )
 
 
@@ -46,11 +46,6 @@ class TypecheckError(ValueError):
             message = f"{pos[0]}:{pos[1]}: {message}"
         super().__init__(message)
         self.pos = pos
-
-
-def clone(node):
-    """Deep copy with annotations reset (only source positions survive)."""
-    return copy.deepcopy(node)
 
 
 # ------------------------------------------------------------- distributions
@@ -174,33 +169,25 @@ def _infer_domain(outcome_lists: Sequence[List[List[Tuple[Value, int]]]]) -> Tup
 
 # ----------------------------------------------------------------- programs
 
-def typecheck_program(
-    prog: Program,
-    initial: VarContext,
-    *,
-    op_names: Optional[Sequence[str]] = None,
-) -> VarContext:
+def typecheck_program(prog: Program, initial: VarContext) -> VarContext:
     """Annotate every node with pre/post contexts and elaborations.
 
-    Returns the post context.  ``op_names`` permits `call` holes (used when
-    checking a program context standalone; holes preserve the context).
+    Returns the post context.  A `call` is an error: only inlining fills it.
     """
-    counter = itertools.count()
-    post = _check_program(prog, initial, op_names, counter, {})
-    return post
+    return _check_program(prog, initial, itertools.count(), {})
 
 
-def _check_program(prog: Program, pre: VarContext, op_names, counter, hints) -> VarContext:
+def _check_program(prog: Program, pre: VarContext, counter, hints) -> VarContext:
     prog.meta.pre = pre
     prog.meta.cache = None
     ctx = pre
     for s in prog.stmts:
-        ctx = _check_stmt(s, ctx, op_names, counter, hints)
+        ctx = _check_stmt(s, ctx, counter, hints)
     prog.meta.post = ctx
     return ctx
 
 
-def _check_stmt(s: Stmt, pre: VarContext, op_names, counter, hints) -> VarContext:
+def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
     pos = s.meta.pos
     s.meta.pre = pre
     s.meta.cache = None
@@ -233,8 +220,8 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter, hints) -> VarContex
         s.meta.kernel = Kernel(pre, post, 1, tuple(((j, 1),) for j in post.projection(pre)))
     elif isinstance(s, If):
         s.meta.guard = _guard_pred(s.guard, pre, pos)
-        post_then = _check_program(s.then, pre, op_names, counter, hints)
-        post_else = _check_program(s.orelse, pre, op_names, counter, hints)
+        post_then = _check_program(s.then, pre, counter, hints)
+        post_else = _check_program(s.orelse, pre, counter, hints)
         if post_then != post_else:
             raise TypecheckError(
                 f"if branches end in different contexts: "
@@ -243,7 +230,7 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter, hints) -> VarContex
     elif isinstance(s, While):
         s.meta.guard = _guard_pred(s.guard, pre, pos)
         s.meta.label = f"while#{next(counter)}" + (f"@{pos[0]}:{pos[1]}" if pos else "")
-        body_post = _check_program(s.body, pre, op_names, counter, hints)
+        body_post = _check_program(s.body, pre, counter, hints)
         if body_post != pre:
             raise TypecheckError(
                 f"while body must preserve its context, got [{body_post.pretty()}]", pos)
@@ -259,17 +246,15 @@ def _check_stmt(s: Stmt, pre: VarContext, op_names, counter, hints) -> VarContex
                                                       for i, n in enumerate(g.nums)))
         post = pre
     elif isinstance(s, NonDet):
-        post_l = _check_program(s.left, pre, op_names, counter, hints)
-        post_r = _check_program(s.right, pre, op_names, counter, hints)
+        post_l = _check_program(s.left, pre, counter, hints)
+        post_r = _check_program(s.right, pre, counter, hints)
         if post_l != post_r:
             raise TypecheckError(
                 f"nondeterministic branches end in different contexts: "
                 f"[{post_l.pretty()}] vs [{post_r.pretty()}]", pos)
         post = post_l
     elif isinstance(s, CallOp):
-        if op_names is None or s.name not in op_names:
-            raise TypecheckError(f"unknown operation hole {s.name!r}", pos)
-        post = pre  # operations preserve their working context
+        raise TypecheckError(f"unknown operation hole {s.name!r}", pos)
     else:
         raise TypecheckError(f"unknown statement {s!r}", pos)
     s.meta.post = post
@@ -339,6 +324,8 @@ def _declared_names(prog: Program) -> List[str]:
 
 
 def _rename_expr(e, mapping):
+    if not mapping or isinstance(e, Lit):
+        return e
     if isinstance(e, Name):
         return Name(mapping[e.id]) if e.id in mapping else e
     if isinstance(e, Unary):
@@ -349,43 +336,56 @@ def _rename_expr(e, mapping):
         return Index(_rename_expr(e.base, mapping), _rename_expr(e.index, mapping))
     if isinstance(e, TupleE):
         return TupleE(tuple(_rename_expr(x, mapping) for x in e.items))
-    if isinstance(e, Lit):
-        return e
     raise TypeError(f"unknown expression {e!r}")
 
 
 def _rename_dist(d: DistExpr, mapping) -> DistExpr:
+    if not mapping:
+        return d
     return DistExpr(
         tuple(DistBranch(_rename_expr(b.expr, mapping), b.weight) for b in d.branches),
         uniform=d.uniform,
     )
 
 
-def _rename(prog: Program, mapping: Dict[str, str]) -> None:
-    """Rewrite variable names in place (declaration sites and expression uses)."""
-    for s in walk(prog):
-        if isinstance(s, Assign):
-            s.targets = tuple(mapping.get(t, t) for t in s.targets)
-        if isinstance(s, (HidVar, Unvar)):
-            s.name = mapping.get(s.name, s.name)
-        if isinstance(s, HidVar) and s.domain_hint is not None:
-            s.domain_hint = tuple(_rename_dist(d, mapping) for d in s.domain_hint)
-        if isinstance(s, (Assign, HidVar, Print)):
-            s.dist = _rename_dist(s.dist, mapping)
-        if isinstance(s, (If, While, Assert)):
-            s.guard = _rename_expr(s.guard, mapping)
+def copy_program(prog: Program, mapping: Optional[Dict[str, str]] = None,
+                 ops: Optional[Dict[str, Program]] = None) -> Program:
+    """A fresh copy of ``prog`` that shares no statement node or ``Meta`` with it.
 
+    Each node's ``meta`` keeps only its source position.  Variables named in
+    ``mapping`` are renamed, at declarations, targets and uses.  With ``ops``,
+    each `call` becomes a fresh copy of its operation's body; an unknown one
+    is an error at the first such `call` in preorder.
+    """
+    mapping = mapping or {}
 
-def _splice_calls(body: Program, bodies: Dict[str, Program]) -> None:
-    """Replace, in place, every `call` in ``body`` by a clone of its operation."""
-    progs = [body]
-    for s in walk(body):
-        if isinstance(s, CallOp) and s.name not in bodies:
-            raise TypecheckError(f"unknown operation {s.name!r}", s.meta.pos)
-        progs.extend(sub_programs(s))
-    for p in progs:
-        p.stmts = tuple(t for s in p.stmts
-                        for t in (clone(bodies[s.name]).stmts if isinstance(s, CallOp) else (s,)))
+    def program(p: Program) -> Program:
+        stmts = []
+        for s in p.stmts:
+            if ops is not None and type(s) is CallOp:
+                if s.name not in ops:
+                    raise TypecheckError(f"unknown operation {s.name!r}", s.meta.pos)
+                stmts += copy_program(ops[s.name]).stmts
+            else:
+                stmts.append(stmt(s))
+        return Program(tuple(stmts), Meta(p.meta.pos))
+
+    def stmt(s: Stmt) -> Stmt:
+        kind = type(s)
+        fields = {f: program(getattr(s, f)) for f in PROGRAM_FIELDS.get(kind, ())}
+        if kind is Assign:
+            fields["targets"] = tuple(mapping.get(t, t) for t in s.targets)
+        if kind in (HidVar, Unvar):
+            fields["name"] = mapping.get(s.name, s.name)
+        if kind is HidVar and s.domain_hint is not None:
+            fields["domain_hint"] = tuple(_rename_dist(d, mapping) for d in s.domain_hint)
+        if kind in (Assign, HidVar, Print):
+            fields["dist"] = _rename_dist(s.dist, mapping)
+        if kind in (If, While, Assert):
+            fields["guard"] = _rename_expr(s.guard, mapping)
+        return replace(s, meta=Meta(s.meta.pos), **fields)
+
+    return program(prog)
 
 
 def inline(ctx_prog: ProgramContext, d: Datatype) -> Program:
@@ -399,7 +399,6 @@ def inline(ctx_prog: ProgramContext, d: Datatype) -> Program:
     if clash:
         raise TypecheckError(f"client variables shadow shared state: {sorted(clash)}")
 
-    d = clone(d)
     validate_datatype(d)
     progs = (d.init, *(p for _, p in d.ops), d.final)
     internal = list(dict.fromkeys(
@@ -421,10 +420,9 @@ def inline(ctx_prog: ProgramContext, d: Datatype) -> Program:
             raise TypecheckError(f"fresh name {candidate!r} would capture an atom")
         mapping[name] = candidate
 
-    for p in progs:
-        _rename(p, mapping)
-    body = clone(ctx_prog.body)
-    _splice_calls(body, dict(d.ops))
-    composite = Program(d.init.stmts + body.stmts + d.final.stmts)
+    ops = {name: copy_program(p, mapping) for name, p in d.ops}
+    composite = Program(copy_program(d.init, mapping).stmts
+                        + copy_program(ctx_prog.body, ops=ops).stmts
+                        + copy_program(d.final, mapping).stmts)
     typecheck_program(composite, d.shared.merge(ctx_prog.client))
     return composite

@@ -520,6 +520,17 @@ def test_loss_expression_errors_carry_positions(capsys, tmp_path):
         assert err.splitlines() == [line]
 
 
+def test_call_outside_a_datatype_is_a_type_error(capsys, tmp_path):
+    prog = tmp_path / "hole.prog"
+    prog.write_text("vars: x : {0,1}\nbody: x := 0; call f\n")
+    loss = tmp_path / "x.loss"
+    loss.write_text("context x : {0,1}\nexpr: x\n")
+    code, out, err = run(capsys, "wpl", str(prog), "--post", str(loss))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["type error: 2:15: unknown operation hole 'f'"]
+
+
 def test_nesting_past_the_bound_is_a_positioned_syntax_error(capsys, tmp_path):
     """The deepest accepted input answers everywhere; one level deeper is exit 1."""
     from preloss.parsing import MAX_NESTING, parse_program_file
@@ -533,12 +544,15 @@ def test_nesting_past_the_bound_is_a_positioned_syntax_error(capsys, tmp_path):
         "blocks": (lambda n: "if x { " * n + "print x" + " } else { skip }" * n,
                    12 + 7 * MAX_NESTING),
         "chain": (lambda n: "x := x" + " * 1" * n, 14 + 4 * MAX_NESTING),
+        "loops": (lambda n: "while x { " * n + "x := 0" + " }" * n, 15 + 10 * MAX_NESTING),
     }
     for name, (body, col) in shapes.items():
         prog = tmp_path / f"{name}.prog"
         prog.write_text(f"vars: x : {{0,1}}\nbody: {body(MAX_NESTING)}\n")
-        for argv in (["check"], ["wpl", "--post", str(loss)],
-                     ["oracle", "--post", str(loss), "--exhaustive"]):
+        commands = [["check"], ["wpl", "--post", str(loss)]]
+        if name != "loops":  # the oracle takes loop-free programs only
+            commands.append(["oracle", "--post", str(loss), "--exhaustive"])
+        for argv in commands:
             code, out, err = run(capsys, argv[0], str(prog), *argv[1:])
             assert code == 0 and err == "", (name, argv, err)
         _, parsed = parse_program_file(prog.read_text())
@@ -548,7 +562,7 @@ def test_nesting_past_the_bound_is_a_positioned_syntax_error(capsys, tmp_path):
         assert code == 1, name
         assert err.splitlines() == [f"syntax error: 2:{col}: nesting too deep"], name
 
-    # inlining copies a datatype, the deepest recursion per level of any pass
+    # inlining copies the datatype's operation into the context
     deep_op = shapes["blocks"][0](MAX_NESTING).replace("x", "s")
     dt = tmp_path / "deep.dt"
     dt.write_text(f"shared:\n s : {{0,1}}\nencap:\ninit:\n skip\nop f:\n {deep_op}\n"

@@ -55,9 +55,11 @@ def test_registered_parity_witness():
 
 
 def test_subset_cap_errors():
-    big = VarContext.of(("n", range(12)))
-    with pytest.raises(ValueError, match="cap"):
-        standard_family(big, FamilyOptions(max_subset=6, subset_cap=100, random=0))
+    big = VarContext.of(("n", range(16)))  # 14876 subsets of 2 to 6 states
+    with pytest.raises(ValueError, match="14876 subset indicators exceed the cap 4096"):
+        standard_family(big, FamilyOptions(max_subset=6, random=0))
+    with pytest.raises(ValueError, match="10001 random losses exceed the cap 10000"):
+        standard_family(N4, FamilyOptions(max_subset=1, random=10001))
 
 
 def test_random_losses_within_bounds():

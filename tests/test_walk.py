@@ -1,9 +1,11 @@
-"""The one statement walk (``syntax.sub_programs``, ``syntax.walk``) and the
-functions built on it, checked against private copies of the hand-written
-recursions they replaced: the classifiers, the declared names, renaming,
-call splicing, site labels and inlining.
+"""The one statement walk (``syntax.sub_programs``, ``syntax.walk``), the one
+tree copy (``typecheck.copy_program``) and the functions built on them,
+checked against private copies of the hand-written recursions they replaced:
+the classifiers, the declared names, renaming, call splicing, site labels
+and inlining.
 """
 
+import copy
 import dataclasses
 import itertools
 import pathlib
@@ -17,14 +19,13 @@ from preloss import syntax
 from preloss.adversary import LoopFreeError, label_sites
 from preloss.parsing import parse_context_file, parse_datatype_file, parse_program_text
 from preloss.syntax import (
-    Abort, Assert, Assign, CallOp, DistBranch, DistExpr, HidVar, If, NonDet,
+    Abort, Assert, Assign, CallOp, DistBranch, DistExpr, HidVar, If, Meta, NonDet,
     Print, Program, Skip, Stmt, Unvar, While, program_text, sub_programs, walk,
 )
 from preloss.exprs import Lit, Name
 from preloss.typecheck import (
-    TypecheckError, _declared_names, _rename, _rename_dist, _rename_expr,
-    _splice_calls, classify_choiceless, classify_hidden, clone, inline,
-    typecheck_program, validate_datatype,
+    TypecheckError, _declared_names, _rename_dist, _rename_expr, classify_choiceless,
+    classify_hidden, copy_program, inline, typecheck_program, validate_datatype,
 )
 
 from conftest import ProgramShape, gen_context, gen_program
@@ -33,6 +34,24 @@ CORPUS = pathlib.Path("corpus")
 
 
 # ------------------------------------------------- the recursions replaced
+
+def _clone(node):
+    """A deep copy whose annotations keep only source positions."""
+    memo = {}
+
+    def fresh_metas(x):
+        if isinstance(x, Meta):
+            memo[id(x)] = Meta(x.pos)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                fresh_metas(getattr(x, f.name))
+        elif isinstance(x, tuple):
+            for item in x:
+                fresh_metas(item)
+
+    fresh_metas(node)
+    return copy.deepcopy(node, memo)
+
 
 def _old_classify_hidden(prog):
     for s in prog.stmts:
@@ -74,7 +93,7 @@ def _old_rename_program(prog, mapping):
     out = []
     for s in prog.stmts:
         if isinstance(s, (Skip, Abort, CallOp)):
-            out.append(clone(s))
+            out.append(_clone(s))
             continue
         if isinstance(s, Assign):
             node = Assign(tuple(mapping.get(t, t) for t in s.targets),
@@ -112,7 +131,7 @@ def _old_splice_calls(prog, bodies):
         if isinstance(s, CallOp):
             if s.name not in bodies:
                 raise TypecheckError(f"unknown operation {s.name!r}", s.meta.pos)
-            out.extend(clone(bodies[s.name]).stmts)
+            out.extend(_clone(bodies[s.name]).stmts)
             continue
         if isinstance(s, If):
             node = If(s.guard, _old_splice_calls(s.then, bodies),
@@ -152,7 +171,7 @@ def _old_inline(ctx_prog, d):
     clash = set(ctx_prog.client.names) & set(d.shared.names)
     if clash:
         raise TypecheckError(f"client variables shadow shared state: {sorted(clash)}")
-    d = clone(d)
+    d = _clone(d)
     validate_datatype(d)
     internal = list(dict.fromkeys(
         list(d.encap.names)
@@ -179,7 +198,7 @@ def _old_inline(ctx_prog, d):
     init = _old_rename_program(d.init, mapping)
     final = _old_rename_program(d.final, mapping)
     bodies = {name: _old_rename_program(p, mapping) for name, p in d.ops}
-    body = _old_splice_calls(clone(ctx_prog.body), bodies)
+    body = _old_splice_calls(_clone(ctx_prog.body), bodies)
     composite = Program(init.stmts + body.stmts + final.stmts)
     typecheck_program(composite, d.shared.merge(ctx_prog.client))
     return composite
@@ -286,7 +305,7 @@ def test_walk_functions_match_the_recursions_they_replace():
         assert classify_choiceless(prog) == _old_classify_choiceless(prog), case
         assert _declared_names(prog) == _old_declared_names(prog), case
 
-        old, new = clone(prog), clone(prog)
+        old, new = _clone(prog), _clone(prog)
         try:
             _old_label_sites(old)
             old_error = None
@@ -305,22 +324,20 @@ def test_walk_functions_match_the_recursions_they_replace():
         names = sorted({s.name for s in _preorder(prog) if isinstance(s, (HidVar, Unvar))}
                        | {"u", "v", "w", "t"})
         mapping = {n: n + "'" for n in names if rng.random() < 0.5}
-        old = _old_rename_program(clone(prog), mapping)
-        new = clone(prog)
-        _rename(new, mapping)
+        old = _old_rename_program(_clone(prog), mapping)
+        new = copy_program(prog, mapping)
         assert new == old and program_text(new) == program_text(old), case
         assert _positions(new) == _positions(old), case
         renamed += program_text(new) != program_text(prog)
 
         bodies = {"op_a": _random_program(rng), "op_b": Program(())}
         try:
-            old = _old_splice_calls(clone(prog), bodies)
+            old = _old_splice_calls(_clone(prog), bodies)
             old_error = None
         except TypecheckError as exc:
             old_error = (str(exc), exc.pos)
-        new = clone(prog)
         try:
-            _splice_calls(new, bodies)
+            new = copy_program(prog, ops=bodies)
             new_error = None
         except TypecheckError as exc:
             new_error = (str(exc), exc.pos)
@@ -405,27 +422,64 @@ unvar k'2;
 unvar k'"""
 
 
-def test_inline_renames_client_clashes_with_two_internal_names(monkeypatch):
-    from preloss import typecheck
+def _nodes(prog):
+    """``prog`` and every program and statement node nested in it."""
+    out = [prog]
+    for s in prog.stmts:
+        out.append(s)
+        for field in _NESTED.get(type(s), ()):
+            out += _nodes(getattr(s, field))
+    return out
 
+
+def _shared(a, b):
+    """The nodes, and separately the annotations, that two node lists share."""
+    return ({id(n) for n in a} & {id(n) for n in b},
+            {id(n.meta) for n in a} & {id(n.meta) for n in b})
+
+
+def test_inline_renames_client_clashes_with_two_internal_names():
     d = parse_datatype_file(CLASH_DT, name="clash.dt")
     ctx = parse_context_file(CLASH_CTX, name="clash.ctx")
-    copied = []
-
-    def counted_clone(node):
-        copied.append(type(node).__name__)
-        return clone(node)
-
-    monkeypatch.setattr(typecheck, "clone", counted_clone)
     composite = inline(ctx, d)
-    # One copy of the datatype, one of the context body, one per `call`.
-    assert copied == ["Datatype", "Program", "Program", "Program"]
     assert program_text(composite) == CLASH_INLINED
     assert program_text(composite) == program_text(_old_inline(ctx, d))
     assert _positions(composite) == _positions(_old_inline(ctx, d))
     # The datatype and the context are left as parsed.
     assert program_text(d.op("next")).startswith("hidvar t := {k} [] {k'}")
     assert program_text(ctx.body).endswith("call next")
+    # The composite is built of copies: no node or annotation of it is parsed.
+    parsed = [n for p in (d.init, d.op("next"), d.final, ctx.body) for n in _nodes(p)]
+    assert _shared(_nodes(composite), parsed) == (set(), set())
+    # Each `call next` is its own copy of the operation's body.
+    first, second = composite.stmts[2].then, Program(composite.stmts[4:8])
+    assert first == second
+    assert _shared(_nodes(first)[1:], _nodes(second)[1:]) == (set(), set())
+
+
+def test_a_copy_keeps_only_positions_and_leaves_the_source_annotations():
+    from preloss.contexts import VarContext
+
+    prog = parse_program_text(
+        "hidvar y : {0,1} := x; if x = 0 { print y } else { x := 1 - x }; "
+        "{ assert y = 1 } [] { skip }; while x = 1 { x := 0 @ 1/2 | 1 }; unvar y")
+    typecheck_program(prog, VarContext.of(("x", (0, 1))))
+    source = _nodes(prog)
+    before = [(n.meta.pre, n.meta.post, n.meta.kernel, n.meta.guard, n.meta.label)
+              for n in source]
+    assert sum(k is not None for _, _, k, _, _ in before) == 6
+
+    copied = copy_program(prog)
+    assert copied == prog and _shared(_nodes(copied), source) == (set(), set())
+    for node, original in zip(_nodes(copied), source):
+        assert node.meta.pos == original.meta.pos
+        assert all(getattr(node.meta, slot) is None
+                   for slot in Meta.__slots__ if slot != "pos"), node
+    typecheck_program(copied, VarContext.of(("x", (0, 1, 2))))
+    after = [(n.meta.pre, n.meta.post, n.meta.kernel, n.meta.guard, n.meta.label)
+             for n in source]
+    assert all(x is y for old, new in zip(before, after) for x, y in zip(old, new))
+    assert copied.meta.pre != prog.meta.pre
 
 
 def test_unknown_operation_keeps_its_message_and_position():
