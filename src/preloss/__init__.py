@@ -7,7 +7,7 @@ independent forward-semantics oracle.  All arithmetic is exact rational.
 
 from .contexts import EMPTY, VarContext
 from .families import FamilyOptions, TestFamily, standard_family
-from .kernels import Kernel, Transformer, diag_dual, diag_kernel
+from .kernels import Kernel, Transformer, diag_kernel
 from .losses import (
     LossFunction, embed, eval_loss, loss_add, loss_canonicalize, loss_conj,
     loss_equal, loss_map, loss_member, loss_min, loss_refines, loss_scale,
@@ -28,7 +28,7 @@ from .typecheck import (
 
 __all__ = [
     "EMPTY", "VarContext", "FamilyOptions", "TestFamily", "standard_family",
-    "Kernel", "Transformer", "diag_dual", "diag_kernel",
+    "Kernel", "Transformer", "diag_kernel",
     "LossFunction", "embed", "eval_loss", "loss_add", "loss_canonicalize",
     "loss_conj", "loss_equal", "loss_map", "loss_member", "loss_min",
     "loss_refines", "loss_scale", "one_loss", "point_dist", "uniform_dist",

@@ -21,7 +21,6 @@ from typing import Callable, Tuple, Union
 
 from .contexts import State, VarContext, fmt_value
 from .predicates import Predicate
-from .scalars import scalar
 
 
 class EvalError(ValueError):
@@ -240,8 +239,8 @@ def predicate_of(ctx: VarContext, expr: Expr, *, mode: str = "any") -> Predicate
             raise EvalError(f"guard value {v} above 1 at state {fmt_value(s)}")
         if mode == "bool" and v not in (0, 1):
             raise EvalError(f"boolean expression value {v} at state {fmt_value(s)}")
-        entries.append(scalar(v))
-    return Predicate(ctx, tuple(entries))
+        entries.append(v)
+    return Predicate.from_entries(ctx, entries)
 
 
 # Binary operator precedences, for the parser and for ``pretty``.

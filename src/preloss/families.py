@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from .contexts import State, VarContext
@@ -87,10 +86,6 @@ class TestFamily:
             if loss.ctx != self.ctx:
                 raise ValueError("family entries must share one context")
 
-    @property
-    def losses(self) -> Tuple[LossFunction, ...]:
-        return tuple(l for l, _ in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -154,7 +149,7 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
         k = rng.randint(1, 4)
         gens = []
         for _ in range(k):
-            gens.append(Predicate(ctx, tuple(Fraction(rng.randint(0, 8), 4) for _ in range(n))))
+            gens.append(Predicate.from_ints(ctx, 4, [rng.randint(0, 8) for _ in range(n)]))
         push(LossFunction(ctx, tuple(gens)), f"random({opts.seed})")
 
     return TestFamily(ctx, tuple(entries))

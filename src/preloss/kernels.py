@@ -250,7 +250,3 @@ class Transformer:
     def tensor(self, other: "Transformer") -> "Transformer":
         return Transformer.from_ints(*_tensor(self, other))
 
-
-def diag_dual(ctx: VarContext) -> Transformer:
-    """Dual of the diagonal copy map: e(y, y') restricted to y' = y."""
-    return diag_kernel(ctx).dual()

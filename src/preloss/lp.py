@@ -17,9 +17,9 @@ finds the constrained states, the generators an ``INF`` excludes, the
 single-generator fast path and the distinct constraint rows on these ints,
 and hands the rows to the simplex together with ``den``.  The simplex
 divides each row by the gcd of its entries and ``den``: that is the row in
-lowest terms, the very integer row that the lcm of the entries'
-denominators gave when rows were built from ``Fraction``s, so the tableau,
-and with it the pivots, duals, optimum and weights, are the same numbers.
+lowest terms, over the lcm of its entries' denominators, so the tableau,
+and with it the pivots, duals, optimum and weights, are those of the
+rational LP.
 The denominator is passed on, not dropped: scaling every row by ``den``
 would keep the pivots but scale the duals, and the ``INF`` bump below
 depends on the target's size, as does the witness prior a report derives

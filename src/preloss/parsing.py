@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .contexts import ContextError, VarContext, Value, fmt_value
 from .exprs import BIN_PREC, Bin, EvalError, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
 from .predicates import Predicate
-from .scalars import INF, Scalar, scalar
+from .scalars import INF, Scalar
 from .syntax import (
     Abort, Assert, Assign, CallOp, Datatype, DistBranch, DistExpr, HidVar, If,
     NonDet, Print, Program, ProgramContext, Skip, Stmt, Unvar, While, single,
@@ -635,7 +635,8 @@ def parse_loss_text(text: str) -> Tuple[VarContext, List[Predicate]]:
             except EvalError as exc:
                 raise EvalError(f"{line_no}:{first_col}: {exc}") from None
         elif line.startswith("table:"):
-            gens.append(_parse_table_line(ctx, line[len("table:"):], line_no, col + len("table:")))
+            weights = _state_weights(ctx, line[len("table:"):], True, line_no, col + len("table:"))
+            gens.append(Predicate.from_entries(ctx, weights))
         else:
             raise ParseError("expected an 'expr:' or 'table:' generator line", line_no, col)
     if ctx is None:
@@ -645,9 +646,12 @@ def parse_loss_text(text: str) -> Tuple[VarContext, List[Predicate]]:
     return ctx, gens
 
 
-def _parse_table_line(ctx: VarContext, text: str, line_no: int, first_col: int) -> Predicate:
-    p = Parser(lex(text, line_no, first_col))
-    entries: List[Scalar] = [scalar(0)] * ctx.n_states
+def _state_weights(ctx: VarContext, text: str, allow_inf: bool,
+                   first_line: int = 1, first_col: int = 1) -> List[Scalar]:
+    """Per-state weights from `(state)=weight` pairs, each state at most once;
+    omitted states get 0, and ``inf`` is a weight only if ``allow_inf``."""
+    p = Parser(lex(text, first_line, first_col))
+    weights: List[Scalar] = [Fraction(0)] * ctx.n_states
     seen = set()
     while not p.at_kind("eof"):
         state_tok = p.peek()
@@ -655,13 +659,13 @@ def _parse_table_line(ctx: VarContext, text: str, line_no: int, first_col: int) 
         if not isinstance(value, tuple):
             value = (value,)
         p.expect("=")
-        if p.peek().text == "inf":
+        if allow_inf and p.peek().text == "inf":
             p.advance()
             weight: Scalar = INF
         else:
-            weight = scalar(p._parse_rational())
-        entries[_new_state(ctx, value, state_tok, seen)] = weight
-    return Predicate(ctx, tuple(entries))
+            weight = p._parse_rational()
+        weights[_new_state(ctx, value, state_tok, seen)] = weight
+    return weights
 
 
 def _new_state(ctx: VarContext, value: tuple, tok: Token, seen: set) -> int:
@@ -683,14 +687,4 @@ def parse_prior_text(ctx: VarContext, text: str) -> Tuple[Fraction, ...]:
     if stripped == "uniform":
         n = ctx.n_states
         return tuple(Fraction(1, n) for _ in range(n))
-    p = Parser(lex(text))
-    weights = [Fraction(0)] * ctx.n_states
-    seen = set()
-    while not p.at_kind("eof"):
-        state_tok = p.peek()
-        value = p._parse_value()
-        if not isinstance(value, tuple):
-            value = (value,)
-        p.expect("=")
-        weights[_new_state(ctx, value, state_tok, seen)] = p._parse_rational()
-    return tuple(weights)
+    return tuple(_state_weights(ctx, text, allow_inf=False))

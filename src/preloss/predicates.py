@@ -1,67 +1,40 @@
 """Extended-rational-valued predicates on the states of a variable context.
 
-Integer form.  A predicate's values are kept as a tuple ``nums`` of
-integer numerators over one positive denominator ``den``, in lowest terms:
-the gcd of ``den`` and every finite numerator is 1.  ``INF`` is the
+A predicate keeps one form, as ``Kernel`` does: a tuple ``nums`` of
+integer numerators over one positive denominator ``den``, in lowest terms
+(the gcd of ``den`` and every finite numerator is 1).  ``INF`` is the
 sentinel numerator ``INF_NUM`` (-1); scalars are nonnegative, so no finite
-value uses it.  Equal predicates over one context have the same integer
-form.  The loss algebra runs on it with Python ints: ``+``, ``conj``,
-``scale``, ``complement``, ``extend_to``, ``le``, ``is_zero`` and
-``Transformer.apply`` (``kernels.py``), and in ``losses.py`` the dedupe,
-order and dominance of ``_prune``, the state classes, ``loss_map``'s image
-cache and every LP membership query, which takes the generators' and the
-target's numerators over their common denominator.  ``INF`` stays inside
-the form: it absorbs in sums, ``INF * 0 = 0`` and ``INF * x = INF`` for
-``x > 0``.
+value uses it.  Equal predicates over one context have the same form, so
+the dataclass equality and hash are the value's.  The loss algebra runs on
+it with Python ints: ``+``, ``conj``, ``scale``, ``complement``,
+``extend_to``, ``le``, ``is_zero`` and ``Transformer.apply``
+(``kernels.py``), and in ``losses.py`` the dedupe, order and dominance of
+``_prune``, the state classes, ``loss_map``'s image cache and every LP
+membership query.  ``INF`` stays inside the form: it absorbs in sums,
+``INF * 0 = 0`` and ``INF * x = INF`` for ``x > 0``.
 
-Fraction entries.  ``entries``, a tuple of ``Fraction``s and ``INF``, is
-derived from the integer form on first use and cached.  A predicate built
-with ``Predicate(ctx, entries)`` (parsing, expressions, families) keeps its
-entries and derives the integer form on first use instead.  The forward
-oracle (``adversary.py``) reads the integer form of guards and losses, and
-that of kernels: ``Kernel`` and ``Transformer`` keep their weights in the
-same form, per row over one denominator in lowest terms.
-``Fraction``s are built only at the edges: printing (``table``, ``repr``,
-``sort_token``), ``at``, ``expectation`` and so ``eval_loss``.
-
-Equality and hashing keep the dataclass meaning, ``(ctx, entries)``, and
-read the integer form.  The hash is ``hash((ctx, entries))``, computed
-without building ``Fraction``s: a nonnegative rational n/d hashes to
-``n * d^-1`` modulo the hash modulus, whatever its representation.
+``from_entries`` builds the form from ints, ``Fraction``s and ``INF`` (the
+parser, expressions and witnesses); ``from_ints`` from numerators.
+``entries``, the values as ``Fraction``s and ``INF``, is a view derived on
+first read, for the edges: printing (``table``, ``repr``, ``sort_token``),
+``at``, ``expectation`` and so ``eval_loss``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, le, mul
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 from .contexts import ContextError, State, VarContext, fmt_state
 from .scalars import INF, Scalar, fmt_scalar, scalar
 from .scalars import sort_key as scalar_key
 
 INF_NUM = -1
-
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-def _int_form(entries: Sequence[Scalar]) -> Tuple[int, Tuple[int, ...]]:
-    """Integer numerators over the lcm of the entries' denominators."""
-    den = lcm(*{e.denominator for e in entries if e is not INF})
-    nums = []
-    for e in entries:
-        if e is INF:
-            nums.append(INF_NUM)
-            continue
-        n = e.numerator
-        if n < 0:
-            raise ValueError(f"scalars must be nonnegative, got {e}")
-        nums.append(n * (den // e.denominator))
-    return den, tuple(nums)
 
 
 def _scalars(den: int, nums: Sequence[int]) -> Tuple[Scalar, ...]:
@@ -70,35 +43,8 @@ def _scalars(den: int, nums: Sequence[int]) -> Tuple[Scalar, ...]:
     return tuple(map(value.__getitem__, nums))
 
 
-class _Derived:
-    """A form of a predicate built on first read from the other form.
-
-    A non-data descriptor: once ``fill`` has stored the form in the
-    instance dict, reads find it there without calling back here.
-    """
-
-    def __init__(self, name: str, fill: Callable[[dict], None]):
-        self.name = name
-        self.fill = fill
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        d = obj.__dict__
-        self.fill(d)
-        return d[self.name]
-
-
-def _fill_ints(d: dict):
-    d["den"], d["nums"] = _int_form(d["entries"])
-
-
-def _fill_entries(d: dict):
-    d["entries"] = _scalars(d["den"], d["nums"])
-
-
 def _make(ctx: VarContext, den: int, nums: Tuple[int, ...]) -> "Predicate":
-    """A predicate from an integer form already in lowest terms."""
+    """A predicate from a form already in lowest terms, without ``__init__``."""
     p = object.__new__(Predicate)
     d = p.__dict__
     d["ctx"], d["den"], d["nums"] = ctx, den, nums
@@ -107,19 +53,40 @@ def _make(ctx: VarContext, den: int, nums: Tuple[int, ...]) -> "Predicate":
 
 @dataclass(frozen=True)
 class Predicate:
-    ctx: VarContext
-    entries: Tuple[Scalar, ...]
+    """Values ``nums[i] / den`` (``INF_NUM`` for ``INF``) in lowest terms.
 
-    # Not fields: the integer form, derived from ``entries`` when needed.
-    den = _Derived("den", _fill_ints)
-    nums = _Derived("nums", _fill_ints)
+    The constructor takes a form already in lowest terms; ``from_ints``
+    and ``from_entries`` reduce theirs.
+    """
+
+    ctx: VarContext
+    den: int
+    nums: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.ctx.n_states:
+        if len(self.nums) != self.ctx.n_states:
             raise ContextError(
-                f"predicate has {len(self.entries)} entries for "
-                f"{self.ctx.n_states} states"
-            )
+                f"predicate has {len(self.nums)} entries for {self.ctx.n_states} states")
+
+    entries = cached_property(lambda self: _scalars(self.den, self.nums))
+
+    @staticmethod
+    def from_entries(ctx: VarContext, values: Iterable) -> "Predicate":
+        """The predicate with the given values: nonnegative ints, Fractions or INF.
+
+        The integer form is over the lcm of the values' denominators, which
+        is already in lowest terms: a prime's highest power in it divides
+        some value's denominator, and so not that value's numerator.
+        """
+        values = tuple(values)
+        for v in values:
+            if v is not INF and (not isinstance(v, (int, Fraction)) or v < 0):
+                raise ValueError(f"predicate values must be nonnegative ints, Fractions "
+                                 f"or inf, got {v!r}")
+        den = lcm(*{v.denominator for v in values if v is not INF})
+        nums = tuple(INF_NUM if v is INF else v.numerator * (den // v.denominator)
+                     for v in values)
+        return Predicate(ctx, den, nums)
 
     @staticmethod
     def from_ints(ctx: VarContext, den: int, nums: Sequence[int]) -> "Predicate":
@@ -136,7 +103,7 @@ class Predicate:
 
     @staticmethod
     def from_function(ctx: VarContext, fn: Callable[[State], Scalar]) -> "Predicate":
-        return Predicate(ctx, tuple(scalar(fn(s)) for s in ctx.states()))
+        return Predicate.from_entries(ctx, [scalar(fn(s)) for s in ctx.states()])
 
     @staticmethod
     def constant(ctx: VarContext, value) -> "Predicate":
@@ -160,29 +127,6 @@ class Predicate:
         nums = [0] * ctx.n_states
         nums[idx] = 1
         return _make(ctx, 1, tuple(nums))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Predicate):
-            return NotImplemented
-        if self is other:
-            return True
-        return self.ctx == other.ctx and self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        # Generators are hashed many times; the value is computed once per
-        # object and kept outside the fields.
-        d = self.__dict__
-        h = d.get("_hash")
-        if h is None:
-            try:
-                dinv = pow(self.den, -1, _HASH_MODULUS)
-            except ValueError:  # den is a multiple of the modulus
-                values = self.entries
-            else:
-                values = tuple(INF if n == INF_NUM else n * dinv % _HASH_MODULUS
-                               for n in self.nums)
-            h = d["_hash"] = hash((self.ctx, values))
-        return h
 
     def _require_same_ctx(self, other: "Predicate"):
         if self.ctx != other.ctx:
@@ -231,10 +175,6 @@ class Predicate:
             raise ValueError(f"complement undefined: entry {fmt_scalar(bad)} > 1")
         # gcd(den, den - n) = gcd(den, n): still in lowest terms.
         return _make(self.ctx, den, tuple(den - n for n in nums))
-
-    def extend(self, extra: VarContext) -> "Predicate":
-        """Context extension: value independent of the appended variables."""
-        return self.extend_to(self.ctx.merge(extra))
 
     def extend_to(self, target: VarContext) -> "Predicate":
         """Reindex onto a larger context containing this one's variables.
@@ -290,7 +230,3 @@ class Predicate:
     def __repr__(self) -> str:
         return f"Predicate[{self.table()}]"
 
-
-# ``entries`` stays a dataclass field; its descriptor is set after the
-# decorator ran, so that it is not taken for the field's default.
-Predicate.entries = _Derived("entries", _fill_entries)

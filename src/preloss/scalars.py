@@ -32,7 +32,7 @@ class Infinity:
         return hash("preloss.Infinity")
 
     def __add__(self, other):
-        _check_operand(other)
+        scalar(other)
         return self
 
     __radd__ = __add__
@@ -40,7 +40,7 @@ class Infinity:
     def __mul__(self, other):
         if isinstance(other, Infinity):
             return self
-        other = _check_operand(other)
+        other = scalar(other)
         if other == 0:
             return Fraction(0)
         return self
@@ -48,27 +48,18 @@ class Infinity:
     __rmul__ = __mul__
 
     def __lt__(self, other):
-        _check_operand(other)
+        scalar(other)
         return False
 
     def __le__(self, other):
         return isinstance(other, Infinity)
 
     def __gt__(self, other):
-        return not isinstance(other, Infinity) and _check_operand(other) is not None
+        return not isinstance(other, Infinity) and scalar(other) is not None
 
     def __ge__(self, other):
-        _check_operand(other)
+        scalar(other)
         return True
-
-
-def _check_operand(other):
-    if isinstance(other, Infinity):
-        return other
-    value = Fraction(other)
-    if value < 0:
-        raise ValueError(f"negative scalar not allowed: {other}")
-    return value
 
 
 INF = Infinity()
@@ -80,13 +71,17 @@ ONE = Fraction(1)
 
 
 def scalar(value) -> Scalar:
-    """Coerce ints, strings ('p/q' or 'inf') and Fractions to a Scalar."""
+    """Coerce ints, Fractions, strings ('p/q' or 'inf') and INF to a Scalar.
+
+    Floats are refused: a float such as 0.1 is a binary fraction, not the
+    rational it prints as.
+    """
     if isinstance(value, Infinity):
         return INF
-    if isinstance(value, str):
-        if value.strip() == "inf":
-            return INF
-        value = Fraction(value)
+    if isinstance(value, float):
+        raise ValueError(f"scalars must be exact, got the float {value!r}")
+    if isinstance(value, str) and value.strip() == "inf":
+        return INF
     result = Fraction(value)
     if result < 0:
         raise ValueError(f"scalars must be nonnegative, got {result}")

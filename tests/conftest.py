@@ -58,7 +58,8 @@ def gen_scalar(rng: random.Random, bound: int = 2, inf_prob: float = 0.0):
 
 
 def gen_predicate(rng, ctx, bound: int = 2, inf_prob: float = 0.0) -> Predicate:
-    return Predicate(ctx, tuple(gen_scalar(rng, bound, inf_prob) for _ in range(ctx.n_states)))
+    values = [gen_scalar(rng, bound, inf_prob) for _ in range(ctx.n_states)]
+    return Predicate.from_entries(ctx, values)
 
 
 def gen_loss(rng, ctx, max_gens: int = 4, bound: int = 2, inf_prob: float = 0.0) -> LossFunction:

@@ -281,12 +281,12 @@ def test_criterion_6_healthiness_suite():
             e_z = gen_predicate(rng, z)
             merged_post = post.merge(z)
             framed = LossFunction(merged_post, tuple(
-                g.extend(z).conj(e_z.extend_to(merged_post)) for g in E.gens))
+                g.extend_to(merged_post).conj(e_z.extend_to(merged_post)) for g in E.gens))
             lhs = weakest_preloss(prog, framed, extension=z, loop_budget=budget).pre
             inner = weakest_preloss(prog, E, loop_budget=budget).pre
             merged_pre = prog.meta.pre.merge(z)
             rhs = LossFunction(merged_pre, tuple(
-                g.extend(z).conj(e_z.extend_to(merged_pre)) for g in inner.gens))
+                g.extend_to(merged_pre).conj(e_z.extend_to(merged_pre)) for g in inner.gens))
             assert loss_equal(lhs, rhs)
 
         # correlation-transformer law: commutes with hidden assignment on z

@@ -389,7 +389,7 @@ def test_long_random_runs_stay_exact():
     """
     x2 = VarContext.of(("x", (0, 1)))
     prog = typed("; ".join(["x := 0 @ 1/3 | 1; assert x = 1; print x"] * 60), x2)
-    loss = LossFunction(x2, (Predicate(x2, (Fraction(5), Fraction(7))),))
+    loss = LossFunction(x2, (Predicate.from_entries(x2, (Fraction(5), Fraction(7))),))
     prior = (Fraction(1, 2), Fraction(1, 2))
     risk = min_bayes_risk(prog, prior, loss)
     assert risk == 7 * Fraction(2, 3) ** 60

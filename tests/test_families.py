@@ -76,7 +76,7 @@ def test_random_losses_within_bounds():
 
 def test_family_context_consistency():
     fam = standard_family(N4, FamilyOptions(random=3))
-    assert all(l.ctx == N4 for l in fam.losses)
+    assert all(l.ctx == N4 for l, _ in fam.entries)
     with pytest.raises(ValueError):
         from preloss.families import TestFamily
 
@@ -123,7 +123,7 @@ def _reference_family(ctx, opts):
             push(loss, "user")
     rng = random.Random(opts.seed)
     for _ in range(opts.random):
-        gens = [Predicate(ctx, tuple(Fraction(rng.randint(0, 8), 4) for _ in range(n)))
+        gens = [Predicate.from_entries(ctx, [Fraction(rng.randint(0, 8), 4) for _ in range(n)])
                 for _ in range(rng.randint(1, 4))]
         push(LossFunction(ctx, tuple(gens)), f"random({opts.seed})")
     return entries

@@ -412,7 +412,8 @@ def _reference_obs(ctx, dist) -> Kernel:
 
 
 def _reference_guard(ctx, expr) -> Predicate:
-    return Predicate(ctx, tuple(scalar(_reference_evaluate(expr, ctx, s)) for s in ctx.states()))
+    values = [scalar(_reference_evaluate(expr, ctx, s)) for s in ctx.states()]
+    return Predicate.from_entries(ctx, values)
 
 
 def _lifted(kernel: Kernel, post) -> Kernel:

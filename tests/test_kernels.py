@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from preloss.contexts import VarContext
-from preloss.kernels import Kernel, Transformer, diag_dual, diag_kernel
+from preloss.kernels import Kernel, Transformer, diag_kernel
 from preloss.predicates import Predicate
 
 from conftest import gen_context, gen_kernel, gen_predicate
@@ -92,11 +92,11 @@ def test_tensor_on_rectangles():
     g = gen_kernel(rng, y, w).dual()
     e1, e2 = gen_predicate(rng, z), gen_predicate(rng, w)
     # (f (x) g)(e1 (x) e2) = f(e1) (x) g(e2)
-    prod = Predicate(z.merge(w), tuple(
+    prod = Predicate.from_entries(z.merge(w), tuple(
         a * b for a in e1.entries for b in e2.entries))
     lhs = f.tensor(g).apply(prod)
     fa, gb = f.apply(e1), g.apply(e2)
-    rhs = Predicate(x.merge(y), tuple(a * b for a in fa.entries for b in gb.entries))
+    rhs = Predicate.from_entries(x.merge(y), tuple(a * b for a in fa.entries for b in gb.entries))
     assert lhs == rhs
 
 
@@ -138,7 +138,7 @@ def test_diag_dual_on_products_is_conjunction():
     ctx = VarContext.of(("y", range(3)))
     k = diag_kernel(ctx)
     e1, e2 = gen_predicate(rng, ctx), gen_predicate(rng, ctx)
-    prod = Predicate(k.dst, tuple(a * b for a in e1.entries for b in e2.entries))
+    prod = Predicate.from_entries(k.dst, tuple(a * b for a in e1.entries for b in e2.entries))
     assert k.dual_apply(prod) == e1.conj(e2)
 
 
@@ -149,7 +149,7 @@ def test_diag_route_matches_direct_summation():
     y_copy = VarContext.of(("n$", range(4)))  # diag's copy coordinate
     x = VarContext.of(("b", (0, 1)))
     f = gen_kernel(rng, y_copy, x)
-    composed = diag_dual(y).compose(Transformer.identity(y).tensor(f.dual()))
+    composed = diag_kernel(y).dual().compose(Transformer.identity(y).tensor(f.dual()))
     pair = y.merge(x)
     assert composed.dst == pair and composed.src == y
     for _ in range(25):
@@ -172,7 +172,7 @@ def _fraction_apply(f, e):
         for j, w in row:
             total = total + e.entries[j] * w
         out.append(total)
-    return Predicate(f.src, tuple(out))
+    return Predicate.from_entries(f.src, tuple(out))
 
 
 def test_apply_equals_the_row_sum():
@@ -190,7 +190,7 @@ def test_apply_equals_the_row_sum():
             targets = rng.sample(range(dst.n_states), rng.randint(0, min(3, dst.n_states)))
             rows.append({j: rng.choice(weights) for j in targets})
         f = Transformer.from_rows(src, dst, rows)
-        e = Predicate(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
+        e = Predicate.from_entries(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
         assert f.apply(e).entries == _fraction_apply(f, e).entries
 
 
@@ -211,12 +211,12 @@ def test_integer_rows_apply_equals_the_row_sum():
                      for j in rng.sample(range(dst.n_states), rng.randint(0, min(3, dst.n_states)))}
                     for _ in range(src.n_states)]
         f = Transformer.from_rows(src, dst, rows)
-        e = Predicate(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
+        e = Predicate.from_entries(dst, tuple(rng.choice(pool) for _ in range(dst.n_states)))
         expected = _fraction_apply(f, e).entries
         for source in (e, e + Predicate.zero(dst)):
             image = f.apply(source)
             assert image.entries == expected
-            assert image == Predicate(src, expected)
+            assert image == Predicate.from_entries(src, expected)
 
 
 def test_ell_plan_matches_the_fraction_row_sum():

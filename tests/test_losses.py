@@ -112,7 +112,8 @@ def test_add_identity_and_scale_zero():
     E = gen_loss(rng, X123)
     assert loss_equal(loss_add(E, zero_loss(X123)), E)
     assert is_zero_loss(loss_scale(0, E))
-    assert is_zero_loss(loss_scale(0, LossFunction(X123, (Predicate(X123, (INF, INF, INF)),))))
+    infinite = Predicate.from_entries(X123, (INF, INF, INF))
+    assert is_zero_loss(loss_scale(0, LossFunction(X123, (infinite,))))
 
 
 def test_min_of_pairs_distributes_into_four_sums():
@@ -225,17 +226,17 @@ def test_add_scale_monotone_in_refinement():
 
 def test_member_with_inf_target_and_generators():
     ctx = VarContext.of(("x", (0, 1, 2)))
-    gi = Predicate(ctx, (INF, Fraction(1), Fraction(0)))
+    gi = Predicate.from_entries(ctx, (INF, Fraction(1), Fraction(0)))
     g2 = Predicate.unit(ctx, (1,))
     E = LossFunction(ctx, (gi, g2))
     # target finite at state 0 excludes gi; separation must still cover it
-    target = Predicate(ctx, (Fraction(0), Fraction(1, 2), Fraction(0)))
+    target = Predicate.from_entries(ctx, (Fraction(0), Fraction(1, 2), Fraction(0)))
     res = loss_member_certified(target, E)
     assert not res.member
     gens, vector, _ = full_query(E, target)
     assert lp.check_separation(gens, vector, res.witness)
     # target infinite at state 0 admits gi
-    assert loss_member(Predicate(ctx, (INF, Fraction(1), Fraction(0))), E)
+    assert loss_member(Predicate.from_entries(ctx, (INF, Fraction(1), Fraction(0))), E)
 
 
 def test_context_mismatch_errors():
@@ -280,7 +281,7 @@ def _loss_with_duplicate_states(rng):
 
     def make(inf_prob=0.05):
         values = [gen_scalar(rng, inf_prob=inf_prob) for _ in range(n)]
-        return Predicate(ctx, tuple(values[c] for c in classes))
+        return Predicate.from_entries(ctx, tuple(values[c] for c in classes))
 
     gens = [make() for _ in range(rng.randint(2, 6))]
     for _ in range(rng.randint(0, 3)):
@@ -314,7 +315,7 @@ def test_member_on_state_classes_matches_full_states():
         a, b = rng.sample(E.gens, 2)
         targets = [make(), make(0.3), make(0.0), Predicate.zero(E.ctx), rng.choice(E.gens),
                    a.scale(Fraction(1, 3)) + b.scale(Fraction(2, 3)),
-                   Predicate(E.ctx, tuple(gen_scalar(rng) for _ in range(E.ctx.n_states)))]
+                   Predicate.from_entries(E.ctx, [gen_scalar(rng) for _ in range(E.ctx.n_states)])]
         for e in targets:
             before = dict(lp.counters)
             expected = lp.convex_cover(*full_query(E, e))
@@ -354,12 +355,12 @@ def test_prune_on_integer_keys_matches_the_entrywise_reference():
             Fraction(2, 9)]
     for _ in range(300):
         ctx = gen_context(rng, max_states=6)
-        gens = [Predicate(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
+        gens = [Predicate.from_entries(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
                 for _ in range(rng.randint(1, 7))]
         for _ in range(rng.randint(0, 4)):   # duplicates and dominating copies, via ints
             g = rng.choice(gens)
             gens.append(g + Predicate.zero(ctx) if rng.random() < 0.5
-                        else g + Predicate(ctx, tuple(rng.choice(pool[:2] + pool[3:])
+                        else g + Predicate.from_entries(ctx, tuple(rng.choice(pool[:2] + pool[3:])
                                                       for _ in range(ctx.n_states))))
         rng.shuffle(gens)
         got = _prune(gens)

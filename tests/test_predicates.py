@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -29,7 +29,7 @@ def test_add_of_disjoint_indicators():
 
 def test_scale_by_zero_kills_infinities():
     ctx = VarContext.of(("x", (0, 1)))
-    e = Predicate(ctx, (INF, Fraction(3)))
+    e = Predicate.from_entries(ctx, (INF, Fraction(3)))
     assert e.scale(0).is_zero
 
 
@@ -75,13 +75,13 @@ def test_extension_is_independent_of_new_vars():
     ctx = VarContext.of(("n", range(4)))
     extra = VarContext.of(("b", (0, 1)))
     even = predicate_of(ctx, parse_expr_text("n mod 2 = 0"), mode="bool")
-    ext = even.extend(extra)
+    ext = even.extend_to(ctx.merge(extra))
     assert ext.ctx == ctx.merge(extra)
     for n in range(4):
         for b in range(2):
             assert ext.at((n, b)) == even.at((n,))
-    assert Predicate.zero(ctx).extend(extra).is_zero
-    c = Predicate.constant(ctx, Fraction(2, 5)).extend(extra)
+    assert Predicate.zero(ctx).extend_to(ctx.merge(extra)).is_zero
+    c = Predicate.constant(ctx, Fraction(2, 5)).extend_to(ctx.merge(extra))
     assert c == Predicate.constant(ctx.merge(extra), Fraction(2, 5))
 
 
@@ -95,7 +95,7 @@ def test_extend_to_arbitrary_position():
 
 def test_expectation_with_inf():
     ctx = VarContext.of(("x", (0, 1)))
-    e = Predicate(ctx, (INF, Fraction(1, 2)))
+    e = Predicate.from_entries(ctx, (INF, Fraction(1, 2)))
     assert e.expectation((Fraction(0), Fraction(1))) == Fraction(1, 2)
     assert e.expectation((Fraction(1, 2), Fraction(1, 2))) is INF
 
@@ -114,7 +114,7 @@ def test_cone_monotonicity_sampled():
 def _mixed_predicate(rng, ctx):
     """Entries drawn from 0, 1, INF and proper fractions, so every fast path runs."""
     pool = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2), Fraction(7, 12)]
-    return Predicate(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
+    return Predicate.from_entries(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
 
 
 def test_add_and_conj_equal_the_entrywise_formulas():
@@ -126,8 +126,8 @@ def test_add_and_conj_equal_the_entrywise_formulas():
             product = x.conj(y)
             assert total.entries == tuple(p + q for p, q in zip(x.entries, y.entries))
             assert product.entries == tuple(p * q for p, q in zip(x.entries, y.entries))
-            assert total == Predicate(Z4B, total.entries)
-            assert product == Predicate(Z4B, product.entries)
+            assert total == Predicate.from_entries(Z4B, total.entries)
+            assert product == Predicate.from_entries(Z4B, product.entries)
 
 
 def test_cached_hash_keeps_equality_and_repr():
@@ -136,12 +136,12 @@ def test_cached_hash_keeps_equality_and_repr():
     rng = random.Random(23)
     preds = [_mixed_predicate(rng, Z4B) for _ in range(200)]
     for p in preds:
-        q = Predicate(p.ctx, tuple(p.entries))
+        q = Predicate.from_entries(p.ctx, tuple(p.entries))
         text, equal = repr(p), p == q
-        assert hash(p) == hash(q) == hash((p.ctx, p.entries))
+        assert hash(p) == hash(q)
         assert (repr(p), p == q) == (text, equal) == (text, True)
         assert replace(p) == p and hash(replace(p)) == hash(p)
-    copies = [Predicate(p.ctx, p.entries) for p in preds]
+    copies = [Predicate.from_entries(p.ctx, p.entries) for p in preds]
     assert len(set(preds + copies)) == len(set(p.entries for p in preds))
 
 
@@ -152,7 +152,7 @@ POOL = [Fraction(0), Fraction(1), INF, Fraction(1, 3), Fraction(5, 2), Fraction(
 
 
 def _pool_predicate(rng, ctx, pool=POOL):
-    return Predicate(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
+    return Predicate.from_entries(ctx, tuple(rng.choice(pool) for _ in range(ctx.n_states)))
 
 
 def _via_ints(p):
@@ -220,12 +220,32 @@ def test_fraction_built_and_integer_built_predicates_are_one_value():
         q = _via_ints(p).conj(Predicate.ones(Z4B))
         assert "entries" not in q.__dict__   # the integer route builds no Fractions
         assert p == q and q == p and hash(p) == hash(q)
-        assert hash(q) == hash((q.ctx, q.entries))
         assert (p.den, p.nums) == (q.den, q.nums)
+        # The same values as integers over a denominator not in lowest terms.
+        den = 6 * lcm(*(e.denominator for e in p.entries if e is not INF))
+        ints = [INF_NUM if e is INF else e.numerator * (den // e.denominator) for e in p.entries]
+        r = Predicate.from_ints(Z4B, den, ints)
+        assert (r.den, r.nums) == (p.den, p.nums)
         built.append(p)
         derived.append(q)
     assert len(set(built + derived)) == len(set(built)) == len({p.entries for p in built})
-    assert Predicate(Z4B, (1,) * 8) == Predicate.ones(Z4B)
-    assert Predicate(Z4B, (Fraction(2, 4),) * 8) == Predicate.constant(Z4B, Fraction(1, 2))
-    with pytest.raises(ValueError, match="nonnegative"):
-        Predicate(Z4B, (Fraction(-1),) + (Fraction(0),) * 7).nums
+    assert Predicate.from_entries(Z4B, (1,) * 8) == Predicate.ones(Z4B)
+    half = Predicate.from_entries(Z4B, (Fraction(2, 4),) * 8)
+    assert half == Predicate.constant(Z4B, Fraction(1, 2))
+
+
+def test_from_entries_rejects_invalid_values_at_construction():
+    zeros = (Fraction(0),) * 7
+    with pytest.raises(ValueError, match="nonnegative.*Fraction\\(-1, 1\\)"):
+        Predicate.from_entries(Z4B, (Fraction(-1),) + zeros)
+    with pytest.raises(ValueError, match="got 0.5"):
+        Predicate.from_entries(Z4B, (0.5,) + zeros)
+    with pytest.raises(ValueError, match="got '1'"):
+        Predicate.from_entries(Z4B, ("1",) + zeros)
+    with pytest.raises(ContextError, match="7 entries for 8 states"):
+        Predicate.from_entries(Z4B, zeros)
+    with pytest.raises(ContextError, match="9 entries for 8 states"):
+        Predicate.from_entries(Z4B, zeros + (INF, 1))
+    with pytest.raises(ValueError, match="float 0.1"):
+        Predicate.from_function(Z4B, lambda s: 0.1)
+    assert Predicate.from_function(Z4B, lambda s: "1/10") == Predicate.constant(Z4B, Fraction(1, 10))

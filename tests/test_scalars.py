@@ -80,3 +80,35 @@ def test_negative_rejected():
         scalar(-1)
     with pytest.raises(ValueError):
         INF * (-2)
+
+
+def test_floats_are_refused_and_exact_values_kept():
+    import pytest
+
+    for bad in (0.1, 0.5, 2.0, float("inf")):
+        with pytest.raises(ValueError, match=f"float {bad!r}"):
+            scalar(bad)
+    assert scalar("1/10") == Fraction(1, 10)
+    assert scalar(Fraction(3, 4)) == Fraction(3, 4)
+    assert scalar(" inf ") is INF and scalar(INF) is INF
+    with pytest.raises(ValueError):
+        INF * 0.5
+
+
+def test_no_floats_in_the_package():
+    """The analyzer is exact: no float literal and no float() call in its source."""
+    import ast
+    import pathlib
+
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "preloss"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno}: float() call")
+    assert found == []

@@ -83,7 +83,7 @@ def test_unvar_is_cylinder_extension():
 
 
 def test_hidvar_transformer_agrees_with_diag_composition():
-    from preloss.kernels import Kernel, diag_dual
+    from preloss.kernels import Kernel, diag_kernel
     from preloss.semantics import _kernel_tf
 
     prog = typed("hidvar b : {0,1} := n mod 2 @ 3/4 | 1 - n mod 2", N4)
@@ -96,11 +96,11 @@ def test_hidvar_transformer_agrees_with_diag_composition():
     f_rows = [{j % d: w for j, w in row} for row in k.rows]
     copy = VarContext(tuple((n + "$", dom) for n, dom in N4.vars))
     relabeled = Kernel.from_rows(copy, single, f_rows)
-    composed = diag_dual(N4).compose(Transformer.identity(N4).tensor(relabeled.dual()))
+    composed = diag_kernel(N4).dual().compose(Transformer.identity(N4).tensor(relabeled.dual()))
     rng = random.Random(3)
     for _ in range(20):
         e = gen_predicate(rng, s.meta.post)
-        via_composed = composed.apply(Predicate(composed.dst, e.entries))
+        via_composed = composed.apply(Predicate.from_entries(composed.dst, e.entries))
         assert direct.apply(e).entries == via_composed.entries
 
 
@@ -245,13 +245,13 @@ def test_weak_frame_rule_instance():
         E = gen_loss(rng, B)
         e_z = gen_predicate(rng, z)
         framed_gens = tuple(
-            g.extend(z).conj(e_z.extend_to(B.merge(z))) for g in E.gens
+            g.extend_to(B.merge(z)).conj(e_z.extend_to(B.merge(z))) for g in E.gens
         )
         framed = LossFunction(B.merge(z), framed_gens)
         lhs = weakest_preloss(prog, framed, extension=z).pre
         inner = weakest_preloss(prog, E).pre
         rhs_gens = tuple(
-            g.extend(z).conj(e_z.extend_to(B.merge(z))) for g in inner.gens
+            g.extend_to(B.merge(z)).conj(e_z.extend_to(B.merge(z))) for g in inner.gens
         )
         rhs = LossFunction(B.merge(z), rhs_gens)
         assert loss_equal(lhs, rhs)
@@ -263,7 +263,7 @@ def test_extension_by_unused_variable_matches_plain():
     prog = typed("print b; {b := 0} [] {b := 1}", B)
 
     def extend(E):
-        return LossFunction(B.merge(z), tuple(g.extend(z) for g in E.gens))
+        return LossFunction(B.merge(z), tuple(g.extend_to(B.merge(z)) for g in E.gens))
 
     for _ in range(10):
         E = gen_loss(rng, B)
