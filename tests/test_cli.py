@@ -165,36 +165,50 @@ def test_json_reports_are_byte_identical(capsys):
     assert report["timings"]["lp_solves"] > 0
 
 
-# Whole --json reports, timings included, pinned by sha256 with their exit
-# codes: the same inputs must keep making the same LP queries and solves and
-# the same output.
+# Whole --json reports pinned with their exit codes: the timings, a sha256 of
+# the whole report and a sha256 of the report without its timings.  The same
+# inputs must keep making the same LP queries and solves and the same output;
+# a change that moves only the counts moves the first two pins, never the third.
 PINNED_REPORTS = [
     (["wpl", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss"], 0,
      {"lp_solves": 10, "member_queries": 10, "wpl_clauses": 4},
-     "27f9cbb2a9c173f09e21edf2fcf74cc672a166d12c22499c5f6ff4ddc55d8a06"),
+     "27f9cbb2a9c173f09e21edf2fcf74cc672a166d12c22499c5f6ff4ddc55d8a06",
+     "53f48d340da9c16aa749b15ab367921efeee18359670a1c5ebe4a3d59ad5d5be"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"], 0,
      {"lp_solves": 494, "member_queries": 718, "wpl_clauses": 664},
-     "9142da377636189624523eaebe37f519fa6803e55e38d9e66c0a59656114e2ea"),
+     "9142da377636189624523eaebe37f519fa6803e55e38d9e66c0a59656114e2ea",
+     "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
      {"lp_solves": 1365, "member_queries": 1464, "wpl_clauses": 1881},
-     "68c7a39674bef63e94c64e5c16dc614dc7f25d2144f146a165f5d7777de74f4a"),
+     "68c7a39674bef63e94c64e5c16dc614dc7f25d2144f146a165f5d7777de74f4a",
+     "40b3ed1001175f10140803609c63fc981d33f484b0adc2d0425e1cb047bb3031"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
      {"lp_solves": 194, "member_queries": 245, "wpl_clauses": 850},
-     "e38a6cef2fcebb12b7b428585985a560d440f8c93670ab81520ecfb28436897e"),
+     "e38a6cef2fcebb12b7b428585985a560d440f8c93670ab81520ecfb28436897e",
+     "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
 ]
+
+
+def report_digest(report: dict) -> str:
+    """The sha256 of a report as ``--json`` prints it (``timings`` popped by the caller)."""
+    import hashlib
+
+    return hashlib.sha256(json.dumps(report, indent=2, sort_keys=False).encode()).hexdigest()
 
 
 def test_json_reports_are_pinned(capsys):
     import hashlib
 
-    for argv, exit_code, timings, digest in PINNED_REPORTS:
+    for argv, exit_code, timings, digest, digest_without_timings in PINNED_REPORTS:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == exit_code
-        assert json.loads(out)["timings"] == timings
+        report = json.loads(out)
+        assert report.pop("timings") == timings
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert report_digest(report) == digest_without_timings
 
 
 def test_json_fails_report_is_self_certifying(capsys, tmp_path):
