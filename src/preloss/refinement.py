@@ -3,23 +3,27 @@
 Program refinement is checked against a finite loss family: any failure is
 definitive (the LP separation certificate converts into a witness prior
 with a strict evaluation gap), while Holds is always "for this family".
-Datatype refinement inlines both datatypes into each supplied program
-context.  The simulation checkers verify the three commuting squares and
-gate the result on the healthiness classifier (hidden for forward,
-choiceless for backward); a failed gate yields Inconclusive, never Holds.
+On a choiceless pair some entries are implied by the unit entries (the
+indicators of single states) and are decided without running ``wpl``; they
+still count in ``checked``.  Datatype refinement inlines both datatypes
+into each supplied program context.  The simulation checkers verify the
+three commuting squares and gate the result on the healthiness classifier
+(hidden for forward, choiceless for backward); a failed gate yields
+Inconclusive, never Holds.  Both build each family once per post context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .contexts import EMPTY, VarContext
 from .families import FamilyOptions, TestFamily, resolve_family
 from .losses import (
     LossFunction, eval_loss, loss_member_certified, normalize_witness,
 )
+from .predicates import INF_NUM
 from .scalars import Scalar
 from .semantics import weakest_preloss
 from .syntax import Datatype, Program, ProgramContext
@@ -72,18 +76,28 @@ def program_refines(
     extension: VarContext = EMPTY,
     loop_budget: int = 64,
 ) -> Verdict:
-    """Check p refined-by q on every family loss; Fails is definitive."""
-    if p.meta.pre is None or q.meta.pre is None:
-        raise ValueError("programs must be typechecked first")
-    if p.meta.pre != q.meta.pre or p.meta.post != q.meta.post:
-        raise TypecheckError(
-            f"program types differ: [{p.meta.pre.pretty()}]->[{p.meta.post.pretty()}] "
-            f"vs [{q.meta.pre.pretty()}]->[{q.meta.post.pretty()}]")
-    post_ctx = p.meta.post.merge(extension)
+    """Check p refined-by q on every family loss; Fails is definitive.
+
+    When p and q are choiceless, each side maps a single finite generator g
+    linearly, to {T g}, loops and their truncated sums included.  Once
+    every unit entry {e_s} of the post context has passed (T_P e_s <= T_Q e_s),
+    every later single-generator entry without ``INF`` passes too, and when
+    both sides are also hidden so does every later entry without ``INF``:
+    each generator T_Q g of the right side lies above T_P g on the left.
+    Such entries are decided without ``wpl`` and still count in ``checked``.
+    A skipped entry could neither fail nor truncate unless a unit did, so
+    the verdict is the one every entry's ``wpl`` would give.  Units are
+    recognised by content, so a family without them skips nothing.
+    """
+    post_ctx = _post_context(p, q).merge(extension)
     fam = resolve_family(post_ctx, family)
+    implied = _implied_by_units(p, q)
+    pending_units = set(range(post_ctx.n_states))
 
     truncation: List[str] = []
     for E, _provenance in fam.entries:
+        if not pending_units and implied(E):
+            continue
         left = weakest_preloss(p, E, extension, loop_budget)
         right = weakest_preloss(q, E, extension, loop_budget)
         if left.truncated:
@@ -112,6 +126,7 @@ def program_refines(
                 lhs_pre=left.pre,
                 rhs_pre=right.pre,
             )
+        pending_units.discard(_unit_state(E))
     if truncation:
         return Verdict(
             kind="inconclusive",
@@ -120,6 +135,55 @@ def program_refines(
             loop_notes=("truncated",),
         )
     return Verdict(kind="holds", checked=len(fam))
+
+
+def _post_context(p: Program, q: Program) -> VarContext:
+    """The common post context of two typechecked programs of one type."""
+    if p.meta.pre is None or q.meta.pre is None:
+        raise ValueError("programs must be typechecked first")
+    if p.meta.pre != q.meta.pre or p.meta.post != q.meta.post:
+        raise TypecheckError(
+            f"program types differ: [{p.meta.pre.pretty()}]->[{p.meta.post.pretty()}] "
+            f"vs [{q.meta.pre.pretty()}]->[{q.meta.post.pretty()}]")
+    return p.meta.post
+
+
+def _implied_by_units(p: Program, q: Program) -> Callable[[LossFunction], bool]:
+    """Which entries passed unit entries decide for this pair.
+
+    Choiceless pairs: single-generator entries without ``INF``.  Hidden
+    choiceless pairs: every entry without ``INF``.  A visible pair may pass
+    every unit and still fail on several generators (``skip`` against
+    ``print b`` on {e_0, e_1}), so it gets only the first rule.  Pairs with
+    a choice: none.
+    """
+    if not (classify_choiceless(p) and classify_choiceless(q)):
+        return lambda E: False
+    hidden = classify_hidden(p) and classify_hidden(q)
+    return lambda E: ((hidden or len(E.gens) == 1)
+                      and all(INF_NUM not in g.nums for g in E.gens))
+
+
+def _unit_state(E: LossFunction) -> Optional[int]:
+    """The state whose indicator is E's one generator, or None."""
+    if len(E.gens) != 1:
+        return None
+    g = E.gens[0]
+    if g.den != 1 or g.nums.count(1) != 1 or g.nums.count(0) != len(g.nums) - 1:
+        return None
+    return g.nums.index(1)
+
+
+def _families(family: FamilyLike) -> Callable[[VarContext], TestFamily]:
+    """``resolve_family`` for one request: each post context's family is built once."""
+    built: Dict[VarContext, TestFamily] = {}
+
+    def family_for(ctx: VarContext) -> TestFamily:
+        if ctx not in built:
+            built[ctx] = resolve_family(ctx, family)
+        return built[ctx]
+
+    return family_for
 
 
 def data_refines(
@@ -133,12 +197,14 @@ def data_refines(
     _check_signature(d_abstract, d_concrete)
     if not contexts:
         raise ValueError("need at least one program context")
+    family_for = _families(family)
     checked = 0
     for i, ctx_prog in enumerate(contexts):
         name = ctx_prog.name or f"context#{i}"
         comp_a = inline(ctx_prog, d_abstract)
         comp_c = inline(ctx_prog, d_concrete)
-        verdict = program_refines(comp_a, comp_c, family, EMPTY, loop_budget)
+        fam = family_for(_post_context(comp_a, comp_c))
+        verdict = program_refines(comp_a, comp_c, fam, EMPTY, loop_budget)
         if verdict.kind != "holds":
             return replace(verdict, context_name=name)
         checked += verdict.checked
@@ -174,10 +240,11 @@ def _seq(*parts: Program) -> Program:
 
 
 def _square(name: str, lhs: Program, rhs: Program, pre: VarContext,
-            family: FamilyLike, loop_budget: int) -> SquareResult:
+            family_for: Callable[[VarContext], TestFamily], loop_budget: int) -> SquareResult:
     typecheck_program(lhs, pre)
     typecheck_program(rhs, pre)
-    return SquareResult(name, program_refines(lhs, rhs, family, EMPTY, loop_budget))
+    fam = family_for(_post_context(lhs, rhs))
+    return SquareResult(name, program_refines(lhs, rhs, fam, EMPTY, loop_budget))
 
 
 def check_forward_simulation(
@@ -228,6 +295,7 @@ def _check_simulation(d_abstract: Datatype, d_concrete: Datatype, rep: Program,
     rep = _typecheck_rep(rep, source, target, "forward" if forward else "backward")
     shared = d_abstract.shared
     working = shared.merge(source)
+    family_for = _families(family)
 
     def side(prog: Program, stage: str, rep_follows: bool) -> Program:
         # Nothing runs before init or after final.
@@ -238,7 +306,7 @@ def _check_simulation(d_abstract: Datatype, d_concrete: Datatype, rep: Program,
     def square(name: str, stage: str, prog_a: Program, prog_c: Program,
                pre: VarContext) -> SquareResult:
         return _square(name, side(prog_a, stage, forward), side(prog_c, stage, not forward),
-                       pre, family, loop_budget)
+                       pre, family_for, loop_budget)
 
     squares = [square("init", "init", d_abstract.init, d_concrete.init, shared)]
     for name, op_a in d_abstract.ops:

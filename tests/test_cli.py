@@ -176,8 +176,8 @@ PINNED_REPORTS = [
      "53f48d340da9c16aa749b15ab367921efeee18359670a1c5ebe4a3d59ad5d5be"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"], 0,
-     {"lp_solves": 494, "member_queries": 718, "wpl_clauses": 664},
-     "9142da377636189624523eaebe37f519fa6803e55e38d9e66c0a59656114e2ea",
+     {"lp_solves": 136, "member_queries": 146, "wpl_clauses": 38},
+     "58c88c5f244b91206261a1fc654fe47a07036413a79c5ba433c703cb810dbbfe",
      "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
@@ -209,6 +209,33 @@ def test_json_reports_are_pinned(capsys):
         assert report.pop("timings") == timings
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert report_digest(report) == digest_without_timings
+
+
+def test_json_reports_repeat_within_one_process(capsys):
+    """Families are built per request: a second run reports the same counts."""
+    for argv in (PINNED_REPORTS[1][0],
+                 ["datatype", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
+                  "--context", f"{CORPUS}/ctx_sample_then_read.ctx",
+                  "--family", "k=2,random=50,seed=7"]):
+        first = run(capsys, *argv, "--json")
+        assert first[0] == 0
+        assert run(capsys, *argv, "--json") == first
+
+
+def test_large_choiceless_simulation_is_pinned(capsys):
+    """The encdb2 backward simulation: a choiceless rep, squares over 54 states."""
+    code, out, _ = run(capsys, "simulate", "--backward",
+                       f"{CORPUS}/encdb2_membership_distinct.dt",
+                       f"{CORPUS}/encdb2_offset_scan.dt",
+                       "--rep", f"{CORPUS}/rep_distinct.prog", "--json")
+    assert code == 3
+    report = json.loads(out)
+    assert report["result"]["kind"] == "fails"
+    assert report["result"]["at"] == "op lookup"
+    assert report.pop("timings") == {"lp_solves": 319, "member_queries": 445,
+                                     "wpl_clauses": 765}
+    assert report_digest(report) == (
+        "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
 
 
 def test_json_fails_report_is_self_certifying(capsys, tmp_path):
@@ -449,7 +476,7 @@ def test_json_reports_with_inf_entries_are_pinned(capsys, tmp_path):
         "witness_loss": {"context": "b:{0,1}", "generators": ["(0)=1 (1)=inf", "(0)=inf (1)=1"]},
         "witness_prior": "(0)=1/2 (1)=1/2", "lhs": "inf", "rhs": "1",
         "certificate_checked": True}
-    assert report["timings"] == {"lp_solves": 0, "member_queries": 6, "wpl_clauses": 8}
+    assert report["timings"] == {"lp_solves": 0, "member_queries": 5, "wpl_clauses": 6}
 
 
 def test_oracle_on_long_print_runs(capsys, tmp_path):
