@@ -19,7 +19,7 @@ from . import lp
 from .contexts import ContextError, VarContext
 from .kernels import Transformer
 from .predicates import INF_NUM, Predicate
-from .scalars import ZERO, Scalar, scalar
+from .scalars import Scalar, scalar
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +83,10 @@ def loss_member_certified(e: Predicate, E: LossFunction) -> lp.CoverResult:
     res = lp.convex_cover(vectors[:-1], vectors[-1], den)
     if res.member:
         return res
-    witness = [ZERO] * e.ctx.n_states
-    for x, w in zip(states, res.witness):
+    witness = [0] * e.ctx.n_states
+    for x, w in zip(states, res.nums):
         witness[x] = w
-    return lp.CoverResult(False, witness=tuple(witness))
+    return lp.CoverResult(False, res.den, tuple(witness))
 
 
 def loss_refines(E1: LossFunction, E2: LossFunction) -> bool:

@@ -7,8 +7,9 @@ of the generators is pointwise below e.  Solved as
     max sum(lambda)  s.t.  A lambda <= e,  lambda >= 0
 
 which is feasible for the query iff the optimum reaches 1 (scaling down a
-larger sum stays below e because e >= 0).  Runs a dense primal simplex with
-Bland's rule; no tolerances, no floats.
+larger sum stays below e because e >= 0).  Runs a primal simplex with
+Bland's rule on a condensed, fraction-free tableau; no tolerances, no
+floats.
 
 Integer boundary.  A query arrives as integers: the generators' and the
 target's numerators over one common positive denominator ``den``, with
@@ -23,31 +24,46 @@ rational LP.
 The denominator is passed on, not dropped: scaling every row by ``den``
 would keep the pivots but scale the duals, and the ``INF`` bump below
 depends on the target's size, as does the witness prior a report derives
-from the witness.  ``Fraction``s are built only from the simplex's answer.
+from the witness.  No ``Fraction`` is built on the way: the answer stays
+in integers, and ``CoverResult`` builds its ``Fraction`` view on first
+read.
 
-Integer rows: each tableau row is a list of Python integers over one
-positive denominator of its own.  A pivot on entry p of row r (positive,
-as the ratio test only picks positive entries) makes that row ``row / p``;
-every other row with a nonzero entry f in the pivot column becomes
-``row * p - f * pivot_row`` over ``den * p``, and each changed row is
-divided by the gcd of its entries and denominator, so rows stay in lowest
-terms and no per-entry ``Fraction`` is built.  The objective row carries
-``-z`` in its right-hand entry, so the objective value follows the pivots.
-Every entry keeps the exact rational value it would have as a
-``Fraction``: Bland's rule looks at signs, which a positive denominator
-keeps; the ratio test compares rhs/coeff within each row, where the row's
-denominator cancels, by cross-multiplying, and breaks ties on the smaller
-basis index.  The weights, duals and optimum become ``Fraction``s only on
-return.
+Condensed tableau (the dictionary form of the simplex; Chvatal, *Linear
+Programming*, 1983, ch. 2).  Variables 0..k-1 are the weights and k + r
+is constraint r's slack.  The tableau has m constraint rows and the
+objective row, each a list of k + 1 Python integers over one positive
+denominator of its own: one entry per nonbasic variable (``nonbasic``
+maps positions to variables), then the right-hand side.  The basic
+variables (``basis``, one per constraint row) have no columns: in the full
+tableau each is a unit column, whose entry in its own row equals that
+row's denominator.  Bland's rule enters the nonbasic variable of smallest
+index with a positive reduced cost; the ratio test compares rhs/coeff
+within each row, where the row's denominator cancels, by
+cross-multiplying, and breaks ties on the smaller basis index.  A pivot on
+entry p of row r (positive, as the ratio test only picks positive entries)
+first divides the row by the gcd of its entries and its denominator D,
+which is the gcd of the full row with its unit entry.  The row's values
+become ``row / p``, and the leaving variable takes the pivot column, with
+entry D there.  Every other row, over its denominator E and with entry f
+in the pivot column, becomes ``row * p - f * pivot_row`` over ``E * p``,
+with ``-f * D`` in the pivot column, and is divided by the gcd of its
+entries and denominator.
+Those are the full tableau's entries at the nonbasic columns, fraction-free
+as in Bareiss (1968): the pivots, weights, duals and optimum are those of
+the full tableau, without the m slack columns it carries through every
+pivot.  The objective row carries ``-z`` in its right-hand entry, so the
+objective value follows the pivots.
 
-Certificates: a positive answer returns the convex weights; a negative
-answer returns separating state weights w >= 0 with
+Certificates, in integers end to end: a positive answer gives the convex
+weights; a negative answer gives separating state weights w >= 0 with
 ``w . e < min_i w . g_i`` (in extended arithmetic, including the
 generators excluded for carrying an infinite entry at a constrained
-state).  Every answer is re-checked before it leaves this module, in
-integers: the certificate's ``Fraction``s are put over their least common
-denominator W, and the query's ``den`` and W cancel from both sides of
-each comparison, so ``sum_i w_i g_i(x) <= e(x)`` becomes
+state).  Either is a list of integer numerators over one positive
+denominator W: the simplex's weights over their sum, or its duals over the
+objective row's denominator (scaled by the ``INF`` bump's denominator when
+there is one).  Every answer is re-checked on those integers
+before it leaves this module: the query's ``den`` and W cancel from both
+sides of each comparison, so ``sum_i w_i g_i(x) <= e(x)`` becomes
 ``sum_i c_i g_i(x) <= W e(x)`` on the integer forms, with an ``INF`` at a
 weighted entry making its side infinite, exactly as in the rig.
 
@@ -74,44 +90,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .predicates import INF_NUM
-from .scalars import ONE, ZERO
 
 counters = {"lp_solves": 0, "member_queries": 0}
 
 
+def _fractions(den: int, nums: Sequence[int]) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(n, den) for n in nums)
+
+
 @dataclass(frozen=True)
 class CoverResult:
+    """A query's answer with its certificate as integers ``nums`` over ``den``.
+
+    A member's ``nums`` are the convex weights, one per generator, summing
+    to ``den``; a non-member's are the separating state weights.  The form
+    is in lowest terms (the gcd of ``den`` and every numerator is 1), so
+    equal certificates compare equal.  ``weights`` and ``witness``, the
+    certificate as ``Fraction``s (``None`` for the other kind of answer),
+    are views built on first read.
+    """
+
     member: bool
-    weights: Optional[Tuple[Fraction, ...]] = None   # per generator, sums to 1
-    witness: Optional[Tuple[Fraction, ...]] = None   # per state, nonnegative
+    den: int
+    nums: Tuple[int, ...]
 
-
-def _over_common_den(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """Rationals as integer numerators over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    weights = cached_property(
+        lambda self: _fractions(self.den, self.nums) if self.member else None)
+    witness = cached_property(
+        lambda self: None if self.member else _fractions(self.den, self.nums))
 
 
 def check_cover(
-    gens: Sequence[Sequence[int]], target: Sequence[int], weights: Sequence[Fraction]
+    gens: Sequence[Sequence[int]], target: Sequence[int], weights: Sequence, den=1
 ) -> bool:
     """Verify a membership certificate: convex weights with sum_i w_i g_i <= e.
 
-    The vectors are integer numerators over one common denominator, which
-    cancels; ``INF_NUM`` marks ``INF``.
+    Weight i is ``weights[i] / den``: integer numerators over a positive
+    ``den``, or exact rationals with the default ``den`` of 1.  The vectors
+    are integer numerators over one common denominator, which cancels;
+    ``INF_NUM`` marks ``INF``.
     """
-    if len(weights) != len(gens):
+    if len(weights) != len(gens) or not den > 0:
         return False
-    w_den, cs = _over_common_den(weights)
-    if any(c < 0 for c in cs) or sum(cs) != w_den:
+    if any(c < 0 for c in weights) or sum(weights) != den:
         return False
     total = [0] * len(target)
-    for g, c in zip(gens, cs):
+    for g, c in zip(gens, weights):
         if not c:
             continue
         if INF_NUM in g and any(v == INF_NUM and e != INF_NUM for v, e in zip(g, target)):
@@ -119,24 +149,24 @@ def check_cover(
         # At an INF entry this adds -c, but only where the target is INF too,
         # and those states are skipped below.
         total = list(map(add, total, map(c.__mul__, g)))
-    return all(t <= w_den * e for t, e in zip(total, target) if e != INF_NUM)
+    return all(t <= den * e for t, e in zip(total, target) if e != INF_NUM)
 
 
 def check_separation(
-    gens: Sequence[Sequence[int]], target: Sequence[int], witness: Sequence[Fraction]
+    gens: Sequence[Sequence[int]], target: Sequence[int], witness: Sequence
 ) -> bool:
     """Verify a non-membership certificate: w >= 0 and w.e < min_i w.g_i.
 
-    The vectors are integer numerators over one common denominator, which
-    cancels; ``INF_NUM`` marks ``INF``.
+    The witness is integer numerators over any positive denominator, or
+    exact rationals; the denominator cancels, as does the vectors' common
+    one.  ``INF_NUM`` marks ``INF``.
     """
     if len(witness) != len(target):
         return False
-    _, cs = _over_common_den(witness)
-    if any(c < 0 for c in cs):
+    if any(c < 0 for c in witness):
         return False
-    support = [x for x, c in enumerate(cs) if c]
-    weights = [cs[x] for x in support]
+    support = [x for x, c in enumerate(witness) if c]
+    weights = [witness[x] for x in support]
 
     def dot(v):
         """w . v over the witness's denominator, or None for INF."""
@@ -183,9 +213,9 @@ def convex_cover(gens: Sequence[Sequence[int]], target: Sequence[int], den: int)
     constrained = [(x, col, e) for x, (col, e) in enumerate(zip(zip(*gens), target))
                    if e != INF_NUM]
     if not constrained:
-        weights = [ZERO] * n_gens
-        weights[0] = ONE
-        return _verified(gens, target, CoverResult(True, weights=tuple(weights)))
+        weights = [0] * n_gens
+        weights[0] = 1
+        return _verified(gens, target, True, 1, weights)
 
     inf_state_of = {}
     for x, col, _ in constrained:
@@ -196,17 +226,17 @@ def convex_cover(gens: Sequence[Sequence[int]], target: Sequence[int], den: int)
     included = [i for i in range(n_gens) if i not in inf_state_of]
 
     if not included:
-        witness = [ZERO] * n_states
+        witness = [0] * n_states
         for x in inf_state_of.values():
-            witness[x] = ONE
-        return _verified(gens, target, CoverResult(False, witness=tuple(witness)))
+            witness[x] = 1
+        return _verified(gens, target, False, 1, witness)
 
     # Fast path: a single included generator below target pointwise.
     for i in included:
         if all(col[i] <= e for _, col, e in constrained):
-            weights = [ZERO] * n_gens
-            weights[i] = ONE
-            return _verified(gens, target, CoverResult(True, weights=tuple(weights)))
+            weights = [0] * n_gens
+            weights[i] = 1
+            return _verified(gens, target, True, 1, weights)
 
     # Deduplicate identical constraint rows and drop vacuous all-zero rows.
     # Some row is left: were every row vacuous, the fast path would have
@@ -220,96 +250,98 @@ def convex_cover(gens: Sequence[Sequence[int]], target: Sequence[int], den: int)
     lam, dual = _simplex_max_sum([r[0] for r in row_state], [r[1] for r in row_state], den)
 
     if lam is not None:
-        weights = [ZERO] * n_gens
+        weights = [0] * n_gens
         for pos, i in enumerate(included):
             weights[i] = lam[pos]
-        return _verified(gens, target, CoverResult(True, weights=tuple(weights)))
+        return _verified(gens, target, True, sum(lam), weights)
 
-    w_rows, sigma = dual
-    witness = [ZERO] * n_states
-    for w, x in zip(w_rows, row_state.values()):
-        witness[x] = w
-    if inf_state_of:
-        bump_states = sorted(set(inf_state_of.values()))
-        bound = Fraction(sum(target[x] for x in bump_states), den)
-        eps = (ONE - sigma) / (2 * (bound + 1))
-        for x in bump_states:
-            witness[x] += eps
-    return _verified(gens, target, CoverResult(False, witness=tuple(witness)))
+    duals, optimum, w_den = dual
+    # Bump every state where an excluded generator is INF by
+    # eps = (1 - optimum) / (2 (bound + 1)), with bound the target's sum
+    # there: over the common denominator 2 * w_den * (bound_num + den).
+    bump_states = sorted(set(inf_state_of.values()))
+    scale = 2 * (sum(target[x] for x in bump_states) + den) if bump_states else 1
+    witness = [0] * n_states
+    for y, x in zip(duals, row_state.values()):
+        witness[x] = y * scale
+    for x in bump_states:
+        witness[x] += (w_den - optimum) * den
+    return _verified(gens, target, False, w_den * scale, witness)
 
 
-def _verified(gens, target, result: CoverResult) -> CoverResult:
-    """Every answer leaves this module with its certificate re-checked."""
-    if result.member:
-        ok = check_cover(gens, target, result.weights)
+def _verified(gens, target, member: bool, den, nums: List[int]) -> CoverResult:
+    """Every answer leaves this module with its certificate re-checked.
+
+    The certificate is ``nums`` over ``den``; it is stored in lowest terms.
+    """
+    if member:
+        ok = check_cover(gens, target, nums, den)
     else:
-        ok = check_separation(gens, target, result.witness)
+        ok = check_separation(gens, target, nums)
     if not ok:
         raise RuntimeError("LP certificate failed verification")
-    return result
+    g = gcd(den, *nums)
+    if g > 1:
+        return CoverResult(member, den // g, tuple(n // g for n in nums))
+    return CoverResult(member, den, tuple(nums))
 
 
 def _simplex_max_sum(
     matrix: Sequence[Sequence[int]], rhs: Sequence[int], den: int
-) -> Tuple[Optional[List[Fraction]], Optional[Tuple[List[Fraction], Fraction]]]:
+) -> Tuple[Optional[List[int]], Optional[Tuple[List[int], int, int]]]:
     """max 1.lam s.t. (matrix / den) lam <= rhs / den, lam >= 0, with rhs >= 0.
 
     ``matrix`` and ``rhs`` are integer numerators over the common positive
-    denominator ``den``.  Returns (weights, None) with weights summing to
-    exactly 1 when the optimum reaches 1 (possibly via an unbounded ray),
-    otherwise (None, (dual_weights, optimum)).
+    denominator ``den``.  When the optimum reaches 1 (possibly via an
+    unbounded ray), returns (weights, None): k nonnegative integers, weight
+    i being ``weights[i] / sum(weights)``, so the weights sum to exactly 1.
+    Otherwise returns (None, (duals, optimum, obj_den)): the constraints'
+    dual values and the optimum, as integer numerators over the objective
+    row's denominator ``obj_den``.
     """
     counters["lp_solves"] += 1
     m = len(matrix)
     k = len(matrix[0])
 
-    # Row r < m holds constraint r, row m the objective; entry k + m of a
-    # row is its right-hand side, and row r's values are rows[r] / dens[r].
-    # Each constraint row starts in lowest terms.
+    # Row r < m holds constraint r, whose basic variable is basis[r]; row m
+    # is the objective.  Entry j < k of a row belongs to variable
+    # nonbasic[j], entry k is the right-hand side, and row r's values are
+    # rows[r] / dens[r].  Each constraint row starts in lowest terms.
     rows: List[List[int]] = []
     dens: List[int] = []
-    for r in range(m):
-        row = list(matrix[r])
-        b = rhs[r]
-        row_den = den
-        g = gcd(den, b, *row)
+    for coeffs, b in zip(matrix, rhs):
+        g = gcd(den, b, *coeffs)
         if g > 1:
-            row = [v // g for v in row]
-            b //= g
-            row_den //= g
-        row += [0] * m
-        row[k + r] = row_den
-        row.append(b)
-        rows.append(row)
-        dens.append(row_den)
-    obj = [1] * k + [0] * (m + 1)   # reduced costs, then -z
-    rows.append(obj)
+            rows.append([*(v // g for v in coeffs), b // g])
+            dens.append(den // g)
+        else:
+            rows.append([*coeffs, b])
+            dens.append(den)
+    rows.append([1] * k + [0])   # reduced costs, then -z
     dens.append(1)
     basis = list(range(k, k + m))
-
-    def value(r: int, j: int) -> Fraction:
-        return Fraction(rows[r][j], dens[r])
-
-    def current_lambda() -> List[Fraction]:
-        lam = [ZERO] * k
-        for r, b in enumerate(basis):
-            if b < k:
-                lam[b] = value(r, -1)
-        return lam
+    nonbasic = list(range(k))
 
     while True:
         obj = rows[m]
-        if -obj[-1] >= dens[m]:
-            lam = current_lambda()
-            z = -value(m, -1)
-            if z > 1:
-                lam = [v / z for v in lam]
-            return lam, None
+        obj_den = dens[m]
+        if -obj[k] >= obj_den:
+            # The weights over their sum z >= 1: the optimum scaled down to 1.
+            return _over_lcm(k, [(b, rows[r][k], dens[r])
+                                 for r, b in enumerate(basis) if b < k]), None
 
-        enter = next((j for j in range(k + m) if obj[j] > 0), None)
+        # Bland's rule: the nonbasic variable of smallest index with a
+        # positive reduced cost enters.
+        enter = None
+        for j in range(k):
+            if obj[j] > 0 and (enter is None or nonbasic[j] < nonbasic[enter]):
+                enter = j
         if enter is None:
-            dual = [Fraction(-obj[k + r], dens[m]) for r in range(m)]
-            return None, (dual, -value(m, -1))
+            duals = [0] * m
+            for j, v in enumerate(nonbasic):
+                if v >= k:
+                    duals[v - k] = -obj[j]
+            return None, (duals, -obj[k], obj_den)
 
         # Ratio rhs / coeff; a row's denominator cancels, so two ratios
         # compare by cross-multiplying the numerators.
@@ -318,43 +350,59 @@ def _simplex_max_sum(
             coeff = rows[r][enter]
             if coeff > 0:
                 if pivot_row is None:
-                    pivot_row, best_rhs, best_coeff = r, rows[r][-1], coeff
+                    pivot_row, best_rhs, best_coeff = r, rows[r][k], coeff
                     continue
-                lhs = rows[r][-1] * best_coeff
+                lhs = rows[r][k] * best_coeff
                 cur = best_rhs * coeff
                 if lhs < cur or (lhs == cur and basis[r] < basis[pivot_row]):
-                    pivot_row, best_rhs, best_coeff = r, rows[r][-1], coeff
+                    pivot_row, best_rhs, best_coeff = r, rows[r][k], coeff
 
         if pivot_row is None:
-            # Unbounded: follow the ray until the weight sum reaches 1.
-            lam = current_lambda()
-            direction = [ZERO] * k
-            if enter < k:
-                direction[enter] = ONE
-            for r, b in enumerate(basis):
-                if b < k:
-                    direction[b] -= value(r, enter)
-            t = (ONE + value(m, -1)) / value(m, enter)
-            lam = [v + t * d for v, d in zip(lam, direction)]
-            return lam, None
+            # Unbounded: follow the ray until the weight sum reaches 1.  The
+            # step is t = (1 - z) / reduced cost = tn / oc, and each basic
+            # weight moves from rhs / d to (rhs * oc - tn * coeff) / (d * oc).
+            tn = obj_den + obj[k]
+            oc = obj[enter]
+            values = [(b, rows[r][k] * oc - tn * rows[r][enter], dens[r] * oc)
+                      for r, b in enumerate(basis) if b < k]
+            if nonbasic[enter] < k:
+                values.append((nonbasic[enter], tn, oc))
+            return _over_lcm(k, values), None
 
-        _pivot(rows, dens, basis, pivot_row, enter)
+        _pivot(rows, dens, pivot_row, enter)
+        basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
 
 
-def _pivot(rows, dens, basis, r, c):
-    """Pivot on (r, c), whose entry is positive; rows stay in lowest terms."""
+def _over_lcm(k: int, values: List[Tuple[int, int, int]]) -> List[int]:
+    """Weights from (variable, numerator, denominator) triples, over their lcm."""
+    common = lcm(*(d for _, _, d in values))
+    weights = [0] * k
+    for i, n, d in values:
+        weights[i] = n * (common // d)
+    return weights
+
+
+def _pivot(rows, dens, r, c):
+    """Pivot on (r, c), whose entry is positive; rows stay in lowest terms.
+
+    The leaving variable takes column c.  Its unit entry in row r is the
+    row's denominator, so it joins the row's gcd.
+    """
     prow = rows[r]
-    p = prow[c]
-    g = gcd(*prow)
+    d = dens[r]
+    g = gcd(d, *prow)
     if g > 1:
         prow = [v // g for v in prow]
-        p //= g
+        d //= g
+    p = prow[c]
+    prow[c] = d
     rows[r] = prow
     dens[r] = p
     for r2, row in enumerate(rows):
         f = row[c]
         if f and r2 != r:
             new = [v * p - f * w for v, w in zip(row, prow)]
+            new[c] = -f * d
             den = dens[r2] * p
             g = gcd(den, *new)
             if g > 1:
@@ -362,4 +410,3 @@ def _pivot(rows, dens, basis, r, c):
                 den //= g
             rows[r2] = new
             dens[r2] = den
-    basis[r] = c

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,12 +78,49 @@ def test_degenerate_no_constraints():
     assert res.member and sum(res.weights) == 1
 
 
-def test_duplicate_rows_are_collapsed():
+def test_duplicate_rows_are_collapsed(monkeypatch):
+    # Five constrained states, but only two distinct (coeffs, e) pairs.
+    row_counts = []
+    simplex = lp._simplex_max_sum
+
+    def counted(matrix, rhs, den):
+        row_counts.append(len(matrix))
+        return simplex(matrix, rhs, den)
+
+    monkeypatch.setattr(lp, "_simplex_max_sum", counted)
     before = lp.counters["lp_solves"]
     res = cover([[1, 1, 1, 1, 0], [0, 0, 0, 0, 1]],
                 [F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2)])
     assert res.member and res.weights == (F(1, 2), F(1, 2))
-    assert lp.counters["lp_solves"] >= before
+    assert lp.counters["lp_solves"] - before == 1
+    assert row_counts == [2]
+
+
+# One query per exit of ``convex_cover``: (exit, gens, target, member, solves).
+EXITS = [
+    ("unconstrained", [[3, 4]], [INF, INF], True, 0),
+    ("all excluded", [[INF, 1], [1, INF]], [0, 0], False, 0),
+    ("fast path", [[1, 0], [0, 1]], [1, 0], True, 0),
+    ("lp member", [[1, 0], [0, 1]], [F(1, 2), F(1, 2)], True, 1),
+    ("lp separation", [[1, 0, 0], [0, 1, 0]], [0, 0, 1], False, 1),
+    ("inf bump", [[2, 2], [INF, 0]], [1, 0], False, 1),
+]
+
+
+def test_every_answer_is_rechecked(monkeypatch):
+    """Each exit re-checks its certificate with the check of its kind, and only that one."""
+    for name, gens, target, member, solves in EXITS:
+        before = lp.counters["lp_solves"]
+        assert cover(gens, target).member is member, name
+        assert lp.counters["lp_solves"] - before == solves, name
+        for check in ("check_cover", "check_separation"):
+            with monkeypatch.context() as patched:
+                patched.setattr(lp, check, lambda *args: False)
+                if (check == "check_cover") == member:
+                    with pytest.raises(RuntimeError, match="LP certificate failed verification"):
+                        cover(gens, target)
+                else:
+                    assert cover(gens, target).member is member, name
 
 
 def test_random_queries_always_certified():
@@ -105,9 +143,10 @@ def test_no_generators_rejected():
 
 
 # --------------------------------------------------------------------------
-# Reference: the plain Fraction simplex the integer-row one replaced.  It is
-# kept verbatim apart from the ``seen`` argument, which records the exits and
-# ratio ties a case reached, so the test can show its cases reach them all.
+# Reference: the plain Fraction simplex on the full tableau, which the
+# integer and then the condensed one replaced.  It is kept verbatim apart
+# from the ``seen`` argument, which records the exits and ratio ties a case
+# reached, so the test can show its cases reach them all.
 
 def _reference_simplex_max_sum(matrix, rhs, seen):
     m = len(matrix)
@@ -188,12 +227,29 @@ def _reference_pivot(tab, obj, basis, r, c):
     basis[r] = c
 
 
+def _as_fractions(answer):
+    """The integer simplex's answer in the Fraction form the reference returns."""
+    weights, dual = answer
+    if weights is not None:
+        total = sum(weights)
+        return [F(w, total) for w in weights], None
+    duals, optimum, den = dual
+    return None, ([F(y, den) for y in duals], F(optimum, den))
+
+
+# The simplex cases' (m, k) ranges: small tableaux, then tall (many rows,
+# few weights) and wide ones, the shapes where the condensed and the full
+# tableau differ most.
+SIMPLEX_SHAPES = ([((1, 8), (1, 6))] * 2400 + [((9, 40), (1, 4))] * 200
+                  + [((1, 4), (7, 20))] * 200)
+
+
 def test_integer_simplex_matches_fraction_reference():
     rng = random.Random(2024)
     seen = set()
-    for case in range(2400):
-        m = rng.randint(1, 8)
-        k = rng.randint(1, 6)
+    for case, (m_range, k_range) in enumerate(SIMPLEX_SHAPES):
+        m = rng.randint(*m_range)
+        k = rng.randint(*k_range)
         den = rng.choice([1, 2, 3, 4, 6, 7, 12, 60, 120])
         sparsity = rng.choice([0.0, 0.3, 0.6])
         matrix = [[F(0) if rng.random() < sparsity else F(rng.randint(0, 3 * den), den)
@@ -213,17 +269,26 @@ def test_integer_simplex_matches_fraction_reference():
             rhs[1] = rhs[0]
         expected = _reference_simplex_max_sum(matrix, rhs, seen)
         den, (*int_matrix, int_rhs) = int_form([*matrix, rhs])
-        assert lp._simplex_max_sum(int_matrix, int_rhs, den) == expected, (matrix, rhs)
+        got = _as_fractions(lp._simplex_max_sum(int_matrix, int_rhs, den))
+        assert got == expected, (matrix, rhs)
     assert seen == {"reaches 1", "optimum below 1", "tied ratio", "unbounded ray"}
 
 
 # --------------------------------------------------------------------------
 # Reference: the Fraction-entry ``convex_cover`` and certificate checks the
-# integer boundary replaced, kept as they were apart from two things: the
-# rows go to the Fraction reference simplex above, and ``seen`` records the
-# exits a query reached.  Solves are counted in ``solves``.  Its ``vacuous``
-# branch is the one the integer code dropped as unreachable; the test checks
-# that no query reaches it.
+# integer boundary replaced, kept as they were apart from three things: the
+# rows go to the Fraction reference simplex above, ``seen`` records the
+# exits a query reached, and an answer is a ``_RefResult``, which the test
+# compares with ``CoverResult``'s Fraction views.  Solves are counted in
+# ``solves``.  Its ``vacuous`` branch is the one the integer code dropped as
+# unreachable; the test checks that no query reaches it.
+
+class _RefResult(NamedTuple):
+    """The Fraction-entry answer, compared with ``CoverResult``'s Fraction views."""
+    member: bool
+    weights: Optional[Tuple[Fraction, ...]] = None
+    witness: Optional[Tuple[Fraction, ...]] = None
+
 
 def _ref_check_cover(gens, target, weights):
     if len(weights) != len(gens):
@@ -274,7 +339,7 @@ def _ref_convex_cover(gens, target, seen, solves):
         seen.add("unconstrained")
         weights = [ZERO] * n_gens
         weights[0] = ONE
-        return _ref_verified(gens, target, lp.CoverResult(True, weights=tuple(weights)))
+        return _ref_verified(gens, target, _RefResult(True, weights=tuple(weights)))
 
     inf_state_of = {}
     for x, col, _ in constrained:
@@ -288,14 +353,14 @@ def _ref_convex_cover(gens, target, seen, solves):
         witness = [ZERO] * n_states
         for x in inf_state_of.values():
             witness[x] = ONE
-        return _ref_verified(gens, target, lp.CoverResult(False, witness=tuple(witness)))
+        return _ref_verified(gens, target, _RefResult(False, witness=tuple(witness)))
 
     for i in included:
         if all(col[i] <= e for _, col, e in constrained):
             seen.add("fast path")
             weights = [ZERO] * n_gens
             weights[i] = ONE
-            return _ref_verified(gens, target, lp.CoverResult(True, weights=tuple(weights)))
+            return _ref_verified(gens, target, _RefResult(True, weights=tuple(weights)))
 
     row_state = {}
     for x, col, e in constrained:
@@ -311,7 +376,7 @@ def _ref_convex_cover(gens, target, seen, solves):
         seen.add("vacuous")
         weights = [ZERO] * n_gens
         weights[included[0]] = ONE
-        return _ref_verified(gens, target, lp.CoverResult(True, weights=tuple(weights)))
+        return _ref_verified(gens, target, _RefResult(True, weights=tuple(weights)))
 
     solves[0] += 1
     lam, dual = _reference_simplex_max_sum([r[0] for r in row_state],
@@ -322,7 +387,7 @@ def _ref_convex_cover(gens, target, seen, solves):
         weights = [ZERO] * n_gens
         for pos, i in enumerate(included):
             weights[i] = lam[pos]
-        return _ref_verified(gens, target, lp.CoverResult(True, weights=tuple(weights)))
+        return _ref_verified(gens, target, _RefResult(True, weights=tuple(weights)))
 
     w_rows, sigma = dual
     witness = [ZERO] * n_states
@@ -337,7 +402,7 @@ def _ref_convex_cover(gens, target, seen, solves):
             witness[x] += eps
     else:
         seen.add("lp separation")
-    return _ref_verified(gens, target, lp.CoverResult(False, witness=tuple(witness)))
+    return _ref_verified(gens, target, _RefResult(False, witness=tuple(witness)))
 
 
 def _random_query(rng):
@@ -383,7 +448,7 @@ def test_integer_cover_matches_fraction_reference():
         den, (*int_gens, int_target) = int_form([*gens, target])
         before = dict(lp.counters)
         got = lp.convex_cover(int_gens, int_target, den)
-        assert got == expected, (gens, target)
+        assert (got.member, got.weights, got.witness) == expected, (gens, target)
         assert lp.counters["lp_solves"] - before["lp_solves"] == ref_solves[0]
         assert lp.counters["member_queries"] - before["member_queries"] == 1
         kinds["member" if got.member else "separation"] += 1
@@ -391,6 +456,18 @@ def test_integer_cover_matches_fraction_reference():
     assert seen == {"unconstrained", "all excluded", "fast path", "duplicate row", "zero row",
                     "lp member", "bump", "lp separation"}
     assert min(kinds.values()) > 500
+
+
+def test_certificates_are_kept_in_lowest_terms():
+    """A certificate's integer form is in lowest terms, so equal ones compare equal."""
+    rng = random.Random(77)
+    for _ in range(500):
+        gens, target = _random_query(rng)
+        den, (*int_gens, int_target) = int_form([*gens, target])
+        res = lp.convex_cover(int_gens, int_target, den)
+        assert res.den > 0 and gcd(res.den, *res.nums) == 1
+        view = res.weights if res.member else res.witness
+        assert view == tuple(F(n, res.den) for n in res.nums)
 
 
 def _check_tampered(int_gens, int_target, gens, target, res, rng):
