@@ -100,10 +100,14 @@ def loss_equal(E1: LossFunction, E2: LossFunction) -> bool:
 
 
 def is_zero_loss(E: LossFunction) -> bool:
-    """True iff E denotes the whole cone, i.e. contains the zero predicate."""
-    if any(g.is_zero for g in E.gens):
-        return True
-    return loss_member(Predicate.zero(E.ctx), E)
+    """True iff E denotes the whole cone, i.e. contains the zero predicate.
+
+    No LP is needed: generators are nonnegative and INF * lam = INF for
+    lam > 0, so a convex combination is zero only when every generator it
+    weighs is zero.  The zero predicate is in the closure iff some
+    generator is zero.
+    """
+    return any(g.is_zero for g in E.gens)
 
 
 def _int_vectors(preds: Sequence[Predicate], states: Sequence[int]) -> Tuple[int, List[list]]:
@@ -168,7 +172,7 @@ def loss_canonicalize(E: LossFunction) -> LossFunction:
         kept: List[int] = []
         for i, v in enumerate(vectors):
             others = [vectors[j] for j in kept] + vectors[i + 1:]
-            if not lp.convex_cover(others, v, den).member:
+            if not lp.covered(others, v, den):
                 kept.append(i)
         gens = [gens[i] for i in kept]
     return LossFunction(E.ctx, tuple(gens), canonical=True)

@@ -84,6 +84,29 @@ weights dominate the target at every state.  A witness is put back onto
 full states by giving each representative its class weight and every other
 state zero: exactly the witness the full-state query returns, with the
 same dot products.
+
+Screened redundancy queries: ``covered`` answers ``convex_cover``'s
+``member`` without a certificate, which is all ``loss_canonicalize`` needs,
+and nearly all of its queries end in a separation.  Before the simplex it
+tries one witness: weight 1 on each state where the target is finite and
+at or below every generator (an ``INF`` entry is above), 0 elsewhere.
+Each weighted entry has e <= g_i, so w . e <= w . g_i, with equality unless
+g_i is strictly above e at some weighted state, and w . g_i is ``INF`` when
+g_i is ``INF`` at one.  When ``check_separation`` accepts the witness, the
+answer "not covered" carries the same kind of re-checked certificate the
+simplex gives; when it does not, ``convex_cover`` decides.  So every
+decision is the LP's.  A class query weighs each representative once,
+where the full-state witness weighs every state of its class; but the
+check is strict iff one weighted entry is, whatever the class sizes, so
+the screen fires on the classes iff it fires on the full states, and a
+class query still makes the same queries, solves and pivots.  A screened
+decision counts as one member query and no solve.  Refinement's
+membership queries (``loss_member_certified``) are not screened: the
+witness of a separation becomes the witness prior of a ``fails`` report,
+which a different valid witness would change.
+
+``counters`` counts member queries, simplex solves and pivots; the CLI's
+``--json`` timings report the first two.
 """
 
 from __future__ import annotations
@@ -97,7 +120,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .predicates import INF_NUM
 
-counters = {"lp_solves": 0, "member_queries": 0}
+counters = {"lp_solves": 0, "member_queries": 0, "pivots": 0}
 
 
 def _fractions(den: int, nums: Sequence[int]) -> Tuple[Fraction, ...]:
@@ -269,6 +292,22 @@ def convex_cover(gens: Sequence[Sequence[int]], target: Sequence[int], den: int)
     return _verified(gens, target, False, w_den * scale, witness)
 
 
+def covered(gens: Sequence[Sequence[int]], target: Sequence[int], den: int) -> bool:
+    """``convex_cover(gens, target, den).member``, screened by a 0/1 witness first.
+
+    The witness weighs by 1 each state where the target is finite and at or
+    below every generator.  When it passes ``check_separation``, the target
+    is not covered: one member query, no solve.  Otherwise ``convex_cover``
+    decides.
+    """
+    witness = [int(e != INF_NUM and all(v == INF_NUM or e <= v for v in col))
+               for col, e in zip(zip(*gens), target)]
+    if any(witness) and check_separation(gens, target, witness):
+        counters["member_queries"] += 1
+        return False
+    return convex_cover(gens, target, den).member
+
+
 def _verified(gens, target, member: bool, den, nums: List[int]) -> CoverResult:
     """Every answer leaves this module with its certificate re-checked.
 
@@ -369,6 +408,7 @@ def _simplex_max_sum(
                 values.append((nonbasic[enter], tn, oc))
             return _over_lcm(k, values), None
 
+        counters["pivots"] += 1
         _pivot(rows, dens, pivot_row, enter)
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
 

@@ -256,13 +256,13 @@ def test_membership_order_antisymmetry_on_samples():
 
 
 def _canonical_gens_on_full_states(E):
-    """Reference: every redundancy query on the full state vectors."""
+    """Reference: every redundancy query, screen then LP, on the full state vectors."""
     gens = _prune(E.gens)
     if len(gens) > 1:
         kept = []
         for i, g in enumerate(gens):
             others = kept + gens[i + 1:]
-            if not lp.convex_cover(*full_query(LossFunction(E.ctx, tuple(others)), g)).member:
+            if not lp.covered(*full_query(LossFunction(E.ctx, tuple(others)), g)):
                 kept.append(g)
         gens = kept
     return tuple(gens)
@@ -303,6 +303,52 @@ def test_canonicalize_on_state_classes_matches_full_states():
         delta = {k: lp.counters[k] - before[k] for k in before}
         assert got == expected
         assert delta == reference_delta
+
+
+def _canonical_gens_lp_only(E):
+    """Reference: ``loss_canonicalize`` with one ``convex_cover`` call per query."""
+    gens = _prune(E.gens)
+    if len(gens) > 1:
+        states = lp.state_classes([g.nums for g in gens])
+        den, vectors = _int_vectors(gens, states)
+        kept = []
+        for i, v in enumerate(vectors):
+            others = [vectors[j] for j in kept] + vectors[i + 1:]
+            if not lp.convex_cover(others, v, den).member:
+                kept.append(i)
+        gens = [gens[i] for i in kept]
+    return tuple(gens)
+
+
+def test_screened_canonicalization_matches_lp_only(monkeypatch):
+    """The screen changes no generator and no order, and decides most queries."""
+    calls = [0]
+    convex_cover = lp.convex_cover
+
+    def counted(*args):
+        calls[0] += 1
+        return convex_cover(*args)
+
+    monkeypatch.setattr(lp, "convex_cover", counted)
+    rng = random.Random(20261019)
+    reference_queries = screened = 0
+    for _ in range(330):
+        _, make = _loss_with_duplicate_states(rng)
+        n = rng.randint(2, 8)
+        gens = [make(0.15) for _ in range(max(2, n - rng.randint(0, 3)))]
+        while len(gens) < n:
+            a, b = rng.sample(gens, 2)
+            gens.append(a.scale(Fraction(1, 2)) + b.scale(Fraction(1, 2)))
+        rng.shuffle(gens)
+        E = LossFunction(gens[0].ctx, tuple(gens))
+        before = calls[0]
+        expected = _canonical_gens_lp_only(E)
+        queries = calls[0] - before
+        before = calls[0]
+        assert loss_canonicalize(E).gens == expected
+        reference_queries += queries
+        screened += queries - (calls[0] - before)
+    assert 2 * screened >= reference_queries > 0
 
 
 def test_member_on_state_classes_matches_full_states():

@@ -24,6 +24,11 @@ def cover(gens, target):
     return lp.convex_cover(gens, target, den)
 
 
+def covered(gens, target):
+    den, (*gens, target) = int_form([*gens, target])
+    return lp.covered(gens, target, den)
+
+
 def test_trivial_unit_membership():
     res = cover([[1, 0], [0, 1]], [1, 0])
     assert res.member and res.weights == (F(1), F(0))
@@ -108,19 +113,30 @@ EXITS = [
 
 
 def test_every_answer_is_rechecked(monkeypatch):
-    """Each exit re-checks its certificate with the check of its kind, and only that one."""
+    """Each exit re-checks its certificate with the check of its kind, and only that one.
+
+    ``lp.covered`` gives the same answers.  Its screen decides each separation
+    here without a solve, and only through ``check_separation``: with that
+    check failing, every non-member goes on to raise in ``convex_cover``.
+    """
     for name, gens, target, member, solves in EXITS:
         before = lp.counters["lp_solves"]
         assert cover(gens, target).member is member, name
         assert lp.counters["lp_solves"] - before == solves, name
+        before = lp.counters["lp_solves"]
+        assert covered(gens, target) is member, name
+        assert lp.counters["lp_solves"] - before == (solves if member else 0), name
         for check in ("check_cover", "check_separation"):
             with monkeypatch.context() as patched:
                 patched.setattr(lp, check, lambda *args: False)
                 if (check == "check_cover") == member:
-                    with pytest.raises(RuntimeError, match="LP certificate failed verification"):
-                        cover(gens, target)
+                    for entry in (cover, covered):
+                        with pytest.raises(RuntimeError,
+                                           match="LP certificate failed verification"):
+                            entry(gens, target)
                 else:
                     assert cover(gens, target).member is member, name
+                    assert covered(gens, target) is member, name
 
 
 def test_random_queries_always_certified():
