@@ -189,6 +189,27 @@ PINNED_REPORTS = [
      {"lp_solves": 0, "member_queries": 141, "wpl_clauses": 850},
      "1a30e658dc261639dd306eea2f5975ff6de2c3c1575920a0646e4f2fe2ef1cb0",
      "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
+    # The bench's corpus checks whose programs print.
+    (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
+      "--exhaustive"], 0,
+     {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0},
+     "e20f97bf3872614860f7b55e303e17be85f931ad3f8ca4530301965eded0c72f",
+     "6925ef3036ee7a953e6d0725ea2544ec6d09b5e3af43eda51c21539a98ca0264"),
+    (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+      "--rep", f"{CORPUS}/rep_leak.prog", "--family", "k=2,random=20,seed=7"], 4,
+     {"lp_solves": 45, "member_queries": 617, "wpl_clauses": 192},
+     "3b84181dda3c8cf7d52e64d9ed87344aa0ab7b9717a664dfbe9feb2320c8ee79",
+     "b49ab5a4c09d23e4156d11e71368a3a46841f933128f2a42ef038daa812b5e4c"),
+    (["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+      "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--family", "k=2,random=20,seed=7"], 3,
+     {"lp_solves": 4, "member_queries": 46, "wpl_clauses": 14},
+     "3b9bf7694a905d090c548f058f3717fdd95f3cc7ca2e9c9ec26935c58177cf00",
+     "3c7bee7ef6cab419054b81c31534018d9d3fc8e3910e28e64633b483ba76397e"),
+    (["datatype", f"{CORPUS}/refresh_after_read.dt", f"{CORPUS}/refresh_before_read.dt",
+      "--context", f"{CORPUS}/ctx_print_then_xor.ctx", "--family", "k=2,random=20,seed=7"], 3,
+     {"lp_solves": 5, "member_queries": 48, "wpl_clauses": 220},
+     "0ecbee6b3e2b0828c4093b02db6694a97367736225c529591d0e903e24555d50",
+     "d2613edee36c132062b97df10ef15424bc45ccb012c90f7990cfab314dede1de"),
 ]
 
 
@@ -236,6 +257,37 @@ def test_large_choiceless_simulation_is_pinned(capsys):
                                      "wpl_clauses": 765}
     assert report_digest(report) == (
         "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
+
+
+def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
+    """`wpl` and the oracle through the corpus's one `if`, and `wpl` through a `while`.
+
+    The posts are written under ``tmp_path``, whose path is in the report's
+    ``inputs``, so the result and ``timings`` are pinned, not a digest.
+    """
+    mutex_post = tmp_path / "mutex.loss"
+    mutex_post.write_text("context x:{0,1} y:{0,1}\nexpr: x = 0\nexpr: y = 1")
+    coin_post = tmp_path / "coin.loss"
+    coin_post.write_text("context c:{0,1}\nexpr: c = 0")
+    cases = [
+        (["wpl", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post)],
+         {"pre_loss": {"context": "x:{0,1} y:{0,1}",
+                       "generators": ["(0,0)=1/2 (0,1)=1/2 (1,0)=1/2 (1,1)=1/2"]},
+          "loops": {}, "truncated": False},
+         {"lp_solves": 0, "member_queries": 13, "wpl_clauses": 8}),
+        (["oracle", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post), "--exhaustive"],
+         {"risk": "1/2", "exhaustive": "1/2", "agrees": True},
+         {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0}),
+        (["wpl", f"{CORPUS}/geometric.prog", "--post", str(coin_post), "--loop-budget", "5"],
+         {"pre_loss": {"context": "c:{0,1}", "generators": ["(0)=1 (1)=31/32"]},
+          "loops": {"while#0@5:3": "truncated(5)"}, "truncated": True},
+         {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 1}),
+    ]
+    for argv, result, timings in cases:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        report = json.loads(out)
+        assert (report["result"], report["timings"]) == (result, timings), argv
 
 
 def test_json_fails_report_is_self_certifying(capsys, tmp_path):
