@@ -1,10 +1,11 @@
 """Independent forward semantics for loop-free programs.
 
 Executes a program over observation-history branches: kernels push the
-posterior forward without splitting, prints split per observed value, and
-conditionals split per branch (control flow is visible).  The resolver's
-strategy picks a side at each nondeterminism site per history; the optimal
-(Bayes) risk minimizes the final expected loss over all strategies.
+posterior forward without splitting, and prints and conditionals split it
+per shown value (control flow is visible: a conditional shows its guard).
+The resolver's strategy picks a side at each nondeterminism site per
+history; the optimal (Bayes) risk minimizes the final expected loss over
+all strategies.
 
 Distinct live branches always carry distinct histories, so the global
 minimum decomposes into independent per-history choices; the exhaustive
@@ -14,10 +15,11 @@ audit of that decomposition.
 The walk runs on integers: a sub-distribution is a list of numerators over
 one denominator.  An assignment, declaration, discard or assertion pushes
 it through the statement's kernel (``Kernel.nums``, from the pre to the
-post context); a conditional multiplies it by its guard's weights
-(``Predicate.nums``), and a print splits it by the columns of its kernel
-(``Kernel.columns``).  ``Fraction``s are built only at the edges: a
-branch's final risk, and ``Branch.mass`` and ``posterior``.
+post context).  A print or conditional splits it by the columns of its
+kernel (``Kernel.columns``), one channel from the pre context to the
+values shown: a conditional's columns are its guard and the complement.
+``Fraction``s are built only at the edges: a branch's final risk, and
+``Branch.mass`` and ``posterior``.
 """
 
 from __future__ import annotations
@@ -121,15 +123,19 @@ Leaf = Callable[[tuple, List[int], int], Scalar]
 Choose = Callable[[Key, Callable[[], Scalar], Callable[[], Scalar]], Scalar]
 
 _KERNEL_STMTS = (Skip, Assign, HidVar, Unvar, Assert)
+# The history step kind of each splitting statement; an `if` continues with
+# its `then` branch on column 0 (the guard) and its `else` branch on column 1.
+_SPLIT_STEPS = {Print: "print", If: "branch"}
 
 
 def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
           leaf: Leaf, choose: Choose) -> Scalar:
     """Fold over the observation-history branches of ``cont`` run from ``nums / den``.
 
-    Kernels push the sub-distribution forward, prints split it per observed
-    value and conditionals per branch; each split is recorded in the
-    history and its parts are added.  Zero-mass branches and ``abort`` are
+    Kernels push the sub-distribution forward; prints and conditionals split
+    it by their kernel's columns, a conditional going on into the branch of
+    each column.  Each split is recorded in the history and its parts are
+    added.  Zero-mass branches and ``abort`` are
     worth ZERO.  Kernel statements, and splits that leave mass on one part
     only, continue in the loop, so only splits into two or more parts and
     choices recurse.
@@ -142,39 +148,28 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
         i += 1
         if isinstance(s, _KERNEL_STMTS):
             nums, den = _push(s, nums, den)
-        elif isinstance(s, Print):
+        elif isinstance(s, (If, Print)):
             k = s.meta.kernel
+            kind = _SPLIT_STEPS[type(s)]
+            branches = ((s.then.stmts, s.orelse.stmts) if kind == "branch"
+                        else itertools.repeat(()))
             parts = []
-            for value, column in zip(k.dst.vars[0][1], k.columns):
-                part = [0] * len(nums)
-                for j, p in column:
-                    part[j] = nums[j] * p
+            for value, column, branch in zip(k.dst.vars[0][1], k.columns, branches):
+                part = list(map(mul, nums, column))
                 if any(part):
-                    parts.append((("print", s.meta.label, value), part))
+                    parts.append(((kind, s.meta.label, value), part, branch))
             den *= k.den
             if len(parts) != 1:
                 rest = cont[i:]
                 total: Scalar = ZERO
-                for step, part in parts:
-                    total = total + _walk(rest, part, den, history + (step,), leaf, choose)
+                for step, part, branch in parts:
+                    total = total + _walk(branch + rest, part, den, history + (step,),
+                                          leaf, choose)
                 return total
-            [(step, nums)] = parts
+            [(step, nums, branch)] = parts
             history += (step,)
-        elif isinstance(s, If):
-            g = s.meta.guard
-            gden = g.den
-            mu_t = list(map(mul, nums, g.nums))
-            mu_f = [w * (gden - x) for w, x in zip(nums, g.nums)]
-            den *= gden
-            t_step, f_step = ("branch", s.meta.label, True), ("branch", s.meta.label, False)
-            if any(mu_t) and any(mu_f):
-                rest = cont[i:]
-                return (_walk(s.then.stmts + rest, mu_t, den, history + (t_step,), leaf, choose)
-                        + _walk(s.orelse.stmts + rest, mu_f, den, history + (f_step,),
-                                leaf, choose))
-            taken, nums, step = (s.then, mu_t, t_step) if any(mu_t) else (s.orelse, mu_f, f_step)
-            cont, i = taken.stmts + cont[i:], 0
-            history += (step,)
+            if branch:
+                cont, i = branch + cont[i:], 0
         elif isinstance(s, Abort):
             return ZERO
         elif isinstance(s, NonDet):

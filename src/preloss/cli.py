@@ -39,7 +39,7 @@ from .refinement import (
     data_refines, program_refines,
 )
 from .scalars import fmt_scalar
-from .semantics import weakest_preloss
+from .semantics import DEFAULT_LOOP_BUDGET, weakest_preloss
 from .typecheck import TypecheckError, typecheck_program
 
 SCHEMA_VERSION = 1
@@ -190,7 +190,7 @@ def _family_options(args, inputs: _Inputs) -> FamilyOptions:
 
 
 def _default_budget() -> int:
-    value = os.environ.get("PRELOSS_LOOP_BUDGET", "64")
+    value = os.environ.get("PRELOSS_LOOP_BUDGET", str(DEFAULT_LOOP_BUDGET))
     try:
         return int(value)
     except ValueError:
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, family=True):
         p.add_argument("--loop-budget", type=int, default=None,
-                       help="loop budget (default: $PRELOSS_LOOP_BUDGET or 64)")
+                       help="loop budget (default: $PRELOSS_LOOP_BUDGET or "
+                            f"{DEFAULT_LOOP_BUDGET})")
         p.add_argument("--json", action="store_true")
         if family:
             p.add_argument("--family", default="",

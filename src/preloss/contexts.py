@@ -141,9 +141,6 @@ class VarContext:
             raise ContextError(f"variable {name!r} already declared")
         return VarContext(self.vars + ((name, tuple(domain)),))
 
-    def renamed(self, mapping: Mapping[str, str]) -> "VarContext":
-        return VarContext(tuple((mapping.get(n, n), d) for n, d in self.vars))
-
     @cached_property
     def atoms(self) -> frozenset:
         """All symbolic atoms occurring in any domain (incl. inside tuples)."""

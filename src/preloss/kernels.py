@@ -4,9 +4,10 @@ A ``Kernel`` is a sub-stochastic matrix between two contexts (rows sum to at
 most 1, zero entries omitted).  A ``Transformer`` is an arbitrary
 nonnegative-rational matrix read contravariantly: it maps predicates over
 its ``dst`` context to predicates over its ``src`` context.  Every kernel
-dual is a transformer; so are the discard functional and the diagonal-copy
-dual used by the hidden-declaration semantics.  A `print` elaborates to a
-kernel too: a channel from states to the values it may show.
+dual is a transformer; so is the discard functional (``Transformer.ones``).
+Every statement but a choice, `skip` or `abort` elaborates to a kernel.  A
+`print`, `if` or `while` is a channel from states to the values it shows,
+read by its dense ``columns``.
 
 Integer form.  Both classes store one form, as ``Predicate`` does: per row,
 its (column, weight) pairs with integer weights ``nums`` over one positive
@@ -109,12 +110,12 @@ class Kernel:
     rows = cached_property(lambda self: _fraction_rows(self.den, self.nums))
 
     @cached_property
-    def columns(self) -> Tuple[IntRow, ...]:
-        """The transpose: per ``dst`` state, its (``src`` state, weight) pairs."""
-        cols: List[List[Tuple[int, int]]] = [[] for _ in range(self.dst.n_states)]
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The dense transpose: per ``dst`` state, one weight per ``src`` state."""
+        cols = [[0] * len(self.nums) for _ in range(self.dst.n_states)]
         for i, row in enumerate(self.nums):
             for j, w in row:
-                cols[j].append((i, w))
+                cols[j][i] = w
         return tuple(map(tuple, cols))
 
     @staticmethod

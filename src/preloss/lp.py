@@ -331,9 +331,12 @@ def _simplex_max_sum(
     """max 1.lam s.t. (matrix / den) lam <= rhs / den, lam >= 0, with rhs >= 0.
 
     ``matrix`` and ``rhs`` are integer numerators over the common positive
-    denominator ``den``.  When the optimum reaches 1 (possibly via an
-    unbounded ray), returns (weights, None): k nonnegative integers, weight
-    i being ``weights[i] / sum(weights)``, so the weights sum to exactly 1.
+    denominator ``den``.  Every column needs a positive entry in some row, so
+    that each weight is bounded and no ray exists; ``convex_cover`` ensures
+    it, since its fast path takes any generator with no positive kept row.
+    A ray raises ``RuntimeError``.  When the optimum reaches 1, returns
+    (weights, None): k nonnegative integers, weight i being
+    ``weights[i] / sum(weights)``, so the weights sum to exactly 1.
     Otherwise returns (None, (duals, optimum, obj_den)): the constraints'
     dual values and the optimum, as integer numerators over the objective
     row's denominator ``obj_den``.
@@ -365,9 +368,14 @@ def _simplex_max_sum(
         obj = rows[m]
         obj_den = dens[m]
         if -obj[k] >= obj_den:
-            # The weights over their sum z >= 1: the optimum scaled down to 1.
-            return _over_lcm(k, [(b, rows[r][k], dens[r])
-                                 for r, b in enumerate(basis) if b < k]), None
+            # The weights over their sum z >= 1: the optimum scaled down to 1,
+            # each basic weight rhs / d put over the lcm of the d.
+            basic = [(b, rows[r][k], dens[r]) for r, b in enumerate(basis) if b < k]
+            common = lcm(*(d for _, _, d in basic))
+            weights = [0] * k
+            for i, n, d in basic:
+                weights[i] = n * (common // d)
+            return weights, None
 
         # Bland's rule: the nonbasic variable of smallest index with a
         # positive reduced cost enters.
@@ -397,29 +405,11 @@ def _simplex_max_sum(
                     pivot_row, best_rhs, best_coeff = r, rows[r][k], coeff
 
         if pivot_row is None:
-            # Unbounded: follow the ray until the weight sum reaches 1.  The
-            # step is t = (1 - z) / reduced cost = tn / oc, and each basic
-            # weight moves from rhs / d to (rhs * oc - tn * coeff) / (d * oc).
-            tn = obj_den + obj[k]
-            oc = obj[enter]
-            values = [(b, rows[r][k] * oc - tn * rows[r][enter], dens[r] * oc)
-                      for r, b in enumerate(basis) if b < k]
-            if nonbasic[enter] < k:
-                values.append((nonbasic[enter], tn, oc))
-            return _over_lcm(k, values), None
+            raise RuntimeError("unbounded simplex: a weight has no positive row")
 
         counters["pivots"] += 1
         _pivot(rows, dens, pivot_row, enter)
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
-
-
-def _over_lcm(k: int, values: List[Tuple[int, int, int]]) -> List[int]:
-    """Weights from (variable, numerator, denominator) triples, over their lcm."""
-    common = lcm(*(d for _, _, d in values))
-    weights = [0] * k
-    for i, n, d in values:
-        weights[i] = n * (common // d)
-    return weights
 
 
 def _pivot(rows, dens, r, c):

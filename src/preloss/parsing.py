@@ -19,6 +19,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .contexts import ContextError, VarContext, Value, fmt_value
 from .exprs import BIN_PREC, Bin, EvalError, Expr, Index, Lit, Name, TupleE, Unary, predicate_of
+from .losses import uniform_dist
 from .predicates import Predicate
 from .scalars import INF, Scalar
 from .syntax import (
@@ -683,8 +684,6 @@ def _new_state(ctx: VarContext, value: tuple, tok: Token, seen: set) -> int:
 def parse_prior_text(ctx: VarContext, text: str) -> Tuple[Fraction, ...]:
     """Prior spec: `uniform` or `(state)=p/q` pairs, each state at most once;
     omitted states get 0."""
-    stripped = text.strip()
-    if stripped == "uniform":
-        n = ctx.n_states
-        return tuple(Fraction(1, n) for _ in range(n))
+    if text.strip() == "uniform":
+        return uniform_dist(ctx)
     return tuple(_state_weights(ctx, text, allow_inf=False))

@@ -25,7 +25,7 @@ from .losses import (
 )
 from .predicates import INF_NUM
 from .scalars import Scalar
-from .semantics import weakest_preloss
+from .semantics import DEFAULT_LOOP_BUDGET, weakest_preloss
 from .syntax import Datatype, Program, ProgramContext
 from .typecheck import (
     TypecheckError, classify_choiceless, classify_hidden, copy_program, inline,
@@ -74,7 +74,7 @@ def program_refines(
     q: Program,
     family: FamilyLike = None,
     extension: VarContext = EMPTY,
-    loop_budget: int = 64,
+    loop_budget: int = DEFAULT_LOOP_BUDGET,
 ) -> Verdict:
     """Check p refined-by q on every family loss; Fails is definitive.
 
@@ -191,7 +191,7 @@ def data_refines(
     d_concrete: Datatype,
     contexts: Sequence[ProgramContext],
     family: FamilyLike = None,
-    loop_budget: int = 64,
+    loop_budget: int = DEFAULT_LOOP_BUDGET,
 ) -> Verdict:
     """Copy-rule refinement over the supplied program contexts."""
     _check_signature(d_abstract, d_concrete)
@@ -252,7 +252,7 @@ def check_forward_simulation(
     d_concrete: Datatype,
     rep: Program,
     family: FamilyLike = None,
-    loop_budget: int = 64,
+    loop_budget: int = DEFAULT_LOOP_BUDGET,
 ) -> Verdict:
     """Forward simulation: requires a hidden rep (no if/while/print).
 
@@ -269,7 +269,7 @@ def check_backward_simulation(
     d_concrete: Datatype,
     rep: Program,
     family: FamilyLike = None,
-    loop_budget: int = 64,
+    loop_budget: int = DEFAULT_LOOP_BUDGET,
 ) -> Verdict:
     """Backward simulation: requires a choiceless rep (no nondeterminism).
 

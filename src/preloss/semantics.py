@@ -7,7 +7,10 @@ assertion maps each generator through one transformer: the dual of the
 statement's kernel, tensored with the identity on Z (``_kernel_tf``); a
 discard extends each generator to the dropped variable.  A straight-line
 body is the product of its statements' transformers
-(``linear_transformer``).  Loops are evaluated by the term recurrence
+(``linear_transformer``).  A `print`, `if` or `while` shows a value through
+its kernel's columns, and one rule (``_observe``) sums, over the columns,
+the column times the loss its value leads to.  Loops are evaluated by the
+term recurrence
 
     term_0    = !g * E
     term_n+1  = g * wpl(body, term_n)
@@ -20,10 +23,11 @@ budget is hit; truncation is always surfaced as an under-approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .contexts import EMPTY, VarContext
-from .kernels import Kernel, Transformer
+from .kernels import Transformer
 from .losses import (
     LossFunction, is_zero_loss, loss_add, loss_canonicalize, loss_conj,
     loss_map, loss_min, zero_loss,
@@ -35,6 +39,9 @@ from .syntax import (
 )
 
 counters = {"wpl_clauses": 0}
+
+# The loop budget when none is given: terms 0..64 of each loop's sum.
+DEFAULT_LOOP_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ def weakest_preloss(
     program: Program,
     post: LossFunction,
     extension: VarContext = EMPTY,
-    loop_budget: int = 64,
+    loop_budget: int = DEFAULT_LOOP_BUDGET,
 ) -> WplResult:
     """Weakest pre-loss of a typechecked program against a post loss."""
     if program.meta.post is None:
@@ -106,19 +113,15 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
         gens = tuple(g.extend_to(working) for g in E.gens)
         return LossFunction(working, gens, canonical=E.canonical)
     if isinstance(s, If):
-        working = _working(s.meta.pre, z)
-        g = s.meta.guard.extend_to(working)
-        not_g = s.meta.guard.complement().extend_to(working)
-        left = loss_conj(g, _wpl_program(s.then, E, z, budget, statuses))
-        right = loss_conj(not_g, _wpl_program(s.orelse, E, z, budget, statuses))
-        return loss_add(left, right)
+        return _observe(s, (_wpl_program(b, E, z, budget, statuses)
+                            for b in (s.then, s.orelse)), z)
     if isinstance(s, NonDet):
         return loss_min(
             _wpl_program(s.left, E, z, budget, statuses),
             _wpl_program(s.right, E, z, budget, statuses),
         )
     if isinstance(s, Print):
-        return _wpl_print(s, E, z)
+        return _observe(s, repeat(E), z)
     if isinstance(s, While):
         return _wpl_while(s, E, z, budget, statuses)
     raise ValueError(f"cannot evaluate statement {s!r}")
@@ -131,37 +134,31 @@ def _kernel_tf(s: Stmt, z: VarContext) -> Transformer:
     statement gets the same transformer, so its rows and ELLPACK plan are
     built once, and equal kernels are never compared.
     """
-    return s.meta.derived(("tf", z), lambda: _build_kernel_tf(s.meta.kernel, z))
+    return s.meta.derived(("tf", z),
+                          lambda: s.meta.kernel.dual().tensor(Transformer.identity(z)))
 
 
-def _build_kernel_tf(kernel: Kernel, z: VarContext) -> Transformer:
-    if not len(z.vars):
-        return kernel.dual()
-    zn = z.n_states
-    # The kernel's weights, each row repeated per extension state: still in
-    # lowest terms, and the columns stay ascending.
-    rows = tuple(tuple((j * zn + zi, w) for j, w in row)
-                 for row in kernel.nums for zi in range(zn))
-    return Transformer(kernel.src.merge(z), kernel.dst.merge(z), kernel.den, rows)
+def _columns(s: Stmt, z: VarContext) -> Tuple[Predicate, ...]:
+    """The columns of the statement's kernel, as predicates over its pre context
+    extended by ``z``; kept on the statement per extension."""
+    def build():
+        k, working = s.meta.kernel, _working(s.meta.pre, z)
+        return tuple(Predicate.from_ints(k.src, k.den, column).extend_to(working)
+                     for column in k.columns)
+
+    return s.meta.derived(("columns", z), build)
 
 
-def _wpl_print(s: Print, E: LossFunction, z) -> LossFunction:
-    """Sum over the shown values of (probability of the value) * E."""
-    working = _working(s.meta.pre, z)
-    kernel = s.meta.kernel
-    n = s.meta.pre.n_states
+def _observe(s: Stmt, branch_losses: Iterable[LossFunction], z) -> LossFunction:
+    """Sum over the shown values of (the value's column) * (the loss it leads to).
+
+    ``branch_losses`` yields one loss per column, read as the sum reaches it:
+    E for every value of a `print`, and the pre-loss of each branch of an `if`.
+    """
     total: Optional[LossFunction] = None
-    for column in kernel.columns:
-        nums = [0] * n
-        for state, w in column:
-            nums[state] = w
-        p = Predicate.from_ints(s.meta.pre, kernel.den, nums)
-        if p.is_zero:
-            continue
-        term = loss_conj(p.extend_to(working), E)
+    for column, loss in zip(_columns(s, z), branch_losses):
+        term = loss_conj(column, loss)
         total = term if total is None else loss_add(total, term)
-    if total is None:
-        return zero_loss(working)
     return total
 
 
@@ -172,9 +169,7 @@ def _loop_terms(s: While, E: LossFunction, z, budget, statuses) -> Iterator[Loss
     built once per loop statement and extension); any other body is
     evaluated clause by clause with ``budget`` for its loops.
     """
-    working = _working(s.meta.pre, z)
-    g = s.meta.guard.extend_to(working)
-    not_g = s.meta.guard.complement().extend_to(working)
+    g, not_g = _columns(s, z)
     body_tf = s.meta.derived(("body_tf", z), lambda: linear_transformer(s.body, z))
     term = loss_conj(not_g, E)
     while True:

@@ -25,7 +25,7 @@ class Meta:
     typechecking a node again empties it.
     """
 
-    __slots__ = ("pos", "pre", "post", "kernel", "guard", "label", "cache")
+    __slots__ = ("pos", "pre", "post", "kernel", "label", "cache")
 
     def __init__(self, pos=None):
         for name in self.__slots__:

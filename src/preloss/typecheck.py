@@ -2,7 +2,7 @@
 validation, syntactic classifiers, and datatype inlining (the copy rule).
 
 Typechecking annotates each node's ``meta`` with pre/post contexts and the
-elaborated kernels/guards the evaluator consumes.  Contexts are finite, so
+elaborated kernels the evaluator consumes.  Contexts are finite, so
 every expression is evaluated at every state up front: all type errors
 (unbound names, bad guard ranges, arity mismatches) surface here.  Each
 expression is compiled once per context (``exprs.compile_expr``); a
@@ -16,7 +16,9 @@ kernel from its pre to its post context (``meta.kernel``): a `hidvar` draws
 the new variable next to the old ones, an `unvar` projects, and an `assert`
 keeps each state's mass times its guard.  A `print` elaborates, by the same
 helper as a `hidvar`, to a kernel onto one variable: the values it may show,
-in first-met order.  Only `if` and `while` keep a guard predicate.
+in first-met order.  An `if` or `while` shows its guard the same way: its
+kernel runs onto the two-valued ``BRANCH`` context, column 0 the guard and
+column 1 its complement.  So every observation is one channel.
 
 Classifiers visit statements with ``syntax.walk``.  Inlining builds the
 composite from fresh copies (``copy_program``), renaming clashing names and
@@ -219,7 +221,7 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
         post = pre.remove(s.name)
         s.meta.kernel = Kernel(pre, post, 1, tuple(((j, 1),) for j in post.projection(pre)))
     elif isinstance(s, If):
-        s.meta.guard = _guard_pred(s.guard, pre, pos)
+        s.meta.kernel = _branch_kernel(s.guard, pre, pos)
         post_then = _check_program(s.then, pre, counter, hints)
         post_else = _check_program(s.orelse, pre, counter, hints)
         if post_then != post_else:
@@ -228,7 +230,7 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
                 f"[{post_then.pretty()}] vs [{post_else.pretty()}]", pos)
         post = post_then
     elif isinstance(s, While):
-        s.meta.guard = _guard_pred(s.guard, pre, pos)
+        s.meta.kernel = _branch_kernel(s.guard, pre, pos)
         s.meta.label = f"while#{next(counter)}" + (f"@{pos[0]}:{pos[1]}" if pos else "")
         body_post = _check_program(s.body, pre, counter, hints)
         if body_post != pre:
@@ -271,6 +273,19 @@ def _shared_limb(s: HidVar, pre: VarContext, pos, hints):
         hints[keys, pre] = _infer_domain([rows for _, rows in outcomes]), outcomes
     domain, outcomes = hints[keys, pre]
     return (domain, *outcomes[s.domain_hint.index(s.dist)])
+
+
+# The values a branch point shows: its guard held (column 0) or failed (column 1).
+BRANCH = VarContext((("_branch", (True, False)),))
+
+
+def _branch_kernel(expr, pre: VarContext, pos) -> Kernel:
+    """The channel of an `if` or `while` guard, over the guard's denominator."""
+    g = _guard_pred(expr, pre, pos)  # in lowest terms, each weight at most 1
+    den = g.den
+    return Kernel(pre, BRANCH, den, tuple(
+        ((0, n), (1, den - n)) if 0 < n < den else ((0, n),) if n else ((1, den),)
+        for n in g.nums))
 
 
 def _guard_pred(expr, ctx: VarContext, pos):

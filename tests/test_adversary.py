@@ -208,6 +208,7 @@ def _ref_push(s, mu):
 
 
 def _ref_walk(cont, mu, history, leaf, choose):
+    from preloss.exprs import predicate_of
     from preloss.syntax import Abort, Assert, Assign, HidVar, If, NonDet, Print, Skip, Unvar
 
     i = 0
@@ -238,7 +239,7 @@ def _ref_walk(cont, mu, history, leaf, choose):
                                       leaf, choose)
         return total
     if isinstance(s, If):
-        g = s.meta.guard
+        g = predicate_of(s.meta.pre, s.guard, mode="unit")
         mu_t = [w * Fraction(g.entries[j]) for j, w in enumerate(mu)]
         mu_f = [w - t for w, t in zip(mu, mu_t)]
         return (_ref_walk(s.then.stmts + rest, mu_t, history + (("branch", s.meta.label, True),),

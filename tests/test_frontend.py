@@ -447,7 +447,10 @@ def _check_elaboration(prog, counts: Dict[str, int]) -> None:
             assert s.meta.kernel == Kernel.from_rows(pre, pre, diagonal)
             counts["guards"] += 1
         elif isinstance(s, (If, While)):
-            assert s.meta.guard == _reference_guard(pre, s.guard)
+            guard = _reference_guard(pre, s.guard)
+            branch = VarContext((("_branch", (True, False)),))
+            rows = [{j: w for j, w in enumerate((e, 1 - e)) if w} for e in guard.entries]
+            assert s.meta.kernel == Kernel.from_rows(pre, branch, rows)
             counts["guards"] += 1
 
 

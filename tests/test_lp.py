@@ -283,8 +283,15 @@ def test_integer_simplex_matches_fraction_reference():
         if case % 13 == 0 and m > 1:
             matrix[1] = list(matrix[0])                      # tied ratios
             rhs[1] = rhs[0]
-        expected = _reference_simplex_max_sum(matrix, rhs, seen)
+        exits = set()
+        expected = _reference_simplex_max_sum(matrix, rhs, exits)
+        seen |= exits
         den, (*int_matrix, int_rhs) = int_form([*matrix, rhs])
+        if "unbounded ray" in exits:
+            # A column with no positive entry breaks the precondition.
+            with pytest.raises(RuntimeError, match="unbounded"):
+                lp._simplex_max_sum(int_matrix, int_rhs, den)
+            continue
         got = _as_fractions(lp._simplex_max_sum(int_matrix, int_rhs, den))
         assert got == expected, (matrix, rhs)
     assert seen == {"reaches 1", "optimum below 1", "tied ratio", "unbounded ray"}

@@ -1,6 +1,8 @@
 """Every assignment, declaration, discard and assertion elaborates to one kernel.
 
 * The kernel runs from the statement's pre to its post context.
+* An `if` or `while` elaborates to a branch kernel: every row sums to 1,
+  and column 0 is the guard, with the guard's denominator.
 * ``semantics._kernel_tf``, the one transformer builder, equals private
   copies of the four per-kind builders it replaced, fed from the reference
   elaborations of ``test_frontend``; so does ``linear_transformer`` on
@@ -23,9 +25,12 @@ from conftest import ProgramShape, gen_context, gen_program, gen_typed_program
 from preloss.adversary import _push
 from preloss.contexts import EMPTY, VarContext
 from preloss.kernels import Kernel, Transformer
+from preloss.predicates import Predicate
 from preloss.parsing import parse_datatype_file, parse_program_file
 from preloss.semantics import _kernel_tf, linear_transformer
-from preloss.syntax import Assert, Assign, HidVar, Program, Skip, Unvar, sub_programs, walk
+from preloss.syntax import (
+    Assert, Assign, HidVar, If, Program, Skip, Unvar, While, sub_programs, walk,
+)
 from preloss.typecheck import typecheck_program, validate_datatype
 from test_frontend import _reference_assign, _reference_guard, _reference_hidvar
 
@@ -66,6 +71,17 @@ def test_every_kernel_statement_runs_from_pre_to_post():
     for s in _kernel_statements():
         assert s.meta.kernel.src == s.meta.pre, s
         assert s.meta.kernel.dst == s.meta.post, s
+        kinds[type(s)] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_every_branch_kernel_shows_its_guard():
+    kinds = {If: 0, While: 0}
+    for s in (s for prog in PROGRAMS for s in walk(prog) if isinstance(s, (If, While))):
+        k, guard = s.meta.kernel, _reference_guard(s.meta.pre, s.guard)
+        assert k.src == s.meta.pre and k.den == guard.den, s
+        assert all(sum(w for _, w in row) == k.den for row in k.nums), s
+        assert Predicate.from_ints(k.src, k.den, k.columns[0]) == guard, s
         kinds[type(s)] += 1
     assert min(kinds.values()) >= 20, kinds
 

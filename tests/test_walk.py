@@ -465,9 +465,8 @@ def test_a_copy_keeps_only_positions_and_leaves_the_source_annotations():
         "{ assert y = 1 } [] { skip }; while x = 1 { x := 0 @ 1/2 | 1 }; unvar y")
     typecheck_program(prog, VarContext.of(("x", (0, 1))))
     source = _nodes(prog)
-    before = [(n.meta.pre, n.meta.post, n.meta.kernel, n.meta.guard, n.meta.label)
-              for n in source]
-    assert sum(k is not None for _, _, k, _, _ in before) == 6
+    before = [(n.meta.pre, n.meta.post, n.meta.kernel, n.meta.label) for n in source]
+    assert sum(k is not None for _, _, k, _ in before) == 8
 
     copied = copy_program(prog)
     assert copied == prog and _shared(_nodes(copied), source) == (set(), set())
@@ -476,8 +475,7 @@ def test_a_copy_keeps_only_positions_and_leaves_the_source_annotations():
         assert all(getattr(node.meta, slot) is None
                    for slot in Meta.__slots__ if slot != "pos"), node
     typecheck_program(copied, VarContext.of(("x", (0, 1, 2))))
-    after = [(n.meta.pre, n.meta.post, n.meta.kernel, n.meta.guard, n.meta.label)
-             for n in source]
+    after = [(n.meta.pre, n.meta.post, n.meta.kernel, n.meta.label) for n in source]
     assert all(x is y for old, new in zip(before, after) for x, y in zip(old, new))
     assert copied.meta.pre != prog.meta.pre
 
