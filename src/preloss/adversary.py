@@ -123,9 +123,6 @@ Leaf = Callable[[tuple, List[int], int], Scalar]
 Choose = Callable[[Key, Callable[[], Scalar], Callable[[], Scalar]], Scalar]
 
 _KERNEL_STMTS = (Skip, Assign, HidVar, Unvar, Assert)
-# The history step kind of each splitting statement; an `if` continues with
-# its `then` branch on column 0 (the guard) and its `else` branch on column 1.
-_SPLIT_STEPS = {Print: "print", If: "branch"}
 
 
 def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
@@ -149,10 +146,11 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
         if isinstance(s, _KERNEL_STMTS):
             nums, den = _push(s, nums, den)
         elif isinstance(s, (If, Print)):
+            # An `if` goes on into `then` on column 0 (its guard) and into
+            # `else` on column 1; a print goes on with the rest.
             k = s.meta.kernel
-            kind = _SPLIT_STEPS[type(s)]
-            branches = ((s.then.stmts, s.orelse.stmts) if kind == "branch"
-                        else itertools.repeat(()))
+            kind, branches = (("branch", (s.then.stmts, s.orelse.stmts)) if type(s) is If
+                              else ("print", itertools.repeat(())))
             parts = []
             for value, column, branch in zip(k.dst.vars[0][1], k.columns, branches):
                 part = list(map(mul, nums, column))
