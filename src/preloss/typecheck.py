@@ -283,9 +283,9 @@ def _branch_kernel(expr, pre: VarContext, pos) -> Kernel:
     """The channel of an `if` or `while` guard, over the guard's denominator."""
     g = _guard_pred(expr, pre, pos)  # in lowest terms, each weight at most 1
     den = g.den
+    held, failed = ((0, den),), ((1, den),)  # shared by every state they fit
     return Kernel(pre, BRANCH, den, tuple(
-        ((0, n), (1, den - n)) if 0 < n < den else ((0, n),) if n else ((1, den),)
-        for n in g.nums))
+        held if n == den else failed if not n else ((0, n), (1, den - n)) for n in g.nums))
 
 
 def _guard_pred(expr, ctx: VarContext, pos):
