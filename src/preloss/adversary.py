@@ -13,13 +13,13 @@ mode re-derives the same value by enumerating whole strategy maps, as an
 audit of that decomposition.
 
 The walk runs on integers: a sub-distribution is a list of numerators over
-one denominator.  An assignment, declaration, discard or assertion pushes
-it through the statement's kernel (``Kernel.nums``, from the pre to the
-post context).  A print or conditional splits it by the columns of its
-kernel (``Kernel.columns``), one channel from the pre context to the
-values shown: a conditional's columns are its guard and the complement.
-``Fraction``s are built only at the edges: a branch's final risk, and
-``Branch.mass`` and ``posterior``.
+one denominator.  A statement of ``syntax.KERNEL_STMTS`` (assignment,
+declaration, discard, assertion) pushes it through its kernel
+(``Kernel.nums``, from the pre to the post context).  A print or conditional
+splits it by the columns of its kernel (``Kernel.columns``), one channel
+from the pre context to the values shown: a conditional's columns are its
+guard and the complement.  ``Fraction``s are built only at the edges: a
+branch's final risk, and ``Branch.mass`` and ``posterior``.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from .contexts import VarContext
 from .losses import LossFunction
 from .predicates import INF_NUM
 from .scalars import INF, ZERO, Scalar
-from .syntax import (
-    Abort, Assert, Assign, HidVar, If, NonDet, Print, Program, Skip, Stmt,
-    Unvar, While, walk,
-)
+from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, While, walk
 
 
 class StrategyError(ValueError):
@@ -122,7 +119,7 @@ Leaf = Callable[[tuple, List[int], int], Scalar]
 # A `[]` site's value, from its (history, site) key and thunks walking each side.
 Choose = Callable[[Key, Callable[[], Scalar], Callable[[], Scalar]], Scalar]
 
-_KERNEL_STMTS = (Skip, Assign, HidVar, Unvar, Assert)
+_PUSHED = (Skip, *KERNEL_STMTS)
 
 
 def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
@@ -143,7 +140,7 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
             return leaf(history, nums, den)
         s = cont[i]
         i += 1
-        if isinstance(s, _KERNEL_STMTS):
+        if isinstance(s, _PUSHED):
             nums, den = _push(s, nums, den)
         elif isinstance(s, (If, Print)):
             # An `if` goes on into `then` on column 0 (its guard) and into

@@ -150,7 +150,7 @@ def _emit(args, report: dict, started: float, human: Callable[[], List[str]]):
         print(f"[{time.monotonic() - started:.2f}s elapsed]")
 
 
-def _report(args, inputs: _Inputs, command: str, result: dict, base: dict) -> dict:
+def _report(inputs: _Inputs, command: str, result: dict, base: dict) -> dict:
     now = _counters_snapshot()
     return {
         "schema_version": SCHEMA_VERSION,
@@ -239,7 +239,7 @@ def cmd_wpl(args) -> int:
         human.append(f"loop {k}: {v}")
     if res.truncated:
         human.append("warning: truncated loops give a refinement lower bound only")
-    _emit(args, _report(args, inputs, "wpl", result,
+    _emit(args, _report(inputs, "wpl", result,
                         {"ext": args.ext or "", "loop_budget": args.loop_budget}),
           started, lambda: human)
     return EXIT_OK
@@ -253,7 +253,7 @@ def cmd_refine(args) -> int:
     ext = parse_decls_text(args.ext) if args.ext else VarContext(())
     opts = _family_options(args, inputs)
     verdict = program_refines(p, q, opts, ext, args.loop_budget)
-    _emit(args, _report(args, inputs, "refine", _verdict_json(verdict),
+    _emit(args, _report(inputs, "refine", _verdict_json(verdict),
                         {"family": args.family or "", "ext": args.ext or "",
                          "loop_budget": args.loop_budget}),
           started, lambda: _verdict_lines(verdict))
@@ -268,7 +268,7 @@ def cmd_datatype(args) -> int:
     contexts = [parse_context_file(inputs.read(p), name=p) for p in args.context]
     opts = _family_options(args, inputs)
     verdict = data_refines(da, dc, contexts, opts, args.loop_budget)
-    _emit(args, _report(args, inputs, "datatype", _verdict_json(verdict),
+    _emit(args, _report(inputs, "datatype", _verdict_json(verdict),
                         {"family": args.family or "", "loop_budget": args.loop_budget}),
           started, lambda: _verdict_lines(verdict))
     return _verdict_exit(verdict)
@@ -286,7 +286,7 @@ def cmd_simulate(args) -> int:
         verdict = check_forward_simulation(da, dc, rep, opts, args.loop_budget)
     else:
         verdict = check_backward_simulation(da, dc, rep, opts, args.loop_budget)
-    _emit(args, _report(args, inputs, f"simulate --{args.direction}",
+    _emit(args, _report(inputs, f"simulate --{args.direction}",
                         _verdict_json(verdict),
                         {"family": args.family or "", "loop_budget": args.loop_budget}),
           started, lambda: _verdict_lines(verdict))
@@ -309,7 +309,7 @@ def cmd_oracle(args) -> int:
         result["agrees"] = exhaustive == risk
         human.append(f"exhaustive strategy enumeration: {fmt_scalar(exhaustive)} "
                      f"(agrees: {exhaustive == risk})")
-    _emit(args, _report(args, inputs, "oracle", result,
+    _emit(args, _report(inputs, "oracle", result,
                         {"prior": args.prior, "exhaustive": bool(args.exhaustive)}),
           started, lambda: human)
     return EXIT_OK

@@ -4,6 +4,10 @@ A context is an ordered list of (name, domain) pairs; its state set is the
 cartesian product of the domains, enumerated lexicographically by
 declaration order and then by domain order.  Domain values are ints,
 symbolic atoms (strings) or tuples of values.
+
+All state-index arithmetic is done here: ``index_of``, ``projection`` onto
+a sub-context, and ``layout``, where a kernel that writes some variables
+sends each state (the last two cached).
 """
 
 from __future__ import annotations
@@ -126,6 +130,17 @@ class VarContext:
         """
         return _projection(self, target)
 
+    def layout(self, post: "VarContext", targets: Tuple[str, ...]
+               ) -> Tuple[Tuple[int, ...], Tuple[Mapping[Value, int], ...]]:
+        """``(bases, offsets)``: writing v_1..v_k into ``targets`` at state i of
+        this context leads to state ``bases[i] + offsets[0][v_1] + ...`` of ``post``.
+
+        Every other variable of ``post`` keeps its value, so it must be in this
+        context with the same domain; the rest of this context is dropped.
+        Cached per (context, post, targets), so callers share it: read only.
+        """
+        return _layout(self, post, targets)
+
     def merge(self, other: "VarContext") -> "VarContext":
         clash = set(self.names) & set(other.names)
         if clash:
@@ -178,3 +193,19 @@ def _projection(source: VarContext, target: VarContext) -> Tuple[int, ...]:
             raise ContextError(f"domain mismatch for {n!r} in extension")
     index_of = source.index_of
     return tuple(index_of([s[p] for p in positions]) for s in target.states())
+
+
+# Sized so that typechecking a few hundred programs keeps each of their layouts.
+@lru_cache(maxsize=1024)
+def _layout(pre: VarContext, post: VarContext, targets: Tuple[str, ...]):
+    for name, domain in post.vars:
+        if name not in targets and pre.domain_of(name) != domain:
+            raise ContextError(f"domain mismatch for {name!r}")
+    strides, bases = post._strides, [0]
+    for name, domain in pre.vars:
+        stride = strides[post.position_of(name)] if name in post and name not in targets else 0
+        steps = [i * stride for i in range(len(domain))]
+        bases = [b + step for b in bases for step in steps]
+    offsets = tuple({v: i * strides[p] for i, v in enumerate(post.vars[p][1])}
+                    for p in map(post.position_of, targets))
+    return tuple(bases), offsets

@@ -2,15 +2,16 @@
 
 Structural recursion over typechecked programs: each construct maps a loss
 function over its post context (extended by a correlated context Z) to one
-over its pre context (extended likewise).  An assignment, declaration or
-assertion maps each generator through one transformer: the dual of the
-statement's kernel, tensored with the identity on Z (``_kernel_tf``); a
-discard extends each generator to the dropped variable.  A straight-line
-body is the product of its statements' transformers
-(``linear_transformer``).  A `print`, `if` or `while` shows a value through
-its kernel's columns, and one rule (``_observe``) sums, over the columns,
-the column times the loss its value leads to.  Loops are evaluated by the
-term recurrence
+over its pre context (extended likewise).  A statement of
+``syntax.KERNEL_STMTS`` (assignment, declaration, discard, assertion) maps
+each generator through one transformer: the dual of the statement's kernel,
+tensored with the identity on Z (``_kernel_tf``).  ``wpl`` does a discard
+directly: it extends each generator to the dropped variable, as that
+transformer would.  A straight-line body of them is the product of its
+statements' transformers (``linear_transformer``).  A `print`, `if` or
+`while` shows a value through its kernel's columns, and one rule
+(``_observe``) sums, over the columns, the column times the loss its value
+leads to.  Loops are evaluated by the term recurrence
 
     term_0    = !g * E
     term_n+1  = g * wpl(body, term_n)
@@ -33,10 +34,7 @@ from .losses import (
     loss_map, loss_min, zero_loss,
 )
 from .predicates import Predicate
-from .syntax import (
-    Abort, Assert, Assign, HidVar, If, NonDet, Print, Program, Skip, Stmt,
-    Unvar, While,
-)
+from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, Unvar, While
 
 counters = {"wpl_clauses": 0}
 
@@ -104,14 +102,14 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
         return E
     if isinstance(s, Abort):
         return zero_loss(_working(s.meta.pre, z))
-    if isinstance(s, (Assign, HidVar, Assert)):
-        return loss_map(_kernel_tf(s, z), E)
     if isinstance(s, Unvar):
         # The cylinder extension keeps distinct generators distinct and
         # irredundant ones irredundant: no canonicalization is needed.
         working = _working(s.meta.pre, z)
         gens = tuple(g.extend_to(working) for g in E.gens)
         return LossFunction(working, gens, canonical=E.canonical)
+    if isinstance(s, KERNEL_STMTS):
+        return loss_map(_kernel_tf(s, z), E)
     if isinstance(s, If):
         return _observe(s, (_wpl_program(b, E, z, budget, statuses)
                             for b in (s.then, s.orelse)), z)
@@ -207,7 +205,7 @@ def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transfo
     for s in prog.stmts:
         if isinstance(s, Skip):
             continue
-        if not isinstance(s, (Assign, HidVar, Unvar, Assert)):
+        if not isinstance(s, KERNEL_STMTS):
             return None
         t = _kernel_tf(s, z)
         acc = t if acc is None else acc.compose(t)

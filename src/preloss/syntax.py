@@ -137,6 +137,9 @@ class CallOp:
 
 Stmt = Union[Skip, Abort, Assign, HidVar, Unvar, If, While, Print, Assert, NonDet, CallOp]
 
+# The statements that elaborate to one kernel from their pre to their post context.
+KERNEL_STMTS = (Assign, HidVar, Unvar, Assert)
+
 
 @dataclass
 class Datatype:

@@ -5,20 +5,20 @@ Typechecking annotates each node's ``meta`` with pre/post contexts and the
 elaborated kernels the evaluator consumes.  Contexts are finite, so
 every expression is evaluated at every state up front: all type errors
 (unbound names, bad guard ranges, arity mismatches) surface here.  Each
-expression is compiled once per context (``exprs.compile_expr``); a
+expression is compiled once per context (``exprs.compile_expr``), and a
 statement's branch weights are summed as integers over their common
-denominator, and an assignment finds its target states by index
-arithmetic on the context's strides.  Kernels are built in their integer
-form (``Kernel.from_ints``).
+denominator.  Kernels are built in their integer form (``Kernel.from_ints``).
 
-Every assignment, declaration, discard and assertion elaborates to one
-kernel from its pre to its post context (``meta.kernel``): a `hidvar` draws
-the new variable next to the old ones, an `unvar` projects, and an `assert`
-keeps each state's mass times its guard.  A `print` elaborates, by the same
-helper as a `hidvar`, to a kernel onto one variable: the values it may show,
-in first-met order.  An `if` or `while` shows its guard the same way: its
-kernel runs onto the two-valued ``BRANCH`` context, column 0 the guard and
-column 1 its complement.  So every observation is one channel.
+The statements of ``syntax.KERNEL_STMTS`` elaborate to one kernel from
+their pre to their post context (``meta.kernel``).  One builder
+(``_kernel``) makes each kernel that draws values: an assignment writes
+them into its targets, a `hidvar` into the new variable, a `print` into
+one variable of the values it may show (first-met order), and an `unvar`
+draws none.  The other post variables keep their pre-state values, at the
+indices ``VarContext.layout`` finds.  An `assert` keeps each state's mass
+times its guard; an `if` or `while` shows its guard through a kernel onto
+the two-valued ``BRANCH`` context, column 0 the guard and column 1 its
+complement.  So every observation is one channel.
 
 Classifiers visit statements with ``syntax.walk``.  Inlining builds the
 composite from fresh copies (``copy_program``), renaming clashing names and
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contexts import Value, VarContext, fmt_value
@@ -101,66 +101,35 @@ def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> Tuple[int, List[List[Tupl
     return den, rows
 
 
-def _kernel_of_assign(ctx: VarContext, targets: Tuple[str, ...], dist: DistExpr, pos) -> Kernel:
-    # A state's index is the sum over variables of value index times stride,
-    # as in ``VarContext.index_of``: per target, the offset of each value in
-    # its domain and the stride and size that locate the current value.
-    sizes = [len(dom) for _, dom in ctx.vars]
-    places = []
-    for t in targets:
-        p = ctx.position_of(t)
-        stride = prod(sizes[p + 1:])
-        offsets = {v: i * stride for i, v in enumerate(ctx.vars[p][1])}
-        places.append((offsets, stride, sizes[p]))
-    arity = len(targets)
-    den, outcome_rows = eval_dist(dist, ctx, pos)
-    rows = []
-    for i, outcomes in enumerate(outcome_rows):
-        base = i - sum(i // stride % size * stride for _, stride, size in places)
-        row: Dict[int, int] = {}
-        for value, w in outcomes:
-            if arity > 1:
-                if not isinstance(value, tuple) or len(value) != arity:
-                    raise TypecheckError(
-                        f"assignment to {arity} variables needs a "
-                        f"{arity}-tuple, got {fmt_value(value)}", pos)
-                parts = value
-            else:
-                parts = (value,)
-            idx = base
-            for part, (offsets, _, _) in zip(parts, places):
-                offset = offsets.get(part)
-                if offset is None:
-                    break  # value outside the target domain: abort mass
-                idx += offset
-            else:
-                row[idx] = row.get(idx, 0) + w
-        rows.append(row)
-    return Kernel.from_ints(ctx, ctx, den, rows)
+def _kernel(pre: VarContext, post: VarContext, targets: Tuple[str, ...], den: int,
+            outcome_rows: List[List[Tuple[Value, int]]], pos=None) -> Kernel:
+    """The kernel that writes each ``eval_dist`` outcome into ``targets``.
 
-
-def _kernel_onto(pre: VarContext, name: str, domain: Tuple[Value, ...], den: int,
-                 outcome_rows: List[List[Tuple[Value, int]]], *, keep: bool) -> Kernel:
-    """The kernel that draws ``name`` over ``domain`` from ``eval_dist`` outcomes.
-
-    With ``keep`` its target is ``pre`` extended by the new variable, the
-    column of pre-state y and value x being ``y * len(domain) + x`` (a
-    `hidvar`); else the new variable alone (the values a `print` may show).
+    A tuple is spread over several targets.  Every other variable of
+    ``post`` keeps its value from the pre state (``VarContext.layout``), and
+    a value outside its target's domain is abort mass.
     """
-    dst = pre.append(name, domain) if keep else VarContext(((name, domain),))
-    index = {v: i for i, v in enumerate(domain)}
-    stride = len(domain) if keep else 0
+    bases, offsets = pre.layout(post, targets)
+    single = offsets[0] if len(offsets) == 1 else None
     rows = []
-    for y, outcomes in enumerate(outcome_rows):
+    for base, outcomes in zip(bases, outcome_rows):
         row: Dict[int, int] = {}
         for value, w in outcomes:
-            idx = index.get(value)
-            if idx is None:
-                continue  # outside the declared domain: abort mass
-            idx += y * stride
-            row[idx] = row.get(idx, 0) + w
+            step = single.get(value) if single is not None else _tuple_step(value, offsets, pos)
+            if step is not None:  # else a value outside its target's domain: abort mass
+                step += base
+                row[step] = row.get(step, 0) + w
         rows.append(row)
-    return Kernel.from_ints(pre, dst, den, rows)
+    return Kernel.from_ints(pre, post, den, rows)
+
+
+def _tuple_step(value: Value, offsets, pos) -> Optional[int]:
+    """The offset of a tuple spread over the targets; None if a part is outside."""
+    if not isinstance(value, tuple) or len(value) != len(offsets):
+        raise TypecheckError(f"assignment to {len(offsets)} variables needs a "
+                             f"{len(offsets)}-tuple, got {fmt_value(value)}", pos)
+    steps = [offset.get(part) for part, offset in zip(value, offsets)]
+    return None if None in steps else sum(steps)
 
 
 def _infer_domain(outcome_lists: Sequence[List[List[Tuple[Value, int]]]]) -> Tuple[Value, ...]:
@@ -201,7 +170,7 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
         for t in s.targets:
             if t not in pre:
                 raise TypecheckError(f"assignment to undeclared variable {t!r}", pos)
-        s.meta.kernel = _kernel_of_assign(pre, s.targets, s.dist, pos)
+        s.meta.kernel = _kernel(pre, pre, s.targets, *eval_dist(s.dist, pre, pos), pos)
         post = pre
     elif isinstance(s, HidVar):
         if s.name in pre:
@@ -213,13 +182,13 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
             domain = s.domain if s.domain is not None else _infer_domain([outcome_rows])
         if not domain:
             raise TypecheckError(f"cannot infer a domain for {s.name!r}", pos)
-        s.meta.kernel = _kernel_onto(pre, s.name, domain, den, outcome_rows, keep=True)
-        post = s.meta.kernel.dst
+        post = pre.append(s.name, domain)
+        s.meta.kernel = _kernel(pre, post, (s.name,), den, outcome_rows)
     elif isinstance(s, Unvar):
         if s.name not in pre:
             raise TypecheckError(f"unvar of undeclared variable {s.name!r}", pos)
         post = pre.remove(s.name)
-        s.meta.kernel = Kernel(pre, post, 1, tuple(((j, 1),) for j in post.projection(pre)))
+        s.meta.kernel = _kernel(pre, post, (), 1, [[((), 1)]] * pre.n_states)
     elif isinstance(s, If):
         s.meta.kernel = _branch_kernel(s.guard, pre, pos)
         post_then = _check_program(s.then, pre, counter, hints)
@@ -239,8 +208,8 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
         post = pre
     elif isinstance(s, Print):
         den, outcome_rows = eval_dist(s.dist, pre, pos)
-        s.meta.kernel = _kernel_onto(pre, "_new", _infer_domain([outcome_rows]), den,
-                                     outcome_rows, keep=False)
+        shown = VarContext((("_new", _infer_domain([outcome_rows])),))
+        s.meta.kernel = _kernel(pre, shown, ("_new",), den, outcome_rows)
         post = pre
     elif isinstance(s, Assert):
         g = _guard_pred(s.guard, pre, pos)  # in lowest terms, each weight at most 1

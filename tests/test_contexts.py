@@ -79,3 +79,20 @@ def test_projection_is_cached_and_matches_index_of():
     assert _projection.cache_info().maxsize is not None
     with pytest.raises(ContextError, match="domain mismatch"):
         small.projection(VarContext.of(("b", (0, 1, 2)), ("m", ("x", "y"))))
+
+
+def test_layout_is_cached_and_matches_index_of():
+    from preloss.contexts import _layout
+
+    pre = VarContext.of(("n", range(3)), ("m", ("x", "y")), ("b", (0, 1)))
+    post = VarContext.of(("b", (0, 1)), ("m", ("x", "y")), ("h", (5, 6, 7)))
+    bases, offsets = pre.layout(post, ("h", "b"))  # n dropped, m kept, h and b written
+    for i, (_, m, _) in enumerate(pre.states()):
+        for h in (5, 6, 7):
+            for b in (0, 1):
+                assert bases[i] + offsets[0][h] + offsets[1][b] == post.index_of((b, m, h))
+    assert pre.layout(post, ("h", "b")) is pre.layout(post, ("h", "b"))
+    assert _layout.cache_info().maxsize is not None
+    for bad in (VarContext.of(("m", ("x", "y", "z"))), VarContext.of(("k", (0, 1)))):
+        with pytest.raises(ContextError, match="domain mismatch|unknown variable"):
+            pre.layout(bad, ())

@@ -423,12 +423,55 @@ def _lifted(kernel: Kernel, post) -> Kernel:
                                               for y, row in enumerate(map(dict, kernel.rows))])
 
 
+# Multi-target assignments, which neither generator nor the corpus emits:
+# targets out of declaration order, three targets, a tuple part outside its
+# target's domain, and assignments between a `hidvar` and an `unvar`.
+_MULTI_TARGET = [
+    """vars:
+  x : {0,1}
+  y : {0,1,2}
+body:
+  y, x := (x, 1);
+  y, x := (x + y, 1 - x) @ 1/3 | (2, 0)
+""",
+    """vars:
+  a : {0,1}
+  b : {0,1,2}
+  c : {0,1}
+  d : {0,1}
+body:
+  c, a, b := (a, d, (b + 1) mod 3);
+  d, b, a := (c, a + c, 1 - d) @ 1/2 | (a, 2, c)
+""",
+    """vars:
+  x : {0,1}
+  y : {0,1}
+body:
+  x, y := (x + 1, y) @ 1/2 | (y, 2);
+  y, x := (2, 0) @ 1/4 | (x, y)
+""",
+    """vars:
+  x : {0,1,2}
+  y : {0,1}
+body:
+  hidvar h : {0,1,2} := x @ 1/2 | 2;
+  y, h := (h mod 2, x) @ 1/4 | (1 - y, 0);
+  unvar x;
+  h, y := (y, h mod 2);
+  hidvar x : {0,1,2} := h;
+  x, y := (y + h, 0) @ 2/3 | (h, x mod 2);
+  unvar h
+""",
+]
+
+
 def _check_elaboration(prog, counts: Dict[str, int]) -> None:
     for s in walk(prog):
         pre, post = s.meta.pre, s.meta.post
         if isinstance(s, Assign):
             assert s.meta.kernel == _reference_assign(pre, s.targets, s.dist)
             counts["kernels"] += 1
+            counts["multi_target"] += len(s.targets) > 1
         elif isinstance(s, HidVar):
             domain = post.domain_of(s.name)
             assert s.meta.kernel == _lifted(_reference_hidvar(pre, domain, s.dist), post)
@@ -455,7 +498,7 @@ def _check_elaboration(prog, counts: Dict[str, int]) -> None:
 
 
 def test_elaboration_matches_reference():
-    counts = {"kernels": 0, "observations": 0, "guards": 0}
+    counts = {"kernels": 0, "observations": 0, "guards": 0, "multi_target": 0}
     rng = random.Random(20261019)
     for _ in range(150):
         _, prog, _ = gen_typed_program(rng, depth=3, shape=ProgramShape(max_states=16))
@@ -463,8 +506,9 @@ def test_elaboration_matches_reference():
     gen = _bench_gen()
     texts = [c.program for c in gen.generate(1, 300)]
     texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "corpus").glob("*.prog"))]
-    for text in texts:
+    for text in texts + _MULTI_TARGET:
         initial, prog = parse_program_file(text)
         typecheck_program(prog, initial)
         _check_elaboration(prog, counts)
     assert counts["kernels"] > 1000 and counts["observations"] > 100 and counts["guards"] > 300, counts
+    assert counts["multi_target"] == 9, counts

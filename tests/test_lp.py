@@ -53,11 +53,13 @@ def test_scaling_down_when_sum_exceeds_one():
     assert res.member and sum(res.weights) == 1
 
 
-def test_unbounded_ray_through_zero_generator():
-    # the zero generator admits unbounded weight; membership must still
-    # return a convex certificate
+def test_generator_below_target_is_taken_without_a_solve():
+    # the zero generator lies below the target: the fast path returns it as
+    # the whole convex certificate, and the simplex never runs
+    solves = lp.counters["lp_solves"]
     res = cover([[0, 0], [5, 5]], [1, 1])
-    assert res.member and sum(res.weights) == 1
+    assert res.member and res.weights == (F(1), F(0))
+    assert lp.counters["lp_solves"] == solves
 
 
 def test_all_generators_excluded_by_infinities():

@@ -29,13 +29,12 @@ from preloss.predicates import Predicate
 from preloss.parsing import parse_datatype_file, parse_program_file
 from preloss.semantics import _kernel_tf, linear_transformer
 from preloss.syntax import (
-    Assert, Assign, HidVar, If, Program, Skip, Unvar, While, sub_programs, walk,
+    KERNEL_STMTS, Assert, Assign, HidVar, If, Program, Skip, Unvar, While, sub_programs, walk,
 )
 from preloss.typecheck import typecheck_program, validate_datatype
 from test_frontend import _reference_assign, _reference_guard, _reference_hidvar
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-KERNEL_STMTS = (Assign, HidVar, Unvar, Assert)
 Z = VarContext.of(("_ext", (0, 1, 2)))
 
 

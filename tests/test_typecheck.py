@@ -99,6 +99,8 @@ def test_multi_target_assignment():
     assert dict(k.rows[ctx.index_of((0, 0))]) == {ctx.index_of((1, 0)): Fraction(1)}
     with pytest.raises(TypecheckError, match="tuple"):
         check("x, y := 1", ctx)
+    with pytest.raises(TypecheckError, match="2-tuple, got \\(1,2,3\\)"):
+        check("x, y := (1, 2, 3)", ctx)
     with pytest.raises(TypecheckError, match="duplicate"):
         check("x, x := (0, 1)", ctx)
 
