@@ -50,6 +50,12 @@ class VarContext:
                 raise ContextError(f"empty domain for {name!r}")
             if len(set(domain)) != len(domain):
                 raise ContextError(f"duplicate domain value for {name!r}")
+        # Contexts key the projection, layout and derived-value caches:
+        # hash the pairs once, not on every lookup.
+        object.__setattr__(self, "_hash", hash(self.vars))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(*decls: Tuple[str, Iterable[Value]]) -> "VarContext":

@@ -4,15 +4,18 @@ A loss function is represented by a nonempty list of generator predicates;
 it denotes the upward convex closure of that list.  Equality and the
 refinement order are semantic (decided by exact LP membership), never list
 equality.  Refinement is reverse inclusion of denotations: E1 refines into
-E2 when every generator of E2 lies in E1's closure.
+E2 when every generator of E2 lies in E1's closure.  A sum of canonical
+losses with disjoint supports, such as the columns of a deterministic
+guard times their branch losses, is canonical as formed (``loss_add``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import le
+from operator import itemgetter, le
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
@@ -41,6 +44,15 @@ class LossFunction:
         return loss_equal(self, other)
 
     __hash__ = None  # semantic equality is incompatible with structural hashing
+
+    @cached_property
+    def support(self) -> int:
+        """The states where some generator is nonzero, one byte each (1 or 0)
+        of an int, so that two supports are disjoint iff their ``&`` is 0."""
+        mask = 0
+        for g in self.gens:
+            mask |= int.from_bytes(bytes(map(bool, g.nums)), "little")
+        return mask
 
     def __repr__(self) -> str:
         return f"LossFunction({len(self.gens)} gens over {self.ctx.pretty() or 'empty'})"
@@ -131,32 +143,39 @@ def _int_vectors(preds: Sequence[Predicate], states: Sequence[int]) -> Tuple[int
     return den, vectors
 
 
+def _by_key(gens: Sequence[Predicate]) -> List[Tuple[Tuple[int, ...], Predicate]]:
+    """Distinct generators with their keys, sorted by key (no two tie).
+
+    Each generator's key is its integer form over the generators' common
+    denominator, with INF mapped above every finite entry; that map is
+    strictly monotone, so the keys sort as ``Predicate.sort_token`` does.
+    """
+    den = lcm(*{g.den for g in gens})
+    keys = [g.nums if g.den == den else tuple(map((den // g.den).__mul__, g.nums))
+            for g in gens]
+    if any(INF_NUM in g.nums for g in gens):
+        top = 1 + max(map(max, keys))
+        keys = [tuple(top if n < 0 else n for n in k) for k in keys]
+    return sorted(zip(keys, gens), key=itemgetter(0))
+
+
 def _prune(gens: Sequence[Predicate]) -> List[Predicate]:
     """Cheap reductions: exact duplicates and pointwise-dominated generators.
 
     A generator above another pointwise sits in the other's upward closure.
-    Each generator's key is its integer form over the generators' common
-    denominator, with INF mapped above every finite entry; that map is
-    strictly monotone, so the keys sort as ``Predicate.sort_token`` does.
-    Sorted that way, a generator can only be dominated by earlier ones.
+    Sorted by ``_by_key``, a generator can only be dominated by earlier ones.
     """
     distinct = {}
     for g in gens:
         distinct.setdefault((g.den, g.nums), g)
     if len(distinct) == 1:
         return list(distinct.values())
-    den = lcm(*{d for d, _ in distinct})
-    keys = {form: form[1] if form[0] == den else tuple(map((den // form[0]).__mul__, form[1]))
-            for form in distinct}
-    if any(INF_NUM in form[1] for form in distinct):
-        top = 1 + max(max(k) for k in keys.values())
-        keys = {form: tuple(top if n < 0 else n for n in k) for form, k in keys.items()}
     kept_keys: List[Tuple[int, ...]] = []
     kept: List[Predicate] = []
-    for key, form in sorted((k, form) for form, k in keys.items()):
+    for key, g in _by_key(list(distinct.values())):
         if not any(all(map(le, h, key)) for h in kept_keys):
             kept_keys.append(key)
-            kept.append(distinct[form])
+            kept.append(g)
     return kept
 
 
@@ -185,9 +204,37 @@ def loss_min(E1: LossFunction, E2: LossFunction) -> LossFunction:
 
 
 def loss_add(E1: LossFunction, E2: LossFunction) -> LossFunction:
-    """Minkowski sum of the denoted sets, generator-wise."""
+    """Minkowski sum of the denoted sets, generator-wise.
+
+    When both inputs are canonical and their supports are disjoint (no
+    state is nonzero in both; ``INF`` counts as nonzero), every pairwise
+    sum is kept, with no LP query:
+
+    * Irredundant.  Suppose a0 + b0 lies above a convex combination, with
+      weights w, of the other pairwise sums.  On E1's support every b is
+      zero, so a0 lies above the combination of E1's generators weighted
+      by w's E1-marginal.  If that marginal put weight m < 1 on a0, then
+      a0 would lie above a convex combination of the other generators
+      (divide the rest by 1 - m; where a0 is finite, every generator with
+      weight is finite too).  E1 is irredundant, so all of w sits on pairs
+      (a0, b) with b != b0.  The same argument on E2's support puts b0
+      above a convex combination of E2's other generators, a
+      contradiction.  ``INF * 0 = 0``, and ``INF`` absorbs only on its own
+      support, so the restrictions hold with ``INF`` entries too.
+    * Distinct.  Each sum is a on E1's support and b on E2's, so distinct
+      pairs give distinct sums, and no dedupe is needed.
+    * Order.  ``loss_canonicalize`` keeps ``_prune``'s key order, and on
+      irredundant sums it keeps everything, so sorting the sums by
+      ``_by_key`` gives exactly its list.
+
+    Otherwise the sums are canonicalized as usual.
+    """
     _require_same_ctx(E1, E2)
     gens = tuple(g1 + g2 for g1 in E1.gens for g2 in E2.gens)
+    if E1.canonical and E2.canonical and not E1.support & E2.support:
+        total = LossFunction(E1.ctx, tuple(g for _, g in _by_key(gens)), canonical=True)
+        total.__dict__["support"] = E1.support | E2.support  # the union, not rebuilt from the sums
+        return total
     return loss_canonicalize(LossFunction(E1.ctx, gens))
 
 

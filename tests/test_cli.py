@@ -171,8 +171,8 @@ def test_json_reports_are_byte_identical(capsys):
 # a change that moves only the counts moves the first two pins, never the third.
 PINNED_REPORTS = [
     (["wpl", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss"], 0,
-     {"lp_solves": 0, "member_queries": 10, "wpl_clauses": 4},
-     "c7dbb200002afd9c4d919de7d798bbc3f477edd73311da088631a35ff3700c37",
+     {"lp_solves": 0, "member_queries": 6, "wpl_clauses": 4},
+     "5743d47e7bc572ccf3bcc0c9ae9a88b7cad647119e028ffd9bf076f00379d8a5",
      "53f48d340da9c16aa749b15ab367921efeee18359670a1c5ebe4a3d59ad5d5be"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"], 0,
@@ -181,14 +181,20 @@ PINNED_REPORTS = [
      "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
-     {"lp_solves": 73, "member_queries": 1286, "wpl_clauses": 1881},
-     "e226dba590fc44de6fb77abc333f016558a57c27e63fa13da0b1771c118ee201",
+     {"lp_solves": 73, "member_queries": 806, "wpl_clauses": 1881},
+     "d716e5e3e28f46fbc6732e5c1fcaad932443361c7f764359a205cf2f251ccd4e",
      "40b3ed1001175f10140803609c63fc981d33f484b0adc2d0425e1cb047bb3031"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
-     {"lp_solves": 0, "member_queries": 141, "wpl_clauses": 850},
-     "1a30e658dc261639dd306eea2f5975ff6de2c3c1575920a0646e4f2fe2ef1cb0",
+     {"lp_solves": 0, "member_queries": 97, "wpl_clauses": 850},
+     "e7a805b524ca16ef33cc84d1b2ed9bd47b7ec16df7afa54693c7241736fe5feb",
      "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
+    # The default-family linear scan: its loop term sums have disjoint supports.
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 0,
+     {"lp_solves": 416, "member_queries": 4288, "wpl_clauses": 5882},
+     "9f693cf913d1a6f14b6ad7c3ee3557144e531854440acd4c60e8ed0242731245",
+     "1b7fbd79f92c4916070ce025ecc5935e6f28a429bc4bcbef5e2b825e5c7ea48d"),
     # The bench's corpus checks whose programs print.
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
       "--exhaustive"], 0,
@@ -197,13 +203,13 @@ PINNED_REPORTS = [
      "6925ef3036ee7a953e6d0725ea2544ec6d09b5e3af43eda51c21539a98ca0264"),
     (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--rep", f"{CORPUS}/rep_leak.prog", "--family", "k=2,random=20,seed=7"], 4,
-     {"lp_solves": 45, "member_queries": 617, "wpl_clauses": 192},
-     "3b84181dda3c8cf7d52e64d9ed87344aa0ab7b9717a664dfbe9feb2320c8ee79",
+     {"lp_solves": 29, "member_queries": 411, "wpl_clauses": 192},
+     "02759acd9706205590ea5387be252dee4c11e484a597c82d2ea5d3db42b64d1e",
      "b49ab5a4c09d23e4156d11e71368a3a46841f933128f2a42ef038daa812b5e4c"),
     (["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--family", "k=2,random=20,seed=7"], 3,
-     {"lp_solves": 4, "member_queries": 46, "wpl_clauses": 14},
-     "3b9bf7694a905d090c548f058f3717fdd95f3cc7ca2e9c9ec26935c58177cf00",
+     {"lp_solves": 4, "member_queries": 42, "wpl_clauses": 14},
+     "5f4b4db2c687a038dd1ca4d0ce41c5cec8d09fe931f29c0236e0b3648e38802f",
      "3c7bee7ef6cab419054b81c31534018d9d3fc8e3910e28e64633b483ba76397e"),
     (["datatype", f"{CORPUS}/refresh_after_read.dt", f"{CORPUS}/refresh_before_read.dt",
       "--context", f"{CORPUS}/ctx_print_then_xor.ctx", "--family", "k=2,random=20,seed=7"], 3,
@@ -253,7 +259,7 @@ def test_large_choiceless_simulation_is_pinned(capsys):
     report = json.loads(out)
     assert report["result"]["kind"] == "fails"
     assert report["result"]["at"] == "op lookup"
-    assert report.pop("timings") == {"lp_solves": 20, "member_queries": 376,
+    assert report.pop("timings") == {"lp_solves": 20, "member_queries": 296,
                                      "wpl_clauses": 765}
     assert report_digest(report) == (
         "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
@@ -274,7 +280,7 @@ def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
          {"pre_loss": {"context": "x:{0,1} y:{0,1}",
                        "generators": ["(0,0)=1/2 (0,1)=1/2 (1,0)=1/2 (1,1)=1/2"]},
           "loops": {}, "truncated": False},
-         {"lp_solves": 0, "member_queries": 13, "wpl_clauses": 8}),
+         {"lp_solves": 0, "member_queries": 11, "wpl_clauses": 8}),
         (["oracle", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post), "--exhaustive"],
          {"risk": "1/2", "exhaustive": "1/2", "agrees": True},
          {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0}),
@@ -511,7 +517,7 @@ def test_json_reports_with_inf_entries_are_pinned(capsys, tmp_path):
                                     "(0)=1/3 (1)=1/3 (3)=1", "(0)=1/3 (1)=1/3 (2)=inf (3)=1/4",
                                     "(0)=1 (3)=1", "(0)=1 (2)=inf (3)=1/4"]},
         "loops": {}, "truncated": False}
-    assert report["timings"] == {"lp_solves": 4, "member_queries": 24, "wpl_clauses": 4}
+    assert report["timings"] == {"lp_solves": 2, "member_queries": 18, "wpl_clauses": 4}
 
     a = tmp_path / "a.prog"
     a.write_text("vars:\n b : {0,1}\nbody:\n skip\n")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from preloss import lp
 from preloss.contexts import ContextError, VarContext
@@ -412,3 +413,89 @@ def test_prune_on_integer_keys_matches_the_entrywise_reference():
         got = _prune(gens)
         assert isinstance(got, list)
         assert [g.entries for g in got] == [g.entries for g in _prune_reference(gens)]
+
+
+def _queries(fn, *args):
+    """``fn(*args)`` and the LP member queries it made: one per ``lp.covered``
+    call in ``loss_canonicalize``."""
+    before = lp.counters["member_queries"]
+    result = fn(*args)
+    return result, lp.counters["member_queries"] - before
+
+
+def _add_by_lp(E1, E2):
+    """Reference: every pairwise sum through ``loss_canonicalize``, with its
+    member queries."""
+    sums = LossFunction(E1.ctx, tuple(a + b for a in E1.gens for b in E2.gens))
+    canonical, queries = _queries(loss_canonicalize, sums)
+    return canonical.gens, queries
+
+
+# Mixed denominators, zero and INF.
+SUM_VALUES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4),
+              Fraction(7, 6), INF]
+
+
+def _canonical_loss_on(rng, ctx, states):
+    """A canonical loss that is zero off ``states``: the zero loss, one
+    generator, or the canonical form of up to six.  Generator j is zero at
+    the j-th state, so that several of them tend to stay irredundant."""
+    k = rng.randint(0, 6)
+    if k == 0:
+        return zero_loss(ctx)
+    gens = []
+    for j in range(k):
+        entries = [Fraction(0)] * ctx.n_states
+        for x in states:
+            entries[x] = rng.choice(SUM_VALUES)
+        if states:
+            entries[states[j % len(states)]] = Fraction(0)
+        gens.append(Predicate.from_entries(ctx, entries))
+    return loss_canonicalize(LossFunction(ctx, tuple(gens)))
+
+
+def _unmarked(E):
+    """E's generators plus a redundant copy, not marked canonical."""
+    return LossFunction(E.ctx, E.gens + (E.gens[0] + E.gens[0],))
+
+
+def _nonzero_states(E):
+    return {x for g in E.gens for x, n in enumerate(g.nums) if n}
+
+
+@seed(20261019)
+@settings(max_examples=500, deadline=None)
+@given(case=st.integers(0, 2 ** 32 - 1), overlap=st.booleans(),
+       marked=st.tuples(st.booleans(), st.booleans()))
+def test_disjoint_sums_skip_the_lp_and_match_it(case, overlap, marked):
+    """Canonical losses with disjoint supports add to every pairwise sum, in
+    ``loss_canonicalize``'s order, with no LP query; any other pair makes
+    the same ``lp.covered`` queries as canonicalizing the sums."""
+    rng = random.Random(case)
+    ctx = VarContext.of(("x", tuple(range(rng.randint(1, 10)))))
+    sides = [rng.choice("aaabbb-+" if overlap else "aaabbb-") for _ in range(ctx.n_states)]
+    E1, E2 = (_canonical_loss_on(rng, ctx, [x for x, s in enumerate(sides) if s in side])
+              for side in ("a+", "b+"))
+    E1, E2 = (E if m else _unmarked(E) for E, m in zip((E1, E2), marked))
+    expected, reference_queries = _add_by_lp(E1, E2)
+    got, queries = _queries(loss_add, E1, E2)
+    assert got.canonical and got.gens == expected
+    structural = all(marked) and not _nonzero_states(E1) & _nonzero_states(E2)
+    assert queries == (0 if structural else reference_queries)
+
+
+def test_overlapping_or_unmarked_sums_reach_the_lp():
+    ctx = VarContext.of(("n", range(4)))
+    u = units(ctx)
+    left = loss_min(embed(u[0]), embed(u[1]))
+    for E1, E2 in [(left, loss_min(embed(u[1]), embed(u[2]))),   # overlap at state 1
+                   (left, _unmarked(loss_min(embed(u[2]), embed(u[3])))),
+                   (_unmarked(left), loss_min(embed(u[2]), embed(u[3])))]:
+        expected, reference_queries = _add_by_lp(E1, E2)
+        got, queries = _queries(loss_add, E1, E2)
+        assert got.gens == expected
+        assert queries == reference_queries > 0
+    right = loss_min(embed(u[2]), embed(u[3].scale(INF)))
+    total, queries = _queries(loss_add, left, right)
+    assert queries == 0
+    assert total.gens == _add_by_lp(left, right)[0] and len(total.gens) == 4
