@@ -7,11 +7,13 @@ over its pre context (extended likewise).  A statement of
 each generator through one transformer: the dual of the statement's kernel,
 tensored with the identity on Z (``_kernel_tf``).  ``wpl`` does a discard
 directly: it extends each generator to the dropped variable, as that
-transformer would.  A straight-line body of them is the product of its
-statements' transformers (``linear_transformer``).  A `print`, `if` or
-`while` shows a value through its kernel's columns, and one rule
-(``_observe``) sums, over the columns, the column times the loss its value
-leads to.  Loops are evaluated by the term recurrence
+transformer would (``LossFunction.extend_to``).  A straight-line body of
+them is the product of its statements' transformers
+(``linear_transformer``).  A `print`, `if` or `while` shows a value
+through its kernel's columns, and one rule (``_observe``) sums, over the
+columns, the column times the loss its value leads to; ``loss_add`` keeps
+such a sum as blocks, and every later statement maps it block by block.
+Loops are evaluated by the term recurrence
 
     term_0    = !g * E
     term_n+1  = g * wpl(body, term_n)
@@ -103,11 +105,7 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
     if isinstance(s, Abort):
         return zero_loss(_working(s.meta.pre, z))
     if isinstance(s, Unvar):
-        # The cylinder extension keeps distinct generators distinct and
-        # irredundant ones irredundant: no canonicalization is needed.
-        working = _working(s.meta.pre, z)
-        gens = tuple(g.extend_to(working) for g in E.gens)
-        return LossFunction(working, gens, canonical=E.canonical)
+        return E.extend_to(_working(s.meta.pre, z))
     if isinstance(s, KERNEL_STMTS):
         return loss_map(_kernel_tf(s, z), E)
     if isinstance(s, If):

@@ -181,19 +181,19 @@ PINNED_REPORTS = [
      "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
-     {"lp_solves": 73, "member_queries": 806, "wpl_clauses": 1881},
-     "d716e5e3e28f46fbc6732e5c1fcaad932443361c7f764359a205cf2f251ccd4e",
+     {"lp_solves": 90, "member_queries": 926, "wpl_clauses": 1881},
+     "93821108047b0cd15fb88224fbb20d829b933505b493c13bde126d74216925ea",
      "40b3ed1001175f10140803609c63fc981d33f484b0adc2d0425e1cb047bb3031"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
-     {"lp_solves": 0, "member_queries": 97, "wpl_clauses": 850},
-     "e7a805b524ca16ef33cc84d1b2ed9bd47b7ec16df7afa54693c7241736fe5feb",
+     {"lp_solves": 0, "member_queries": 89, "wpl_clauses": 850},
+     "528a97033031a34cbe64114b47ed123f35cb66704291d6a47d59041e0ab59a9f",
      "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
     # The default-family linear scan: its loop term sums have disjoint supports.
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 0,
-     {"lp_solves": 416, "member_queries": 4288, "wpl_clauses": 5882},
-     "9f693cf913d1a6f14b6ad7c3ee3557144e531854440acd4c60e8ed0242731245",
+     {"lp_solves": 296, "member_queries": 4104, "wpl_clauses": 5882},
+     "73ed3e3edb65c362a8f03f18fdba6b685bf8d2dfc20c941d563020bde97fc241",
      "1b7fbd79f92c4916070ce025ecc5935e6f28a429bc4bcbef5e2b825e5c7ea48d"),
     # The bench's corpus checks whose programs print.
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
@@ -203,8 +203,8 @@ PINNED_REPORTS = [
      "6925ef3036ee7a953e6d0725ea2544ec6d09b5e3af43eda51c21539a98ca0264"),
     (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--rep", f"{CORPUS}/rep_leak.prog", "--family", "k=2,random=20,seed=7"], 4,
-     {"lp_solves": 29, "member_queries": 411, "wpl_clauses": 192},
-     "02759acd9706205590ea5387be252dee4c11e484a597c82d2ea5d3db42b64d1e",
+     {"lp_solves": 30, "member_queries": 436, "wpl_clauses": 192},
+     "47497a4fc16dae4ed495aff2dd26163edbf916889eba260d064af811bea90097",
      "b49ab5a4c09d23e4156d11e71368a3a46841f933128f2a42ef038daa812b5e4c"),
     (["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--family", "k=2,random=20,seed=7"], 3,
@@ -259,7 +259,7 @@ def test_large_choiceless_simulation_is_pinned(capsys):
     report = json.loads(out)
     assert report["result"]["kind"] == "fails"
     assert report["result"]["at"] == "op lookup"
-    assert report.pop("timings") == {"lp_solves": 20, "member_queries": 296,
+    assert report.pop("timings") == {"lp_solves": 11, "member_queries": 282,
                                      "wpl_clauses": 765}
     assert report_digest(report) == (
         "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
@@ -280,7 +280,7 @@ def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
          {"pre_loss": {"context": "x:{0,1} y:{0,1}",
                        "generators": ["(0,0)=1/2 (0,1)=1/2 (1,0)=1/2 (1,1)=1/2"]},
           "loops": {}, "truncated": False},
-         {"lp_solves": 0, "member_queries": 11, "wpl_clauses": 8}),
+         {"lp_solves": 0, "member_queries": 13, "wpl_clauses": 8}),
         (["oracle", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post), "--exhaustive"],
          {"risk": "1/2", "exhaustive": "1/2", "agrees": True},
          {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0}),
