@@ -10,6 +10,7 @@ the family.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, List, Tuple
@@ -116,7 +117,7 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
         push(embed(u.complement()), "builtin")
 
     subset_total = sum(
-        _n_choose(n, size) for size in range(2, min(opts.max_subset, n) + 1)
+        math.comb(n, size) for size in range(2, min(opts.max_subset, n) + 1)
     )
     if subset_total > SUBSET_CAP:
         raise ValueError(
@@ -153,13 +154,6 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
         push(LossFunction(ctx, tuple(gens)), f"random({opts.seed})")
 
     return TestFamily(ctx, tuple(entries))
-
-
-def _n_choose(n: int, k: int) -> int:
-    result = 1
-    for i in range(k):
-        result = result * (n - i) // (i + 1)
-    return result
 
 
 def resolve_family(

@@ -347,16 +347,7 @@ def loss_map(f: Transformer, E: LossFunction) -> LossFunction:
     """
     if f.dst != E.ctx:
         raise ContextError("transformer/loss context mismatch")
-    images = {}
-
-    def image(g: Predicate) -> Predicate:
-        form = (g.den, g.nums)
-        found = images.get(form)
-        if found is None:
-            found = images[form] = f.apply(g)
-        return found
-
-    return _blockwise(f.src, E, image)
+    return _blockwise(f.src, E, f.apply)
 
 
 def eval_loss(E: LossFunction, dist: Sequence[Fraction]) -> Scalar:

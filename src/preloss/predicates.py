@@ -9,9 +9,9 @@ the dataclass equality and hash are the value's.  The loss algebra runs on
 it with Python ints: ``+``, ``conj``, ``scale``, ``complement``,
 ``extend_to``, ``le``, ``is_zero`` and ``Transformer.apply``
 (``kernels.py``), and in ``losses.py`` the dedupe, order and dominance of
-``_prune``, the state classes, ``loss_map``'s image cache and every LP
-membership query.  ``INF`` stays inside the form: it absorbs in sums,
-``INF * 0 = 0`` and ``INF * x = INF`` for ``x > 0``.
+``_prune``, the state classes and every LP membership query.  ``INF``
+stays inside the form: it absorbs in sums, ``INF * 0 = 0`` and
+``INF * x = INF`` for ``x > 0``.
 
 ``from_entries`` builds the form from ints, ``Fraction``s and ``INF`` (the
 parser, expressions and witnesses); ``from_ints`` from numerators.

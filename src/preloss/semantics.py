@@ -7,12 +7,14 @@ over its pre context (extended likewise).  A statement of
 each generator through one transformer: the dual of the statement's kernel,
 tensored with the identity on Z (``_kernel_tf``).  ``wpl`` does a discard
 directly: it extends each generator to the dropped variable, as that
-transformer would (``LossFunction.extend_to``).  A straight-line body of
-them is the product of its statements' transformers
-(``linear_transformer``).  A `print`, `if` or `while` shows a value
-through its kernel's columns, and one rule (``_observe``) sums, over the
-columns, the column times the loss its value leads to; ``loss_add`` keeps
-such a sum as blocks, and every later statement maps it block by block.
+transformer would (``LossFunction.extend_to``).  A straight-line program
+of them is the product of its statements' transformers
+(``linear_transformer``), but ``wpl`` does not use that product: it runs
+every statement on its own, loop bodies included.  A `print`, `if` or
+`while` shows a value through its kernel's columns, and one rule
+(``_observe``) sums, over the columns, the column times the loss its value
+leads to; ``loss_add`` keeps such a sum as blocks, and every later
+statement maps it block by block.
 Loops are evaluated by the term recurrence
 
     term_0    = !g * E
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .contexts import EMPTY, VarContext
 from .kernels import Transformer
@@ -158,35 +160,21 @@ def _observe(s: Stmt, branch_losses: Iterable[LossFunction], z) -> LossFunction:
     return total
 
 
-def _loop_terms(s: While, E: LossFunction, z, budget, statuses) -> Iterator[LossFunction]:
-    """The loop's terms term_0 = !g * E, term_n+1 = g * wpl(body, term_n), without end.
-
-    A straight-line body is applied as one matrix (``linear_transformer``,
-    built once per loop statement and extension); any other body is
-    evaluated clause by clause with ``budget`` for its loops.
-    """
-    g, not_g = _columns(s, z)
-    body_tf = s.meta.derived(("body_tf", z), lambda: linear_transformer(s.body, z))
-    term = loss_conj(not_g, E)
-    while True:
-        yield term
-        if body_tf is not None:
-            inner = loss_map(body_tf, term)
-        else:
-            inner = _wpl_program(s.body, term, z, budget, statuses)
-        term = loss_conj(g, inner)
-
-
 def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
-    total: Optional[LossFunction] = None
-    for n, term in enumerate(_loop_terms(s, E, z, budget, statuses)):
-        total = term if total is None else loss_add(total, term)
-        if is_zero_loss(term):
-            status = LoopStatus("converged", n)
-            break
+    """Sum the loop's terms term_0 = !g * E, term_n+1 = g * wpl(body, term_n),
+    evaluating the body clause by clause with ``budget`` for its loops."""
+    g, not_g = _columns(s, z)
+    term = total = loss_conj(not_g, E)
+    n = 0
+    while not is_zero_loss(term):
         if n >= budget:
             status = LoopStatus("truncated", budget)
             break
+        term = loss_conj(g, _wpl_program(s.body, term, z, budget, statuses))
+        total = loss_add(total, term)
+        n += 1
+    else:
+        status = LoopStatus("converged", n)
     label = s.meta.label or "while"
     statuses[label] = status if label not in statuses else statuses[label].merge(status)
     return total

@@ -181,19 +181,19 @@ PINNED_REPORTS = [
      "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
-     {"lp_solves": 90, "member_queries": 926, "wpl_clauses": 1881},
-     "93821108047b0cd15fb88224fbb20d829b933505b493c13bde126d74216925ea",
+     {"lp_solves": 90, "member_queries": 926, "wpl_clauses": 2059},
+     "c55db4fe72206815ff5d35063619dfbdaf7321d6f90e5f42d9da2972bde299fb",
      "40b3ed1001175f10140803609c63fc981d33f484b0adc2d0425e1cb047bb3031"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
-     {"lp_solves": 0, "member_queries": 89, "wpl_clauses": 850},
-     "528a97033031a34cbe64114b47ed123f35cb66704291d6a47d59041e0ab59a9f",
+     {"lp_solves": 0, "member_queries": 89, "wpl_clauses": 954},
+     "7ab5cd9a42dafab0ed542babb150645d333b9a714bf7b31cfd271dbf9f5d6f8d",
      "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
     # The default-family linear scan: its loop term sums have disjoint supports.
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 0,
-     {"lp_solves": 296, "member_queries": 4104, "wpl_clauses": 5882},
-     "73ed3e3edb65c362a8f03f18fdba6b685bf8d2dfc20c941d563020bde97fc241",
+     {"lp_solves": 296, "member_queries": 4104, "wpl_clauses": 6393},
+     "0d26a3adaff6da82d19c680729d1ab4b6d6451a2921ac048d15ee8072af5e48b",
      "1b7fbd79f92c4916070ce025ecc5935e6f28a429bc4bcbef5e2b825e5c7ea48d"),
     # The bench's corpus checks whose programs print.
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
@@ -260,7 +260,7 @@ def test_large_choiceless_simulation_is_pinned(capsys):
     assert report["result"]["kind"] == "fails"
     assert report["result"]["at"] == "op lookup"
     assert report.pop("timings") == {"lp_solves": 11, "member_queries": 282,
-                                     "wpl_clauses": 765}
+                                     "wpl_clauses": 834}
     assert report_digest(report) == (
         "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
 
@@ -268,13 +268,11 @@ def test_large_choiceless_simulation_is_pinned(capsys):
 def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
     """`wpl` and the oracle through the corpus's one `if`, and `wpl` through a `while`.
 
-    The posts are written under ``tmp_path``, whose path is in the report's
-    ``inputs``, so the result and ``timings`` are pinned, not a digest.
+    The mutex post is written under ``tmp_path``, whose path is in the
+    report's ``inputs``, so the result and ``timings`` are pinned, not a digest.
     """
     mutex_post = tmp_path / "mutex.loss"
     mutex_post.write_text("context x:{0,1} y:{0,1}\nexpr: x = 0\nexpr: y = 1")
-    coin_post = tmp_path / "coin.loss"
-    coin_post.write_text("context c:{0,1}\nexpr: c = 0")
     cases = [
         (["wpl", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post)],
          {"pre_loss": {"context": "x:{0,1} y:{0,1}",
@@ -284,10 +282,11 @@ def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
         (["oracle", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post), "--exhaustive"],
          {"risk": "1/2", "exhaustive": "1/2", "agrees": True},
          {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0}),
-        (["wpl", f"{CORPUS}/geometric.prog", "--post", str(coin_post), "--loop-budget", "5"],
+        (["wpl", f"{CORPUS}/geometric.prog", "--post", f"{CORPUS}/geometric_post.loss",
+          "--loop-budget", "5"],
          {"pre_loss": {"context": "c:{0,1}", "generators": ["(0)=1 (1)=31/32"]},
           "loops": {"while#0@5:3": "truncated(5)"}, "truncated": True},
-         {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 1}),
+         {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 6}),
     ]
     for argv, result, timings in cases:
         code, out, _ = run(capsys, *argv, "--json")

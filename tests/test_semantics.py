@@ -126,9 +126,9 @@ def test_linear_transformer_matches_clause_by_clause_with_hidvar():
 
 
 def test_wpl_transformers_are_kept_on_each_statement(monkeypatch):
-    """Each statement keeps its transformers per extension, and each loop its
-    body matrix: equal kernels are never compared, no module-level cache
-    keeps a program alive, and repeated runs give the same pre-loss."""
+    """Each statement keeps its transformers per extension: equal kernels are
+    never compared, no module-level cache keeps a program alive, and
+    repeated runs give the same pre-loss."""
     import gc
     import weakref
 
@@ -139,10 +139,6 @@ def test_wpl_transformers_are_kept_on_each_statement(monkeypatch):
         raise AssertionError("kernels compared by value")
 
     monkeypatch.setattr(Kernel, "__eq__", no_compare)
-    built = []
-    linear = semantics.linear_transformer
-    monkeypatch.setattr(semantics, "linear_transformer",
-                        lambda prog, z=EMPTY: built.append(z) or linear(prog, z))
     src = ("hidvar t : {0,1} := n mod 2 @ 1/3 | 0; n := (n + t) mod 4; unvar t; "
            "while n < 2 { hidvar u : {0,1} := 0 @ 1/2 | 1; n := n + u; unvar u }")
     z = VarContext.of(("z", (0, 1)))
@@ -150,7 +146,6 @@ def test_wpl_transformers_are_kept_on_each_statement(monkeypatch):
     twins = [typed(src, N4), typed(src, N4)]  # equal kernels, distinct objects
     pres = [weakest_preloss(p, E, z).pre for p in twins for _ in range(3)]
     assert all(loss_equal(pre, pres[0]) for pre in pres)
-    assert built == [z, z]  # one body matrix per loop statement and extension
     assign = twins[0].stmts[1]
     assert semantics._kernel_tf(assign, z) is semantics._kernel_tf(assign, z)
     assert semantics._kernel_tf(assign, z) is not semantics._kernel_tf(assign, EMPTY)
@@ -201,6 +196,83 @@ def test_while_converges_when_terms_vanish():
     (status,) = res.loop_status.values()
     assert status.kind == "converged"
     assert loss_equal(res.pre, one_loss(N4))
+
+
+def _guard_text(rng, ctx):
+    name, dom = rng.choice(ctx.vars)
+    return f"{name} {rng.choice(['=', '!=', '<='])} {rng.choice(dom)}"
+
+
+def _choiceless(rng, ctx, depth, kinds, loops=1):
+    """Seeded choiceless statements over ``ctx`` that leave it as it is, as
+    source text; ``kinds`` collects the kinds of statement used."""
+    names = [name for name, _ in ctx.vars]
+
+    def expr(size):
+        name = rng.choice(names)
+        return rng.choice([str(rng.randrange(size)), f"{name} mod {size}",
+                           f"({name} + {rng.randrange(1, 3)}) mod {size}"])
+
+    def dexpr(size):
+        if rng.random() < 0.4:
+            return expr(size)
+        return f"{expr(size)} @ 1/{rng.randint(2, 3)} | {expr(size)}"
+
+    stmts = []
+    for _ in range(rng.randint(1, 3)):
+        options = ["assign", "assign", "print"]
+        if depth:
+            options += ["if"] + ["while"] * loops
+        if ctx.n_states <= 3 and "h" not in names:
+            options.append("hidvar")
+        kind = rng.choice(options)
+        kinds.add(kind)
+        if kind == "assign":
+            name, dom = rng.choice(ctx.vars)
+            stmts.append(f"{name} := {dexpr(len(dom))}")
+        elif kind == "print":
+            stmts.append(f"print {dexpr(rng.randint(2, 3))}")
+        elif kind == "if":
+            then, orelse = (_choiceless(rng, ctx, depth - 1, kinds, 0) for _ in range(2))
+            stmts.append(f"if {_guard_text(rng, ctx)} {{ {then} }} else {{ {orelse} }}")
+        elif kind == "while":
+            loops = 0
+            guard = _guard_text(rng, ctx)
+            stmts.append(f"while {guard} {{ {_choiceless(rng, ctx, 0, kinds, 0)} }}")
+        else:
+            inner = _choiceless(rng, ctx.append("h", (0, 1)), depth, kinds, loops)
+            stmts.append(f"hidvar h : {{0,1}} := {dexpr(2)}; {inner}; unvar h")
+    return "; ".join(stmts)
+
+
+def _unrolled(guard, body, n):
+    """U_0 = if g {abort} else {skip}, and U_n = if g {body; U_n-1} else {skip}."""
+    inner = "abort" if n == 0 else f"{body}; {_unrolled(guard, body, n - 1)}"
+    return f"if {guard} {{ {inner} }} else {{ skip }}"
+
+
+def test_loop_equals_its_unrolling():
+    """With budget N, a choiceless loop's pre-loss is that of its N-fold
+    unrolling U_N: wpl(U_N) = !g * E + g * wpl(body, wpl(U_N-1)), and wpl of
+    a choiceless body is additive on sums, so it is the loop's terms 0..N."""
+    from preloss.scalars import INF
+
+    rng = random.Random(20261019)
+    kinds, multi = set(), 0
+    for _ in range(200):
+        ctx = gen_context(rng, max_states=6)
+        guard, body = _guard_text(rng, ctx), _choiceless(rng, ctx, 1, kinds)
+        post = LossFunction(ctx, tuple(
+            Predicate.from_entries(ctx, [rng.choice((0, 1, 2, INF)) for _ in ctx.states()])
+            for _ in range(rng.randint(1, 2))))
+        loop = typed(f"while {guard} {{ {body} }}", ctx)
+        for n in (1, 2, 3):
+            got = weakest_preloss(loop, post, loop_budget=n).pre
+            assert got.gens == weakest_preloss(typed(_unrolled(guard, body, n), ctx), post,
+                                               loop_budget=n).pre.gens
+            multi += len(got.gens) >= 2
+    assert kinds == {"assign", "print", "if", "while", "hidvar"}
+    assert multi >= 50
 
 
 def test_loop_budget_validation():
