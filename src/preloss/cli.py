@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 from . import lp
@@ -40,7 +41,7 @@ from .refinement import (
 )
 from .scalars import fmt_scalar
 from .semantics import DEFAULT_LOOP_BUDGET, weakest_preloss
-from .typecheck import TypecheckError, typecheck_program
+from .typecheck import TypecheckError, typecheck_program, validate_datatype
 
 SCHEMA_VERSION = 1
 
@@ -66,21 +67,20 @@ class _Inputs:
         return data.decode("utf-8")
 
 
+def _tables(E: LossFunction) -> List[str]:
+    """Each generator's table ("" for 0), in the canonical loss's own order."""
+    return [g.table() if not g.is_zero else "" for g in E.gens]
+
+
 def loss_literal(E: LossFunction) -> str:
-    lines = [f"context {E.ctx.pretty()}"]
-    for g in sorted(E.gens, key=lambda p: p.sort_token()):
-        lines.append(f"table: {g.table()}" if not g.is_zero else "table:")
-    return "\n".join(lines)
+    return "\n".join([f"context {E.ctx.pretty()}"]
+                     + [f"table: {t}" if t else "table:" for t in _tables(E)])
 
 
 def _loss_json(E: Optional[LossFunction]):
     if E is None:
         return None
-    return {
-        "context": E.ctx.pretty(),
-        "generators": [g.table() if not g.is_zero else "" for g in
-                       sorted(E.gens, key=lambda p: p.sort_token())],
-    }
+    return {"context": E.ctx.pretty(), "generators": _tables(E)}
 
 
 def _prior_text(ctx: VarContext, dist) -> str:
@@ -184,7 +184,6 @@ def _family_options(args, inputs: _Inputs) -> FamilyOptions:
         ctx, gens = parse_loss_text(inputs.read(path))
         extra.append(LossFunction(ctx, tuple(gens)))
     if extra:
-        from dataclasses import replace
         opts = replace(opts, extra=tuple(extra))
     return opts
 
@@ -205,7 +204,6 @@ def cmd_check(args) -> int:
     kind = sniff_kind(text)
     if kind == "datatype":
         d = parse_datatype_file(text, name=args.file)
-        from .typecheck import validate_datatype
         validate_datatype(d)
         print(f"ok: datatype with shared [{d.shared.pretty()}], "
               f"encapsulated [{d.encap.pretty()}], ops {list(d.op_names())}")

@@ -1,22 +1,28 @@
-"""Sub-stochastic kernels and their dual predicate transformers.
+"""Linear predicate transformers, and sub-stochastic kernels among them.
 
-A ``Kernel`` is a sub-stochastic matrix between two contexts (rows sum to at
-most 1, zero entries omitted).  A ``Transformer`` is an arbitrary
-nonnegative-rational matrix read contravariantly: it maps predicates over
-its ``dst`` context to predicates over its ``src`` context.  Every kernel
-dual is a transformer; so is the discard functional (``Transformer.ones``).
-Every statement but a choice, `skip` or `abort` elaborates to a kernel.  A
-`print`, `if` or `while` is a channel from states to the values it shows,
-read by its dense ``columns``.
+There is one matrix class.  A ``Transformer`` is a nonnegative-rational
+matrix between two contexts, read contravariantly: it maps predicates over
+its ``dst`` context to predicates over its ``src`` context.  A ``Kernel`` is
+a transformer whose rows are checked: entries positive, each row summing to
+at most 1.  So it is also a sub-stochastic matrix src -> dst, and read as a
+transformer (``apply``) it is that kernel's dual, its expectation
+transformer; ``dual`` gives the same matrix as a plain ``Transformer``.  The
+discard functional (``Transformer.ones``) is a transformer.  Every statement
+but a choice, `skip` or `abort` elaborates to a kernel.  A `print`, `if` or
+`while` is a channel from states to the values it shows, read by its dense
+``columns``.
 
-Integer form.  Both classes store one form, as ``Predicate`` does: per row,
-its (column, weight) pairs with integer weights ``nums`` over one positive
-denominator ``den``, columns ascending, in lowest terms (the gcd of ``den``
-and every weight is 1).  Equal matrices over the same contexts have the
-same form.  ``from_ints`` builds it from integer rows and ``from_rows`` from
+Integer form.  One form, as ``Predicate`` keeps: per row, its (column,
+weight) pairs with integer weights ``nums`` over one positive denominator
+``den``, columns ascending, in lowest terms (the gcd of ``den`` and every
+weight is 1).  Equal matrices over the same contexts have the same form.
+``from_ints`` builds it from integer rows and ``from_rows`` from
 ``Fraction`` rows; ``rows``, the weights as ``Fraction``s, is derived on
-first read.  Products and tensors run on the integers, in one body each
-(``_product``, ``_tensor``) shared by both classes.
+first read.  Constructors, products and tensors are ``Transformer``'s and
+build the class they are called on, so the product or tensor of two
+kernels is a row-checked ``Kernel``.  ``Kernel`` also binds ``compose`` and
+``tensor`` in its own body, only because the benchmark's tracer
+(``bench/tracing.py``, ``CLASS_ATTRS``) wraps those names there.
 
 ``Transformer.apply`` runs on the matrix's ELLPACK form (``plan``, built
 once): per slot, one C-level gather, scale and add over all rows, so
@@ -32,19 +38,11 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .contexts import ContextError, VarContext
+from .contexts import EMPTY, ContextError, VarContext
 from .predicates import INF_NUM, Predicate
 
 IntRow = Tuple[Tuple[int, int], ...]
 IntRows = Tuple[IntRow, ...]
-
-
-def _lowest(den: int, rows: Sequence[Dict[int, int]]) -> Tuple[int, IntRows]:
-    """``rows / den`` in lowest terms, each row's columns ascending."""
-    g = gcd(den, *(w for row in rows for w in row.values()))
-    if g > 1:
-        return den // g, tuple(tuple(sorted((j, w // g) for j, w in row.items())) for row in rows)
-    return den, tuple(tuple(sorted(row.items())) for row in rows)
 
 
 def _over_one_den(rows: Sequence[Dict[int, Fraction]]) -> Tuple[int, List[Dict[int, int]]]:
@@ -54,112 +52,12 @@ def _over_one_den(rows: Sequence[Dict[int, Fraction]]) -> Tuple[int, List[Dict[i
                  for row in rows]
 
 
-def _fraction_rows(den: int, rows: IntRows) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
-    return tuple(tuple((j, Fraction(w, den)) for j, w in row) for row in rows)
-
-
-def _product(a, b) -> Tuple[int, List[Dict[int, int]]]:
-    """The matrix product ``a @ b`` as integer rows over ``a.den * b.den``."""
-    if a.dst != b.src:
-        raise ContextError(f"{type(a).__name__.lower()} composition context mismatch")
-    other = b.nums
-    rows = []
-    for row in a.nums:
-        acc: Dict[int, int] = {}
-        for mid, w in row:
-            for j, w2 in other[mid]:
-                acc[j] = acc.get(j, 0) + w * w2
-        rows.append(acc)
-    return a.den * b.den, rows
-
-
-def _tensor(a, b) -> Tuple[VarContext, VarContext, int, List[Dict[int, int]]]:
-    """The product matrix on merged (disjoint) contexts, as integer rows."""
-    n2 = b.dst.n_states
-    rows = [{j1 * n2 + j2: w1 * w2 for j1, w1 in r1 for j2, w2 in r2}
-            for r1 in a.nums for r2 in b.nums]
-    return a.src.merge(b.src), a.dst.merge(b.dst), a.den * b.den, rows
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Sub-stochastic matrix src -> dst in integer form.
-
-    The constructor takes a form already in lowest terms; ``from_ints``
-    and ``from_rows`` reduce theirs.
-    """
-
-    src: VarContext
-    dst: VarContext
-    den: int
-    nums: IntRows
-
-    def __post_init__(self):
-        if len(self.nums) != self.src.n_states:
-            raise ContextError("kernel row count mismatch")
-        den = self.den
-        for row in self.nums:
-            total = 0
-            for _, p in row:
-                if p <= 0:
-                    raise ValueError("kernel entries must be strictly positive")
-                total += p
-            if total > den:
-                raise ValueError(f"kernel row sum {Fraction(total, den)} exceeds 1")
-
-    rows = cached_property(lambda self: _fraction_rows(self.den, self.nums))
-
-    @cached_property
-    def columns(self) -> Tuple[Tuple[int, ...], ...]:
-        """The dense transpose: per ``dst`` state, one weight per ``src`` state."""
-        cols = [[0] * len(self.nums) for _ in range(self.dst.n_states)]
-        for i, row in enumerate(self.nums):
-            for j, w in row:
-                cols[j][i] = w
-        return tuple(map(tuple, cols))
-
-    @staticmethod
-    def from_ints(src: VarContext, dst: VarContext, den: int,
-                  rows: Sequence[Dict[int, int]]) -> "Kernel":
-        """The kernel with weights rows[i][j] / den."""
-        return Kernel(src, dst, *_lowest(den, rows))
-
-    @staticmethod
-    def from_rows(src: VarContext, dst: VarContext,
-                  rows: Sequence[Dict[int, Fraction]]) -> "Kernel":
-        return Kernel.from_ints(src, dst, *_over_one_den(rows))
-
-    @staticmethod
-    def identity(ctx: VarContext) -> "Kernel":
-        return Kernel(ctx, ctx, 1, tuple(((i, 1),) for i in range(ctx.n_states)))
-
-    def dual(self) -> "Transformer":
-        return Transformer(self.src, self.dst, self.den, self.nums)
-
-    def dual_apply(self, e: Predicate) -> Predicate:
-        return self.dual().apply(e)
-
-    def compose(self, other: "Kernel") -> "Kernel":
-        """Forward composition: run self, then other (src -> other.dst)."""
-        return Kernel.from_ints(self.src, other.dst, *_product(self, other))
-
-    def tensor(self, other: "Kernel") -> "Kernel":
-        """Product kernel on merged (disjoint) contexts."""
-        return Kernel.from_ints(*_tensor(self, other))
-
-
-def diag_kernel(ctx: VarContext) -> Kernel:
-    """Point mass at (y, y): a kernel from ctx to ctx x fresh copy."""
-    copy = VarContext(tuple((n + "$", d) for n, d in ctx.vars))
-    n = ctx.n_states
-    return Kernel(ctx, ctx.merge(copy), 1, tuple(((i * n + i, 1),) for i in range(n)))
-
-
 @dataclass(frozen=True)
 class Transformer:
     """Linear predicate transformer Pred(dst) -> Pred(src) as a matrix.
 
-    The integer form is as for ``Kernel``; ``from_rows`` drops zero weights.
+    The constructor takes a form already in lowest terms; ``from_ints``
+    and ``from_rows`` reduce theirs, and ``from_rows`` drops zero weights.
     """
 
     src: VarContext
@@ -169,9 +67,11 @@ class Transformer:
 
     def __post_init__(self):
         if len(self.nums) != self.src.n_states:
-            raise ContextError("transformer row count mismatch")
+            raise ContextError(f"{type(self).__name__.lower()} row count mismatch")
 
-    rows = cached_property(lambda self: _fraction_rows(self.den, self.nums))
+    @cached_property
+    def rows(self) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
+        return tuple(tuple((j, Fraction(w, self.den)) for j, w in row) for row in self.nums)
 
     @cached_property
     def plan(self) -> Tuple[Tuple[Callable, Union[int, Tuple[int, ...]]], ...]:
@@ -193,20 +93,25 @@ class Transformer:
             slots.append((read, first if weights.count(first) == len(weights) else weights))
         return tuple(slots)
 
-    @staticmethod
-    def from_ints(src: VarContext, dst: VarContext, den: int,
-                  rows: Sequence[Dict[int, int]]) -> "Transformer":
-        """The transformer with weights rows[i][j] / den."""
-        return Transformer(src, dst, *_lowest(den, rows))
+    @classmethod
+    def from_ints(cls, src: VarContext, dst: VarContext, den: int,
+                  rows: Sequence[Dict[int, int]]):
+        """The matrix with weights rows[i][j] / den, reduced to lowest terms."""
+        g = gcd(den, *(w for row in rows for w in row.values()))
+        if g > 1:
+            nums = tuple(tuple(sorted((j, w // g) for j, w in row.items())) for row in rows)
+        else:
+            nums = tuple(tuple(sorted(row.items())) for row in rows)
+        return cls(src, dst, den // g, nums)
 
-    @staticmethod
-    def from_rows(src, dst, rows) -> "Transformer":
-        return Transformer.from_ints(
+    @classmethod
+    def from_rows(cls, src: VarContext, dst: VarContext, rows: Sequence[Dict[int, Fraction]]):
+        return cls.from_ints(
             src, dst, *_over_one_den([{j: w for j, w in row.items() if w} for row in rows]))
 
-    @staticmethod
-    def identity(ctx: VarContext) -> "Transformer":
-        return Transformer(ctx, ctx, 1, tuple(((i, 1),) for i in range(ctx.n_states)))
+    @classmethod
+    def identity(cls, ctx: VarContext):
+        return cls(ctx, ctx, 1, tuple(((i, 1),) for i in range(ctx.n_states)))
 
     @staticmethod
     def ones(ctx: VarContext) -> "Transformer":
@@ -215,8 +120,6 @@ class Transformer:
         Embeds scalars as constant predicates; tensoring with it realizes
         context extension (it is the dual of discarding the variables).
         """
-        from .contexts import EMPTY
-
         return Transformer(ctx, EMPTY, 1, (((0, 1),),) * ctx.n_states)
 
     def apply(self, e: Predicate) -> Predicate:
@@ -240,14 +143,79 @@ class Transformer:
             out = (0,) * len(self.nums) if acc is None else tuple(acc)
         return Predicate.from_ints(self.src, self.den * e.den, out)
 
-    def compose(self, other: "Transformer") -> "Transformer":
-        """Function composition self . other (other is applied first).
+    def compose(self, other: "Transformer"):
+        """The matrix product self @ other, from self.src to other.dst.
 
-        As matrices this is the product self @ other, giving a transformer
-        from other.dst predicates to self.src predicates.
+        Read as transformers it is self . other (other is applied first);
+        read as kernels, run self, then other.
         """
-        return Transformer.from_ints(self.src, other.dst, *_product(self, other))
+        if self.dst != other.src:
+            raise ContextError(f"{type(self).__name__.lower()} composition context mismatch")
+        right, rows = other.nums, []
+        for row in self.nums:
+            acc: Dict[int, int] = {}
+            for mid, w in row:
+                for j, w2 in right[mid]:
+                    acc[j] = acc.get(j, 0) + w * w2
+            rows.append(acc)
+        return type(self).from_ints(self.src, other.dst, self.den * other.den, rows)
 
-    def tensor(self, other: "Transformer") -> "Transformer":
-        return Transformer.from_ints(*_tensor(self, other))
+    def tensor(self, other: "Transformer"):
+        """The product matrix on merged (disjoint) contexts."""
+        n2 = other.dst.n_states
+        rows = [{j1 * n2 + j2: w1 * w2 for j1, w1 in r1 for j2, w2 in r2}
+                for r1 in self.nums for r2 in other.nums]
+        return type(self).from_ints(self.src.merge(other.src), self.dst.merge(other.dst),
+                                    self.den * other.den, rows)
 
+
+@dataclass(frozen=True)
+class Kernel(Transformer):
+    """A transformer whose entries are positive and whose rows sum to at most 1.
+
+    ``from_rows`` keeps zero weights, so the entry check rejects them.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        den = self.den
+        for row in self.nums:
+            total = 0
+            for _, p in row:
+                if p <= 0:
+                    raise ValueError("kernel entries must be strictly positive")
+                total += p
+            if total > den:
+                raise ValueError(f"kernel row sum {Fraction(total, den)} exceeds 1")
+
+    @cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The dense transpose: per ``dst`` state, one weight per ``src`` state."""
+        cols = [[0] * len(self.nums) for _ in range(self.dst.n_states)]
+        for i, row in enumerate(self.nums):
+            for j, w in row:
+                cols[j][i] = w
+        return tuple(map(tuple, cols))
+
+    @classmethod
+    def from_rows(cls, src: VarContext, dst: VarContext, rows: Sequence[Dict[int, Fraction]]):
+        return cls.from_ints(src, dst, *_over_one_den(rows))
+
+    def dual(self) -> Transformer:
+        """The same matrix as a plain transformer."""
+        return Transformer(self.src, self.dst, self.den, self.nums)
+
+    def dual_apply(self, e: Predicate) -> Predicate:
+        return self.dual().apply(e)
+
+    # bench/tracing.py's CLASS_ATTRS wraps these names in Kernel's own
+    # __dict__, so they are bound here as well as inherited.
+    compose = Transformer.compose
+    tensor = Transformer.tensor
+
+
+def diag_kernel(ctx: VarContext) -> Kernel:
+    """Point mass at (y, y): a kernel from ctx to ctx x fresh copy."""
+    copy = VarContext(tuple((n + "$", d) for n, d in ctx.vars))
+    n = ctx.n_states
+    return Kernel(ctx, ctx.merge(copy), 1, tuple(((i * n + i, 1),) for i in range(n)))

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from preloss.contexts import VarContext
+from preloss.contexts import ContextError, VarContext
 from preloss.kernels import Kernel, Transformer, diag_kernel
-from preloss.predicates import Predicate
+from preloss.losses import loss_canonicalize, loss_map
+from preloss.predicates import INF_NUM, Predicate
 
-from conftest import gen_context, gen_kernel, gen_predicate
+from conftest import gen_context, gen_kernel, gen_loss, gen_predicate
 
 
 def row_sums(m):
@@ -63,6 +64,43 @@ def test_row_sum_and_positivity_invariants():
         Kernel.from_rows(ctx, ctx, [{0: Fraction(3, 4), 1: Fraction(1, 2)}, {}])
     with pytest.raises(ValueError):
         Kernel.from_rows(ctx, ctx, [{0: Fraction(0)}, {}])
+
+
+def test_a_kernel_is_a_transformer():
+    """A kernel applies, and maps losses, exactly as its dual transformer does."""
+    rng = random.Random(61)
+    with_inf = 0
+    for case in range(120):
+        src, dst = gen_context(rng, max_states=6), gen_context(rng, max_states=6)
+        f = gen_kernel(rng, src, dst, total=case % 3 == 0)
+        assert isinstance(f, Transformer) and type(f.dual()) is Transformer
+        inf_prob = 0.3 if case % 2 else 0.0
+        e = gen_predicate(rng, dst, inf_prob=inf_prob)
+        assert f.apply(e) == f.dual().apply(e) == f.dual_apply(e)
+        E = loss_canonicalize(gen_loss(rng, dst, inf_prob=inf_prob))
+        assert loss_map(f, E).gens == loss_map(f.dual(), E).gens
+        with_inf += any(INF_NUM in g.nums for g in (e,) + E.gens)
+    assert with_inf >= 30
+
+
+MATRIX_CLASSES = pytest.mark.parametrize("cls", [Kernel, Transformer], ids=lambda c: c.__name__)
+
+
+@MATRIX_CLASSES
+def test_constructors_and_products_build_the_class_they_are_called_on(cls):
+    rng = random.Random(67)
+    x, y = VarContext.of(("x", (0, 1))), VarContext.of(("y", range(3)))
+    f = cls.from_rows(x, y, [dict(row) for row in gen_kernel(rng, x, y).rows])
+    g = cls.from_ints(y, x, 4, [{0: 1, 1: 3}, {1: 2}, {}])
+    built = [cls.identity(x), f, g, f.compose(g), f.tensor(g)]
+    assert [type(m) for m in built] == [cls] * len(built)
+
+
+@MATRIX_CLASSES
+def test_a_wrong_row_count_names_the_class(cls):
+    x = VarContext.of(("x", (0, 1)))
+    with pytest.raises(ContextError, match=f"^{cls.__name__.lower()} row count mismatch$"):
+        cls(x, x, 1, (((0, 1),),))
 
 
 def test_kernel_composition_stays_substochastic():
