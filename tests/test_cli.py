@@ -120,6 +120,19 @@ HUMAN_VERDICTS = [
       "  square init: holds",
       "  square op move: holds",
       "  square final: holds"]),
+    (["refine", f"{CORPUS}/rep_choice.prog", f"{CORPUS}/rep_leak.prog"],
+     0,
+     ["verdict: holds",
+      "  checked 24 family losses (holds for this family only)"]),
+    (["refine", f"{CORPUS}/rep_leak.prog", f"{CORPUS}/rep_choice.prog"],
+     3,
+     ["verdict: fails",
+      "  witness loss:",
+      "    context b:{0,1}",
+      "    table: (0)=1",
+      "  witness prior: (0)=1",
+      "  lhs value: 1  rhs value: 0",
+      "  certificate re-checked: True"]),
 ]
 
 
@@ -216,6 +229,15 @@ PINNED_REPORTS = [
      {"lp_solves": 5, "member_queries": 48, "wpl_clauses": 220},
      "0ecbee6b3e2b0828c4093b02db6694a97367736225c529591d0e903e24555d50",
      "d2613edee36c132062b97df10ef15424bc45ccb012c90f7990cfab314dede1de"),
+    # Program refinement both ways: the only report whose options carry ``ext``.
+    (["refine", f"{CORPUS}/rep_choice.prog", f"{CORPUS}/rep_leak.prog"], 0,
+     {"lp_solves": 0, "member_queries": 50, "wpl_clauses": 96},
+     "4fef3cd7fedf7559749fe118e054720e08d32eb5f36bbf066bc0ecb3c54a4da3",
+     "c829afca7d5f2faf3443dc475a0ffabfa2d0852dbceaecb6c71b5f413e6e1202"),
+    (["refine", f"{CORPUS}/rep_leak.prog", f"{CORPUS}/rep_choice.prog"], 3,
+     {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 4},
+     "63d9348bf0e9d8b4caa1d8b923c0389aa2b685e7a5ef2e81bbf1dda68c584095",
+     "de155193f06f147214f3c19fd5754c6def832611a600c99d169e969d1ff8d47b"),
 ]
 
 
