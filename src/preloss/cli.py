@@ -8,6 +8,11 @@ report that is byte-identical for identical inputs and seed; the timings
 field holds deterministic operation counters, wall-clock is shown only in
 the human output.
 
+One runner, ``_run_report``, makes the report of every subcommand but
+check and is the request boundary: it takes the start time and the counter
+baseline, hands the command an ``_Inputs`` that digests each file it reads,
+and prints the command's outcome once.  Commands only compute.
+
 Exit codes: 0 success/holds, 1 syntax error, 2 type error, 3 refinement
 fails, 4 inconclusive (healthiness gate or loop truncation), 5 internal
 error (a failed certificate re-check or another unexpected exception).
@@ -22,12 +27,12 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from . import lp
 from . import semantics as _semantics
 from .adversary import min_bayes_risk, min_bayes_risk_exhaustive
-from .contexts import VarContext, fmt_state
+from .contexts import EMPTY, VarContext, fmt_state
 from .exprs import EvalError
 from .families import FamilyOptions
 from .losses import LossFunction
@@ -54,11 +59,10 @@ EXIT_INTERNAL = 5
 
 
 class _Inputs:
-    """Collects input file digests and the operation-counter baseline."""
+    """Reads input files and collects their digests."""
 
     def __init__(self):
         self.digests = {}
-        self.baseline = _counters_snapshot()
 
     def read(self, path: str) -> str:
         with open(path, "rb") as fh:
@@ -128,10 +132,6 @@ def _verdict_lines(v: Verdict) -> List[str]:
     return lines
 
 
-def _verdict_exit(v: Verdict) -> int:
-    return {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}[v.kind]
-
-
 def _counters_snapshot():
     return {
         "lp_solves": lp.counters["lp_solves"],
@@ -140,39 +140,44 @@ def _counters_snapshot():
     }
 
 
-def _emit(args, report: dict, started: float, human: Callable[[], List[str]]):
-    """Print the report under --json, else the lines ``human()`` builds."""
-    if getattr(args, "json", False):
+def _verdict_outcome(command: str, v: Verdict, options: dict) -> tuple:
+    exit_code = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}[v.kind]
+    return command, _verdict_json(v), options, lambda: _verdict_lines(v), exit_code
+
+
+def _run_report(args) -> int:
+    """Run every subcommand but ``check``: the one place a request starts and ends.
+
+    ``args.fn(args, inputs)`` returns the outcome ``(command, result,
+    options, human, exit_code)``.  The counters are read before the first
+    input and after the result is built; ``human()`` builds the lines
+    printed without --json, so --json never builds them.
+    """
+    started = time.monotonic()
+    baseline = _counters_snapshot()
+    inputs = _Inputs()
+    command, result, options, human, exit_code = args.fn(args, inputs)
+    if args.json:
+        now = _counters_snapshot()
+        report = {"schema_version": SCHEMA_VERSION, "command": command,
+                  "inputs": inputs.digests, "options": options, "result": result,
+                  "timings": {k: now[k] - baseline[k] for k in now}}
         print(json.dumps(report, indent=2, sort_keys=False))
     else:
         for line in human():
             print(line)
         print(f"[{time.monotonic() - started:.2f}s elapsed]")
-
-
-def _report(inputs: _Inputs, command: str, result: dict, base: dict) -> dict:
-    now = _counters_snapshot()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs.digests,
-        "options": base,
-        "result": result,
-        "timings": {k: now[k] - inputs.baseline[k] for k in now},
-    }
+    return exit_code
 
 
 def _load_program(inputs: _Inputs, path: str, expected: Optional[VarContext] = None):
     initial, prog = parse_program_file(inputs.read(path))
     if expected is not None:
-        if len(initial.vars) == 0:
-            initial = expected
-        elif {n: d for n, d in initial.vars} != {n: d for n, d in expected.vars}:
+        if initial.vars and dict(initial.vars) != dict(expected.vars):
             raise TypecheckError(
                 f"{path}: declared vars [{initial.pretty()}] do not match the "
                 f"expected context [{expected.pretty()}]")
-        else:
-            initial = expected
+        initial = expected
     typecheck_program(prog, initial)
     return initial, prog
 
@@ -199,8 +204,7 @@ def _default_budget() -> int:
 # ----------------------------------------------------------------- commands
 
 def cmd_check(args) -> int:
-    inputs = _Inputs()
-    text = inputs.read(args.file)
+    text = _Inputs().read(args.file)
     kind = sniff_kind(text)
     if kind == "datatype":
         d = parse_datatype_file(text, name=args.file)
@@ -220,12 +224,10 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_wpl(args) -> int:
-    started = time.monotonic()
-    inputs = _Inputs()
+def cmd_wpl(args, inputs: _Inputs) -> tuple:
     initial, prog = _load_program(inputs, args.file)
     lctx, gens = parse_loss_text(inputs.read(args.post))
-    ext = parse_decls_text(args.ext) if args.ext else VarContext(())
+    ext = parse_decls_text(args.ext) if args.ext else EMPTY
     post = LossFunction(lctx, tuple(gens))
     res = weakest_preloss(prog, post, ext, args.loop_budget)
     loops = {k: f"{v.kind}({v.n})" for k, v in sorted(res.loop_status.items())}
@@ -237,63 +239,43 @@ def cmd_wpl(args) -> int:
         human.append(f"loop {k}: {v}")
     if res.truncated:
         human.append("warning: truncated loops give a refinement lower bound only")
-    _emit(args, _report(inputs, "wpl", result,
-                        {"ext": args.ext or "", "loop_budget": args.loop_budget}),
-          started, lambda: human)
-    return EXIT_OK
+    options = {"ext": args.ext or "", "loop_budget": args.loop_budget}
+    return "wpl", result, options, lambda: human, EXIT_OK
 
 
-def cmd_refine(args) -> int:
-    started = time.monotonic()
-    inputs = _Inputs()
+def cmd_refine(args, inputs: _Inputs) -> tuple:
     initial_p, p = _load_program(inputs, args.p)
     _initial_q, q = _load_program(inputs, args.q, expected=initial_p)
-    ext = parse_decls_text(args.ext) if args.ext else VarContext(())
+    ext = parse_decls_text(args.ext) if args.ext else EMPTY
     opts = _family_options(args, inputs)
     verdict = program_refines(p, q, opts, ext, args.loop_budget)
-    _emit(args, _report(inputs, "refine", _verdict_json(verdict),
-                        {"family": args.family or "", "ext": args.ext or "",
-                         "loop_budget": args.loop_budget}),
-          started, lambda: _verdict_lines(verdict))
-    return _verdict_exit(verdict)
+    return _verdict_outcome("refine", verdict, {"family": args.family or "", "ext": args.ext or "",
+                                                "loop_budget": args.loop_budget})
 
 
-def cmd_datatype(args) -> int:
-    started = time.monotonic()
-    inputs = _Inputs()
+def cmd_datatype(args, inputs: _Inputs) -> tuple:
     da = parse_datatype_file(inputs.read(args.abstract), name=args.abstract)
     dc = parse_datatype_file(inputs.read(args.concrete), name=args.concrete)
     contexts = [parse_context_file(inputs.read(p), name=p) for p in args.context]
     opts = _family_options(args, inputs)
     verdict = data_refines(da, dc, contexts, opts, args.loop_budget)
-    _emit(args, _report(inputs, "datatype", _verdict_json(verdict),
-                        {"family": args.family or "", "loop_budget": args.loop_budget}),
-          started, lambda: _verdict_lines(verdict))
-    return _verdict_exit(verdict)
+    return _verdict_outcome("datatype", verdict,
+                            {"family": args.family or "", "loop_budget": args.loop_budget})
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    inputs = _Inputs()
+def cmd_simulate(args, inputs: _Inputs) -> tuple:
     da = parse_datatype_file(inputs.read(args.abstract), name=args.abstract)
     dc = parse_datatype_file(inputs.read(args.concrete), name=args.concrete)
-    expected = da.encap if args.direction == "forward" else dc.encap
-    _rep_ctx, rep = _load_program(inputs, args.rep, expected=expected)
+    forward = args.direction == "forward"
+    _rep_ctx, rep = _load_program(inputs, args.rep, expected=da.encap if forward else dc.encap)
     opts = _family_options(args, inputs)
-    if args.direction == "forward":
-        verdict = check_forward_simulation(da, dc, rep, opts, args.loop_budget)
-    else:
-        verdict = check_backward_simulation(da, dc, rep, opts, args.loop_budget)
-    _emit(args, _report(inputs, f"simulate --{args.direction}",
-                        _verdict_json(verdict),
-                        {"family": args.family or "", "loop_budget": args.loop_budget}),
-          started, lambda: _verdict_lines(verdict))
-    return _verdict_exit(verdict)
+    check = check_forward_simulation if forward else check_backward_simulation
+    verdict = check(da, dc, rep, opts, args.loop_budget)
+    return _verdict_outcome(f"simulate --{args.direction}", verdict,
+                            {"family": args.family or "", "loop_budget": args.loop_budget})
 
 
-def cmd_oracle(args) -> int:
-    started = time.monotonic()
-    inputs = _Inputs()
+def cmd_oracle(args, inputs: _Inputs) -> tuple:
     initial, prog = _load_program(inputs, args.file)
     lctx, gens = parse_loss_text(inputs.read(args.post))
     post = LossFunction(lctx, tuple(gens))
@@ -307,10 +289,8 @@ def cmd_oracle(args) -> int:
         result["agrees"] = exhaustive == risk
         human.append(f"exhaustive strategy enumeration: {fmt_scalar(exhaustive)} "
                      f"(agrees: {exhaustive == risk})")
-    _emit(args, _report(inputs, "oracle", result,
-                        {"prior": args.prior, "exhaustive": bool(args.exhaustive)}),
-          started, lambda: human)
-    return EXIT_OK
+    options = {"prior": args.prior, "exhaustive": bool(args.exhaustive)}
+    return "oracle", result, options, lambda: human, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if "loop_budget" in vars(args) and args.loop_budget is None:
             args.loop_budget = _default_budget()
-        return args.fn(args)
+        return args.fn(args) if args.command == "check" else _run_report(args)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

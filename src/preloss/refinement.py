@@ -94,16 +94,13 @@ def program_refines(
     implied = _implied_by_units(p, q)
     pending_units = set(range(post_ctx.n_states))
 
-    truncation: List[str] = []
+    truncated = False
     for E, _provenance in fam.entries:
         if not pending_units and implied(E):
             continue
         left = weakest_preloss(p, E, extension, loop_budget)
         right = weakest_preloss(q, E, extension, loop_budget)
-        if left.truncated:
-            truncation.append("left")
-        if right.truncated:
-            truncation.append("right")
+        truncated = truncated or left.truncated or right.truncated
         for gen in right.pre.gens:
             cert = loss_member_certified(gen, left.pre)
             if cert.member:
@@ -127,7 +124,7 @@ def program_refines(
                 rhs_pre=right.pre,
             )
         pending_units.discard(_unit_state(E))
-    if truncation:
+    if truncated:
         return Verdict(
             kind="inconclusive",
             checked=len(fam),

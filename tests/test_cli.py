@@ -147,6 +147,32 @@ def test_human_verdict_output_is_pinned(capsys):
         assert re.fullmatch(r"\[\d+\.\d\ds elapsed\]", elapsed)
 
 
+# One small corpus example per reporting command, run in both output modes.
+BOTH_MODES = [
+    ["wpl", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss"],
+    ["refine", f"{CORPUS}/rep_leak.prog", f"{CORPUS}/rep_choice.prog"],
+    ["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+     "--context", f"{CORPUS}/ctx_flip_or_keep.ctx"],
+    ["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+     "--rep", f"{CORPUS}/rep_leak.prog"],
+    ["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss"],
+]
+
+
+def test_every_report_prints_one_json_document_or_its_elapsed_line(capsys):
+    import re
+
+    for argv in BOTH_MODES:
+        code, out, _ = run(capsys, *argv, "--json")
+        report = json.loads(out)  # raises on anything printed besides one document
+        assert list(report) == ["schema_version", "command", "inputs", "options",
+                                "result", "timings"]
+        assert report["command"] == " ".join(argv[:2 if argv[0] == "simulate" else 1])
+        human_code, human, _ = run(capsys, *argv)
+        assert human_code == code, argv
+        assert re.fullmatch(r"\[\d+\.\d\ds elapsed\]", human.splitlines()[-1]), argv
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", f"{CORPUS}/parity_reveal.prog",
                        "--post", f"{CORPUS}/parity_post.loss",
