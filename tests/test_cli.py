@@ -133,6 +133,10 @@ HUMAN_VERDICTS = [
       "  witness prior: (0)=1",
       "  lhs value: 1  rhs value: 0",
       "  certificate re-checked: True"]),
+    (["refine", f"{CORPUS}/coin_stop.prog", f"{CORPUS}/geometric.prog"],
+     4,
+     ["verdict: inconclusive (right-hand loop truncated; "
+      "the refinement failure cannot be certified)"]),
 ]
 
 
@@ -264,6 +268,12 @@ PINNED_REPORTS = [
      {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 4},
      "63d9348bf0e9d8b4caa1d8b923c0389aa2b685e7a5ef2e81bbf1dda68c584095",
      "de155193f06f147214f3c19fd5754c6def832611a600c99d169e969d1ff8d47b"),
+    # A truncated right-hand loop: the failure it shows is not certified,
+    # so the verdict is inconclusive with loop_notes ["truncated"].
+    (["refine", f"{CORPUS}/coin_stop.prog", f"{CORPUS}/geometric.prog"], 4,
+     {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 66},
+     "4df9cfaa8a5ffed7bb576c6e96a9eae077a4482aa3d9798719904d2a1b15c130",
+     "68467cb461de3a376c29922ac6d9854d1300373a4a405a32263fc0f4f6af86c2"),
 ]
 
 
@@ -428,6 +438,15 @@ def test_wpl_context_mismatch_is_type_error(capsys, tmp_path):
     code, out, err = run(capsys, "wpl", str(prog), "--post", str(loss))
     assert code == 2
     assert "post" in err
+
+
+def test_refine_against_a_different_declared_context_is_a_type_error(capsys):
+    code, out, err = run(capsys, "refine", f"{CORPUS}/geometric.prog",
+                         f"{CORPUS}/rep_choice.prog")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"type error: {CORPUS}/rep_choice.prog: declared vars [b:{{0,1}}] do not match "
+        "the expected context [c:{0,1}]"]
 
 
 def test_json_verdict_checks_its_certificate_once(capsys, monkeypatch):

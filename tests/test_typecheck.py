@@ -208,7 +208,9 @@ def test_inline_rename_preserves_semantics():
     from preloss.predicates import Predicate
     from preloss.semantics import weakest_preloss
 
-    d = parse_datatype_file(RANDBIT_CACHED)
+    # The client's b clashes with the encapsulated b, which the op reads
+    # under '!', unary '-', indexing and a tuple: each must be renamed.
+    d = parse_datatype_file(RANDBIT_CACHED.replace("s := b;", "s := (!(!b), -(-b))[s];"))
     collide = parse_context_file("client:\n b : {0,1}\nbody:\n call next;\n b := s")
     fresh = parse_context_file("client:\n c : {0,1}\nbody:\n call next;\n c := s")
     comp1 = inline(collide, d)
