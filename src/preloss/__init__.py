@@ -10,7 +10,7 @@ from .families import FamilyOptions, TestFamily, standard_family
 from .kernels import Kernel, Transformer, diag_kernel
 from .losses import (
     LossFunction, embed, eval_loss, loss_add, loss_canonicalize, loss_conj,
-    loss_equal, loss_map, loss_member, loss_min, loss_refines, loss_scale,
+    loss_equal, loss_map, loss_min, loss_refines, loss_scale,
     one_loss, point_dist, uniform_dist, zero_loss,
 )
 from .predicates import Predicate
@@ -30,7 +30,7 @@ __all__ = [
     "EMPTY", "VarContext", "FamilyOptions", "TestFamily", "standard_family",
     "Kernel", "Transformer", "diag_kernel",
     "LossFunction", "embed", "eval_loss", "loss_add", "loss_canonicalize",
-    "loss_conj", "loss_equal", "loss_map", "loss_member", "loss_min",
+    "loss_conj", "loss_equal", "loss_map", "loss_min",
     "loss_refines", "loss_scale", "one_loss", "point_dist", "uniform_dist",
     "zero_loss", "Predicate", "INF", "Scalar", "scalar",
     "WplResult", "weakest_preloss",

@@ -183,9 +183,9 @@ def _load_program(inputs: _Inputs, path: str, expected: Optional[VarContext] = N
 
 
 def _family_options(args, inputs: _Inputs) -> FamilyOptions:
-    opts = FamilyOptions.parse(getattr(args, "family", "") or "")
+    opts = FamilyOptions.parse(args.family)
     extra = []
-    for path in getattr(args, "witness", None) or []:
+    for path in args.witness or []:
         ctx, gens = parse_loss_text(inputs.read(path))
         extra.append(LossFunction(ctx, tuple(gens)))
     if extra:

@@ -9,7 +9,8 @@ losses with disjoint supports, such as the columns of a deterministic
 guard times their branch losses, is kept as a sum of blocks, which is
 canonical as formed (``loss_add``).  The cone operations are linear, so
 they act block by block, and the generators of a sum are built only where
-they are read.
+they are read.  One helper, ``_sum``, makes every canonical loss, one block
+or many; the ``LossFunction`` constructor makes only raw one-block losses.
 """
 
 from __future__ import annotations
@@ -30,24 +31,25 @@ from .scalars import Scalar, scalar
 class LossFunction:
     """A sum of blocks, each a nonempty tuple of generators.
 
-    ``LossFunction(ctx, gens)`` is one block.  ``loss_add`` makes the other
-    kind: canonical blocks whose supports are pairwise disjoint, none of
-    them {0}, so a loss has at most ``ctx.n_states`` blocks.  Such a sum is
-    canonical.  ``gens`` is every choice of one generator per block, summed
-    and sorted by ``_by_key``, built on first read; ``loss_add`` shows that
-    this is the list ``loss_canonicalize`` would return for those sums.
+    ``LossFunction(ctx, gens)`` is one raw block, not known to be
+    canonical.  ``_sum`` makes every canonical loss: one canonical block,
+    or canonical blocks whose supports are pairwise disjoint, none of them
+    {0}, so a loss has at most ``ctx.n_states`` blocks.  ``gens`` is every
+    choice of one generator per block, summed and sorted by ``_by_key``,
+    built on first read; ``loss_add`` shows that this is the list
+    ``loss_canonicalize`` would return for those sums.
     """
 
     __hash__ = None  # semantic equality is incompatible with structural hashing
 
-    def __init__(self, ctx: VarContext, gens: Tuple[Predicate, ...], canonical: bool = False):
+    def __init__(self, ctx: VarContext, gens: Tuple[Predicate, ...]):
         gens = tuple(gens)
         if not gens:
             raise ValueError("loss function needs at least one generator")
         for g in gens:
             if g.ctx != ctx:
                 raise ContextError("generator context mismatch")
-        self.ctx, self.blocks, self.canonical = ctx, (gens,), canonical
+        self.ctx, self.blocks, self.canonical = ctx, (gens,), False
         self.__dict__["gens"] = gens
 
     def __eq__(self, other: object) -> bool:
@@ -78,9 +80,7 @@ class LossFunction:
         extension of the sum.
         """
         blocks = tuple(tuple(g.extend_to(target) for g in b) for b in self.blocks)
-        if len(blocks) == 1:
-            return LossFunction(target, blocks[0], canonical=self.canonical)
-        return _sum(target, blocks)
+        return _sum(target, blocks) if self.canonical else LossFunction(target, blocks[0])
 
     def __repr__(self) -> str:
         sizes = " x ".join(str(len(b)) for b in self.blocks)
@@ -96,8 +96,8 @@ def _support(gens: Sequence[Predicate]) -> int:
 
 def _sum(ctx: VarContext, blocks: Tuple[Tuple[Predicate, ...], ...],
          supports: Optional[Tuple[int, ...]] = None) -> LossFunction:
-    """The loss that sums ``blocks``: canonical, none {0}, with pairwise
-    disjoint supports."""
+    """The canonical loss that sums ``blocks``: each canonical, with pairwise
+    disjoint supports, and none {0} when there are several."""
     E = object.__new__(LossFunction)
     E.ctx, E.blocks, E.canonical = ctx, blocks, True
     if len(blocks) == 1:
@@ -109,7 +109,7 @@ def _sum(ctx: VarContext, blocks: Tuple[Tuple[Predicate, ...], ...],
 
 def embed(e: Predicate) -> LossFunction:
     """The principal filter of a single predicate."""
-    return LossFunction(e.ctx, (e,), canonical=True)
+    return _sum(e.ctx, ((e,),))
 
 
 def zero_loss(ctx: VarContext) -> LossFunction:
@@ -123,10 +123,6 @@ def one_loss(ctx: VarContext) -> LossFunction:
 def _require_same_ctx(a: LossFunction, b: LossFunction):
     if a.ctx != b.ctx:
         raise ContextError("loss function context mismatch")
-
-
-def loss_member(e: Predicate, E: LossFunction) -> bool:
-    return loss_member_certified(e, E).member
 
 
 def loss_member_certified(e: Predicate, E: LossFunction) -> lp.CoverResult:
@@ -153,7 +149,7 @@ def loss_member_certified(e: Predicate, E: LossFunction) -> lp.CoverResult:
 def loss_refines(E1: LossFunction, E2: LossFunction) -> bool:
     """E1 refines into E2 (reverse inclusion of closures)."""
     _require_same_ctx(E1, E2)
-    return all(loss_member(g, E1) for g in E2.gens)
+    return all(loss_member_certified(g, E1).member for g in E2.gens)
 
 
 def loss_equal(E1: LossFunction, E2: LossFunction) -> bool:
@@ -244,7 +240,7 @@ def loss_canonicalize(E: LossFunction) -> LossFunction:
             if not lp.covered(others, v, den):
                 kept.append(i)
         gens = [gens[i] for i in kept]
-    return LossFunction(E.ctx, tuple(gens), canonical=True)
+    return _sum(E.ctx, (tuple(gens),))
 
 
 def loss_min(E1: LossFunction, E2: LossFunction) -> LossFunction:

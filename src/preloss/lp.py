@@ -39,15 +39,15 @@ tableau each is a unit column, whose entry in its own row equals that
 row's denominator.  Bland's rule enters the nonbasic variable of smallest
 index with a positive reduced cost; the ratio test compares rhs/coeff
 within each row, where the row's denominator cancels, by
-cross-multiplying, and breaks ties on the smaller basis index.  A pivot on
-entry p of row r (positive, as the ratio test only picks positive entries)
-first divides the row by the gcd of its entries and its denominator D,
-which is the gcd of the full row with its unit entry.  The row's values
-become ``row / p``, and the leaving variable takes the pivot column, with
-entry D there.  Every other row, over its denominator E and with entry f
-in the pivot column, becomes ``row * p - f * pivot_row`` over ``E * p``,
-with ``-f * D`` in the pivot column, and is divided by the gcd of its
-entries and denominator.
+cross-multiplying, and breaks ties on the smaller basis index.  Every row
+is kept in lowest terms: the gcd of its entries and its denominator is 1.
+A pivot on entry p of row r (positive, as the ratio test only picks
+positive entries), over the row's denominator D, makes the row's values
+``row / p``, and the leaving variable takes the pivot column, with entry
+D there.  Every other row, over its denominator E and with entry f in the
+pivot column, becomes ``row * p - f * pivot_row`` over ``E * p``, with
+``-f * D`` in the pivot column, and is divided by the gcd of its entries
+and denominator.
 Those are the full tableau's entries at the nonbasic columns, fraction-free
 as in Bareiss (1968): the pivots, weights, duals and optimum are those of
 the full tableau, without the m slack columns it carries through every
@@ -415,15 +415,16 @@ def _simplex_max_sum(
 def _pivot(rows, dens, r, c):
     """Pivot on (r, c), whose entry is positive; rows stay in lowest terms.
 
-    The leaving variable takes column c.  Its unit entry in row r is the
-    row's denominator, so it joins the row's gcd.
+    Every row arrives in lowest terms: constraint rows are reduced when
+    they are built, the objective row starts over the denominator 1, and
+    each row other than the pivot row is reduced after its update below.
+    The leaving variable takes column c, with the row's denominator D as
+    its entry, and p = row[c] becomes the denominator, so the new pivot
+    row is the old one with p replaced by D, over p: its gcd is
+    gcd(p, D, rest) = gcd(D, old row) = 1, and it needs no reduction.
     """
     prow = rows[r]
     d = dens[r]
-    g = gcd(d, *prow)
-    if g > 1:
-        prow = [v // g for v in prow]
-        d //= g
     p = prow[c]
     prow[c] = d
     rows[r] = prow

@@ -50,10 +50,6 @@ class Verdict:
     squares: Tuple["SquareResult", ...] = ()
     loop_notes: Tuple[str, ...] = ()
 
-    @property
-    def holds(self) -> bool:
-        return self.kind == "holds"
-
     def certificate_ok(self) -> bool:
         """Re-check a Fails verdict by direct evaluation at the witness."""
         if self.kind != "fails" or self.witness_prior is None:

@@ -88,18 +88,14 @@ def scalar(value) -> Scalar:
     return result
 
 
-def is_inf(value: Scalar) -> bool:
-    return isinstance(value, Infinity)
-
-
 def fmt_scalar(value: Scalar) -> str:
-    if is_inf(value):
+    if value is INF:
         return "inf"
     return str(value)
 
 
 def sort_key(value: Scalar):
     """Key giving the rig's total order (usable inside tuples)."""
-    if is_inf(value):
+    if value is INF:
         return (1, Fraction(0))
     return (0, value)

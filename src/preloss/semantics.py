@@ -175,7 +175,7 @@ def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
         n += 1
     else:
         status = LoopStatus("converged", n)
-    label = s.meta.label or "while"
+    label = s.meta.label
     statuses[label] = status if label not in statuses else statuses[label].merge(status)
     return total
 

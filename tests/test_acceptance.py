@@ -20,7 +20,7 @@ from preloss.families import FamilyOptions
 from preloss.kernels import Transformer
 from preloss.losses import (
     LossFunction, embed, eval_loss, loss_add, loss_equal, loss_map,
-    loss_member, loss_min, loss_refines, loss_scale, one_loss, uniform_dist,
+    loss_member_certified, loss_min, loss_refines, loss_scale, one_loss, uniform_dist,
 )
 from preloss.parsing import (
     parse_context_file, parse_datatype_file, parse_loss_text,
@@ -251,7 +251,7 @@ def test_criterion_6_healthiness_suite():
             assert loss_equal(w_scaled, loss_scale(r, w1))  # homogeneous
 
             w_ones = weakest_preloss(prog, one_loss(post), loop_budget=budget).pre
-            assert loss_member(Predicate.ones(prog.meta.pre), w_ones)  # partial
+            assert loss_member_certified(Predicate.ones(prog.meta.pre), w_ones).member  # partial
 
         # hidden => MIN-preserving
         for rng, ctx, prog, post in _law_cases(

@@ -8,7 +8,7 @@ from preloss import lp
 from preloss.contexts import ContextError, VarContext
 from preloss.losses import (
     LossFunction, embed, eval_loss, is_zero_loss, loss_add, loss_canonicalize,
-    loss_conj, loss_equal, loss_map, loss_member, loss_member_certified,
+    loss_conj, loss_equal, loss_map, loss_member_certified,
     loss_min, loss_refines, loss_scale, one_loss, point_dist, uniform_dist,
     zero_loss, _int_vectors, _prune,
 )
@@ -33,7 +33,7 @@ def full_query(E, e):
 def test_member_generator_itself():
     u = units(X123)
     E = LossFunction(X123, (u[0], u[1]))
-    assert loss_member(u[0], E)
+    assert loss_member_certified(u[0], E).member
 
 
 def test_member_convex_combination():
@@ -237,7 +237,8 @@ def test_member_with_inf_target_and_generators():
     gens, vector, _ = full_query(E, target)
     assert lp.check_separation(gens, vector, res.witness)
     # target infinite at state 0 admits gi
-    assert loss_member(Predicate.from_entries(ctx, (INF, Fraction(1), Fraction(0))), E)
+    assert loss_member_certified(Predicate.from_entries(ctx, (INF, Fraction(1), Fraction(0))),
+                                 E).member
 
 
 def test_context_mismatch_errors():
@@ -245,7 +246,7 @@ def test_context_mismatch_errors():
     with pytest.raises(ContextError):
         loss_min(one_loss(X123), one_loss(other))
     with pytest.raises(ContextError):
-        loss_member(Predicate.ones(other), one_loss(X123))
+        loss_member_certified(Predicate.ones(other), one_loss(X123))
 
 
 def test_membership_order_antisymmetry_on_samples():

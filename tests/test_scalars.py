@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from preloss.scalars import INF, fmt_scalar, is_inf, scalar
+from preloss.scalars import INF, fmt_scalar, scalar
 
 rationals = st.fractions(min_value=0, max_value=100)
 scalars = st.one_of(rationals, st.just(INF))
@@ -70,7 +70,6 @@ def test_parse_and_format():
     assert scalar(3) == Fraction(3)
     assert fmt_scalar(INF) == "inf"
     assert fmt_scalar(Fraction(5, 6)) == "5/6"
-    assert is_inf(INF) and not is_inf(Fraction(0))
 
 
 def test_negative_rejected():
