@@ -71,20 +71,17 @@ class _Inputs:
         return data.decode("utf-8")
 
 
-def _tables(E: LossFunction) -> List[str]:
-    """Each generator's table ("" for 0), in the canonical loss's own order."""
-    return [g.table() if not g.is_zero else "" for g in E.gens]
+def _loss_json(E: LossFunction) -> dict:
+    """The context and each generator's table ("" for 0), in the canonical
+    loss's own order."""
+    return {"context": E.ctx.pretty(),
+            "generators": [g.table() if not g.is_zero else "" for g in E.gens]}
 
 
-def loss_literal(E: LossFunction) -> str:
-    return "\n".join([f"context {E.ctx.pretty()}"]
-                     + [f"table: {t}" if t else "table:" for t in _tables(E)])
-
-
-def _loss_json(E: Optional[LossFunction]):
-    if E is None:
-        return None
-    return {"context": E.ctx.pretty(), "generators": _tables(E)}
+def _loss_lines(loss: dict) -> List[str]:
+    """A ``_loss_json`` dict as the lines of a loss literal."""
+    return ([f"context {loss['context']}"]
+            + [f"table: {t}" if t else "table:" for t in loss["generators"]])
 
 
 def _prior_text(ctx: VarContext, dist) -> str:
@@ -114,21 +111,22 @@ def _verdict_json(v: Verdict):
     return out
 
 
-def _verdict_lines(v: Verdict) -> List[str]:
-    lines = [f"verdict: {v.kind}" + (f" ({v.reason})" if v.reason else "")]
-    if v.context_name:
-        lines.append(f"  at: {v.context_name}")
-    for s in v.squares:
-        lines.append(f"  square {s.name}: {s.verdict.kind}")
-    if v.kind == "holds":
-        lines.append(f"  checked {v.checked} family losses (holds for this family only)")
-    if v.kind == "fails":
+def _verdict_lines(result: dict) -> List[str]:
+    """The human lines of a ``_verdict_json`` result."""
+    kind = result["kind"]
+    lines = [f"verdict: {kind}" + (f" ({result['reason']})" if "reason" in result else "")]
+    if "at" in result:
+        lines.append(f"  at: {result['at']}")
+    for s in result.get("squares", ()):
+        lines.append(f"  square {s['name']}: {s['kind']}")
+    if kind == "holds":
+        lines.append(f"  checked {result['checked']} family losses (holds for this family only)")
+    if kind == "fails":
         lines.append("  witness loss:")
-        lines += [f"    {line}" for line in loss_literal(v.witness_loss).splitlines()]
-        lines.append(f"  witness prior: {_prior_text(v.lhs_pre.ctx, v.witness_prior)}")
-        lines.append(f"  lhs value: {fmt_scalar(v.lhs_value)}  "
-                     f"rhs value: {fmt_scalar(v.rhs_value)}")
-        lines.append(f"  certificate re-checked: {v.certificate_ok()}")
+        lines += [f"    {line}" for line in _loss_lines(result["witness_loss"])]
+        lines.append(f"  witness prior: {result['witness_prior']}")
+        lines.append(f"  lhs value: {result['lhs']}  rhs value: {result['rhs']}")
+        lines.append(f"  certificate re-checked: {result['certificate_checked']}")
     return lines
 
 
@@ -142,7 +140,8 @@ def _counters_snapshot():
 
 def _verdict_outcome(command: str, v: Verdict, options: dict) -> tuple:
     exit_code = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}[v.kind]
-    return command, _verdict_json(v), options, lambda: _verdict_lines(v), exit_code
+    result = _verdict_json(v)
+    return command, result, options, lambda: _verdict_lines(result), exit_code
 
 
 def _run_report(args) -> int:
@@ -234,7 +233,7 @@ def cmd_wpl(args, inputs: _Inputs) -> tuple:
     result = {"pre_loss": _loss_json(res.pre), "loops": loops,
               "truncated": res.truncated}
     human = ["pre-loss (canonical generators):"]
-    human += ["  " + line for line in loss_literal(res.pre).splitlines()]
+    human += ["  " + line for line in _loss_lines(result["pre_loss"])]
     for k, v in loops.items():
         human.append(f"loop {k}: {v}")
     if res.truncated:

@@ -460,10 +460,16 @@ def test_json_verdict_checks_its_certificate_once(capsys, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Verdict, "certificate_ok", counted)
-    code, out, _ = run(capsys, "datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
-                       "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--json")
+    argv = ["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+            "--context", f"{CORPUS}/ctx_flip_or_keep.ctx"]
+    code, out, _ = run(capsys, *argv, "--json")
     assert code == 3
     assert json.loads(out)["result"]["certificate_checked"] is True
+    assert calls == ["fails"]
+    calls.clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert "  certificate re-checked: True" in out.splitlines()
     assert calls == ["fails"]
 
 
