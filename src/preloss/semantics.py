@@ -5,16 +5,16 @@ function over its post context (extended by a correlated context Z) to one
 over its pre context (extended likewise).  A statement of
 ``syntax.KERNEL_STMTS`` (assignment, declaration, discard, assertion) maps
 each generator through one transformer: the dual of the statement's kernel,
-tensored with the identity on Z (``_kernel_tf``).  ``wpl`` does a discard
-directly: it extends each generator to the dropped variable, as that
-transformer would (``LossFunction.extend_to``).  A straight-line program
-of them is the product of its statements' transformers
-(``linear_transformer``), but ``wpl`` does not use that product: it runs
-every statement on its own, loop bodies included.  A `print`, `if` or
-`while` shows a value through its kernel's columns, and one rule
-(``_observe``) sums, over the columns, the column times the loss its value
-leads to; ``loss_add`` keeps such a sum as blocks, and every later
-statement maps it block by block.
+tensored with the identity on Z (``_kernel_tf``).  ``wpl`` maps each
+maximal run of them once, by the product of its statements' transformers
+(``linear_transformer``); each program keeps its statements split into
+runs and other statements, per extension (``_segments``).  A run of
+discards alone is not composed: ``LossFunction.extend_to`` extends each
+generator to the dropped variables, which keeps a canonical loss canonical
+with no LP query.  A `print`, `if` or `while` shows a value through its
+kernel's columns, and one rule (``_observe``) sums, over the columns, the
+column times the loss its value leads to; ``loss_add`` keeps such a sum as
+blocks, and every later map acts on it block by block.
 Loops are evaluated by the term recurrence
 
     term_0    = !g * E
@@ -23,13 +23,27 @@ Loops are evaluated by the term recurrence
 summing the terms until one is exactly the zero loss (then all later terms
 vanish by homogeneity at zero and the sum is the least fixed point) or a
 budget is hit; truncation is always surfaced as an under-approximation.
+The factor g is the diagonal transformer of the guard's column, composed
+into the body's first run (``_loop_body``), so a term whose body begins
+with a run costs one map.
+
+Composing changes no pre-loss.  A canonical loss lists the irredundant
+generators of its upward convex closure, which the closure determines, in
+``_by_key`` order.  A transformer f has nonnegative weights, and
+``INF * 0 = 0``, so f is monotone and commutes with convex combinations:
+f(G) and f(canonical G) have the same closure, and canonicalizing either
+gives one list.  So mapping a run statement by statement, canonicalizing
+after each, gives the list that mapping once by the product gives, with
+``INF`` too: a row of the product reaches an ``INF`` entry exactly when a
+path of positive weights through the run does.  The same holds for g
+composed into a run.  Only the LP queries change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import groupby, repeat
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 from .contexts import EMPTY, VarContext
 from .kernels import Transformer
@@ -94,13 +108,44 @@ def _working(ctx: VarContext, z: VarContext) -> VarContext:
     return ctx.merge(z) if len(z.vars) else ctx
 
 
+class _Run(NamedTuple):
+    """A maximal run of ``length`` kernel statements, as one transformer."""
+
+    length: int
+    tf: Transformer
+
+
+def _segments(prog: Program, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
+    """The program's statements in order, each maximal run of
+    ``KERNEL_STMTS`` but discards alone replaced by its ``_Run``; kept on
+    the program per extension."""
+    def build():
+        segments = []
+        for linear, group in groupby(prog.stmts, lambda s: isinstance(s, KERNEL_STMTS)):
+            group = tuple(group)
+            if linear and not all(isinstance(t, Unvar) for t in group):
+                segments.append(_Run(len(group), linear_transformer(Program(group), z)))
+            else:
+                segments.extend(group)
+        return tuple(segments)
+
+    return prog.meta.derived(("segments", z), build)
+
+
 def _wpl_program(prog: Program, E: LossFunction, z, budget, statuses) -> LossFunction:
-    for s in reversed(prog.stmts):
+    return _wpl_segments(_segments(prog, z), E, z, budget, statuses)
+
+
+def _wpl_segments(segments, E: LossFunction, z, budget, statuses) -> LossFunction:
+    for s in reversed(segments):
         E = _wpl_stmt(s, E, z, budget, statuses)
     return E
 
 
-def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
+def _wpl_stmt(s: Union[_Run, Stmt], E: LossFunction, z, budget, statuses) -> LossFunction:
+    if isinstance(s, _Run):
+        counters["wpl_clauses"] += s.length  # source statements, not maps
+        return loss_map(s.tf, E)
     counters["wpl_clauses"] += 1
     if isinstance(s, Skip):
         return E
@@ -108,8 +153,6 @@ def _wpl_stmt(s: Stmt, E: LossFunction, z, budget, statuses) -> LossFunction:
         return zero_loss(_working(s.meta.pre, z))
     if isinstance(s, Unvar):
         return E.extend_to(_working(s.meta.pre, z))
-    if isinstance(s, KERNEL_STMTS):
-        return loss_map(_kernel_tf(s, z), E)
     if isinstance(s, If):
         return _observe(s, (_wpl_program(b, E, z, budget, statuses)
                             for b in (s.then, s.orelse)), z)
@@ -160,17 +203,34 @@ def _observe(s: Stmt, branch_losses: Iterable[LossFunction], z) -> LossFunction:
     return total
 
 
+def _loop_body(s: While, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
+    """The segments of g * body: the body's, with the diagonal transformer
+    of the guard's column g composed into its first run, or put before the
+    body as a run of no statements; kept on the loop per extension."""
+    def build():
+        g = _columns(s, z)[0]
+        diag = Transformer(g.ctx, g.ctx, g.den,
+                           tuple(((i, n),) if n else () for i, n in enumerate(g.nums)))
+        segments = _segments(s.body, z)
+        if segments and isinstance(segments[0], _Run):
+            head, segments = segments[0], segments[1:]
+            return (_Run(head.length, diag.compose(head.tf)),) + segments
+        return (_Run(0, diag),) + segments
+
+    return s.meta.derived(("body", z), build)
+
+
 def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
     """Sum the loop's terms term_0 = !g * E, term_n+1 = g * wpl(body, term_n),
-    evaluating the body clause by clause with ``budget`` for its loops."""
-    g, not_g = _columns(s, z)
-    term = total = loss_conj(not_g, E)
+    with ``budget`` for the body's loops."""
+    body = _loop_body(s, z)
+    term = total = loss_conj(_columns(s, z)[1], E)
     n = 0
     while not is_zero_loss(term):
         if n >= budget:
             status = LoopStatus("truncated", budget)
             break
-        term = loss_conj(g, _wpl_program(s.body, term, z, budget, statuses))
+        term = _wpl_segments(body, term, z, budget, statuses)
         total = loss_add(total, term)
         n += 1
     else:

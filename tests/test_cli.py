@@ -224,20 +224,32 @@ PINNED_REPORTS = [
      "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
-     {"lp_solves": 90, "member_queries": 926, "wpl_clauses": 2059},
-     "c55db4fe72206815ff5d35063619dfbdaf7321d6f90e5f42d9da2972bde299fb",
+     {"lp_solves": 2, "member_queries": 457, "wpl_clauses": 2059},
+     "941dab97bc13d4a7260eddadfd26daf349907483715c18626310c78621e3895f",
      "40b3ed1001175f10140803609c63fc981d33f484b0adc2d0425e1cb047bb3031"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
-     {"lp_solves": 0, "member_queries": 89, "wpl_clauses": 954},
-     "7ab5cd9a42dafab0ed542babb150645d333b9a714bf7b31cfd271dbf9f5d6f8d",
+     {"lp_solves": 0, "member_queries": 69, "wpl_clauses": 954},
+     "73b2f5e077e34317eee9731c4c82beea8e7b9f25ab0a8ed59961aa1a3c573599",
      "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
     # The default-family linear scan: its loop term sums have disjoint supports.
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 0,
-     {"lp_solves": 296, "member_queries": 4104, "wpl_clauses": 6393},
-     "0d26a3adaff6da82d19c680729d1ab4b6d6451a2921ac048d15ee8072af5e48b",
+     {"lp_solves": 159, "member_queries": 2874, "wpl_clauses": 6393},
+     "785492a4f9016fe5339a707105b507a75be1b5514a989bfecca846db172c59f3",
      "1b7fbd79f92c4916070ce025ecc5935e6f28a429bc4bcbef5e2b825e5c7ea48d"),
+    # Two offset scans whose loop terms overlap after `hidvar m`: each answers
+    # once each kernel run is mapped by its product (`semantics._segments`).
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx"], 0,
+     {"lp_solves": 346, "member_queries": 3704, "wpl_clauses": 7254},
+     "297962c584747bbcbb222619455469e99f357861f0993c34e3f6a02da1778618",
+     "a1665e8e52566712af4afaa5ba5c0c3b7bac6dd534593f21f0621470b05bed4f"),
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=5,witnesses=off"], 3,
+     {"lp_solves": 13, "member_queries": 152, "wpl_clauses": 1054},
+     "be36084b5767ee29093483aad0327b0389b5d2cd6ac66aabcd3bddeb88095118",
+     "d8db34cd1af71521630f00e2e033690b770952943a42083cb422b75a7fc64f3b"),
     # The bench's corpus checks whose programs print.
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
       "--exhaustive"], 0,
@@ -251,8 +263,8 @@ PINNED_REPORTS = [
      "b49ab5a4c09d23e4156d11e71368a3a46841f933128f2a42ef038daa812b5e4c"),
     (["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--family", "k=2,random=20,seed=7"], 3,
-     {"lp_solves": 4, "member_queries": 42, "wpl_clauses": 14},
-     "5f4b4db2c687a038dd1ca4d0ce41c5cec8d09fe931f29c0236e0b3648e38802f",
+     {"lp_solves": 4, "member_queries": 40, "wpl_clauses": 14},
+     "4b03d2805c3c26f6b8861a589facee91d2f9537856b953db0babc95176f0616b",
      "3c7bee7ef6cab419054b81c31534018d9d3fc8e3910e28e64633b483ba76397e"),
     (["datatype", f"{CORPUS}/refresh_after_read.dt", f"{CORPUS}/refresh_before_read.dt",
       "--context", f"{CORPUS}/ctx_print_then_xor.ctx", "--family", "k=2,random=20,seed=7"], 3,
@@ -317,7 +329,7 @@ def test_large_choiceless_simulation_is_pinned(capsys):
     report = json.loads(out)
     assert report["result"]["kind"] == "fails"
     assert report["result"]["at"] == "op lookup"
-    assert report.pop("timings") == {"lp_solves": 11, "member_queries": 282,
+    assert report.pop("timings") == {"lp_solves": 8, "member_queries": 248,
                                      "wpl_clauses": 834}
     assert report_digest(report) == (
         "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
@@ -336,7 +348,7 @@ def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
          {"pre_loss": {"context": "x:{0,1} y:{0,1}",
                        "generators": ["(0,0)=1/2 (0,1)=1/2 (1,0)=1/2 (1,1)=1/2"]},
           "loops": {}, "truncated": False},
-         {"lp_solves": 0, "member_queries": 13, "wpl_clauses": 8}),
+         {"lp_solves": 0, "member_queries": 11, "wpl_clauses": 8}),
         (["oracle", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post), "--exhaustive"],
          {"risk": "1/2", "exhaustive": "1/2", "agrees": True},
          {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0}),
