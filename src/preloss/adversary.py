@@ -54,35 +54,17 @@ class Branch:
     posterior: Tuple[Fraction, ...]  # normalized over ctx states
 
 
-_SITE_KINDS = {Print: "pr", If: "if", NonDet: "nd"}
-
-
-def label_sites(prog: Program) -> Program:
-    """Assign stable preorder labels to print/if/nondet sites."""
-    n = 0
-    for s in walk(prog):
-        kind = _SITE_KINDS.get(type(s))
-        if kind is not None:
-            s.meta.label = f"{kind}#{n}"
-            n += 1
-        elif isinstance(s, While):
-            raise LoopFreeError("the forward oracle handles loop-free programs only")
-    return prog
-
-
 def _require_ready(prog: Program, prior: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Check the program and prior, and label the sites on first use.
-
-    Returns the prior as integer numerators over one denominator.
-    """
+    """Check the program and prior; returns the prior as integer numerators
+    over one denominator.  Typechecking labels the sites."""
     if prog.meta.pre is None:
         raise ValueError("program must be typechecked first")
     if len(prior) != prog.meta.pre.n_states:
         raise ValueError("prior length mismatch")
     if any(w < 0 for w in prior) or sum(prior) != 1:
         raise ValueError("prior must be a total distribution")
-    # Labels are set once per program; ``derived`` keeps True for them.
-    prog.meta.derived("sites", lambda: label_sites(prog) is prog)
+    if prog.meta.derived("loops", lambda: any(type(s) is While for s in walk(prog))):
+        raise LoopFreeError("the forward oracle handles loop-free programs only")
     den = lcm(*(w.denominator for w in prior))
     return [w.numerator * (den // w.denominator) for w in prior], den
 

@@ -113,6 +113,11 @@ class Transformer:
     def identity(cls, ctx: VarContext):
         return cls(ctx, ctx, 1, tuple(((i, 1),) for i in range(ctx.n_states)))
 
+    @classmethod
+    def diagonal(cls, p: Predicate):
+        """The diagonal matrix of ``p``'s entries (finite, in lowest terms)."""
+        return cls(p.ctx, p.ctx, p.den, tuple(((i, n),) if n else () for i, n in enumerate(p.nums)))
+
     @staticmethod
     def ones(ctx: VarContext) -> "Transformer":
         """The all-ones column Pred(empty) -> Pred(ctx).

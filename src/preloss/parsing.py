@@ -3,7 +3,8 @@ loss-function literals and prior specifications.
 
 The surface grammar is whitespace-insensitive with ``//`` line comments.
 Nondeterministic choice between distribution expressions
-(``x := {0} [] {1}``) is sugar for choice between statements.
+(``x := {0} [] {1}``) is sugar for choice between statements: the parser
+builds its brace expansion (``{ x := 0 } [] { x := 1 }``).
 
 The lexer is one compiled alternation walked with ``finditer``; tokens are
 named tuples with 1-based line and column.  The parser bounds how deep the
@@ -237,10 +238,7 @@ class Parser:
             return stamp(Assert(self.parse_expr()))
         if text == "print":
             self.pos += 1
-            alts = self.parse_dexpr_alternatives()
-            if len(alts) == 1:
-                return stamp(Print(alts[0]))
-            return stamp(self._fold_nondet([single(stamp(Print(d))) for d in alts]))
+            return self._alternatives(stamp, Print)
         if text == "hidvar":
             self.pos += 1
             name = self.expect_ident().text
@@ -249,12 +247,7 @@ class Parser:
                 self.pos += 1
                 domain = self.parse_domain()
             self.expect(":=")
-            alts = self.parse_dexpr_alternatives()
-            if len(alts) == 1:
-                return stamp(HidVar(name, domain, alts[0]))
-            hint = tuple(alts)
-            limbs = [single(stamp(HidVar(name, domain, d, domain_hint=hint))) for d in alts]
-            return stamp(self._fold_nondet(limbs))
+            return self._alternatives(stamp, lambda d: HidVar(name, domain, d))
         if text == "if":
             self.pos += 1
             guard = self.parse_expr()
@@ -283,12 +276,16 @@ class Parser:
                 self.pos += 1
                 targets.append(self.expect_ident().text)
             self.expect(":=")
-            alts = self.parse_dexpr_alternatives()
-            targets = tuple(targets)
-            if len(alts) == 1:
-                return stamp(Assign(targets, alts[0]))
-            return stamp(self._fold_nondet([single(stamp(Assign(targets, d))) for d in alts]))
+            return self._alternatives(stamp, lambda d: Assign(tuple(targets), d))
         raise self.error(f"expected a statement, found {text!r}")
+
+    def _alternatives(self, stamp, make) -> Stmt:
+        """``make(d)`` for one distribution ``d``; for ``d1 [] ... [] dk``, its brace
+        expansion ``{ make(d1) } [] ... [] { make(dk) }``."""
+        alts = self.parse_dexpr_alternatives()
+        if len(alts) == 1:
+            return stamp(make(alts[0]))
+        return stamp(self._fold_nondet([single(stamp(make(d))) for d in alts]))
 
     @staticmethod
     def _fold_nondet(limbs: List[Program]) -> NonDet:

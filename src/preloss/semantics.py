@@ -208,9 +208,7 @@ def _loop_body(s: While, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
     of the guard's column g composed into its first run, or put before the
     body as a run of no statements; kept on the loop per extension."""
     def build():
-        g = _columns(s, z)[0]
-        diag = Transformer(g.ctx, g.ctx, g.den,
-                           tuple(((i, n),) if n else () for i, n in enumerate(g.nums)))
+        diag = Transformer.diagonal(_columns(s, z)[0])
         segments = _segments(s.body, z)
         if segments and isinstance(segments[0], _Run):
             head, segments = segments[0], segments[1:]

@@ -85,7 +85,6 @@ class HidVar:
     name: str
     domain: Optional[Tuple[Value, ...]]  # None: inferred from the assigned values
     dist: DistExpr
-    domain_hint: Optional[Tuple[DistExpr, ...]] = None  # sugar-shared inference
     meta: Meta = _meta_field()
 
 
@@ -217,46 +216,6 @@ def program_text(prog: Program, indent: str = "") -> str:
     return (";\n").join(stmt_text(s, indent) for s in prog.stmts)
 
 
-def _hidvar_sugar(node: NonDet) -> Optional[str]:
-    """Re-emit `hidvar x := {d1} [] {d2}` for inference-sharing sugar nodes.
-
-    Fires only when the left-nested NonDet chain's leaves are the single
-    HidVars produced by the parser's sugar (shared domain_hint matching the
-    leaf distributions in order), so printing stays a parse inverse.
-    """
-
-    def leaves(prog: Program):
-        if len(prog.stmts) != 1:
-            return None
-        s = prog.stmts[0]
-        if isinstance(s, NonDet):
-            left = leaves(s.left)
-            right = leaves(s.right)
-            if left is None or right is None:
-                return None
-            return left + right
-        if isinstance(s, HidVar):
-            return [s]
-        return None
-
-    left = leaves(node.left)
-    right = leaves(node.right)
-    if left is None or right is None:
-        return None
-    limbs = left + right
-    first = limbs[0]
-    if first.domain_hint is None:
-        return None
-    for h in limbs:
-        if h.name != first.name or h.domain != first.domain or h.domain_hint != first.domain_hint:
-            return None
-    if tuple(h.dist for h in limbs) != first.domain_hint:
-        return None
-    dom = f" : {_domain_text(first.domain)}" if first.domain is not None else ""
-    branches = " [] ".join("{" + dist_text(h.dist) + "}" for h in limbs)
-    return f"hidvar {first.name}{dom} := {branches}"
-
-
 def stmt_text(s: Stmt, indent: str = "") -> str:
     pad = indent
     if isinstance(s, Skip):
@@ -286,9 +245,6 @@ def stmt_text(s: Stmt, indent: str = "") -> str:
     if isinstance(s, Assert):
         return f"{pad}assert {expr_pretty(s.guard)}"
     if isinstance(s, NonDet):
-        sugar = _hidvar_sugar(s)
-        if sugar is not None:
-            return pad + sugar
         return (
             f"{pad}{{\n{program_text(s.left, indent + '  ')}\n{pad}}} [] {{\n"
             f"{program_text(s.right, indent + '  ')}\n{pad}}}"

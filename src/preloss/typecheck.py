@@ -20,6 +20,12 @@ times its guard; an `if` or `while` shows its guard through a kernel onto
 the two-valued ``BRANCH`` context, column 0 the guard and column 1 its
 complement.  So every observation is one channel.
 
+A choice whose limbs, through nested choices, are each one `hidvar` of one
+name with no declared domain (the brace expansion of `hidvar x := d1 [] ...
+[] dk`) declares it over one domain inferred from all limbs.  The same
+preorder pass labels each `print`, `if` and `[]` as `pr#n`, `if#n` or `nd#n`
+(one counter) and each `while` as `while#n@line:col` (its own counter).
+
 Classifiers visit statements with ``syntax.walk``.  Inlining builds the
 composite from fresh copies (``copy_program``), renaming clashing names and
 splicing a copy of an operation's body at each `call`: no parsed tree is edited.
@@ -31,7 +37,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .contexts import Value, VarContext, fmt_value
 from .exprs import Bin, EvalError, Index, Lit, Name, TupleE, Unary, compile_expr, predicate_of
@@ -141,27 +147,41 @@ def _infer_domain(outcome_lists: Sequence[List[List[Tuple[Value, int]]]]) -> Tup
 # ----------------------------------------------------------------- programs
 
 def typecheck_program(prog: Program, initial: VarContext) -> VarContext:
-    """Annotate every node with pre/post contexts and elaborations.
+    """Annotate every node with pre/post contexts, elaborations and labels.
 
     Returns the post context.  A `call` is an error: only inlining fills it.
     """
-    return _check_program(prog, initial, itertools.count(), {})
+    return _check_program(prog, initial, _Pass(itertools.count(), itertools.count(), {}))
 
 
-def _check_program(prog: Program, pre: VarContext, counter, hints) -> VarContext:
+class _Pass(NamedTuple):
+    """One typecheck's state: the `while` and the site label counters, and the
+    outcomes of the `hidvar` limbs whose choice infers their domain."""
+    loops: Iterator[int]
+    sites: Iterator[int]
+    limbs: Dict[int, tuple]
+
+
+# The labels of the sites the forward oracle's histories and strategies name.
+_SITES = {Print: "pr", If: "if", NonDet: "nd"}
+
+
+def _check_program(prog: Program, pre: VarContext, run: _Pass) -> VarContext:
     prog.meta.pre = pre
     prog.meta.cache = None
     ctx = pre
     for s in prog.stmts:
-        ctx = _check_stmt(s, ctx, counter, hints)
+        ctx = _check_stmt(s, ctx, run)
     prog.meta.post = ctx
     return ctx
 
 
-def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
+def _check_stmt(s: Stmt, pre: VarContext, run: _Pass) -> VarContext:
     pos = s.meta.pos
     s.meta.pre = pre
     s.meta.cache = None
+    if type(s) in _SITES:
+        s.meta.label = f"{_SITES[type(s)]}#{next(run.sites)}"
     if isinstance(s, (Skip, Abort)):
         post = pre
     elif isinstance(s, Assign):
@@ -175,8 +195,8 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
     elif isinstance(s, HidVar):
         if s.name in pre:
             raise TypecheckError(f"hidvar re-declares {s.name!r}", pos)
-        if s.domain is None and s.domain_hint is not None:
-            domain, den, outcome_rows = _shared_limb(s, pre, pos, hints)
+        if id(s) in run.limbs:
+            domain, den, outcome_rows = run.limbs.pop(id(s))
         else:
             den, outcome_rows = eval_dist(s.dist, pre, pos)
             domain = s.domain if s.domain is not None else _infer_domain([outcome_rows])
@@ -191,8 +211,8 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
         s.meta.kernel = _kernel(pre, post, (), 1, [[((), 1)]] * pre.n_states)
     elif isinstance(s, If):
         s.meta.kernel = _branch_kernel(s.guard, pre, pos)
-        post_then = _check_program(s.then, pre, counter, hints)
-        post_else = _check_program(s.orelse, pre, counter, hints)
+        post_then = _check_program(s.then, pre, run)
+        post_else = _check_program(s.orelse, pre, run)
         if post_then != post_else:
             raise TypecheckError(
                 f"if branches end in different contexts: "
@@ -200,8 +220,8 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
         post = post_then
     elif isinstance(s, While):
         s.meta.kernel = _branch_kernel(s.guard, pre, pos)
-        s.meta.label = f"while#{next(counter)}" + (f"@{pos[0]}:{pos[1]}" if pos else "")
-        body_post = _check_program(s.body, pre, counter, hints)
+        s.meta.label = f"while#{next(run.loops)}" + (f"@{pos[0]}:{pos[1]}" if pos else "")
+        body_post = _check_program(s.body, pre, run)
         if body_post != pre:
             raise TypecheckError(
                 f"while body must preserve its context, got [{body_post.pretty()}]", pos)
@@ -213,12 +233,22 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
         post = pre
     elif isinstance(s, Assert):
         g = _guard_pred(s.guard, pre, pos)  # in lowest terms, each weight at most 1
-        s.meta.kernel = Kernel(pre, pre, g.den, tuple(((i, n),) if n else ()
-                                                      for i, n in enumerate(g.nums)))
+        s.meta.kernel = Kernel.diagonal(g)
         post = pre
     elif isinstance(s, NonDet):
-        post_l = _check_program(s.left, pre, counter, hints)
-        post_r = _check_program(s.right, pre, counter, hints)
+        # `hidvar x := d1 [] ... [] dk` is typed once, over one domain for all
+        # limbs.  A re-declared name is left to the first limb's check, and an
+        # inner choice of the chain to the outer one, which typed it already.
+        limbs = _limbs(s)
+        first = limbs[0]
+        if (all(type(h) is HidVar and h.domain is None and h.name == first.name for h in limbs)
+                and first.name not in pre and id(first) not in run.limbs):
+            outcomes = [eval_dist(h.dist, pre, h.meta.pos) for h in limbs]
+            domain = _infer_domain([rows for _, rows in outcomes])
+            for h, (den, rows) in zip(limbs, outcomes):
+                run.limbs[id(h)] = domain, den, rows
+        post_l = _check_program(s.left, pre, run)
+        post_r = _check_program(s.right, pre, run)
         if post_l != post_r:
             raise TypecheckError(
                 f"nondeterministic branches end in different contexts: "
@@ -232,16 +262,14 @@ def _check_stmt(s: Stmt, pre: VarContext, counter, hints) -> VarContext:
     return post
 
 
-def _shared_limb(s: HidVar, pre: VarContext, pos, hints):
-    """Domain and outcomes of a limb of `hidvar x := d1 [] ... [] dk`; the limbs
-    share ``domain_hint``, evaluated once per typecheck and kept in ``hints``."""
-    keys = tuple((tuple((b.expr, b.weight) for b in d.branches), d.uniform)
-                 for d in s.domain_hint)
-    if (keys, pre) not in hints:
-        outcomes = [eval_dist(d, pre, pos) for d in s.domain_hint]
-        hints[keys, pre] = _infer_domain([rows for _, rows in outcomes]), outcomes
-    domain, outcomes = hints[keys, pre]
-    return (domain, *outcomes[s.domain_hint.index(s.dist)])
+def _limbs(s: NonDet) -> List[Optional[Stmt]]:
+    """The limbs of a choice through nested choices, in order: each limb's one
+    statement, or None for a limb of more or fewer statements."""
+    limbs = []
+    for prog in (s.left, s.right):
+        limb = prog.stmts[0] if len(prog.stmts) == 1 else None
+        limbs += _limbs(limb) if type(limb) is NonDet else [limb]
+    return limbs
 
 
 # The values a branch point shows: its guard held (column 0) or failed (column 1).
@@ -361,8 +389,6 @@ def copy_program(prog: Program, mapping: Optional[Dict[str, str]] = None,
             fields["targets"] = tuple(mapping.get(t, t) for t in s.targets)
         if kind in (HidVar, Unvar):
             fields["name"] = mapping.get(s.name, s.name)
-        if kind is HidVar and s.domain_hint is not None:
-            fields["domain_hint"] = tuple(_rename_dist(d, mapping) for d in s.domain_hint)
         if kind in (Assign, HidVar, Print):
             fields["dist"] = _rename_dist(s.dist, mapping)
         if kind in (If, While, Assert):

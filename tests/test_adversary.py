@@ -328,9 +328,8 @@ def test_integer_walker_matches_fraction_walker():
     The cases have ``abort``, ``assert``, fractional guards, zero-mass
     branches, priors with zero and point weights and losses with ``INF``;
     a point prior makes many prints and conditionals leave mass on one part.
+    Typechecking labels the sites both walkers name.
     """
-    from preloss.adversary import label_sites
-
     counts = dict.fromkeys(("inf_risk", "abort", "one_part", "strategies"), 0)
     for i in range(400):
         rng = random.Random(31_000 + i)
@@ -342,7 +341,6 @@ def test_integer_walker_matches_fraction_walker():
             prior = tuple(prior)
         else:
             prior = gen_dist(rng, ctx, total=True)
-        label_sites(prog)
         points = _ref_choice_points(prog, prior)
         assert choice_points(prog, prior) == points, f"case {i}"
         for _ in range(3):
@@ -365,21 +363,24 @@ def test_integer_walker_matches_fraction_walker():
 
 
 def test_sites_are_labelled_once_per_program(monkeypatch):
-    """The exhaustive audit labels its program once, not once per strategy."""
+    """Typechecking labels the sites; the exhaustive audit looks for loops once
+    per program, not once per strategy, and rejects a looping program each time."""
     from preloss import adversary
+    from preloss.syntax import walk
 
     calls = []
-    label = adversary.label_sites
-    monkeypatch.setattr(adversary, "label_sites", lambda prog: calls.append(prog) or label(prog))
+    real = adversary.walk
+    monkeypatch.setattr(adversary, "walk", lambda prog: calls.append(prog) or real(prog))
     prog = typed("print b; { b := 0 } [] { b := 1 }; { skip } [] { b := 1 - b }", B)
+    assert [s.meta.label for s in walk(prog)] == ["pr#0", "nd#1", None, None, "nd#2", None, None]
     assert min_bayes_risk_exhaustive(prog, uniform_dist(B), one_loss(B)) == 1
     assert min_bayes_risk(prog, uniform_dist(B), one_loss(B)) == 1
     assert len(calls) == 1
     looping = typed("while b = 1 { b := 0 }", B)
-    for _ in range(2):  # a rejected program is not marked as labelled
+    for _ in range(2):
         with pytest.raises(LoopFreeError):
             choice_points(looping, uniform_dist(B))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_long_random_runs_stay_exact():

@@ -286,7 +286,34 @@ PINNED_REPORTS = [
      {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 66},
      "4df9cfaa8a5ffed7bb576c6e96a9eae077a4482aa3d9798719904d2a1b15c130",
      "68467cb461de3a376c29922ac6d9854d1300373a4a405a32263fc0f4f6af86c2"),
+    # README examples with the default family and the README's prior.
+    (["datatype", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
+      "--context", f"{CORPUS}/ctx_sample_then_read.ctx"], 0,
+     {"lp_solves": 22, "member_queries": 241, "wpl_clauses": 990},
+     "84e747d37104a7252d3a1d86f1dfc22074367282ba9e1aef3cb02ebf23956f64",
+     "cdde6f75eb4cc5b463571f46fa62dd7157354bc9b7647356a4a6e7ed89be312a"),
+    (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
+      "--rep", f"{CORPUS}/rep_coin.prog"], 0,
+     {"lp_solves": 5, "member_queries": 74, "wpl_clauses": 38},
+     "7a8928e4ed3794ae41e138695e463b31652eb33b081398710c3eecb2ae62129a",
+     "248d70fc1caced290070f55aff1c0406fabd64357fe835ebbdaacb7f26ec9a04"),
+    (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
+      "--rep", f"{CORPUS}/rep_leak.prog"], 4,
+     {"lp_solves": 26, "member_queries": 431, "wpl_clauses": 204},
+     "92c014325cda25d6ffc072f064de1f1c2f67cd7999ac425e92583a62557611b2",
+     "87a061367436769689f71b119c7020b6fdadd96f428967b647c803c769ad5e28"),
+    (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
+      "--prior", "(0)=1/8 (1)=3/8 (2)=3/8 (3)=1/8", "--exhaustive"], 0,
+     {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0},
+     "319c5185342cb3a83ac52e3e2058ff394d5fe7dff536069580b86a1527b2691e",
+     "44545d9518708e0957ee39b9c0dc31f93ce5d8742f1f299d44aa0c93350644d4"),
 ]
+
+# The README examples pinned outside PINNED_REPORTS, by the two tests below.
+GEOMETRIC_BUDGET_5 = ["wpl", f"{CORPUS}/geometric.prog", "--post",
+                      f"{CORPUS}/geometric_post.loss", "--loop-budget", "5"]
+ENCDB2_BACKWARD = ["simulate", "--backward", f"{CORPUS}/encdb2_membership_distinct.dt",
+                   f"{CORPUS}/encdb2_offset_scan.dt", "--rep", f"{CORPUS}/rep_distinct.prog"]
 
 
 def report_digest(report: dict) -> str:
@@ -321,10 +348,7 @@ def test_json_reports_repeat_within_one_process(capsys):
 
 def test_large_choiceless_simulation_is_pinned(capsys):
     """The encdb2 backward simulation: a choiceless rep, squares over 54 states."""
-    code, out, _ = run(capsys, "simulate", "--backward",
-                       f"{CORPUS}/encdb2_membership_distinct.dt",
-                       f"{CORPUS}/encdb2_offset_scan.dt",
-                       "--rep", f"{CORPUS}/rep_distinct.prog", "--json")
+    code, out, _ = run(capsys, *ENCDB2_BACKWARD, "--json")
     assert code == 3
     report = json.loads(out)
     assert report["result"]["kind"] == "fails"
@@ -352,8 +376,7 @@ def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
         (["oracle", f"{CORPUS}/mutex_round.prog", "--post", str(mutex_post), "--exhaustive"],
          {"risk": "1/2", "exhaustive": "1/2", "agrees": True},
          {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0}),
-        (["wpl", f"{CORPUS}/geometric.prog", "--post", f"{CORPUS}/geometric_post.loss",
-          "--loop-budget", "5"],
+        (GEOMETRIC_BUDGET_5,
          {"pre_loss": {"context": "c:{0,1}", "generators": ["(0)=1 (1)=31/32"]},
           "loops": {"while#0@5:3": "truncated(5)"}, "truncated": True},
          {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 6}),
@@ -363,6 +386,34 @@ def test_branch_and_loop_reports_are_pinned(capsys, tmp_path):
         assert code == 0, argv
         report = json.loads(out)
         assert (report["result"], report["timings"]) == (result, timings), argv
+
+
+def _shell_commands(text, program):
+    """The argument lists of the ``program`` commands in shell ``text``,
+    backslash continuations joined and comments dropped."""
+    import shlex
+
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == [program]:
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_examples_match_ci_and_their_pins():
+    """README's "Try it" block and CI's README-examples step run the same
+    commands in the same order, and CI expects each one's pinned exit code."""
+    import pathlib
+
+    examples = pathlib.Path("README.md").read_text().split("Try it on the bundled corpus:")[1]
+    readme = _shell_commands(examples.split("```")[1], "preloss")
+    ci = _shell_commands(pathlib.Path(".github/workflows/tests.yml").read_text(), "check")
+    pinned = {tuple(argv): exit_code for argv, exit_code, *_ in PINNED_REPORTS}
+    pinned |= {tuple(GEOMETRIC_BUDGET_5): 0, tuple(ENCDB2_BACKWARD): 3}
+    assert len(readme) == 14
+    assert [argv for _, *argv in ci] == readme
+    assert [int(code) for code, *_ in ci] == [pinned[tuple(argv)] for argv in readme]
 
 
 def test_json_fails_report_is_self_certifying(capsys, tmp_path):

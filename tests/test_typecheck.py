@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from preloss.contexts import VarContext
 from preloss.parsing import parse_context_file, parse_datatype_file, parse_program_text
-from preloss.syntax import HidVar, program_text, walk
+from preloss.syntax import HidVar, Program, program_text, walk
 from preloss.typecheck import (
     TypecheckError, classify_choiceless, classify_hidden, inline,
     typecheck_program, validate_datatype,
 )
+
+from conftest import gen_context
 
 B = VarContext.of(("b", (0, 1)))
 EMPTY = VarContext(())
@@ -59,6 +62,9 @@ def test_guard_range_is_checked_statewise():
 def test_domain_inference_covers_all_choice_limbs():
     prog, post = check("hidvar b := {0} [] {1}")
     assert post == B
+    # The brace expansion is the same program, typed the same way.
+    prog, post = check("{ hidvar b := 0 } [] { hidvar b := 1 }")
+    assert post == B
     prog2, post2 = check("hidvar n := uniform(0..3)")
     assert post2 == VarContext.of(("n", range(4)))
 
@@ -76,6 +82,70 @@ def test_choice_limbs_evaluate_each_distribution_once(monkeypatch):
     limbs = [s for s in walk(prog) if isinstance(s, HidVar)]
     assert [dict(s.meta.kernel.rows[0]) for s in limbs] == [{i: 1} for i in range(4)]
     assert all(s.meta.post == post for s in limbs)
+
+
+def _random_dist_text(rng, ctx):
+    """A distribution over ``ctx``'s variables, as written in a program."""
+    def expr():
+        a = rng.choice([*ctx.names, "0", "1", "2"])
+        return a if rng.random() < 0.5 else f"({a} + {rng.choice(ctx.names)}) mod 3"
+
+    n = rng.randint(1, 3)
+    if rng.random() < 0.2:
+        return "uniform(" + ", ".join(expr() for _ in range(n)) + ")"
+    # Every branch but the last weighs 1/(n + 1); the last takes the rest.
+    return " | ".join([f"{expr()} @ 1/{n + 1}" for _ in range(n - 1)] + [expr()])
+
+
+def _annotations(prog):
+    return [(s.meta.pre, s.meta.post, s.meta.kernel, s.meta.label) for s in walk(prog)]
+
+
+def test_hidvar_sugar_is_its_brace_expansion(monkeypatch):
+    """`hidvar x [: D] := d1 [] ... [] dk` and `{ hidvar x [: D] := d1 } [] ... []
+    { hidvar x [: D] := dk }` parse to equal trees and typecheck alike, each
+    distribution evaluated once.  An omitted domain is every value of every
+    limb in first-met order; each limb's kernel is its own with that domain."""
+    from preloss import typecheck
+
+    calls = []
+    real = typecheck.eval_dist
+    monkeypatch.setattr(typecheck, "eval_dist", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(20261020)
+    declared = omitted = 0
+    for case in range(150):
+        ctx = gen_context(rng, max_states=8)
+        dists = [_random_dist_text(rng, ctx) for _ in range(rng.randint(2, 4))]
+        domain = rng.choice(["", "", " : {0,1,2}", " : int 0..3", " : {1}"])
+        sugar = parse_program_text(f"hidvar x{domain} := " + " [] ".join(
+            "{" + d + "}" for d in dists))
+        expansion = parse_program_text(" [] ".join(
+            f"{{ hidvar x{domain} := {d} }}" for d in dists))
+        assert sugar == expansion, case
+        assert parse_program_text(program_text(sugar)) == sugar, case
+
+        calls.clear()
+        post = typecheck_program(sugar, ctx)
+        assert len(calls) == len(dists), case
+        calls.clear()
+        assert typecheck_program(expansion, ctx) == post, case
+        assert len(calls) == len(dists), case
+        assert _annotations(sugar) == _annotations(expansion), case
+
+        limbs = [s for s in walk(sugar) if isinstance(s, HidVar)]
+        shared = post.vars[-1][1]
+        if domain:
+            declared += 1
+        else:
+            alone = [typecheck_program(Program((HidVar("x", None, h.dist),)), ctx).vars[-1][1]
+                     for h in limbs]
+            assert shared == tuple(dict.fromkeys(v for d in alone for v in d)), case
+            omitted += 1
+        for limb in limbs:
+            prog = Program((HidVar("x", shared, limb.dist),))
+            typecheck_program(prog, ctx)
+            assert limb.meta.kernel == prog.stmts[0].meta.kernel, case
+    assert min(declared, omitted) >= 50, (declared, omitted)
 
 
 def test_out_of_domain_assignment_becomes_abort_mass():
