@@ -3,13 +3,18 @@
 Program refinement is checked against a finite loss family: any failure is
 definitive (the LP separation certificate converts into a witness prior
 with a strict evaluation gap), while Holds is always "for this family".
-On a choiceless pair some entries are implied by the unit entries (the
-indicators of single states) and are decided without running ``wpl``; they
-still count in ``checked``.  Datatype refinement inlines both datatypes
-into each supplied program context.  The simulation checkers verify the
-three commuting squares and gate the result on the healthiness classifier
-(hidden for forward, choiceless for backward); a failed gate yields
-Inconclusive, never Holds.  Both build each family once per post context.
+Both sides are split at their longest common tail of statements, which
+the copy rule gives them (the client's statements after its last `call`,
+and a `final` both write alike): an entry whose tail pre-loss repeats an
+earlier, passing entry's is decided without running the heads.  On a
+choiceless pair the entries implied by the unit entries (the indicators
+of single states) are decided without ``wpl``.  Both kinds still count in
+``checked`` and move no witness.  Datatype refinement inlines both
+datatypes into each supplied program context.  The simulation checkers
+verify the three commuting squares and gate the result on the
+healthiness classifier (hidden for forward, choiceless for backward); a
+failed gate yields Inconclusive, never Holds.  Both build each family
+once per post context.
 """
 
 from __future__ import annotations
@@ -74,6 +79,19 @@ def program_refines(
 ) -> Verdict:
     """Check p refined-by q on every family loss; Fails is definitive.
 
+    p = A;S and q = B;S (``_split``).  Per entry E, ``wpl`` runs on S once
+    (not at all when S is empty), then on A and B from S's pre-loss.  As
+    generator lists ``wpl(A;S, E) = wpl(A, wpl(S, E))``: S's pre-loss is
+    canonical, as every ``wpl`` result is, and the split at most cuts one
+    kernel run in two, which by the closure argument in ``semantics``'
+    docstring leaves every list as it is.  A;S truncates exactly when A or
+    S does, and S's truncation is merged for every entry.  So an entry whose
+    tail pre-loss has the ``canonical`` flag and ``blocks`` of an earlier,
+    passing entry's passes too, without A and B; it still counts in
+    ``checked`` and as a passed unit.  No failing entry is such a repeat,
+    so ``checked``, the first failing entry, its witness and both
+    pre-losses are those of running each whole side; only counts move.
+
     When p and q are choiceless, each side maps a single finite generator g
     linearly, to {T g}, loops and their truncated sums included.  Once
     every unit entry {e_s} of the post context has passed (T_P e_s <= T_Q e_s),
@@ -89,36 +107,38 @@ def program_refines(
     fam = resolve_family(post_ctx, family)
     implied = _implied_by_units(p, q)
     pending_units = set(range(post_ctx.n_states))
+    head_p, head_q, tail = _split(p, q)
+    passed = set()  # the tail pre-losses of the entries that passed
 
     truncated = False
     for E, _provenance in fam.entries:
         if not pending_units and implied(E):
             continue
-        left = weakest_preloss(p, E, extension, loop_budget)
-        right = weakest_preloss(q, E, extension, loop_budget)
-        truncated = truncated or left.truncated or right.truncated
-        for gen in right.pre.gens:
-            cert = loss_member_certified(gen, left.pre)
-            if cert.member:
-                continue
-            if right.truncated:
+        mid, tail_truncated = E, False
+        if tail.stmts:
+            shared = weakest_preloss(tail, E, extension, loop_budget)
+            mid, tail_truncated = shared.pre, shared.truncated
+            truncated = truncated or tail_truncated
+        key = (mid.canonical, mid.blocks)
+        if key not in passed:
+            left = weakest_preloss(head_p, mid, extension, loop_budget)
+            right = weakest_preloss(head_q, mid, extension, loop_budget)
+            truncated = truncated or left.truncated or right.truncated
+            for gen in right.pre.gens:
+                cert = loss_member_certified(gen, left.pre)
+                if cert.member:
+                    continue
+                if tail_truncated or right.truncated:
+                    return Verdict(kind="inconclusive", witness_loss=E, loop_notes=("truncated",),
+                                   reason="right-hand loop truncated; the refinement failure "
+                                          "cannot be certified")
+                prior = normalize_witness(cert.witness)
                 return Verdict(
-                    kind="inconclusive",
-                    reason="right-hand loop truncated; the refinement failure "
-                           "cannot be certified",
-                    witness_loss=E,
-                    loop_notes=("truncated",),
+                    kind="fails", witness_loss=E, witness_prior=prior,
+                    lhs_value=eval_loss(left.pre, prior), rhs_value=eval_loss(right.pre, prior),
+                    lhs_pre=left.pre, rhs_pre=right.pre,
                 )
-            prior = normalize_witness(cert.witness)
-            return Verdict(
-                kind="fails",
-                witness_loss=E,
-                witness_prior=prior,
-                lhs_value=eval_loss(left.pre, prior),
-                rhs_value=eval_loss(right.pre, prior),
-                lhs_pre=left.pre,
-                rhs_pre=right.pre,
-            )
+            passed.add(key)
         pending_units.discard(_unit_state(E))
     if truncated:
         return Verdict(
@@ -128,6 +148,23 @@ def program_refines(
             loop_notes=("truncated",),
         )
     return Verdict(kind="holds", checked=len(fam))
+
+
+def _split(p: Program, q: Program) -> Tuple[Program, Program, Program]:
+    """Heads A, B and tail S with p = A;S and q = B;S: S is the longest common
+    suffix of statements equal as syntax with equal pre and post contexts."""
+    n = 0
+    for s, t in zip(reversed(p.stmts), reversed(q.stmts)):
+        if s != t or s.meta.pre != t.meta.pre or s.meta.post != t.meta.post:
+            break
+        n += 1
+    if not n:
+        return p, q, Program(())
+    mid = p.stmts[-n].meta.pre
+    parts = (Program(p.stmts[:-n]), Program(q.stmts[:-n]), Program(p.stmts[-n:]))
+    for part, pre, post in zip(parts, (p.meta.pre, q.meta.pre, mid), (mid, mid, p.meta.post)):
+        part.meta.pre, part.meta.post = pre, post
+    return parts
 
 
 def _post_context(p: Program, q: Program) -> VarContext:

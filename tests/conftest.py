@@ -218,3 +218,58 @@ def gen_typed_program(rng, depth=3, shape: ProgramShape = None, max_states=12):
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+
+# ---------------------------------------------------------------- refinement
+
+def entry_decisions(p, q, family, extension=None, loop_budget=64):
+    """``program_refines``' verdict and how it decided each entry it reached.
+
+    A decision is "heads" when ``wpl`` ran on both heads, "tail" when it ran
+    on the shared tail alone (the tail's pre-loss repeated), and "none" when
+    no ``wpl`` ran (an implied entry, or a repeat when the tail is empty).
+    Returns the verdict, the decisions, and the tail's ``wpl`` results.
+    """
+    from preloss import refinement
+    from preloss.contexts import EMPTY
+    from preloss.families import resolve_family
+    from preloss.semantics import weakest_preloss
+
+    extension = EMPTY if extension is None else extension
+    fam = resolve_family(p.meta.post.merge(extension), family)
+    split = refinement._split
+    parts, calls = [], []
+
+    def recording_split(p, q):
+        parts[:] = split(p, q)
+        return tuple(parts)
+
+    def recording_wpl(prog, post, *args):
+        result = weakest_preloss(prog, post, *args)
+        calls.append(("tail" if prog is parts[2] else "head", post, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(refinement, "_split", recording_split)
+        m.setattr(refinement, "weakest_preloss", recording_wpl)
+        verdict = refinement.program_refines(p, q, fam, extension, loop_budget)
+    tails = [result for role, _, result in calls if role == "tail"]
+
+    def take(role, post):
+        if calls and calls[0][0] == role and calls[0][1] is post:
+            return calls.pop(0)[2]
+        return None
+
+    decisions = []
+    for E, _ in fam.entries:
+        shared = take("tail", E)
+        mid = shared.pre if shared else E
+        if take("head", mid) and take("head", mid):
+            decisions.append("heads")
+        else:
+            decisions.append("tail" if shared else "none")
+    assert not calls, "a wpl run that no entry accounts for"
+    if verdict.witness_loss is not None:  # the check ended at its last "heads" entry
+        del decisions[len(decisions) - decisions[::-1].index("heads"):]
+    return verdict, decisions, tails

@@ -219,42 +219,42 @@ PINNED_REPORTS = [
      "53f48d340da9c16aa749b15ab367921efeee18359670a1c5ebe4a3d59ad5d5be"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"], 0,
-     {"lp_solves": 19, "member_queries": 146, "wpl_clauses": 38},
-     "65ebe7a89927b700406c30d86f702114e05e57dd7d5326552dd0e1f9d4d51ea8",
+     {"lp_solves": 19, "member_queries": 144, "wpl_clauses": 32},
+     "14d09a92d725887913d5cddd9175b58a7585f995592f44765cbdb0dd0546c6f7",
      "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
-     {"lp_solves": 2, "member_queries": 457, "wpl_clauses": 2059},
-     "941dab97bc13d4a7260eddadfd26daf349907483715c18626310c78621e3895f",
+     {"lp_solves": 2, "member_queries": 251, "wpl_clauses": 812},
+     "7e827924ff1d663272ab10b5805b7d466b1bb3bc187352b39b5534d5b0b4e8cd",
      "40b3ed1001175f10140803609c63fc981d33f484b0adc2d0425e1cb047bb3031"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
-     {"lp_solves": 0, "member_queries": 69, "wpl_clauses": 954},
-     "73b2f5e077e34317eee9731c4c82beea8e7b9f25ab0a8ed59961aa1a3c573599",
+     {"lp_solves": 0, "member_queries": 32, "wpl_clauses": 391},
+     "a2b89555046929fb3ee54b99dfeaaf3668ac3924b19c94d56f1424ad35e202ec",
      "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
     # The default-family linear scan: its loop term sums have disjoint supports.
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 0,
-     {"lp_solves": 159, "member_queries": 2874, "wpl_clauses": 6393},
-     "785492a4f9016fe5339a707105b507a75be1b5514a989bfecca846db172c59f3",
+     {"lp_solves": 131, "member_queries": 1700, "wpl_clauses": 2716},
+     "bd338bab26ba7c942d8bff01a7bfb3c16ad94138d557f955db87e6d5732c0e69",
      "1b7fbd79f92c4916070ce025ecc5935e6f28a429bc4bcbef5e2b825e5c7ea48d"),
     # The probe-c linear scan fails only after hundreds of passing entries.
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx"], 3,
-     {"lp_solves": 1, "member_queries": 1717, "wpl_clauses": 5767},
-     "327f9f0b766dfc114654d5915a0bdf3dd51adcd5c0f08157291f508debfc8058",
+     {"lp_solves": 1, "member_queries": 829, "wpl_clauses": 2285},
+     "8baff68bd5fc9728990f0b192fee0fbced21d28fb89aae7aa2bbd2f4318fe798",
      "6a9212dd895bcbd669e311a422f5e40fcc0c0e399ff48b74969d1f71ea324587"),
     # Two offset scans whose loop terms overlap after `hidvar m`: each answers
     # once each kernel run is mapped by its product (`semantics._segments`).
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx"], 0,
-     {"lp_solves": 346, "member_queries": 3704, "wpl_clauses": 7254},
-     "297962c584747bbcbb222619455469e99f357861f0993c34e3f6a02da1778618",
+     {"lp_solves": 313, "member_queries": 2357, "wpl_clauses": 3033},
+     "181adf176ef9b88799fea9a8490214a664f9de530201803aa12ae69fbbbebb81",
      "a1665e8e52566712af4afaa5ba5c0c3b7bac6dd534593f21f0621470b05bed4f"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=5,witnesses=off"], 3,
-     {"lp_solves": 13, "member_queries": 152, "wpl_clauses": 1054},
-     "be36084b5767ee29093483aad0327b0389b5d2cd6ac66aabcd3bddeb88095118",
+     {"lp_solves": 12, "member_queries": 101, "wpl_clauses": 421},
+     "97eda8cc1919164e186679ee2b5703dbd2833f9d41a3c23905807969ebafdaa2",
      "d8db34cd1af71521630f00e2e033690b770952943a42083cb422b75a7fc64f3b"),
     # The bench's corpus checks whose programs print.
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
@@ -264,18 +264,18 @@ PINNED_REPORTS = [
      "6925ef3036ee7a953e6d0725ea2544ec6d09b5e3af43eda51c21539a98ca0264"),
     (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--rep", f"{CORPUS}/rep_leak.prog", "--family", "k=2,random=20,seed=7"], 4,
-     {"lp_solves": 30, "member_queries": 436, "wpl_clauses": 192},
-     "47497a4fc16dae4ed495aff2dd26163edbf916889eba260d064af811bea90097",
+     {"lp_solves": 26, "member_queries": 346, "wpl_clauses": 124},
+     "5adaebb107d305130b7aecdb358e982b76a0bab4a00f1b52d0dac11e8fff0d64",
      "b49ab5a4c09d23e4156d11e71368a3a46841f933128f2a42ef038daa812b5e4c"),
     (["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--family", "k=2,random=20,seed=7"], 3,
-     {"lp_solves": 4, "member_queries": 40, "wpl_clauses": 14},
-     "4b03d2805c3c26f6b8861a589facee91d2f9537856b953db0babc95176f0616b",
+     {"lp_solves": 4, "member_queries": 40, "wpl_clauses": 13},
+     "01866fead3d171bed9ab97e84e750c7daacdbb301b1adda2fcf0272b1613f354",
      "3c7bee7ef6cab419054b81c31534018d9d3fc8e3910e28e64633b483ba76397e"),
     (["datatype", f"{CORPUS}/refresh_after_read.dt", f"{CORPUS}/refresh_before_read.dt",
       "--context", f"{CORPUS}/ctx_print_then_xor.ctx", "--family", "k=2,random=20,seed=7"], 3,
-     {"lp_solves": 5, "member_queries": 48, "wpl_clauses": 220},
-     "0ecbee6b3e2b0828c4093b02db6694a97367736225c529591d0e903e24555d50",
+     {"lp_solves": 5, "member_queries": 48, "wpl_clauses": 198},
+     "c438d07de7992e15fbdba552d21be171f1ea05a5a3d786fd8afa39df6efc638c",
      "d2613edee36c132062b97df10ef15424bc45ccb012c90f7990cfab314dede1de"),
     # Program refinement both ways: the only report whose options carry ``ext``.
     (["refine", f"{CORPUS}/rep_choice.prog", f"{CORPUS}/rep_leak.prog"], 0,
@@ -300,13 +300,13 @@ PINNED_REPORTS = [
      "cdde6f75eb4cc5b463571f46fa62dd7157354bc9b7647356a4a6e7ed89be312a"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--rep", f"{CORPUS}/rep_coin.prog"], 0,
-     {"lp_solves": 5, "member_queries": 74, "wpl_clauses": 38},
-     "7a8928e4ed3794ae41e138695e463b31652eb33b081398710c3eecb2ae62129a",
+     {"lp_solves": 5, "member_queries": 72, "wpl_clauses": 32},
+     "ee751d75eb0b6b9fc64ef3392806a1fc2fa580ae420a22681a26b0bd3ae71cfd",
      "248d70fc1caced290070f55aff1c0406fabd64357fe835ebbdaacb7f26ec9a04"),
     (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--rep", f"{CORPUS}/rep_leak.prog"], 4,
-     {"lp_solves": 26, "member_queries": 431, "wpl_clauses": 204},
-     "92c014325cda25d6ffc072f064de1f1c2f67cd7999ac425e92583a62557611b2",
+     {"lp_solves": 22, "member_queries": 344, "wpl_clauses": 133},
+     "855d9287096a297199f1c3fcb7ecf30bcf7b7913c5ed124a6c97c55d1f2df73e",
      "87a061367436769689f71b119c7020b6fdadd96f428967b647c803c769ad5e28"),
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
       "--prior", "(0)=1/8 (1)=3/8 (2)=3/8 (3)=1/8", "--exhaustive"], 0,
@@ -359,8 +359,8 @@ def test_large_choiceless_simulation_is_pinned(capsys):
     report = json.loads(out)
     assert report["result"]["kind"] == "fails"
     assert report["result"]["at"] == "op lookup"
-    assert report.pop("timings") == {"lp_solves": 8, "member_queries": 248,
-                                     "wpl_clauses": 834}
+    assert report.pop("timings") == {"lp_solves": 8, "member_queries": 207,
+                                     "wpl_clauses": 708}
     assert report_digest(report) == (
         "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
 

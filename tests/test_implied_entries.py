@@ -5,7 +5,7 @@ unit entries imply: single-generator entries without ``INF``, and on a
 hidden pair every entry without ``INF``.  ``check_every_entry`` below is the
 loop that runs ``wpl`` on every entry; the two must give the same verdict
 on seeded context-preserving pairs, and only the implied entries may go
-without a ``wpl`` run.
+without any ``wpl`` run.
 """
 
 import random
@@ -13,8 +13,7 @@ from typing import List
 
 import pytest
 
-from conftest import ProgramShape, gen_context, gen_loss, gen_program
-from preloss import refinement
+from conftest import ProgramShape, entry_decisions, gen_context, gen_loss, gen_program
 from preloss.contexts import EMPTY, VarContext
 from preloss.families import FamilyOptions, TestFamily, resolve_family, standard_family
 from preloss.losses import LossFunction, embed, eval_loss, loss_member_certified, normalize_witness
@@ -160,20 +159,12 @@ LATER = [embed(ints(1, 1)), embed(ints(2, INF_NUM)),
          LossFunction(B, (ints(INF_NUM, 1), ints(1, INF_NUM)))]
 
 
-def run_entries(monkeypatch, src_p, src_q, entries) -> List[int]:
-    """The entries, by identity, that ``program_refines`` runs ``wpl`` on for the pair."""
-    posts = []
-
-    def recording(prog, post, *args):
-        posts.append(post)
-        return weakest_preloss(prog, post, *args)
-
-    monkeypatch.setattr(refinement, "weakest_preloss", recording)
+def decide(src_p, src_q, entries) -> List[str]:
+    """How ``program_refines`` decides each entry for the pair (``entry_decisions``)."""
     p = typed(parse_program_text(src_p), B)
     q = typed(parse_program_text(src_q), B)
-    program_refines(p, q, TestFamily(B, tuple((E, "test") for E in entries)))
-    assert all(a is b for a, b in zip(posts[::2], posts[1::2]))  # one pair per entry
-    return [id(E) for E in posts[::2]]
+    _, decisions, _ = entry_decisions(p, q, TestFamily(B, tuple((E, "test") for E in entries)))
+    return decisions
 
 
 @pytest.mark.parametrize("src_p, src_q, skipped", [
@@ -184,16 +175,18 @@ def run_entries(monkeypatch, src_p, src_q, entries) -> List[int]:
     # Hidden and choiceless: every finite entry.
     ("b := 1 - b", "b := 1 - b", finite),
 ])
-def test_only_implied_entries_skip_wpl(monkeypatch, src_p, src_q, skipped):
+def test_only_implied_entries_skip_wpl(src_p, src_q, skipped):
     entries = UNITS + LATER
-    ran = run_entries(monkeypatch, src_p, src_q, entries)
-    assert ran == [id(E) for E in entries if any(E is u for u in UNITS) or not skipped(E)]
+    assert decide(src_p, src_q, entries) == [
+        "heads" if any(E is u for u in UNITS) or not skipped(E) else "none" for E in entries]
 
 
-def test_nothing_is_skipped_before_the_last_unit(monkeypatch):
+def test_nothing_is_skipped_before_the_last_unit():
+    """After the last unit the finite entries are implied, and the ``INF``
+    ones, whose tail pre-losses repeat, run only the shared tail."""
     entries = [UNITS[0]] + LATER + [UNITS[1]] + LATER
-    ran = run_entries(monkeypatch, "b := 1 - b", "b := 1 - b", entries)
-    assert ran == [id(E) for E in [UNITS[0]] + LATER + [UNITS[1], LATER[1], LATER[3]]]
+    assert decide("b := 1 - b", "b := 1 - b", entries) == (
+        ["heads"] * 6 + ["none", "tail", "none", "tail"])
 
 
 def test_a_visible_pair_passing_every_unit_still_fails_on_two_generators():
