@@ -220,7 +220,6 @@ def rng():
     return random.Random(20260808)
 
 
-
 # ---------------------------------------------------------------- refinement
 
 def entry_decisions(p, q, family, extension=None, loop_budget=64):
