@@ -252,6 +252,16 @@ PINNED_REPORTS = [
      "181adf176ef9b88799fea9a8490214a664f9de530201803aa12ae69fbbbebb81",
      "a1665e8e52566712af4afaa5ba5c0c3b7bac6dd534593f21f0621470b05bed4f"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx", "--family", "k=2,random=0"], 0,
+     {"lp_solves": 10, "member_queries": 997, "wpl_clauses": 2653},
+     "0c85c3b3cadb9de49358c7837fd2f59bd681f254538dd0f89199bed129aa267b",
+     "f77de2ffd37354a1de5a5b4c31dfe4499461722449aa5520819d8101609796eb"),
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx", "--family", "k=1,random=20"], 0,
+     {"lp_solves": 308, "member_queries": 1409, "wpl_clauses": 801},
+     "d7b8c0faca7fdd5ec0c5f4631e02ca001a63d80741a9da0756f051afe6f78b0d",
+     "c6dca6862842b8e43ee0210428761cac27b68a6ad4fd7811d006a5ee4af1cdf7"),
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=5,witnesses=off"], 3,
      {"lp_solves": 12, "member_queries": 101, "wpl_clauses": 421},
      "97eda8cc1919164e186679ee2b5703dbd2833f9d41a3c23905807969ebafdaa2",
@@ -277,6 +287,13 @@ PINNED_REPORTS = [
      {"lp_solves": 5, "member_queries": 48, "wpl_clauses": 198},
      "c438d07de7992e15fbdba552d21be171f1ea05a5a3d786fd8afa39df6efc638c",
      "d2613edee36c132062b97df10ef15424bc45ccb012c90f7990cfab314dede1de"),
+    # A rep with a choice: the backward squares hold on the family, and the
+    # choiceless gate makes the verdict inconclusive.
+    (["simulate", "--backward", f"{CORPUS}/refresh_after_read.dt",
+      f"{CORPUS}/refresh_before_read.dt", "--rep", f"{CORPUS}/rep_choice.prog"], 4,
+     {"lp_solves": 38, "member_queries": 573, "wpl_clauses": 672},
+     "3ea458b202aea319b35d1abe4ee4d9da711d9177e82071c64b4236f984856ad2",
+     "d6f91abded120fa83568b32d0e986f9423b3b8623590215e899a4b9e371bcb65"),
     # Program refinement both ways: the only report whose options carry ``ext``.
     (["refine", f"{CORPUS}/rep_choice.prog", f"{CORPUS}/rep_leak.prog"], 0,
      {"lp_solves": 0, "member_queries": 50, "wpl_clauses": 96},
@@ -292,6 +309,12 @@ PINNED_REPORTS = [
      {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 66},
      "4df9cfaa8a5ffed7bb576c6e96a9eae077a4482aa3d9798719904d2a1b15c130",
      "68467cb461de3a376c29922ac6d9854d1300373a4a405a32263fc0f4f6af86c2"),
+    # The other direction: the left-hand loop truncates, so the family verdict
+    # is inconclusive.
+    (["refine", f"{CORPUS}/geometric.prog", f"{CORPUS}/coin_stop.prog"], 4,
+     {"lp_solves": 0, "member_queries": 41, "wpl_clauses": 542},
+     "11a0434255def214bd1978bc6f2215cf336b145ac30d2838bbe912bfe1fc1ffb",
+     "5a23c38a54d3c9a293b32f0ee3aa1d292d5234698cd8b7daf4e9e7aef002326c"),
     # README examples with the default family and the README's prior.
     (["datatype", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--context", f"{CORPUS}/ctx_sample_then_read.ctx"], 0,
