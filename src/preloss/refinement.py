@@ -6,9 +6,10 @@ with a strict evaluation gap), while Holds is always "for this family".
 Both sides are split at their longest common tail of statements, which
 the copy rule gives them (the client's statements after its last `call`,
 and a `final` both write alike): an entry whose tail pre-loss repeats an
-earlier, passing entry's is decided without running the heads.  On a
-choiceless pair the entries implied by the unit entries (the indicators
-of single states) are decided without ``wpl``.  Both kinds still count in
+earlier, passing entry's is decided without running the heads, and a
+part without `[]` is mapped by its history transformers.  On a choiceless
+pair the entries implied by the unit entries (the indicators of single
+states) are decided without ``wpl``.  Both kinds still count in
 ``checked`` and move no witness.  Datatype refinement inlines both
 datatypes into each supplied program context.  The simulation checkers
 verify the three commuting squares and gate the result on the
@@ -21,16 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .contexts import EMPTY, VarContext
 from .families import FamilyOptions, TestFamily, resolve_family
 from .losses import (
-    LossFunction, eval_loss, loss_member_certified, normalize_witness,
+    LossFunction, eval_loss, loss_add, loss_canonicalize, loss_map, loss_member_certified,
+    normalize_witness, zero_loss,
 )
 from .predicates import INF_NUM
 from .scalars import Scalar
-from .semantics import DEFAULT_LOOP_BUDGET, weakest_preloss
+from .semantics import DEFAULT_LOOP_BUDGET, WplResult, history_transformers, weakest_preloss
 from .syntax import Datatype, Program, ProgramContext
 from .typecheck import (
     TypecheckError, classify_choiceless, classify_hidden, copy_program, inline,
@@ -79,18 +82,17 @@ def program_refines(
 ) -> Verdict:
     """Check p refined-by q on every family loss; Fails is definitive.
 
-    p = A;S and q = B;S (``_split``).  Per entry E, ``wpl`` runs on S once
-    (not at all when S is empty), then on A and B from S's pre-loss.  As
-    generator lists ``wpl(A;S, E) = wpl(A, wpl(S, E))``: S's pre-loss is
-    canonical, as every ``wpl`` result is, and the split at most cuts one
-    kernel run in two, which by the closure argument in ``semantics``'
-    docstring leaves every list as it is.  A;S truncates exactly when A or
-    S does, and S's truncation is merged for every entry.  So an entry whose
-    tail pre-loss has the ``canonical`` flag and ``blocks`` of an earlier,
-    passing entry's passes too, without A and B; it still counts in
-    ``checked`` and as a passed unit.  No failing entry is such a repeat,
-    so ``checked``, the first failing entry, its witness and both
-    pre-losses are those of running each whole side; only counts move.
+    p = A;S and q = B;S (``_split``).  Per entry E, ``_preloss`` maps E
+    through S, then A and B through S's pre-loss: an empty part is E, a
+    part with history transformers (built once per check) sums their
+    images of E, and any other part runs ``wpl``.  By the closure argument
+    in ``semantics``' docstring each is ``wpl``'s list, and so is
+    ``wpl(A, wpl(S, E))``; A;S truncates exactly when A or S does.  So an
+    entry whose tail pre-loss has the ``canonical`` flag and ``blocks`` of
+    an earlier, passing entry's passes too, without A and B; it still
+    counts in ``checked`` and as a passed unit.  No failing entry is such
+    a repeat, so ``checked``, the first failing entry, its witness and
+    both pre-losses are those of running each whole side.
 
     When p and q are choiceless, each side maps a single finite generator g
     linearly, to {T g}, loops and their truncated sums included.  Once
@@ -114,21 +116,18 @@ def program_refines(
     for E, _provenance in fam.entries:
         if not pending_units and implied(E):
             continue
-        mid, tail_truncated = E, False
-        if tail.stmts:
-            shared = weakest_preloss(tail, E, extension, loop_budget)
-            mid, tail_truncated = shared.pre, shared.truncated
-            truncated = truncated or tail_truncated
-        key = (mid.canonical, mid.blocks)
+        shared = _preloss(tail, E, extension, loop_budget)
+        truncated = truncated or shared.truncated
+        key = (shared.pre.canonical, shared.pre.blocks)
         if key not in passed:
-            left = weakest_preloss(head_p, mid, extension, loop_budget)
-            right = weakest_preloss(head_q, mid, extension, loop_budget)
+            left = _preloss(head_p, shared.pre, extension, loop_budget)
+            right = _preloss(head_q, shared.pre, extension, loop_budget)
             truncated = truncated or left.truncated or right.truncated
             for gen in right.pre.gens:
                 cert = loss_member_certified(gen, left.pre)
                 if cert.member:
                     continue
-                if tail_truncated or right.truncated:
+                if shared.truncated or right.truncated:
                     return Verdict(kind="inconclusive", witness_loss=E, loop_notes=("truncated",),
                                    reason="right-hand loop truncated; the refinement failure "
                                           "cannot be certified")
@@ -148,6 +147,19 @@ def program_refines(
             loop_notes=("truncated",),
         )
     return Verdict(kind="holds", checked=len(fam))
+
+
+def _preloss(part: Program, E: LossFunction, extension: VarContext, budget: int) -> WplResult:
+    """One part's ``weakest_preloss`` (``program_refines``)."""
+    if not part.stmts:
+        return WplResult(E)
+    histories = history_transformers(part, extension, budget)
+    if histories is None:
+        return weakest_preloss(part, E, extension, budget)
+    E = loss_canonicalize(E)
+    images = [loss_map(m, E) for m in histories]
+    return WplResult(reduce(loss_add, images) if images
+                     else zero_loss(part.meta.pre.merge(extension)))
 
 
 def _split(p: Program, q: Program) -> Tuple[Program, Program, Program]:

@@ -37,6 +37,21 @@ after each, gives the list that mapping once by the product gives, with
 ``INF`` too: a row of the product reaches an ``INF`` entry exactly when a
 path of positive weights through the run does.  The same holds for g
 composed into a run.  Only the LP queries change.
+
+History transformers.  A program without `[]` is a channel: wpl(P, E) is
+the Minkowski sum over its observation histories h of M_h * E, each M_h a
+nonnegative matrix (``history_transformers``).  The walk applies ``wpl``'s
+rules to the M_h, backwards from the identity: a run composes, a `print`
+or `if` puts each column's diagonal before each history its value leads
+to, a `while` sums its term lists until one is empty, and zero matrices
+are dropped.  Each rule of ``wpl`` sums linear maps of losses, f(A + B) and
+f(A) + f(B) have one closure, and a zero matrix, or a term holding 0, adds
+nothing to an upward closed sum (``INF * 0 = 0``); so by the argument
+above both routes give one list.  The walk gives up (None) on a `[]` (a
+meet, not a sum), on a loop whose term list is nonempty at the budget,
+and on a list longer than the working context's state count.  So each
+compiled loop's list empties within the budget, ``wpl``'s later terms are
+zero, and a compiled part never truncates.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from .losses import (
     loss_map, loss_min, zero_loss,
 )
 from .predicates import Predicate
-from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, Unvar, While
+from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, Unvar, While, walk
 
 counters = {"wpl_clauses": 0}
 
@@ -236,6 +251,58 @@ def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
     label = s.meta.label
     statuses[label] = status if label not in statuses else statuses[label].merge(status)
     return total
+
+
+def history_transformers(prog: Program, z: VarContext, budget: int) -> Optional[Tuple[Transformer, ...]]:
+    """The nonzero M_h of the program, or None (the module docstring's three
+    cases); kept on the program per extension and budget."""
+    def build():
+        if not any(isinstance(s, NonDet) for s in walk(prog)):
+            post = Transformer.identity(_working(prog.meta.post, z))
+            return _histories(_segments(prog, z), (post,), z, budget)
+
+    return prog.meta.derived(("histories", z, budget), build)
+
+
+def _then(f: Transformer, ms: Tuple[Transformer, ...]) -> Tuple[Transformer, ...]:
+    """f before each history, zero products dropped."""
+    return tuple(m for m in (f.compose(m) for m in ms) if any(m.nums))
+
+
+def _bounded(ms):
+    """``ms``, or None when it has more histories than its matrices have rows."""
+    return None if ms is None or (ms and len(ms) > ms[0].src.n_states) else ms
+
+
+def _histories(segments, ms, z, budget):
+    for s in reversed(segments):
+        if ms is not None:
+            ms = _bounded(_history_stmt(s, ms, z, budget))
+    return ms
+
+
+def _history_stmt(s: Union[_Run, Stmt], ms, z, budget):
+    """``_wpl_stmt``'s rules on the histories ``ms`` instead of on a loss."""
+    if isinstance(s, _Run):
+        return _then(s.tf, ms)
+    if isinstance(s, (Skip, Abort)):
+        return () if isinstance(s, Abort) else ms
+    if isinstance(s, Unvar):
+        return _then(_kernel_tf(s, z), ms)
+    if isinstance(s, (Print, If)):
+        columns = _columns(s, z)
+        branches = [ms] * len(columns) if isinstance(s, Print) else [
+            _histories(_segments(b, z), ms, z, budget) for b in (s.then, s.orelse)]
+        return None if None in branches else sum(
+            (_then(Transformer.diagonal(c), b) for c, b in zip(columns, branches)), ())
+    if isinstance(s, While):
+        term = total = _then(Transformer.diagonal(_columns(s, z)[1]), ms)
+        for _ in range(budget):
+            term = term and _histories(_loop_body(s, z), term, z, budget)
+            total = None if term is None else _bounded(total + term)
+            if total is None:
+                return None
+        return None if term else total
 
 
 def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transformer]:

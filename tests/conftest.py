@@ -225,33 +225,37 @@ def rng():
 def entry_decisions(p, q, family, extension=None, loop_budget=64):
     """``program_refines``' verdict and how it decided each entry it reached.
 
-    A decision is "heads" when ``wpl`` ran on both heads, "tail" when it ran
-    on the shared tail alone (the tail's pre-loss repeated), and "none" when
-    no ``wpl`` ran (an implied entry, or a repeat when the tail is empty).
-    Returns the verdict, the decisions, and the tail's ``wpl`` results.
+    Each part's pre-loss comes from ``refinement._preloss``, by ``wpl`` or
+    by the part's history transformers.  A decision is "heads" when both
+    heads were evaluated, "tail" when only the nonempty shared tail was
+    (the tail's pre-loss repeated), and "none" when no part was (an implied
+    entry, or a repeat when the tail is empty).  Returns the verdict, the
+    decisions, and the tail's results.
     """
     from preloss import refinement
     from preloss.contexts import EMPTY
     from preloss.families import resolve_family
-    from preloss.semantics import weakest_preloss
 
     extension = EMPTY if extension is None else extension
     fam = resolve_family(p.meta.post.merge(extension), family)
-    split = refinement._split
+    split, preloss = refinement._split, refinement._preloss
     parts, calls = [], []
 
     def recording_split(p, q):
         parts[:] = split(p, q)
         return tuple(parts)
 
-    def recording_wpl(prog, post, *args):
-        result = weakest_preloss(prog, post, *args)
-        calls.append(("tail" if prog is parts[2] else "head", post, result))
+    def recording_preloss(prog, post, *args):
+        result = preloss(prog, post, *args)
+        if prog is not parts[2]:
+            calls.append(("head", post, result))
+        elif prog.stmts:  # an empty tail is its post loss, evaluated by nothing
+            calls.append(("tail", post, result))
         return result
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(refinement, "_split", recording_split)
-        m.setattr(refinement, "weakest_preloss", recording_wpl)
+        m.setattr(refinement, "_preloss", recording_preloss)
         verdict = refinement.program_refines(p, q, fam, extension, loop_budget)
     tails = [result for role, _, result in calls if role == "tail"]
 

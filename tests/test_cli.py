@@ -219,52 +219,52 @@ PINNED_REPORTS = [
      "53f48d340da9c16aa749b15ab367921efeee18359670a1c5ebe4a3d59ad5d5be"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--rep", f"{CORPUS}/rep_coin.prog", "--family", "k=2,random=50,seed=7"], 0,
-     {"lp_solves": 19, "member_queries": 144, "wpl_clauses": 32},
-     "14d09a92d725887913d5cddd9175b58a7585f995592f44765cbdb0dd0546c6f7",
+     {"lp_solves": 19, "member_queries": 144, "wpl_clauses": 0},
+     "c0b166dec13249f40bcb359ef0fd762ac7e4c4e5fc0a21c44a57c00014738e92",
      "2be246d59d6cda4698a45dcf90dee8db044db60cad95a60b1ee5d4af7e8a3fef"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
-     {"lp_solves": 2, "member_queries": 251, "wpl_clauses": 812},
-     "7e827924ff1d663272ab10b5805b7d466b1bb3bc187352b39b5534d5b0b4e8cd",
+     {"lp_solves": 2, "member_queries": 147, "wpl_clauses": 396},
+     "7359e402c4e9387c21955975cf84ee729ffe813f19581a9aacdeddabc6be0985",
      "40b3ed1001175f10140803609c63fc981d33f484b0adc2d0425e1cb047bb3031"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=0"], 0,
-     {"lp_solves": 0, "member_queries": 32, "wpl_clauses": 391},
-     "a2b89555046929fb3ee54b99dfeaaf3668ac3924b19c94d56f1424ad35e202ec",
+     {"lp_solves": 0, "member_queries": 22, "wpl_clauses": 200},
+     "65021c644c4b9280142eb5c05384beb259f4eeffa41542c836b224fe203c6622",
      "378c97a183e65aef4c1d02723670769692e034eca3612e2eba0c0127e7fbf0d2"),
     # The default-family linear scan: its loop term sums have disjoint supports.
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx"], 0,
-     {"lp_solves": 131, "member_queries": 1700, "wpl_clauses": 2716},
-     "bd338bab26ba7c942d8bff01a7bfb3c16ad94138d557f955db87e6d5732c0e69",
+     {"lp_solves": 32, "member_queries": 761, "wpl_clauses": 1384},
+     "2adcc98aea20fc00751ec1964388b8c1dddf9702828e07837e171ab8e4cb06a9",
      "1b7fbd79f92c4916070ce025ecc5935e6f28a429bc4bcbef5e2b825e5c7ea48d"),
     # The probe-c linear scan fails only after hundreds of passing entries.
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_linear_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx"], 3,
-     {"lp_solves": 1, "member_queries": 829, "wpl_clauses": 2285},
-     "8baff68bd5fc9728990f0b192fee0fbced21d28fb89aae7aa2bbd2f4318fe798",
+     {"lp_solves": 1, "member_queries": 407, "wpl_clauses": 1260},
+     "87e350acdb5f29d63242f263a0c29de9edb6f4ce3d8ca18c21ca605b2bec96fd",
      "6a9212dd895bcbd669e311a422f5e40fcc0c0e399ff48b74969d1f71ea324587"),
     # Two offset scans whose loop terms overlap after `hidvar m`: each answers
     # once each kernel run is mapped by its product (`semantics._segments`).
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx"], 0,
-     {"lp_solves": 313, "member_queries": 2357, "wpl_clauses": 3033},
-     "181adf176ef9b88799fea9a8490214a664f9de530201803aa12ae69fbbbebb81",
+     {"lp_solves": 206, "member_queries": 1170, "wpl_clauses": 1384},
+     "e9416984ea29a3ee5e0e41c536cde37df29a3f92db1c943d1b52b688e70a4b1f",
      "a1665e8e52566712af4afaa5ba5c0c3b7bac6dd534593f21f0621470b05bed4f"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx", "--family", "k=2,random=0"], 0,
-     {"lp_solves": 10, "member_queries": 997, "wpl_clauses": 2653},
-     "0c85c3b3cadb9de49358c7837fd2f59bd681f254538dd0f89199bed129aa267b",
+     {"lp_solves": 10, "member_queries": 403, "wpl_clauses": 1304},
+     "d3407ed7c99fa23c55971a0415955fa13db985e33c51edc2efdb0817f99667c3",
      "f77de2ffd37354a1de5a5b4c31dfe4499461722449aa5520819d8101609796eb"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx", "--family", "k=1,random=20"], 0,
-     {"lp_solves": 308, "member_queries": 1409, "wpl_clauses": 801},
-     "d7b8c0faca7fdd5ec0c5f4631e02ca001a63d80741a9da0756f051afe6f78b0d",
+     {"lp_solves": 201, "member_queries": 806, "wpl_clauses": 280},
+     "e3ba0d5837feea1da342875eafec3abd4446e1628fc32dd3e57016d01e9ebc9f",
      "c6dca6862842b8e43ee0210428761cac27b68a6ad4fd7811d006a5ee4af1cdf7"),
     (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
       "--context", f"{CORPUS}/ctx_lookup_probe.ctx", "--family", "k=1,random=5,witnesses=off"], 3,
-     {"lp_solves": 12, "member_queries": 101, "wpl_clauses": 421},
-     "97eda8cc1919164e186679ee2b5703dbd2833f9d41a3c23905807969ebafdaa2",
+     {"lp_solves": 4, "member_queries": 61, "wpl_clauses": 200},
+     "38aa2892ae3dfd881a07fa5d893917e5a029ea4501abb32fe98fda65aaa2520e",
      "d8db34cd1af71521630f00e2e033690b770952943a42083cb422b75a7fc64f3b"),
     # The bench's corpus checks whose programs print.
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
@@ -274,46 +274,46 @@ PINNED_REPORTS = [
      "6925ef3036ee7a953e6d0725ea2544ec6d09b5e3af43eda51c21539a98ca0264"),
     (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--rep", f"{CORPUS}/rep_leak.prog", "--family", "k=2,random=20,seed=7"], 4,
-     {"lp_solves": 26, "member_queries": 346, "wpl_clauses": 124},
-     "5adaebb107d305130b7aecdb358e982b76a0bab4a00f1b52d0dac11e8fff0d64",
+     {"lp_solves": 23, "member_queries": 291, "wpl_clauses": 0},
+     "b3fae071a9eb987d9ee31afdbc7d07a218a452948f21bd5cfee623e74c741020",
      "b49ab5a4c09d23e4156d11e71368a3a46841f933128f2a42ef038daa812b5e4c"),
     (["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--context", f"{CORPUS}/ctx_flip_or_keep.ctx", "--family", "k=2,random=20,seed=7"], 3,
-     {"lp_solves": 4, "member_queries": 40, "wpl_clauses": 13},
-     "01866fead3d171bed9ab97e84e750c7daacdbb301b1adda2fcf0272b1613f354",
+     {"lp_solves": 4, "member_queries": 40, "wpl_clauses": 12},
+     "8771583c16c35532b40bcc5c6f0f29f7b6b8ea56c4e06c66d808ba55e4d655e8",
      "3c7bee7ef6cab419054b81c31534018d9d3fc8e3910e28e64633b483ba76397e"),
     (["datatype", f"{CORPUS}/refresh_after_read.dt", f"{CORPUS}/refresh_before_read.dt",
       "--context", f"{CORPUS}/ctx_print_then_xor.ctx", "--family", "k=2,random=20,seed=7"], 3,
-     {"lp_solves": 5, "member_queries": 48, "wpl_clauses": 198},
-     "c438d07de7992e15fbdba552d21be171f1ea05a5a3d786fd8afa39df6efc638c",
+     {"lp_solves": 5, "member_queries": 48, "wpl_clauses": 176},
+     "eba43dda966cd45f4e1166609e05c7f1ff401a8cb039066f8f388a5cdb82c08a",
      "d2613edee36c132062b97df10ef15424bc45ccb012c90f7990cfab314dede1de"),
     # A rep with a choice: the backward squares hold on the family, and the
     # choiceless gate makes the verdict inconclusive.
     (["simulate", "--backward", f"{CORPUS}/refresh_after_read.dt",
       f"{CORPUS}/refresh_before_read.dt", "--rep", f"{CORPUS}/rep_choice.prog"], 4,
-     {"lp_solves": 38, "member_queries": 573, "wpl_clauses": 672},
-     "3ea458b202aea319b35d1abe4ee4d9da711d9177e82071c64b4236f984856ad2",
+     {"lp_solves": 38, "member_queries": 599, "wpl_clauses": 648},
+     "8f4711fc52709514295e05111ba753cdff145084e1bb68330ad4bde965cc920b",
      "d6f91abded120fa83568b32d0e986f9423b3b8623590215e899a4b9e371bcb65"),
     # Program refinement both ways: the only report whose options carry ``ext``.
     (["refine", f"{CORPUS}/rep_choice.prog", f"{CORPUS}/rep_leak.prog"], 0,
-     {"lp_solves": 0, "member_queries": 50, "wpl_clauses": 96},
-     "4fef3cd7fedf7559749fe118e054720e08d32eb5f36bbf066bc0ecb3c54a4da3",
+     {"lp_solves": 0, "member_queries": 50, "wpl_clauses": 72},
+     "fecba2b58798b0fd7248b6d8e57491b261e26f06fe4187a4a67dc19be7b33ea0",
      "c829afca7d5f2faf3443dc475a0ffabfa2d0852dbceaecb6c71b5f413e6e1202"),
     (["refine", f"{CORPUS}/rep_leak.prog", f"{CORPUS}/rep_choice.prog"], 3,
-     {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 4},
-     "63d9348bf0e9d8b4caa1d8b923c0389aa2b685e7a5ef2e81bbf1dda68c584095",
+     {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 3},
+     "04e0e3a9cf5f137026c2ef53eaa348a45cb8ffddcbce14b98136c992d1fa44d4",
      "de155193f06f147214f3c19fd5754c6def832611a600c99d169e969d1ff8d47b"),
     # A truncated right-hand loop: the failure it shows is not certified,
     # so the verdict is inconclusive with loop_notes ["truncated"].
     (["refine", f"{CORPUS}/coin_stop.prog", f"{CORPUS}/geometric.prog"], 4,
-     {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 66},
-     "4df9cfaa8a5ffed7bb576c6e96a9eae077a4482aa3d9798719904d2a1b15c130",
+     {"lp_solves": 1, "member_queries": 27, "wpl_clauses": 65},
+     "695db45da89a42b01ed6b8a7352ff8dbf0567c6c2c299371e9ea96d5a54426f4",
      "68467cb461de3a376c29922ac6d9854d1300373a4a405a32263fc0f4f6af86c2"),
     # The other direction: the left-hand loop truncates, so the family verdict
     # is inconclusive.
     (["refine", f"{CORPUS}/geometric.prog", f"{CORPUS}/coin_stop.prog"], 4,
-     {"lp_solves": 0, "member_queries": 41, "wpl_clauses": 542},
-     "11a0434255def214bd1978bc6f2215cf336b145ac30d2838bbe912bfe1fc1ffb",
+     {"lp_solves": 0, "member_queries": 41, "wpl_clauses": 527},
+     "841d1dc7f5d560c6b4403fe1a700262bf44190aaf53adc0fb6e24c79fa3122ba",
      "5a23c38a54d3c9a293b32f0ee3aa1d292d5234698cd8b7daf4e9e7aef002326c"),
     # README examples with the default family and the README's prior.
     (["datatype", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
@@ -323,13 +323,13 @@ PINNED_REPORTS = [
      "cdde6f75eb4cc5b463571f46fa62dd7157354bc9b7647356a4a6e7ed89be312a"),
     (["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
       "--rep", f"{CORPUS}/rep_coin.prog"], 0,
-     {"lp_solves": 5, "member_queries": 72, "wpl_clauses": 32},
-     "ee751d75eb0b6b9fc64ef3392806a1fc2fa580ae420a22681a26b0bd3ae71cfd",
+     {"lp_solves": 5, "member_queries": 72, "wpl_clauses": 0},
+     "5d297750c3f96755951a4c2a9768d0a162e2cfd0aaf43249441babd39dd295d5",
      "248d70fc1caced290070f55aff1c0406fabd64357fe835ebbdaacb7f26ec9a04"),
     (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--rep", f"{CORPUS}/rep_leak.prog"], 4,
-     {"lp_solves": 22, "member_queries": 344, "wpl_clauses": 133},
-     "855d9287096a297199f1c3fcb7ecf30bcf7b7913c5ed124a6c97c55d1f2df73e",
+     {"lp_solves": 17, "member_queries": 287, "wpl_clauses": 0},
+     "e744f25546ccbaa9a4db6fefbccafebb589c4acbbd865f14f2eeb25cf3a5556c",
      "87a061367436769689f71b119c7020b6fdadd96f428967b647c803c769ad5e28"),
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
       "--prior", "(0)=1/8 (1)=3/8 (2)=3/8 (3)=1/8", "--exhaustive"], 0,
@@ -382,8 +382,8 @@ def test_large_choiceless_simulation_is_pinned(capsys):
     report = json.loads(out)
     assert report["result"]["kind"] == "fails"
     assert report["result"]["at"] == "op lookup"
-    assert report.pop("timings") == {"lp_solves": 8, "member_queries": 207,
-                                     "wpl_clauses": 708}
+    assert report.pop("timings") == {"lp_solves": 8, "member_queries": 193,
+                                     "wpl_clauses": 0}
     assert report_digest(report) == (
         "dfa719f45a9f4115b232cb97f4e11e48e0d2a492abccdd8fdac1b7d9342f1678")
 
@@ -440,7 +440,7 @@ def test_readme_examples_match_ci_and_their_pins():
     ci = _shell_commands(pathlib.Path(".github/workflows/tests.yml").read_text(), "check")
     pinned = {tuple(argv): exit_code for argv, exit_code, *_ in PINNED_REPORTS}
     pinned |= {tuple(GEOMETRIC_BUDGET_5): 0, tuple(ENCDB2_BACKWARD): 3}
-    assert len(readme) == 15
+    assert len(readme) == 16
     assert [argv for _, *argv in ci] == readme
     assert [int(code) for code, *_ in ci] == [pinned[tuple(argv)] for argv in readme]
 
@@ -698,7 +698,7 @@ def test_json_reports_with_inf_entries_are_pinned(capsys, tmp_path):
         "witness_loss": {"context": "b:{0,1}", "generators": ["(0)=1 (1)=inf", "(0)=inf (1)=1"]},
         "witness_prior": "(0)=1/2 (1)=1/2", "lhs": "inf", "rhs": "1",
         "certificate_checked": True}
-    assert report["timings"] == {"lp_solves": 0, "member_queries": 5, "wpl_clauses": 6}
+    assert report["timings"] == {"lp_solves": 0, "member_queries": 7, "wpl_clauses": 0}
 
 
 def test_oracle_on_long_print_runs(capsys, tmp_path):

@@ -5,7 +5,7 @@ unit entries imply: single-generator entries without ``INF``, and on a
 hidden pair every entry without ``INF``.  ``check_every_entry`` below is the
 loop that runs ``wpl`` on every entry; the two must give the same verdict
 on seeded context-preserving pairs, and only the implied entries may go
-without any ``wpl`` run.
+without any part evaluated (by ``wpl`` or by its history transformers).
 """
 
 import random

@@ -1,13 +1,14 @@
 """Family entries decided once per distinct pre-loss of the shared tail.
 
 ``program_refines`` splits p = A;S and q = B;S at their longest common
-tail S, runs ``wpl`` on S once per entry, and decides an entry whose tail
-pre-loss repeats an earlier, passing entry's without running A and B.
+tail S, evaluates S once per entry (by ``wpl`` or by its history
+transformers), and decides an entry whose tail pre-loss repeats an
+earlier, passing entry's without evaluating A and B.
 ``entry_by_entry`` below is the loop it replaces: ``wpl`` on both whole
 sides for every entry that no passed unit implies.  On seeded pairs whose
 tails hold choices, prints, conditionals and loops at small budgets, the
 two must give the same verdict in every field, and no entry the old loop
-ran may go without a ``wpl`` run.
+ran may go without a part evaluated.
 """
 
 import random
@@ -117,9 +118,9 @@ def test_shared_tail_repeats_keep_every_verdict():
         new, decisions, tails = entry_decisions(p, q, opts, extension, budget)
         assert outcome(new) == outcome(old), case
         tail_stmts |= {type(s) for s in walk(tail)}
-        # The new loop reached the same entries, and runs some wpl on every
-        # entry that no passed unit implied; with an empty tail, a repeat
-        # makes no run.
+        # The new loop reached the same entries, and evaluates some part on
+        # every entry that no passed unit implied; with an empty tail, a
+        # repeat evaluates none.
         assert len(decisions) == last + 1, case
         empty = not refinement._split(p, q)[2].stmts
         none = [i for i, d in enumerate(decisions) if d == "none"]
