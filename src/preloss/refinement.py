@@ -34,7 +34,7 @@ from .losses import (
 from .predicates import INF_NUM
 from .scalars import Scalar
 from .semantics import DEFAULT_LOOP_BUDGET, WplResult, history_transformers, weakest_preloss
-from .syntax import Datatype, Program, ProgramContext
+from .syntax import Datatype, Program, ProgramContext, Skip, Unvar
 from .typecheck import (
     TypecheckError, classify_choiceless, classify_hidden, copy_program, inline,
     typecheck_program, validate_datatype,
@@ -83,16 +83,16 @@ def program_refines(
     """Check p refined-by q on every family loss; Fails is definitive.
 
     p = A;S and q = B;S (``_split``).  Per entry E, ``_preloss`` maps E
-    through S, then A and B through S's pre-loss: an empty part is E, a
-    part with history transformers (built once per check) sums their
-    images of E, and any other part runs ``wpl``.  By the closure argument
-    in ``semantics``' docstring each is ``wpl``'s list, and so is
-    ``wpl(A, wpl(S, E))``; A;S truncates exactly when A or S does.  So an
-    entry whose tail pre-loss has the ``canonical`` flag and ``blocks`` of
-    an earlier, passing entry's passes too, without A and B; it still
-    counts in ``checked`` and as a passed unit.  No failing entry is such
-    a repeat, so ``checked``, the first failing entry, its witness and
-    both pre-losses are those of running each whole side.
+    through S, then A and B through S's pre-loss: an empty part is E, one
+    of only skips and discards extends E, one with history transformers
+    sums their images of E, and any other part runs ``wpl``.  By the
+    closure argument in ``semantics``' docstring each is ``wpl``'s list,
+    and so is ``wpl(A, wpl(S, E))``; A;S truncates exactly when A or S
+    does.  So an entry whose tail pre-loss has the ``canonical`` flag and
+    ``blocks`` of an earlier, passing entry's passes too, without A and B;
+    it still counts in ``checked`` and as a passed unit.  No failing entry
+    is such a repeat, so ``checked``, the first failing entry, its witness
+    and both pre-losses are those of running each whole side.
 
     When p and q are choiceless, each side maps a single finite generator g
     linearly, to {T g}, loops and their truncated sums included.  Once
@@ -153,6 +153,9 @@ def _preloss(part: Program, E: LossFunction, extension: VarContext, budget: int)
     """One part's ``weakest_preloss`` (``program_refines``)."""
     if not part.stmts:
         return WplResult(E)
+    if part.meta.derived("discards", lambda: all(isinstance(s, (Skip, Unvar)) for s in part.stmts)):
+        # What ``wpl`` does: extension keeps a canonical loss canonical.
+        return WplResult(loss_canonicalize(E).extend_to(part.meta.pre.merge(extension)))
     histories = history_transformers(part, extension, budget)
     if histories is None:
         return weakest_preloss(part, E, extension, budget)

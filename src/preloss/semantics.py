@@ -1,31 +1,29 @@
 """The weakest pre-loss evaluator.
 
-Structural recursion over typechecked programs: each construct maps a loss
-function over its post context (extended by a correlated context Z) to one
-over its pre context (extended likewise).  A statement of
-``syntax.KERNEL_STMTS`` (assignment, declaration, discard, assertion) maps
-each generator through one transformer: the dual of the statement's kernel,
-tensored with the identity on Z (``_kernel_tf``).  ``wpl`` maps each
-maximal run of them once, by the product of its statements' transformers
-(``linear_transformer``); each program keeps its statements split into
-runs and other statements, per extension (``_segments``).  A run of
-discards alone is not composed: ``LossFunction.extend_to`` extends each
-generator to the dropped variables, which keeps a canonical loss canonical
-with no LP query.  A `print`, `if` or `while` shows a value through its
-kernel's columns, and one rule (``_observe``) sums, over the columns, the
-column times the loss its value leads to; ``loss_add`` keeps such a sum as
-blocks, and every later map acts on it block by block.
-Loops are evaluated by the term recurrence
+One backward walk over typechecked programs applies one rule per
+construct to what its ``_Carrier`` holds: for ``weakest_preloss`` a loss
+over the post context, extended by a correlated context Z (``_LOSSES``),
+and for ``history_transformers`` a tuple of matrices (``_HISTORIES``).  A
+statement of ``syntax.KERNEL_STMTS`` (assignment, declaration, discard,
+assertion) acts by the dual of its kernel, tensored with the identity on
+Z (``_kernel_tf``), and each maximal run of them by one product
+(``linear_transformer``), kept split per program and extension
+(``_segments``).  A run of discards alone is not composed:
+``LossFunction.extend_to`` extends each generator to the dropped
+variables, which keeps a canonical loss canonical with no LP query.  A
+`print`, `if` or `while` shows a value through its kernel's columns, and
+one rule sums, over the columns, the column times what the value leads
+to; ``loss_add`` keeps such a sum of losses as blocks.  A loop sums the
+terms of
 
-    term_0    = !g * E
-    term_n+1  = g * wpl(body, term_n)
+    term_0    = !g * V
+    term_n+1  = g * body(term_n)
 
-summing the terms until one is exactly the zero loss (then all later terms
-vanish by homogeneity at zero and the sum is the least fixed point) or a
-budget is hit; truncation is always surfaced as an under-approximation.
-The factor g is the diagonal transformer of the guard's column, composed
-into the body's first run (``_loop_body``), so a term whose body begins
-with a run costs one map.
+until one is empty (then all later terms vanish by homogeneity at zero
+and the sum is the least fixed point) or the budget is hit, which the
+loop's ``LoopStatus`` reports as truncation, an under-approximation.  The
+guard's diagonal g is composed into the body's first run (``_loop_body``),
+so a term whose body begins with a run costs one map.
 
 Composing changes no pre-loss.  A canonical loss lists the irredundant
 generators of its upward convex closure, which the closure determines, in
@@ -38,27 +36,26 @@ after each, gives the list that mapping once by the product gives, with
 path of positive weights through the run does.  The same holds for g
 composed into a run.  Only the LP queries change.
 
-History transformers.  A program without `[]` is a channel: wpl(P, E) is
-the Minkowski sum over its observation histories h of M_h * E, each M_h a
-nonnegative matrix (``history_transformers``).  The walk applies ``wpl``'s
-rules to the M_h, backwards from the identity: a run composes, a `print`
-or `if` puts each column's diagonal before each history its value leads
-to, a `while` sums its term lists until one is empty, and zero matrices
-are dropped.  Each rule of ``wpl`` sums linear maps of losses, f(A + B) and
-f(A) + f(B) have one closure, and a zero matrix, or a term holding 0, adds
-nothing to an upward closed sum (``INF * 0 = 0``); so by the argument
-above both routes give one list.  The walk gives up (None) on a `[]` (a
-meet, not a sum), on a loop whose term list is nonempty at the budget,
-and on a list longer than the working context's state count.  So each
-compiled loop's list empties within the budget, ``wpl``'s later terms are
-zero, and a compiled part never truncates.
+A program without `[]` is a channel: wpl(P, E) is the Minkowski sum over
+its observation histories h of M_h * E, each M_h a nonnegative matrix.
+Walked from the identity, ``_HISTORIES`` puts each map, diagonal or
+discard before every history, drops zero products and joins lists to add:
+``wpl``'s rules applied to the M_h instead of to E.  Each rule sums linear
+maps of losses, f(A + B) and f(A) + f(B) have one closure, and a zero
+matrix, or a term holding 0, adds nothing to an upward closed sum; so by
+the argument above both carriers give one list.  ``history_transformers``
+gives up (None) on a `[]` (a meet, not a sum), on a truncated loop, and on
+a sum of more histories than its context has states.  So each compiled
+loop's list empties within the budget, ``wpl``'s later terms are zero, and
+a compiled part never truncates.  Only the loss walk counts ``wpl_clauses``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import groupby, repeat
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .contexts import EMPTY, VarContext
 from .kernels import Transformer
@@ -67,7 +64,8 @@ from .losses import (
     loss_map, loss_min, zero_loss,
 )
 from .predicates import Predicate
-from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, Unvar, While, walk
+from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, Unvar, While
+from .typecheck import classify_choiceless
 
 counters = {"wpl_clauses": 0}
 
@@ -110,12 +108,11 @@ def weakest_preloss(
         raise ValueError("loop budget must be positive")
     expected = program.meta.post.merge(extension)
     if post.ctx != expected:
-        raise ValueError(
-            f"post loss context [{post.ctx.pretty()}] does not match "
-            f"program post context [{expected.pretty()}]"
-        )
+        raise ValueError(f"post loss context [{post.ctx.pretty()}] does not match "
+                         f"program post context [{expected.pretty()}]")
     statuses: Dict[str, LoopStatus] = {}
-    pre = _wpl_program(program, loss_canonicalize(post), extension, loop_budget, statuses)
+    pre = _walk(_segments(program, extension), loss_canonicalize(post), _LOSSES,
+                extension, loop_budget, statuses)
     return WplResult(pre, statuses)
 
 
@@ -147,42 +144,6 @@ def _segments(prog: Program, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
     return prog.meta.derived(("segments", z), build)
 
 
-def _wpl_program(prog: Program, E: LossFunction, z, budget, statuses) -> LossFunction:
-    return _wpl_segments(_segments(prog, z), E, z, budget, statuses)
-
-
-def _wpl_segments(segments, E: LossFunction, z, budget, statuses) -> LossFunction:
-    for s in reversed(segments):
-        E = _wpl_stmt(s, E, z, budget, statuses)
-    return E
-
-
-def _wpl_stmt(s: Union[_Run, Stmt], E: LossFunction, z, budget, statuses) -> LossFunction:
-    if isinstance(s, _Run):
-        counters["wpl_clauses"] += s.length  # source statements, not maps
-        return loss_map(s.tf, E)
-    counters["wpl_clauses"] += 1
-    if isinstance(s, Skip):
-        return E
-    if isinstance(s, Abort):
-        return zero_loss(_working(s.meta.pre, z))
-    if isinstance(s, Unvar):
-        return E.extend_to(_working(s.meta.pre, z))
-    if isinstance(s, If):
-        return _observe(s, (_wpl_program(b, E, z, budget, statuses)
-                            for b in (s.then, s.orelse)), z)
-    if isinstance(s, NonDet):
-        return loss_min(
-            _wpl_program(s.left, E, z, budget, statuses),
-            _wpl_program(s.right, E, z, budget, statuses),
-        )
-    if isinstance(s, Print):
-        return _observe(s, repeat(E), z)
-    if isinstance(s, While):
-        return _wpl_while(s, E, z, budget, statuses)
-    raise ValueError(f"cannot evaluate statement {s!r}")
-
-
 def _kernel_tf(s: Stmt, z: VarContext) -> Transformer:
     """The dual of the statement's kernel, tensored with the identity on ``z``.
 
@@ -205,19 +166,6 @@ def _columns(s: Stmt, z: VarContext) -> Tuple[Predicate, ...]:
     return s.meta.derived(("columns", z), build)
 
 
-def _observe(s: Stmt, branch_losses: Iterable[LossFunction], z) -> LossFunction:
-    """Sum over the shown values of (the value's column) * (the loss it leads to).
-
-    ``branch_losses`` yields one loss per column, read as the sum reaches it:
-    E for every value of a `print`, and the pre-loss of each branch of an `if`.
-    """
-    total: Optional[LossFunction] = None
-    for column, loss in zip(_columns(s, z), branch_losses):
-        term = loss_conj(column, loss)
-        total = term if total is None else loss_add(total, term)
-    return total
-
-
 def _loop_body(s: While, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
     """The segments of g * body: the body's, with the diagonal transformer
     of the guard's column g composed into its first run, or put before the
@@ -233,18 +181,104 @@ def _loop_body(s: While, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
     return s.meta.derived(("body", z), build)
 
 
-def _wpl_while(s: While, E: LossFunction, z, budget, statuses) -> LossFunction:
-    """Sum the loop's terms term_0 = !g * E, term_n+1 = g * wpl(body, term_n),
-    with ``budget`` for the body's loops."""
+class _Carrier(NamedTuple):
+    """What the walk carries, and the rules' operations on it."""
+
+    counted: bool  # whether the walk counts ``wpl_clauses``
+    map: Callable  # (transformer of a run, value)
+    conj: Callable  # (column, value)
+    add: Callable
+    meet: Callable
+    is_empty: Callable
+    zero: Callable  # (working context)
+    discard: Callable  # (`unvar` statement, value, z)
+
+
+# One loss.  Each operation reads the module's bindings when called.
+_LOSSES = _Carrier(
+    counted=True,
+    map=lambda tf, E: loss_map(tf, E),
+    conj=lambda column, E: loss_conj(column, E),
+    add=lambda E1, E2: loss_add(E1, E2),
+    meet=lambda E1, E2: loss_min(E1, E2),
+    is_empty=lambda E: is_zero_loss(E),
+    zero=lambda ctx: zero_loss(ctx),
+    discard=lambda s, E, z: E.extend_to(_working(s.meta.pre, z)),
+)
+
+
+class _GiveUp(Exception):
+    """A meet, or more histories than states: ``history_transformers`` gives up."""
+
+
+def _give_up(*_):
+    raise _GiveUp
+
+
+def _then(f: Transformer, ms: Tuple[Transformer, ...]) -> Tuple[Transformer, ...]:
+    """f before each history, zero products dropped."""
+    return tuple(m for m in (f.compose(m) for m in ms) if any(m.nums))
+
+
+def _join(ms1, ms2):
+    ms = ms1 + ms2
+    return _give_up() if ms and len(ms) > ms[0].src.n_states else ms
+
+
+# A tuple of nonzero history transformers M_h.
+_HISTORIES = _Carrier(
+    counted=False,
+    map=_then,
+    conj=lambda column, ms: _then(Transformer.diagonal(column), ms),
+    add=_join,
+    meet=_give_up,
+    is_empty=lambda ms: not ms,
+    zero=lambda ctx: (),
+    discard=lambda s, ms, z: _then(_kernel_tf(s, z), ms),
+)
+
+
+def _walk(segments, x, c: _Carrier, z, budget, statuses):
+    """The segments' rules, last to first, on ``x`` with carrier ``c``."""
+    for s in reversed(segments):
+        x = _stmt(s, x, c, z, budget, statuses)
+    return x
+
+
+def _stmt(s: Union[_Run, Stmt], x, c: _Carrier, z, budget, statuses):
+    if isinstance(s, _Run):
+        counters["wpl_clauses"] += c.counted * s.length  # source statements, not maps
+        return c.map(s.tf, x)
+    counters["wpl_clauses"] += c.counted
+    if isinstance(s, Skip):
+        return x
+    if isinstance(s, Abort):
+        return c.zero(_working(s.meta.pre, z))
+    if isinstance(s, Unvar):
+        return c.discard(s, x, z)
+    if isinstance(s, NonDet):
+        return c.meet(_walk(_segments(s.left, z), x, c, z, budget, statuses),
+                      _walk(_segments(s.right, z), x, c, z, budget, statuses))
+    if isinstance(s, (Print, If)):
+        branches = repeat(x) if isinstance(s, Print) else (
+            _walk(_segments(b, z), x, c, z, budget, statuses) for b in (s.then, s.orelse))
+        return reduce(c.add, map(c.conj, _columns(s, z), branches))
+    if isinstance(s, While):
+        return _while(s, x, c, z, budget, statuses)
+    raise ValueError(f"cannot evaluate statement {s!r}")
+
+
+def _while(s: While, x, c: _Carrier, z, budget, statuses):
+    """The loop's term sum (module docstring), ``budget`` terms at most."""
     body = _loop_body(s, z)
-    term = total = loss_conj(_columns(s, z)[1], E)
+    term = total = c.conj(_columns(s, z)[1], x)
     n = 0
-    while not is_zero_loss(term):
+    while not c.is_empty(term):
         if n >= budget:
             status = LoopStatus("truncated", budget)
             break
-        term = _wpl_segments(body, term, z, budget, statuses)
-        total = loss_add(total, term)
+        term = _walk(body, term, c, z, budget, statuses)
+        total = c.add(total, term)
         n += 1
     else:
         status = LoopStatus("converged", n)
@@ -257,52 +291,17 @@ def history_transformers(prog: Program, z: VarContext, budget: int) -> Optional[
     """The nonzero M_h of the program, or None (the module docstring's three
     cases); kept on the program per extension and budget."""
     def build():
-        if not any(isinstance(s, NonDet) for s in walk(prog)):
-            post = Transformer.identity(_working(prog.meta.post, z))
-            return _histories(_segments(prog, z), (post,), z, budget)
+        if not classify_choiceless(prog):
+            return None
+        statuses: Dict[str, LoopStatus] = {}
+        identity = Transformer.identity(_working(prog.meta.post, z))
+        try:
+            ms = _walk(_segments(prog, z), (identity,), _HISTORIES, z, budget, statuses)
+        except _GiveUp:
+            return None
+        return ms if all(s.kind == "converged" for s in statuses.values()) else None
 
     return prog.meta.derived(("histories", z, budget), build)
-
-
-def _then(f: Transformer, ms: Tuple[Transformer, ...]) -> Tuple[Transformer, ...]:
-    """f before each history, zero products dropped."""
-    return tuple(m for m in (f.compose(m) for m in ms) if any(m.nums))
-
-
-def _bounded(ms):
-    """``ms``, or None when it has more histories than its matrices have rows."""
-    return None if ms is None or (ms and len(ms) > ms[0].src.n_states) else ms
-
-
-def _histories(segments, ms, z, budget):
-    for s in reversed(segments):
-        if ms is not None:
-            ms = _bounded(_history_stmt(s, ms, z, budget))
-    return ms
-
-
-def _history_stmt(s: Union[_Run, Stmt], ms, z, budget):
-    """``_wpl_stmt``'s rules on the histories ``ms`` instead of on a loss."""
-    if isinstance(s, _Run):
-        return _then(s.tf, ms)
-    if isinstance(s, (Skip, Abort)):
-        return () if isinstance(s, Abort) else ms
-    if isinstance(s, Unvar):
-        return _then(_kernel_tf(s, z), ms)
-    if isinstance(s, (Print, If)):
-        columns = _columns(s, z)
-        branches = [ms] * len(columns) if isinstance(s, Print) else [
-            _histories(_segments(b, z), ms, z, budget) for b in (s.then, s.orelse)]
-        return None if None in branches else sum(
-            (_then(Transformer.diagonal(c), b) for c, b in zip(columns, branches)), ())
-    if isinstance(s, While):
-        term = total = _then(Transformer.diagonal(_columns(s, z)[1]), ms)
-        for _ in range(budget):
-            term = term and _histories(_loop_body(s, z), term, z, budget)
-            total = None if term is None else _bounded(total + term)
-            if total is None:
-                return None
-        return None if term else total
 
 
 def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transformer]:
@@ -320,7 +319,4 @@ def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transfo
             return None
         t = _kernel_tf(s, z)
         acc = t if acc is None else acc.compose(t)
-    if acc is None:
-        ctx = _working(prog.meta.pre, z)
-        return Transformer.identity(ctx)
-    return acc
+    return Transformer.identity(_working(prog.meta.pre, z)) if acc is None else acc

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from preloss.cli import main
 
 CORPUS = "corpus"
@@ -291,8 +293,8 @@ PINNED_REPORTS = [
     # choiceless gate makes the verdict inconclusive.
     (["simulate", "--backward", f"{CORPUS}/refresh_after_read.dt",
       f"{CORPUS}/refresh_before_read.dt", "--rep", f"{CORPUS}/rep_choice.prog"], 4,
-     {"lp_solves": 38, "member_queries": 599, "wpl_clauses": 648},
-     "8f4711fc52709514295e05111ba753cdff145084e1bb68330ad4bde965cc920b",
+     {"lp_solves": 38, "member_queries": 573, "wpl_clauses": 648},
+     "1a3e2792017349e71bca7ee42856e4b2ea6c580a2254cb8e05f91c07a3db7fce",
      "d6f91abded120fa83568b32d0e986f9423b3b8623590215e899a4b9e371bcb65"),
     # Program refinement both ways: the only report whose options carry ``ext``.
     (["refine", f"{CORPUS}/rep_choice.prog", f"{CORPUS}/rep_leak.prog"], 0,
@@ -440,7 +442,7 @@ def test_readme_examples_match_ci_and_their_pins():
     ci = _shell_commands(pathlib.Path(".github/workflows/tests.yml").read_text(), "check")
     pinned = {tuple(argv): exit_code for argv, exit_code, *_ in PINNED_REPORTS}
     pinned |= {tuple(GEOMETRIC_BUDGET_5): 0, tuple(ENCDB2_BACKWARD): 3}
-    assert len(readme) == 16
+    assert len(readme) == 17
     assert [argv for _, *argv in ci] == readme
     assert [int(code) for code, *_ in ci] == [pinned[tuple(argv)] for argv in readme]
 
@@ -488,6 +490,19 @@ def test_env_var_loop_budget_not_an_integer(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: PRELOSS_LOOP_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_oracle_reads_no_loop_budget(capsys, monkeypatch):
+    """The oracle takes no ``--loop-budget``, and ignores the variable."""
+    monkeypatch.setenv("PRELOSS_LOOP_BUDGET", "abc")
+    code, out, _ = run(capsys, "oracle", f"{CORPUS}/parity_reveal.prog",
+                       "--post", f"{CORPUS}/parity_post.loss")
+    assert code == 0
+    assert out.startswith("optimal adversary risk: 1/2")
+    with pytest.raises(SystemExit) as exc:  # argparse: an unknown option
+        run(capsys, "oracle", f"{CORPUS}/parity_reveal.prog",
+            "--post", f"{CORPUS}/parity_post.loss", "--loop-budget", "3")
+    assert exc.value.code == 2
 
 
 def test_bad_family_values_exit_2_naming_the_option(capsys, tmp_path):
@@ -698,7 +713,7 @@ def test_json_reports_with_inf_entries_are_pinned(capsys, tmp_path):
         "witness_loss": {"context": "b:{0,1}", "generators": ["(0)=1 (1)=inf", "(0)=inf (1)=1"]},
         "witness_prior": "(0)=1/2 (1)=1/2", "lhs": "inf", "rhs": "1",
         "certificate_checked": True}
-    assert report["timings"] == {"lp_solves": 0, "member_queries": 7, "wpl_clauses": 0}
+    assert report["timings"] == {"lp_solves": 0, "member_queries": 5, "wpl_clauses": 0}
 
 
 def test_oracle_on_long_print_runs(capsys, tmp_path):

@@ -9,6 +9,7 @@ On seeded programs with prints, conditionals and loops at small budgets,
 the sum must be ``weakest_preloss``'s generator list, with no truncation.
 """
 
+import operator
 import random
 
 import pytest
@@ -17,13 +18,12 @@ from conftest import ProgramShape, gen_context, gen_loss, gen_program
 from preloss import semantics
 from preloss.contexts import EMPTY, VarContext
 from preloss.exprs import Bin, Lit, Name
-from preloss.kernels import Transformer
 from preloss.losses import one_loss
 from preloss.parsing import parse_program_text
 from preloss.refinement import _preloss
 from preloss.semantics import history_transformers, weakest_preloss
 from preloss.syntax import Abort, If, NonDet, Print, Program, Skip, While, walk
-from preloss.typecheck import typecheck_program
+from preloss.typecheck import copy_program, typecheck_program
 
 Z = VarContext.of(("z", (0, 1)))
 
@@ -48,7 +48,7 @@ def program(rng, case):
 
 def unbounded(monkeypatch):
     """Lift the state-count bound, so only a choice or the budget stops the walk."""
-    monkeypatch.setattr(semantics, "_bounded", lambda ms: ms)
+    monkeypatch.setattr(semantics, "_HISTORIES", semantics._HISTORIES._replace(add=operator.add))
 
 
 def test_history_sums_match_wpl(monkeypatch):
@@ -68,13 +68,13 @@ def test_history_sums_match_wpl(monkeypatch):
             elif weakest_preloss(prog, one_loss(post), extension, budget).truncated:
                 seen["budget"] += 1
             else:
-                # Only the bound stopped the walk: without it, it compiles.
+                # Only the bound stopped the walk: without it, a fresh copy compiles.
                 seen["states"] += 1
+                fresh = copy_program(prog)
+                typecheck_program(fresh, prog.meta.pre)
                 with monkeypatch.context() as m:
                     unbounded(m)
-                    assert semantics._histories(
-                        semantics._segments(prog, extension),
-                        (Transformer.identity(post),), extension, budget) is not None, case
+                    assert history_transformers(fresh, extension, budget) is not None, case
             continue
         seen["compiled"] += 1
         seen["zero"] += not histories
@@ -110,3 +110,19 @@ def test_a_loop_compiles_only_within_its_budget(budget, compiles):
     assert weakest_preloss(prog, one_loss(ctx), EMPTY, budget).truncated != compiles
     if compiles:
         assert len(histories) == 3  # one per iteration count
+
+
+@pytest.mark.parametrize("prints, compiles", [(1, True), (2, False)])
+def test_the_history_count_is_bounded_by_the_state_count(prints, compiles):
+    """Over b : {0,1}, one coin print has two histories, two of them four:
+    more than the two states, so that part gives up and runs ``wpl``."""
+    ctx = VarContext.of(("b", (0, 1)))
+    prog = parse_program_text("; ".join(["print 0 @ 1/2 | 1"] * prints))
+    typecheck_program(prog, ctx)
+    histories = history_transformers(prog, EMPTY, 4)
+    assert (len(histories) == 2) if compiles else histories is None
+    E = gen_loss(random.Random(prints), ctx, max_gens=3, inf_prob=0.15)
+    clauses = semantics.counters["wpl_clauses"]
+    got = _preloss(prog, E, EMPTY, 4)
+    assert semantics.counters["wpl_clauses"] - clauses == (0 if compiles else prints)
+    assert got.pre.gens == weakest_preloss(prog, E, EMPTY, 4).pre.gens
