@@ -13,9 +13,10 @@ mode re-derives the same value by enumerating whole strategy maps, as an
 audit of that decomposition.
 
 The walk runs on integers: a sub-distribution is a list of numerators over
-one denominator.  A statement of ``syntax.KERNEL_STMTS`` (assignment,
-declaration, discard, assertion) pushes it through its kernel
-(``Kernel.nums``, from the pre to the post context).  A print or conditional
+one denominator.  A statement of ``syntax.KERNEL_STMTS`` (every statement
+but a choice, `print`, `if` and `while`) pushes it through its kernel
+(``Kernel.nums``, from the pre to the post context): `skip`'s is the
+identity and `abort`'s is zero.  A print or conditional
 splits it by the columns of its kernel (``Kernel.columns``), one channel
 from the pre context to the values shown: a conditional's columns are its
 guard and the complement.  ``Fraction``s are built only at the edges: a
@@ -35,7 +36,7 @@ from .contexts import VarContext
 from .losses import LossFunction
 from .predicates import INF_NUM
 from .scalars import INF, ZERO, Scalar
-from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, While, walk
+from .syntax import KERNEL_STMTS, If, NonDet, Print, Program, Stmt, While, walk
 
 
 class StrategyError(ValueError):
@@ -82,9 +83,7 @@ def _reduce(nums: List[int], den: int) -> Tuple[List[int], int]:
 
 
 def _push(s: Stmt, nums: List[int], den: int) -> Tuple[List[int], int]:
-    """Forward image of a sub-distribution under a non-splitting statement."""
-    if type(s) is Skip:
-        return nums, den
+    """Forward image of a sub-distribution under a kernel statement."""
     k = s.meta.kernel
     out = [0] * k.dst.n_states
     for w, row in zip(nums, k.nums):
@@ -101,8 +100,6 @@ Leaf = Callable[[tuple, List[int], int], Scalar]
 # A `[]` site's value, from its (history, site) key and thunks walking each side.
 Choose = Callable[[Key, Callable[[], Scalar], Callable[[], Scalar]], Scalar]
 
-_PUSHED = (Skip, *KERNEL_STMTS)
-
 
 def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
           leaf: Leaf, choose: Choose) -> Scalar:
@@ -111,8 +108,8 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
     Kernels push the sub-distribution forward; prints and conditionals split
     it by their kernel's columns, a conditional going on into the branch of
     each column.  Each split is recorded in the history and its parts are
-    added.  Zero-mass branches and ``abort`` are
-    worth ZERO.  Kernel statements, and splits that leave mass on one part
+    added.  A branch whose mass is zero, as ``abort``'s zero kernel leaves
+    it, is worth ZERO.  Kernel statements, and splits that leave mass on one part
     only, continue in the loop, so only splits into two or more parts and
     choices recurse.
     """
@@ -122,7 +119,7 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
             return leaf(history, nums, den)
         s = cont[i]
         i += 1
-        if isinstance(s, _PUSHED):
+        if isinstance(s, KERNEL_STMTS):
             nums, den = _push(s, nums, den)
         elif isinstance(s, (If, Print)):
             # An `if` goes on into `then` on column 0 (its guard) and into
@@ -147,8 +144,6 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
             history += (step,)
             if branch:
                 cont, i = branch + cont[i:], 0
-        elif isinstance(s, Abort):
-            return ZERO
         elif isinstance(s, NonDet):
             rest = cont[i:]
             return choose((history, s.meta.label),

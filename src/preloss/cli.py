@@ -6,8 +6,8 @@ simulate (forward/backward simulation with healthiness gates) and oracle
 (forward-semantics Bayes risk).  ``--json`` switches to a machine-readable
 report that is byte-identical for identical inputs and seed; the timings
 field holds deterministic operation counters (``wpl_clauses``: statements
-``wpl`` evaluated, none for a part mapped by its history transformers or
-of only `skip` and `unvar`), wall-clock is shown only in the human output.
+``wpl`` evaluated, none for a part mapped by its history transformers),
+wall-clock is shown only in the human output.
 
 One runner, ``_run_report``, makes the report of every subcommand but
 check and is the request boundary: it takes the start time and the counter

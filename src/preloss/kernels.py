@@ -8,9 +8,8 @@ at most 1.  So it is also a sub-stochastic matrix src -> dst, and read as a
 transformer (``apply``) it is that kernel's dual, its expectation
 transformer; ``dual`` gives the same matrix as a plain ``Transformer``.  The
 discard functional (``Transformer.ones``) is a transformer.  Every statement
-but a choice, `skip` or `abort` elaborates to a kernel.  A `print`, `if` or
-`while` is a channel from states to the values it shows, read by its dense
-``columns``.
+but a choice elaborates to a kernel.  A `print`, `if` or `while` is a
+channel from states to the values it shows, read by its dense ``columns``.
 
 Integer form.  One form, as ``Predicate`` keeps: per row, its (column,
 weight) pairs with integer weights ``nums`` over one positive denominator
@@ -36,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, itemgetter, mul
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .contexts import EMPTY, ContextError, VarContext
 from .predicates import INF_NUM, Predicate
@@ -92,6 +91,15 @@ class Transformer:
                     else itemgetter(slice(columns[0], columns[0] + 1)))
             slots.append((read, first if weights.count(first) == len(weights) else weights))
         return tuple(slots)
+
+    @cached_property
+    def copies(self) -> Optional[Tuple[int, ...]]:
+        """phi, the column of each row, if every row holds one weight of 1 over
+        the denominator 1 and phi is onto ``dst``: (f g)(x) = g(phi(x))."""
+        if self.den != 1 or any(len(row) != 1 or row[0][1] != 1 for row in self.nums):
+            return None
+        phi = tuple(row[0][0] for row in self.nums)
+        return phi if len(set(phi)) == self.dst.n_states else None
 
     @classmethod
     def from_ints(cls, src: VarContext, dst: VarContext, den: int,

@@ -71,17 +71,6 @@ class LossFunction:
         disjoint iff their ``&`` is 0."""
         return tuple(map(_support, self.blocks))
 
-    def extend_to(self, target: VarContext) -> "LossFunction":
-        """Cylinder extension of every generator onto a larger context.
-
-        It keeps distinct generators distinct, irredundant ones irredundant
-        and disjoint supports disjoint, so every block stays one; and
-        (a + b) o pi = a o pi + b o pi, so the blocks still sum to the
-        extension of the sum.
-        """
-        blocks = tuple(tuple(g.extend_to(target) for g in b) for b in self.blocks)
-        return _sum(target, blocks) if self.canonical else LossFunction(target, blocks[0])
-
     def __repr__(self) -> str:
         sizes = " x ".join(str(len(b)) for b in self.blocks)
         return f"LossFunction({sizes} gens over {self.ctx.pretty() or 'empty'})"
@@ -340,10 +329,30 @@ def loss_map(f: Transformer, E: LossFunction) -> LossFunction:
     It acts block by block: f (a + b) = f a + f b, since each entry of
     f g is a sum of nonnegative weights times entries of g, with
     ``INF * 0 = 0``.
+
+    When f only copies entries (``Transformer.copies``: f g = g o phi,
+    phi onto), a canonical loss maps to a canonical one with no LP query.
+    If g0 o phi lay above a convex combination of the other g o phi, then
+    at each state y, read at an x with phi(x) = y, g0 would lie above that
+    combination of the other g, ``INF`` entries copied as they are; so
+    irredundant blocks stay irredundant.  g o phi determines g, so
+    distinct generators stay distinct and no block becomes {0}; and the
+    support of g o phi is the preimage of g's, so disjoint supports stay
+    disjoint.  A permutation reorders the ``_by_key`` order, so a block of
+    several generators is sorted again.  Each block is then the list
+    ``loss_canonicalize`` gives its image, and the blocks are those
+    ``loss_add`` keeps for the images' sum.
     """
     if f.dst != E.ctx:
         raise ContextError("transformer/loss context mismatch")
-    return _blockwise(f.src, E, f.apply)
+    phi = f.copies
+    if phi is None or not E.canonical:
+        return _blockwise(f.src, E, f.apply)
+    blocks = []
+    for block in E.blocks:
+        block = tuple(g.copied(f.src, phi) for g in block)
+        blocks.append(block if len(block) == 1 else tuple(g for _, g in _by_key(block)))
+    return _sum(f.src, tuple(blocks))
 
 
 def eval_loss(E: LossFunction, dist: Sequence[Fraction]) -> Scalar:

@@ -7,7 +7,7 @@ sentinel numerator ``INF_NUM`` (-1); scalars are nonnegative, so no finite
 value uses it.  Equal predicates over one context have the same form, so
 the dataclass equality and hash are the value's.  The loss algebra runs on
 it with Python ints: ``+``, ``conj``, ``scale``, ``complement``,
-``extend_to``, ``le``, ``is_zero`` and ``Transformer.apply``
+``extend_to``, ``copied``, ``le``, ``is_zero`` and ``Transformer.apply``
 (``kernels.py``), and in ``losses.py`` the dedupe, order and dominance of
 ``_prune``, the state classes and every LP membership query.  ``INF``
 stays inside the form: it absorbs in sums, ``INF * 0 = 0`` and
@@ -177,16 +177,14 @@ class Predicate:
         return _make(self.ctx, den, tuple(den - n for n in nums))
 
     def extend_to(self, target: VarContext) -> "Predicate":
-        """Reindex onto a larger context containing this one's variables.
+        """Reindex onto a larger context containing this one's variables, by
+        the projection onto them (matched by name), which is onto."""
+        return self if target == self.ctx else self.copied(target, self.ctx.projection(target))
 
-        The value at a target state is the value at its projection onto
-        this predicate's variables (matched by name).  Every state is some
-        target state's projection, so the form stays in lowest terms.
-        """
-        if target == self.ctx:
-            return self
-        nums = self.nums
-        return _make(target, self.den, tuple(map(nums.__getitem__, self.ctx.projection(target))))
+    def copied(self, ctx: VarContext, phi: Sequence[int]) -> "Predicate":
+        """The predicate over ``ctx`` whose value at state x is this one's at
+        phi[x]; with phi onto every value is kept, so it stays in lowest terms."""
+        return _make(ctx, self.den, tuple(map(self.nums.__getitem__, phi)))
 
     def le(self, other: "Predicate") -> bool:
         self._require_same_ctx(other)

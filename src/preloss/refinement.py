@@ -31,10 +31,9 @@ from .losses import (
     LossFunction, eval_loss, loss_add, loss_canonicalize, loss_map, loss_member_certified,
     normalize_witness, zero_loss,
 )
-from .predicates import INF_NUM
 from .scalars import Scalar
 from .semantics import DEFAULT_LOOP_BUDGET, WplResult, history_transformers, weakest_preloss
-from .syntax import Datatype, Program, ProgramContext, Skip, Unvar
+from .syntax import Datatype, Program, ProgramContext
 from .typecheck import (
     TypecheckError, classify_choiceless, classify_hidden, copy_program, inline,
     typecheck_program, validate_datatype,
@@ -84,23 +83,28 @@ def program_refines(
 
     p = A;S and q = B;S (``_split``).  Per entry E, ``_preloss`` maps E
     through S, then A and B through S's pre-loss: an empty part is E, one
-    of only skips and discards extends E, one with history transformers
-    sums their images of E, and any other part runs ``wpl``.  By the
-    closure argument in ``semantics``' docstring each is ``wpl``'s list,
-    and so is ``wpl(A, wpl(S, E))``; A;S truncates exactly when A or S
-    does.  So an entry whose tail pre-loss has the ``canonical`` flag and
+    with history transformers sums their images of E, and any other part
+    runs ``wpl``.  By the closure argument in ``semantics``' docstring
+    each is ``wpl``'s list, and so is ``wpl(A, wpl(S, E))``; A;S truncates
+    exactly when A or S does.  So an entry whose tail pre-loss has the ``canonical`` flag and
     ``blocks`` of an earlier, passing entry's passes too, without A and B;
     it still counts in ``checked`` and as a passed unit.  No failing entry
     is such a repeat, so ``checked``, the first failing entry, its witness
     and both pre-losses are those of running each whole side.
 
-    When p and q are choiceless, each side maps a single finite generator g
-    linearly, to {T g}, loops and their truncated sums included.  Once
-    every unit entry {e_s} of the post context has passed (T_P e_s <= T_Q e_s),
-    every later single-generator entry without ``INF`` passes too, and when
-    both sides are also hidden so does every later entry without ``INF``:
-    each generator T_Q g of the right side lies above T_P g on the left.
-    Such entries are decided without ``wpl`` and still count in ``checked``.
+    When p and q are choiceless, each side maps a single generator g
+    linearly, to {T g}, loops and their truncated sums included, with
+    ``INF * 0 = 0``.  Once every unit entry {e_s} of the post context has
+    passed (T_P e_s <= T_Q e_s, so T_P <= T_Q entrywise), every later
+    single-generator entry passes too, and when both sides are also hidden
+    so does every later entry: each generator T_Q g of the right side lies
+    above T_P g on the left.  With ``INF`` entries too: (T g)(x) is ``INF``
+    iff T[x, s] > 0 for some s with g(s) = ``INF``, and T_P[x, s] > 0
+    implies T_Q[x, s] > 0, so T_P g is ``INF`` only where T_Q g is; where
+    both are finite, both read only the finite entries of g, linearly.  A
+    loop's N-th term on g is nonzero iff it is nonzero on some unit e_s
+    with g(s) > 0, so that unit already reported the truncation.  Such
+    entries are decided without ``wpl`` and still count in ``checked``.
     A skipped entry could neither fail nor truncate unless a unit did, so
     the verdict is the one every entry's ``wpl`` would give.  Units are
     recognised by content, so a family without them skips nothing.
@@ -153,9 +157,6 @@ def _preloss(part: Program, E: LossFunction, extension: VarContext, budget: int)
     """One part's ``weakest_preloss`` (``program_refines``)."""
     if not part.stmts:
         return WplResult(E)
-    if part.meta.derived("discards", lambda: all(isinstance(s, (Skip, Unvar)) for s in part.stmts)):
-        # What ``wpl`` does: extension keeps a canonical loss canonical.
-        return WplResult(loss_canonicalize(E).extend_to(part.meta.pre.merge(extension)))
     histories = history_transformers(part, extension, budget)
     if histories is None:
         return weakest_preloss(part, E, extension, budget)
@@ -196,17 +197,16 @@ def _post_context(p: Program, q: Program) -> VarContext:
 def _implied_by_units(p: Program, q: Program) -> Callable[[LossFunction], bool]:
     """Which entries passed unit entries decide for this pair.
 
-    Choiceless pairs: single-generator entries without ``INF``.  Hidden
-    choiceless pairs: every entry without ``INF``.  A visible pair may pass
-    every unit and still fail on several generators (``skip`` against
-    ``print b`` on {e_0, e_1}), so it gets only the first rule.  Pairs with
-    a choice: none.
+    Choiceless pairs: single-generator entries.  Hidden choiceless pairs:
+    every entry.  A visible pair may pass every unit and still fail on
+    several generators (``skip`` against ``print b`` on {e_0, e_1}), so it
+    gets only the first rule.  Pairs with a choice: none.
     """
     if not (classify_choiceless(p) and classify_choiceless(q)):
         return lambda E: False
-    hidden = classify_hidden(p) and classify_hidden(q)
-    return lambda E: ((hidden or len(E.gens) == 1)
-                      and all(INF_NUM not in g.nums for g in E.gens))
+    if classify_hidden(p) and classify_hidden(q):
+        return lambda E: True
+    return lambda E: len(E.gens) == 1
 
 
 def _unit_state(E: LossFunction) -> Optional[int]:

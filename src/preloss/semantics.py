@@ -4,17 +4,14 @@ One backward walk over typechecked programs applies one rule per
 construct to what its ``_Carrier`` holds: for ``weakest_preloss`` a loss
 over the post context, extended by a correlated context Z (``_LOSSES``),
 and for ``history_transformers`` a tuple of matrices (``_HISTORIES``).  A
-statement of ``syntax.KERNEL_STMTS`` (assignment, declaration, discard,
-assertion) acts by the dual of its kernel, tensored with the identity on
-Z (``_kernel_tf``), and each maximal run of them by one product
-(``linear_transformer``), kept split per program and extension
-(``_segments``).  A run of discards alone is not composed:
-``LossFunction.extend_to`` extends each generator to the dropped
-variables, which keeps a canonical loss canonical with no LP query.  A
-`print`, `if` or `while` shows a value through its kernel's columns, and
-one rule sums, over the columns, the column times what the value leads
-to; ``loss_add`` keeps such a sum of losses as blocks.  A loop sums the
-terms of
+statement of ``syntax.KERNEL_STMTS`` (every statement but a choice, `print`,
+`if` and `while`) acts by the dual of its kernel, tensored with the
+identity on Z (``_kernel_tf``), and each maximal run of them by one
+product (``linear_transformer``), kept split per program and extension
+(``_segments``).  A `print`, `if` or `while` shows a value through its
+kernel's columns, and one rule sums, over the columns, the column times
+what the value leads to; ``loss_add`` keeps such a sum of losses as
+blocks.  A loop sums the terms of
 
     term_0    = !g * V
     term_n+1  = g * body(term_n)
@@ -38,8 +35,8 @@ composed into a run.  Only the LP queries change.
 
 A program without `[]` is a channel: wpl(P, E) is the Minkowski sum over
 its observation histories h of M_h * E, each M_h a nonnegative matrix.
-Walked from the identity, ``_HISTORIES`` puts each map, diagonal or
-discard before every history, drops zero products and joins lists to add:
+Walked from the identity, ``_HISTORIES`` puts each map or diagonal before
+every history, drops zero products and joins lists to add:
 ``wpl``'s rules applied to the M_h instead of to E.  Each rule sums linear
 maps of losses, f(A + B) and f(A) + f(B) have one closure, and a zero
 matrix, or a term holding 0, adds nothing to an upward closed sum; so by
@@ -60,11 +57,10 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 from .contexts import EMPTY, VarContext
 from .kernels import Transformer
 from .losses import (
-    LossFunction, is_zero_loss, loss_add, loss_canonicalize, loss_conj,
-    loss_map, loss_min, zero_loss,
+    LossFunction, is_zero_loss, loss_add, loss_canonicalize, loss_conj, loss_map, loss_min,
 )
 from .predicates import Predicate
-from .syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Stmt, Unvar, While
+from .syntax import KERNEL_STMTS, If, NonDet, Print, Program, Stmt, While
 from .typecheck import classify_choiceless
 
 counters = {"wpl_clauses": 0}
@@ -129,13 +125,13 @@ class _Run(NamedTuple):
 
 def _segments(prog: Program, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
     """The program's statements in order, each maximal run of
-    ``KERNEL_STMTS`` but discards alone replaced by its ``_Run``; kept on
-    the program per extension."""
+    ``KERNEL_STMTS`` replaced by its ``_Run``; kept on the program per
+    extension."""
     def build():
         segments = []
         for linear, group in groupby(prog.stmts, lambda s: isinstance(s, KERNEL_STMTS)):
             group = tuple(group)
-            if linear and not all(isinstance(t, Unvar) for t in group):
+            if linear:
                 segments.append(_Run(len(group), linear_transformer(Program(group), z)))
             else:
                 segments.extend(group)
@@ -190,8 +186,6 @@ class _Carrier(NamedTuple):
     add: Callable
     meet: Callable
     is_empty: Callable
-    zero: Callable  # (working context)
-    discard: Callable  # (`unvar` statement, value, z)
 
 
 # One loss.  Each operation reads the module's bindings when called.
@@ -202,8 +196,6 @@ _LOSSES = _Carrier(
     add=lambda E1, E2: loss_add(E1, E2),
     meet=lambda E1, E2: loss_min(E1, E2),
     is_empty=lambda E: is_zero_loss(E),
-    zero=lambda ctx: zero_loss(ctx),
-    discard=lambda s, E, z: E.extend_to(_working(s.meta.pre, z)),
 )
 
 
@@ -233,8 +225,6 @@ _HISTORIES = _Carrier(
     add=_join,
     meet=_give_up,
     is_empty=lambda ms: not ms,
-    zero=lambda ctx: (),
-    discard=lambda s, ms, z: _then(_kernel_tf(s, z), ms),
 )
 
 
@@ -250,12 +240,6 @@ def _stmt(s: Union[_Run, Stmt], x, c: _Carrier, z, budget, statuses):
         counters["wpl_clauses"] += c.counted * s.length  # source statements, not maps
         return c.map(s.tf, x)
     counters["wpl_clauses"] += c.counted
-    if isinstance(s, Skip):
-        return x
-    if isinstance(s, Abort):
-        return c.zero(_working(s.meta.pre, z))
-    if isinstance(s, Unvar):
-        return c.discard(s, x, z)
     if isinstance(s, NonDet):
         return c.meet(_walk(_segments(s.left, z), x, c, z, budget, statuses),
                       _walk(_segments(s.right, z), x, c, z, budget, statuses))
@@ -313,8 +297,6 @@ def linear_transformer(prog: Program, z: VarContext = EMPTY) -> Optional[Transfo
     """
     acc: Optional[Transformer] = None
     for s in prog.stmts:
-        if isinstance(s, Skip):
-            continue
         if not isinstance(s, KERNEL_STMTS):
             return None
         t = _kernel_tf(s, z)

@@ -136,8 +136,9 @@ class CallOp:
 
 Stmt = Union[Skip, Abort, Assign, HidVar, Unvar, If, While, Print, Assert, NonDet, CallOp]
 
-# The statements that elaborate to one kernel from their pre to their post context.
-KERNEL_STMTS = (Assign, HidVar, Unvar, Assert)
+# The statements that elaborate to one kernel from their pre to their post
+# context: all but a choice, `print`, `if`, `while` and `call`.
+KERNEL_STMTS = (Skip, Abort, Assign, HidVar, Unvar, Assert)
 
 
 @dataclass

@@ -10,12 +10,14 @@ statement's branch weights are summed as integers over their common
 denominator.  Kernels are built in their integer form (``Kernel.from_ints``).
 
 The statements of ``syntax.KERNEL_STMTS`` elaborate to one kernel from
-their pre to their post context (``meta.kernel``).  One builder
-(``_kernel``) makes each kernel that draws values: an assignment writes
-them into its targets, a `hidvar` into the new variable, a `print` into
-one variable of the values it may show (first-met order), and an `unvar`
-draws none.  The other post variables keep their pre-state values, at the
-indices ``VarContext.layout`` finds.  An `assert` keeps each state's mass
+their pre to their post context (``meta.kernel``): every statement but a
+choice, `print`, `if` and `while`.  One builder (``_kernel``) makes each
+kernel that draws values: an assignment writes them into its targets, a
+`hidvar` into the new variable, a `print` into one variable of the values
+it may show (first-met order), and an `unvar` draws none.  The other post
+variables keep their pre-state values, at the indices
+``VarContext.layout`` finds.  `skip` is the identity kernel and `abort`
+the zero kernel, every row empty.  An `assert` keeps each state's mass
 times its guard; an `if` or `while` shows its guard through a kernel onto
 the two-valued ``BRANCH`` context, column 0 the guard and column 1 its
 complement.  So every observation is one channel.
@@ -182,7 +184,9 @@ def _check_stmt(s: Stmt, pre: VarContext, run: _Pass) -> VarContext:
     s.meta.cache = None
     if type(s) in _SITES:
         s.meta.label = f"{_SITES[type(s)]}#{next(run.sites)}"
-    if isinstance(s, (Skip, Abort)):
+    if isinstance(s, (Skip, Abort)):  # the identity kernel, or the zero kernel
+        s.meta.kernel = (Kernel.identity(pre) if isinstance(s, Skip)
+                         else Kernel(pre, pre, 1, ((),) * pre.n_states))
         post = pre
     elif isinstance(s, Assign):
         if len(set(s.targets)) != len(s.targets):

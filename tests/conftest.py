@@ -26,8 +26,8 @@ from preloss.kernels import Kernel
 from preloss.losses import LossFunction
 from preloss.predicates import Predicate
 from preloss.syntax import (
-    Assert, Assign, DistBranch, DistExpr, HidVar, If, NonDet, Print, Program,
-    Skip, Unvar, While,
+    Abort, Assert, Assign, DistBranch, DistExpr, HidVar, If, NonDet, Print, Program,
+    Skip, Unvar, While, sub_programs, walk,
 )
 from preloss.typecheck import typecheck_program
 
@@ -203,6 +203,17 @@ def _gen_stmt(rng, ctx, depth, shape: ProgramShape, preserve_ctx):
         body, _ = gen_program(rng, ctx, depth - 1, shape, preserve_ctx=True)
         return While(_bool_guard(rng, ctx), body), ctx
     raise AssertionError(kind)
+
+
+def with_aborts(rng, prog: Program) -> Program:
+    """``prog`` with about half of its ``skip``s, nested ones too, made ``abort``s.
+
+    It edits ``prog`` in place, so typecheck it afterwards.
+    """
+    for p in [prog] + [sub for s in walk(prog) for sub in sub_programs(s)]:
+        p.stmts = tuple(Abort() if isinstance(s, Skip) and rng.random() < 0.5 else s
+                        for s in p.stmts)
+    return prog
 
 
 def gen_typed_program(rng, depth=3, shape: ProgramShape = None, max_states=12):

@@ -17,7 +17,7 @@ from preloss.semantics import weakest_preloss
 from preloss.typecheck import typecheck_program
 
 from conftest import (
-    ProgramShape, gen_context, gen_dist, gen_loss, gen_program, gen_typed_program,
+    ProgramShape, gen_context, gen_dist, gen_loss, gen_program, gen_typed_program, with_aborts,
 )
 
 N4 = VarContext.of(("n", range(4)))
@@ -310,15 +310,10 @@ def _ref_exhaustive(prog, prior, loss, points):
 
 def _loop_free_case(rng):
     """A typechecked loop-free program where about half the ``skip``s are ``abort``s."""
-    from preloss.syntax import Abort, Skip, sub_programs, walk
-
     shape = ProgramShape(loops=False, max_nondet=3, max_states=8)
     ctx = gen_context(rng, max_states=6)
     prog, _ = gen_program(rng, ctx, rng.randint(1, 4), shape)
-    for p in [prog] + [sub for s in walk(prog) for sub in sub_programs(s)]:
-        p.stmts = tuple(Abort() if isinstance(s, Skip) and rng.random() < 0.5 else s
-                        for s in p.stmts)
-    typecheck_program(prog, ctx)
+    typecheck_program(with_aborts(rng, prog), ctx)
     return ctx, prog
 
 

@@ -1,8 +1,8 @@
 """Family entries decided by the unit entries, against checking every entry.
 
 On a choiceless pair ``program_refines`` skips the entries that the passed
-unit entries imply: single-generator entries without ``INF``, and on a
-hidden pair every entry without ``INF``.  ``check_every_entry`` below is the
+unit entries imply: single-generator entries, ``INF`` entries included,
+and on a hidden pair every entry.  ``check_every_entry`` below is the
 loop that runs ``wpl`` on every entry; the two must give the same verdict
 on seeded context-preserving pairs, and only the implied entries may go
 without any part evaluated (by ``wpl`` or by its history transformers).
@@ -144,10 +144,6 @@ def test_families_without_leading_units_keep_every_verdict():
 B = VarContext.of(("b", (0, 1)))
 
 
-def finite(E: LossFunction) -> bool:
-    return all(INF_NUM not in g.nums for g in E.gens)
-
-
 def ints(*nums):
     return Predicate.from_ints(B, 1, nums)
 
@@ -170,10 +166,10 @@ def decide(src_p, src_q, entries) -> List[str]:
 @pytest.mark.parametrize("src_p, src_q, skipped", [
     # A choice: nothing is implied.
     ("{ b := 0 } [] { b := 1 }", "b := 0 @ 1/2 | 1", lambda E: False),
-    # Visible and choiceless: single finite generators only.
-    ("print b", "skip", lambda E: len(E.gens) == 1 and finite(E)),
-    # Hidden and choiceless: every finite entry.
-    ("b := 1 - b", "b := 1 - b", finite),
+    # Visible and choiceless: single generators only.
+    ("print b", "skip", lambda E: len(E.gens) == 1),
+    # Hidden and choiceless: every entry.
+    ("b := 1 - b", "b := 1 - b", lambda E: True),
 ])
 def test_only_implied_entries_skip_wpl(src_p, src_q, skipped):
     entries = UNITS + LATER
@@ -182,11 +178,9 @@ def test_only_implied_entries_skip_wpl(src_p, src_q, skipped):
 
 
 def test_nothing_is_skipped_before_the_last_unit():
-    """After the last unit the finite entries are implied, and the ``INF``
-    ones, whose tail pre-losses repeat, run only the shared tail."""
+    """Every entry after the last unit is implied, ``INF`` entries too."""
     entries = [UNITS[0]] + LATER + [UNITS[1]] + LATER
-    assert decide("b := 1 - b", "b := 1 - b", entries) == (
-        ["heads"] * 6 + ["none", "tail", "none", "tail"])
+    assert decide("b := 1 - b", "b := 1 - b", entries) == ["heads"] * 6 + ["none"] * 4
 
 
 def test_a_visible_pair_passing_every_unit_still_fails_on_two_generators():

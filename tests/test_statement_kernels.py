@@ -1,17 +1,21 @@
-"""Every assignment, declaration, discard and assertion elaborates to one kernel.
+"""Every `skip`, `abort`, assignment, declaration, discard and assertion
+elaborates to one kernel.
 
 * The kernel runs from the statement's pre to its post context.
 * An `if` or `while` elaborates to a branch kernel: every row sums to 1,
   and column 0 is the guard, with the guard's denominator.
 * ``semantics._kernel_tf``, the one transformer builder, equals private
   copies of the four per-kind builders it replaced, fed from the reference
-  elaborations of ``test_frontend``; so does ``linear_transformer`` on
-  straight-line bodies.
+  elaborations of ``test_frontend``, and the identity for `skip` and the
+  zero matrix for `abort`; so does ``linear_transformer`` on straight-line
+  bodies.
 * ``adversary._push``, one row push through the kernel, equals a private
-  copy of the per-kind push it replaced.
+  copy of the per-kind push it replaced, with `skip` keeping the
+  sub-distribution and `abort` zeroing it.
 
-Programs: seeded ``gen_typed_program`` programs (with `hidvar`, `unvar` and
-`assert`), every corpus ``.prog`` and the parts of every corpus datatype.
+Programs: seeded ``gen_typed_program`` programs (with `hidvar`, `unvar`,
+`assert`, and `abort` for about half the `skip`s), every corpus ``.prog``
+and the parts of every corpus datatype.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 from operator import mul
 from typing import Optional
 
-from conftest import ProgramShape, gen_context, gen_program, gen_typed_program
+from conftest import ProgramShape, gen_context, gen_program, gen_typed_program, with_aborts
 from preloss.adversary import _push
 from preloss.contexts import EMPTY, VarContext
 from preloss.kernels import Kernel, Transformer
@@ -29,7 +33,8 @@ from preloss.predicates import Predicate
 from preloss.parsing import parse_datatype_file, parse_program_file
 from preloss.semantics import _kernel_tf, linear_transformer
 from preloss.syntax import (
-    KERNEL_STMTS, Assert, Assign, HidVar, If, Program, Skip, Unvar, While, sub_programs, walk,
+    KERNEL_STMTS, Abort, Assert, Assign, HidVar, If, Program, Skip, Unvar, While, sub_programs,
+    walk,
 )
 from preloss.typecheck import typecheck_program, validate_datatype
 from test_frontend import _reference_assign, _reference_guard, _reference_hidvar
@@ -41,8 +46,11 @@ Z = VarContext.of(("_ext", (0, 1, 2)))
 def _programs():
     """Typechecked programs: seeded, corpus programs, corpus datatype parts."""
     rng = random.Random(20261018)
-    progs = [gen_typed_program(rng, depth=3, shape=ProgramShape(max_states=16))[1]
-             for _ in range(120)]
+    progs = []
+    for _ in range(120):
+        ctx, prog, _ = gen_typed_program(rng, depth=3, shape=ProgramShape(max_states=16))
+        typecheck_program(with_aborts(rng, prog), ctx)
+        progs.append(prog)
     for path in sorted((ROOT / "corpus").glob("*.prog")):
         initial, prog = parse_program_file(path.read_text(encoding="utf-8"))
         typecheck_program(prog, initial)
@@ -126,6 +134,11 @@ def _old_assert_tf(s: Assert, z: VarContext) -> Transformer:
 
 def _old_tf(s, z: VarContext) -> Transformer:
     pre = s.meta.pre
+    if isinstance(s, Skip):
+        return Transformer.identity(_working(pre, z))
+    if isinstance(s, Abort):
+        working = _working(pre, z)
+        return Transformer(working, working, 1, ((),) * working.n_states)
     if isinstance(s, Assign):
         return _old_assign_tf(_reference_assign(pre, s.targets, s.dist), z)
     if isinstance(s, HidVar):
@@ -180,6 +193,10 @@ def test_linear_transformer_matches_the_per_kind_composition():
 
 def _old_push(s, nums, den):
     pre, post = s.meta.pre, s.meta.post
+    if isinstance(s, Skip):
+        return nums, den
+    if isinstance(s, Abort):
+        return [0] * len(nums), den
     if isinstance(s, Assign):
         k = _reference_assign(pre, s.targets, s.dist)
         out = [0] * len(nums)
@@ -213,4 +230,8 @@ def test_push_matches_the_per_kind_push():
             nums = [rng.choice((0, 0, 1, 2, 5)) for _ in range(s.meta.pre.n_states)]
             den = rng.randint(max(1, sum(nums)), 3 * max(1, sum(nums)))
             assert _push(s, list(nums), den) == _old_push(s, list(nums), den), s
-    assert _push(Skip(), [1, 2], 3) == ([1, 2], 3)
+    b = VarContext.of(("b", (0, 1)))
+    skip, abort = Skip(), Abort()
+    typecheck_program(Program((skip, abort)), b)
+    assert _push(skip, [1, 2], 3) == ([1, 2], 3)
+    assert _push(abort, [1, 2], 3) == ([0, 0], 3)

@@ -490,7 +490,7 @@ def test_a_copy_keeps_only_positions_and_leaves_the_source_annotations():
     typecheck_program(prog, VarContext.of(("x", (0, 1))))
     source = _nodes(prog)
     before = [(n.meta.pre, n.meta.post, n.meta.kernel, n.meta.label) for n in source]
-    assert sum(k is not None for _, _, k, _ in before) == 8
+    assert sum(k is not None for _, _, k, _ in before) == 9
 
     copied = copy_program(prog)
     assert copied == prog and _shared(_nodes(copied), source) == (set(), set())

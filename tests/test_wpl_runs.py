@@ -7,15 +7,18 @@ loss through every statement's own transformer and canonicalizes after
 each, and multiplies each loop term by the guard column on its own.  Both
 must give the same generator list, in the same order, the same loop
 statuses and the same ``wpl_clauses`` count (one per source statement
-evaluated), on seeded programs with loops, prints, choices, discards, an
-extension context and ``INF`` entries.
+evaluated), on seeded programs with loops, prints, choices, discards,
+`abort`s inside and outside longer kernel runs, an extension context and
+``INF`` entries.  The reference keeps its own rules for `skip`, `abort`
+and `unvar`, so it does not map them by their kernels.
 """
 
 import random
 
 from preloss.contexts import EMPTY
 from preloss.losses import (
-    is_zero_loss, loss_add, loss_canonicalize, loss_conj, loss_map, loss_min, zero_loss,
+    LossFunction, is_zero_loss, loss_add, loss_canonicalize, loss_conj, loss_map, loss_min,
+    zero_loss,
 )
 from preloss import semantics
 from preloss.predicates import INF_NUM
@@ -24,7 +27,9 @@ from preloss.semantics import (
 )
 from preloss.syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Unvar, While
 
-from conftest import ProgramShape, gen_context, gen_loss, gen_typed_program
+from preloss.typecheck import typecheck_program
+
+from conftest import ProgramShape, gen_context, gen_loss, gen_typed_program, with_aborts
 
 
 def _working(ctx, z):
@@ -60,7 +65,9 @@ def _ref_stmt(s, E, z, budget, statuses):
     if isinstance(s, Abort):
         return zero_loss(_working(s.meta.pre, z))
     if isinstance(s, Unvar):
-        return E.extend_to(_working(s.meta.pre, z))
+        working = _working(s.meta.pre, z)
+        return loss_canonicalize(LossFunction(working,
+                                              tuple(g.extend_to(working) for g in E.gens)))
     if isinstance(s, KERNEL_STMTS):
         return loss_map(_kernel_tf(s, z), E)
     if isinstance(s, If):
@@ -102,10 +109,12 @@ def _programs(prog):
 
 def test_runs_match_the_statement_by_statement_route():
     rng = random.Random(20261020)
-    seen = dict.fromkeys(["long run", "fused loop", "guard alone", "discard", "print",
-                          "choice", "INF", "extension", "multi"], 0)
+    seen = dict.fromkeys(["long run", "fused loop", "guard alone", "discard", "abort",
+                          "abort in a long run", "print", "choice", "INF", "extension",
+                          "multi"], 0)
     for i in range(300):
-        _, prog, post = gen_typed_program(rng, depth=2, shape=ProgramShape(max_states=12))
+        ctx, prog, post = gen_typed_program(rng, depth=2, shape=ProgramShape(max_states=12))
+        typecheck_program(with_aborts(rng, prog), ctx)
         z = gen_context(rng, max_states=3, max_vars=1, prefix="z") if i % 2 else EMPTY
         E = gen_loss(rng, post.merge(z), max_gens=3, inf_prob=0.15)
         budget = rng.randint(1, 4)
@@ -124,7 +133,11 @@ def test_runs_match_the_statement_by_statement_route():
         for p in _programs(prog):
             seen["long run"] += any(isinstance(seg, _Run) and seg.length >= 2
                                     for seg in _segments(p, z))
-            for s in p.stmts:
+            kernel = [isinstance(s, KERNEL_STMTS) for s in p.stmts] + [False]
+            for j, s in enumerate(p.stmts):
+                if isinstance(s, Abort):
+                    seen["abort"] += 1
+                    seen["abort in a long run"] += kernel[j - 1] or kernel[j + 1]
                 seen["print"] += isinstance(s, Print)
                 seen["choice"] += isinstance(s, NonDet)
                 seen["discard"] += isinstance(s, Unvar)
