@@ -86,9 +86,10 @@ def program_refines(
     with history transformers sums their images of E, and any other part
     runs ``wpl``.  By the closure argument in ``semantics``' docstring
     each is ``wpl``'s list, and so is ``wpl(A, wpl(S, E))``; A;S truncates
-    exactly when A or S does.  So an entry whose tail pre-loss has the ``canonical`` flag and
-    ``blocks`` of an earlier, passing entry's passes too, without A and B;
-    it still counts in ``checked`` and as a passed unit.  No failing entry
+    exactly when A or S does.  So an entry whose tail pre-loss has the
+    ``canonical`` flag and ``blocks`` of an earlier, passing entry's passes
+    too, without A and B; it still counts in ``checked`` and as a passed
+    unit.  No failing entry
     is such a repeat, so ``checked``, the first failing entry, its witness
     and both pre-losses are those of running each whole side.
 
