@@ -16,11 +16,11 @@ The walk runs on integers: a sub-distribution is a list of numerators over
 one denominator.  A statement of ``syntax.KERNEL_STMTS`` (every statement
 but a choice, `print`, `if` and `while`) pushes it through its kernel
 (``Kernel.nums``, from the pre to the post context): `skip`'s is the
-identity and `abort`'s is zero.  A print or conditional
-splits it by the columns of its kernel (``Kernel.columns``), one channel
-from the pre context to the values shown: a conditional's columns are its
-guard and the complement.  ``Fraction``s are built only at the edges: a
-branch's final risk, and ``Branch.mass`` and ``posterior``.
+identity and `abort`'s is zero.  A print or conditional splits it by the
+columns of its kernel (``Kernel.columns``), one channel from the pre
+context to the values shown: a conditional's columns are its guard and the
+complement.  ``Fraction``s are built only at the edges: a branch's final
+risk, and ``Branch.mass`` and ``posterior``.
 """
 
 from __future__ import annotations

@@ -341,13 +341,15 @@ def loss_map(f: Transformer, E: LossFunction) -> LossFunction:
     disjoint.  A permutation reorders the ``_by_key`` order, so a block of
     several generators is sorted again.  Each block is then the list
     ``loss_canonicalize`` gives its image, and the blocks are those
-    ``loss_add`` keeps for the images' sum.
+    ``loss_add`` keeps for the images' sum; the identity gives E itself.
     """
     if f.dst != E.ctx:
         raise ContextError("transformer/loss context mismatch")
     phi = f.copies
     if phi is None or not E.canonical:
         return _blockwise(f.src, E, f.apply)
+    if f.src == f.dst and phi == tuple(range(len(phi))):
+        return E
     blocks = []
     for block in E.blocks:
         block = tuple(g.copied(f.src, phi) for g in block)

@@ -205,9 +205,8 @@ def _implied_by_units(p: Program, q: Program) -> Callable[[LossFunction], bool]:
     """
     if not (classify_choiceless(p) and classify_choiceless(q)):
         return lambda E: False
-    if classify_hidden(p) and classify_hidden(q):
-        return lambda E: True
-    return lambda E: len(E.gens) == 1
+    hidden = classify_hidden(p) and classify_hidden(q)
+    return lambda E: hidden or len(E.gens) == 1
 
 
 def _unit_state(E: LossFunction) -> Optional[int]:

@@ -10,16 +10,15 @@ statement's branch weights are summed as integers over their common
 denominator.  Kernels are built in their integer form (``Kernel.from_ints``).
 
 The statements of ``syntax.KERNEL_STMTS`` elaborate to one kernel from
-their pre to their post context (``meta.kernel``): every statement but a
-choice, `print`, `if` and `while`.  One builder (``_kernel``) makes each
-kernel that draws values: an assignment writes them into its targets, a
-`hidvar` into the new variable, a `print` into one variable of the values
-it may show (first-met order), and an `unvar` draws none.  The other post
-variables keep their pre-state values, at the indices
-``VarContext.layout`` finds.  `skip` is the identity kernel and `abort`
-the zero kernel, every row empty.  An `assert` keeps each state's mass
-times its guard; an `if` or `while` shows its guard through a kernel onto
-the two-valued ``BRANCH`` context, column 0 the guard and column 1 its
+their pre to their post context (``meta.kernel``).  One builder
+(``_kernel``) makes each kernel that draws values: an assignment writes
+them into its targets, a `hidvar` into the new variable, a `print` into
+one variable of the values it may show (first-met order), and an `unvar`
+draws none.  The other post variables keep their pre-state values, at the
+indices ``VarContext.layout`` finds.  `skip` is the identity kernel,
+`abort` the zero kernel, and an `assert` keeps each state's mass times its
+guard; an `if` or `while` shows its guard through a kernel onto the
+two-valued ``BRANCH`` context, column 0 the guard and column 1 its
 complement.  So every observation is one channel.
 
 A choice whose limbs, through nested choices, are each one `hidvar` of one

@@ -26,7 +26,6 @@ from preloss.semantics import (
     LoopStatus, _columns, _kernel_tf, _loop_body, _Run, _segments, weakest_preloss,
 )
 from preloss.syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Unvar, While
-
 from preloss.typecheck import typecheck_program
 
 from conftest import ProgramShape, gen_context, gen_loss, gen_typed_program, with_aborts
