@@ -109,9 +109,9 @@ def _walk(cont: Cont, nums: List[int], den: int, history: tuple,
     it by their kernel's columns, a conditional going on into the branch of
     each column.  Each split is recorded in the history and its parts are
     added.  A branch whose mass is zero, as ``abort``'s zero kernel leaves
-    it, is worth ZERO.  Kernel statements, and splits that leave mass on one part
-    only, continue in the loop, so only splits into two or more parts and
-    choices recurse.
+    it, is worth ZERO.  Kernel statements, and splits that leave mass on one
+    part only, continue in the loop, so only splits into two or more parts
+    and choices recurse.
     """
     i = 0
     while any(nums):
