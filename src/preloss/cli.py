@@ -33,7 +33,7 @@ from typing import List, Optional
 from . import lp
 from . import semantics as _semantics
 from .adversary import min_bayes_risk, min_bayes_risk_exhaustive
-from .contexts import EMPTY, VarContext, fmt_state
+from .contexts import EMPTY, VarContext
 from .exprs import EvalError
 from .families import FamilyOptions
 from .losses import LossFunction
@@ -41,6 +41,7 @@ from .parsing import (
     ParseError, parse_context_file, parse_datatype_file, parse_decls_text,
     parse_loss_text, parse_prior_text, parse_program_file, sniff_kind,
 )
+from .predicates import Predicate
 from .refinement import (
     Verdict, check_backward_simulation, check_forward_simulation,
     data_refines, program_refines,
@@ -85,11 +86,6 @@ def _loss_lines(loss: dict) -> List[str]:
             + [f"table: {t}" if t else "table:" for t in loss["generators"]])
 
 
-def _prior_text(ctx: VarContext, dist) -> str:
-    parts = [f"{fmt_state(s)}={w}" for s, w in zip(ctx.states(), dist) if w]
-    return " ".join(parts)
-
-
 def _verdict_json(v: Verdict):
     out = {"kind": v.kind, "checked": v.checked}
     if v.reason:
@@ -98,7 +94,7 @@ def _verdict_json(v: Verdict):
         out["at"] = v.context_name
     if v.kind == "fails":
         out["witness_loss"] = _loss_json(v.witness_loss)
-        out["witness_prior"] = _prior_text(v.lhs_pre.ctx, v.witness_prior)
+        out["witness_prior"] = Predicate.from_entries(v.lhs_pre.ctx, v.witness_prior).table()
         out["lhs"] = fmt_scalar(v.lhs_value)
         out["rhs"] = fmt_scalar(v.rhs_value)
         out["certificate_checked"] = v.certificate_ok()

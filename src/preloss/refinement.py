@@ -5,17 +5,17 @@ definitive (the LP separation certificate converts into a witness prior
 with a strict evaluation gap), while Holds is always "for this family".
 Both sides are split at their longest common tail of statements, which
 the copy rule gives them (the client's statements after its last `call`,
-and a `final` both write alike): an entry whose tail pre-loss repeats an
-earlier, passing entry's is decided without running the heads, and a
-part without `[]` is mapped by its history transformers.  On a choiceless
-pair the entries implied by the unit entries (the indicators of single
-states) are decided without ``wpl``.  Both kinds still count in
-``checked`` and move no witness.  Datatype refinement inlines both
-datatypes into each supplied program context.  The simulation checkers
-verify the three commuting squares and gate the result on the
-healthiness classifier (hidden for forward, choiceless for backward); a
-failed gate yields Inconclusive, never Holds.  Both build each family
-once per post context.
+and a `final` both write alike): an entry whose tail pre-loss has the
+blocks of an earlier, passing entry's is decided without running the
+heads, and a part without `[]` is mapped by its history transformers (an
+empty part by the identity).  On a choiceless pair the entries implied
+by the unit entries (the indicators of single states) are decided
+without ``wpl``.  Both kinds still count in ``checked`` and move no
+witness.  Datatype refinement inlines both datatypes into each supplied
+program context.  The simulation checkers verify the three commuting
+squares and gate the result on the healthiness classifier (hidden for
+forward, choiceless for backward); a failed gate yields Inconclusive,
+never Holds.  Both build each family once per post context.
 """
 
 from __future__ import annotations
@@ -81,15 +81,16 @@ def program_refines(
 ) -> Verdict:
     """Check p refined-by q on every family loss; Fails is definitive.
 
-    p = A;S and q = B;S (``_split``).  Per entry E, ``_preloss`` maps E
-    through S, then A and B through S's pre-loss: an empty part is E, one
-    with history transformers sums their images of E, and any other part
-    runs ``wpl``.  By the closure argument in ``semantics``' docstring
-    each is ``wpl``'s list, and so is ``wpl(A, wpl(S, E))``; A;S truncates
-    exactly when A or S does.  So an entry whose tail pre-loss has the
-    ``canonical`` flag and ``blocks`` of an earlier, passing entry's passes
-    too, without A and B; it still counts in ``checked`` and as a passed
-    unit.  No failing entry
+    p = A;S and q = B;S (``_split``; any part may be empty).  Per entry E,
+    ``_preloss`` maps E through S, then A and B through S's pre-loss: a
+    part with history transformers sums their images of E, and any other
+    part runs ``wpl``.  An empty part's one history is the identity, which
+    ``loss_map`` gives a canonical E back unchanged.  By the closure
+    argument in ``semantics``' docstring each is ``wpl``'s list, and so is
+    ``wpl(A, wpl(S, E))``; A;S truncates exactly when A or S does.  Every
+    tail pre-loss is canonical, so an entry whose tail pre-loss has the
+    ``blocks`` of an earlier, passing entry's passes too, without A and B;
+    it still counts in ``checked`` and as a passed unit.  No failing entry
     is such a repeat, so ``checked``, the first failing entry, its witness
     and both pre-losses are those of running each whole side.
 
@@ -110,6 +111,8 @@ def program_refines(
     the verdict is the one every entry's ``wpl`` would give.  Units are
     recognised by content, so a family without them skips nothing.
     """
+    if loop_budget <= 0:
+        raise ValueError("loop budget must be positive")
     post_ctx = _post_context(p, q).merge(extension)
     fam = resolve_family(post_ctx, family)
     implied = _implied_by_units(p, q)
@@ -123,7 +126,7 @@ def program_refines(
             continue
         shared = _preloss(tail, E, extension, loop_budget)
         truncated = truncated or shared.truncated
-        key = (shared.pre.canonical, shared.pre.blocks)
+        key = shared.pre.blocks
         if key not in passed:
             left = _preloss(head_p, shared.pre, extension, loop_budget)
             right = _preloss(head_q, shared.pre, extension, loop_budget)
@@ -156,8 +159,6 @@ def program_refines(
 
 def _preloss(part: Program, E: LossFunction, extension: VarContext, budget: int) -> WplResult:
     """One part's ``weakest_preloss`` (``program_refines``)."""
-    if not part.stmts:
-        return WplResult(E)
     histories = history_transformers(part, extension, budget)
     if histories is None:
         return weakest_preloss(part, E, extension, budget)
@@ -169,16 +170,16 @@ def _preloss(part: Program, E: LossFunction, extension: VarContext, budget: int)
 
 def _split(p: Program, q: Program) -> Tuple[Program, Program, Program]:
     """Heads A, B and tail S with p = A;S and q = B;S: S is the longest common
-    suffix of statements equal as syntax with equal pre and post contexts."""
+    suffix of statements equal as syntax with equal pre and post contexts;
+    with none, S is empty, from p's post context to itself."""
     n = 0
     for s, t in zip(reversed(p.stmts), reversed(q.stmts)):
         if s != t or s.meta.pre != t.meta.pre or s.meta.post != t.meta.post:
             break
         n += 1
-    if not n:
-        return p, q, Program(())
-    mid = p.stmts[-n].meta.pre
-    parts = (Program(p.stmts[:-n]), Program(q.stmts[:-n]), Program(p.stmts[-n:]))
+    cut_p, cut_q = len(p.stmts) - n, len(q.stmts) - n
+    mid = p.stmts[cut_p].meta.pre if n else p.meta.post
+    parts = (Program(p.stmts[:cut_p]), Program(q.stmts[:cut_q]), Program(p.stmts[cut_p:]))
     for part, pre, post in zip(parts, (p.meta.pre, q.meta.pre, mid), (mid, mid, p.meta.post)):
         part.meta.pre, part.meta.post = pre, post
     return parts

@@ -9,9 +9,10 @@ statement of ``syntax.KERNEL_STMTS`` (every statement but a choice, `print`,
 identity on Z (``_kernel_tf``), and each maximal run of them by one
 product (``linear_transformer``), kept split per program and extension
 (``_segments``).  A `print`, `if` or `while` shows a value through its
-kernel's columns, and one rule sums, over the columns, the column times
-what the value leads to; ``loss_add`` keeps such a sum of losses as
-blocks.  A loop sums the terms of
+kernel's columns, and one rule sums, over the columns, what the value
+leads to mapped by the column's diagonal (the pointwise product by the
+column, ``_columns``); ``loss_add`` keeps such a sum of losses as blocks.
+A loop sums the terms of
 
     term_0    = !g * V
     term_n+1  = g * body(term_n)
@@ -35,8 +36,8 @@ composed into a run.  Only the LP queries change.
 
 A program without `[]` is a channel: wpl(P, E) is the Minkowski sum over
 its observation histories h of M_h * E, each M_h a nonnegative matrix.
-Walked from the identity, ``_HISTORIES`` puts each map or diagonal before
-every history, drops zero products and joins lists to add:
+Walked from the identity, ``_HISTORIES`` puts each map before every
+history, drops zero products and joins lists to add:
 ``wpl``'s rules applied to the M_h instead of to E.  Each rule sums linear
 maps of losses, f(A + B) and f(A) + f(B) have one closure, and a zero
 matrix, or a term holding 0, adds nothing to an upward closed sum; so by
@@ -56,9 +57,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from .contexts import EMPTY, VarContext
 from .kernels import Transformer
-from .losses import (
-    LossFunction, is_zero_loss, loss_add, loss_canonicalize, loss_conj, loss_map, loss_min,
-)
+from .losses import LossFunction, is_zero_loss, loss_add, loss_canonicalize, loss_map, loss_min
 from .predicates import Predicate
 from .syntax import KERNEL_STMTS, If, NonDet, Print, Program, Stmt, While
 from .typecheck import classify_choiceless
@@ -151,13 +150,13 @@ def _kernel_tf(s: Stmt, z: VarContext) -> Transformer:
                           lambda: s.meta.kernel.dual().tensor(Transformer.identity(z)))
 
 
-def _columns(s: Stmt, z: VarContext) -> Tuple[Predicate, ...]:
-    """The columns of the statement's kernel, as predicates over its pre context
-    extended by ``z``; kept on the statement per extension."""
+def _columns(s: Stmt, z: VarContext) -> Tuple[Transformer, ...]:
+    """Each kernel column's diagonal transformer, the column read over the
+    statement's pre context extended by ``z``; kept on it per extension."""
     def build():
         k, working = s.meta.kernel, _working(s.meta.pre, z)
-        return tuple(Predicate.from_ints(k.src, k.den, column).extend_to(working)
-                     for column in k.columns)
+        return tuple(Transformer.diagonal(Predicate.from_ints(k.src, k.den, c).extend_to(working))
+                     for c in k.columns)
 
     return s.meta.derived(("columns", z), build)
 
@@ -167,7 +166,7 @@ def _loop_body(s: While, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
     of the guard's column g composed into its first run, or put before the
     body as a run of no statements; kept on the loop per extension."""
     def build():
-        diag = Transformer.diagonal(_columns(s, z)[0])
+        diag = _columns(s, z)[0]
         segments = _segments(s.body, z)
         if segments and isinstance(segments[0], _Run):
             head, segments = segments[0], segments[1:]
@@ -178,11 +177,11 @@ def _loop_body(s: While, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
 
 
 class _Carrier(NamedTuple):
-    """What the walk carries, and the rules' operations on it."""
+    """What the walk carries, and the rules' operations on it: every rule
+    but a choice's maps by transformers and adds."""
 
     counted: bool  # whether the walk counts ``wpl_clauses``
-    map: Callable  # (transformer of a run, value)
-    conj: Callable  # (column, value)
+    map: Callable  # (transformer of a run or a column's diagonal, value)
     add: Callable
     meet: Callable
     is_empty: Callable
@@ -192,7 +191,6 @@ class _Carrier(NamedTuple):
 _LOSSES = _Carrier(
     counted=True,
     map=lambda tf, E: loss_map(tf, E),
-    conj=lambda column, E: loss_conj(column, E),
     add=lambda E1, E2: loss_add(E1, E2),
     meet=lambda E1, E2: loss_min(E1, E2),
     is_empty=lambda E: is_zero_loss(E),
@@ -221,7 +219,6 @@ def _join(ms1, ms2):
 _HISTORIES = _Carrier(
     counted=False,
     map=_then,
-    conj=lambda column, ms: _then(Transformer.diagonal(column), ms),
     add=_join,
     meet=_give_up,
     is_empty=lambda ms: not ms,
@@ -246,7 +243,7 @@ def _stmt(s: Union[_Run, Stmt], x, c: _Carrier, z, budget, statuses):
     if isinstance(s, (Print, If)):
         branches = repeat(x) if isinstance(s, Print) else (
             _walk(_segments(b, z), x, c, z, budget, statuses) for b in (s.then, s.orelse))
-        return reduce(c.add, map(c.conj, _columns(s, z), branches))
+        return reduce(c.add, map(c.map, _columns(s, z), branches))
     if isinstance(s, While):
         return _while(s, x, c, z, budget, statuses)
     raise ValueError(f"cannot evaluate statement {s!r}")
@@ -255,7 +252,7 @@ def _stmt(s: Union[_Run, Stmt], x, c: _Carrier, z, budget, statuses):
 def _while(s: While, x, c: _Carrier, z, budget, statuses):
     """The loop's term sum (module docstring), ``budget`` terms at most."""
     body = _loop_body(s, z)
-    term = total = c.conj(_columns(s, z)[1], x)
+    term = total = c.map(_columns(s, z)[1], x)
     n = 0
     while not c.is_empty(term):
         if n >= budget:

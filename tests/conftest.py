@@ -237,11 +237,11 @@ def entry_decisions(p, q, family, extension=None, loop_budget=64):
     """``program_refines``' verdict and how it decided each entry it reached.
 
     Each part's pre-loss comes from ``refinement._preloss``, by ``wpl`` or
-    by the part's history transformers.  A decision is "heads" when both
-    heads were evaluated, "tail" when only the nonempty shared tail was
-    (the tail's pre-loss repeated), and "none" when no part was (an implied
-    entry, or a repeat when the tail is empty).  Returns the verdict, the
-    decisions, and the tail's results.
+    by the part's history transformers (an empty part's is the identity).
+    A decision is "heads" when both heads were evaluated, "tail" when only
+    the nonempty shared tail was (the tail's pre-loss repeated), and "none"
+    when no part was (an implied entry) or only an empty tail was (a
+    repeat).  Returns the verdict, the decisions, and the tail's results.
     """
     from preloss import refinement
     from preloss.contexts import EMPTY
@@ -258,10 +258,7 @@ def entry_decisions(p, q, family, extension=None, loop_budget=64):
 
     def recording_preloss(prog, post, *args):
         result = preloss(prog, post, *args)
-        if prog is not parts[2]:
-            calls.append(("head", post, result))
-        elif prog.stmts:  # an empty tail is its post loss, evaluated by nothing
-            calls.append(("tail", post, result))
+        calls.append(("head" if prog is not parts[2] else "tail", post, result))
         return result
 
     with pytest.MonkeyPatch.context() as m:
@@ -282,7 +279,7 @@ def entry_decisions(p, q, family, extension=None, loop_budget=64):
         if take("head", mid) and take("head", mid):
             decisions.append("heads")
         else:
-            decisions.append("tail" if shared else "none")
+            decisions.append("tail" if shared and parts[2].stmts else "none")
     assert not calls, "a wpl run that no entry accounts for"
     if verdict.witness_loss is not None:  # the check ended at its last "heads" entry
         del decisions[len(decisions) - decisions[::-1].index("heads"):]

@@ -499,6 +499,31 @@ def test_env_var_loop_budget_not_an_integer(capsys, tmp_path, monkeypatch):
     assert err == "error: PRELOSS_LOOP_BUDGET must be an integer, got 'abc'\n"
 
 
+# Checks whose parts take each route: every part compiled to history
+# matrices (the first two), a part run by ``wpl``, a datatype and both simulations.
+BUDGET_CHECKS = [
+    ["refine", f"{CORPUS}/rep_leak.prog", f"{CORPUS}/rep_leak.prog"],
+    ["simulate", "--forward", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
+     "--rep", f"{CORPUS}/rep_coin.prog"],
+    ["refine", f"{CORPUS}/rep_choice.prog", f"{CORPUS}/rep_leak.prog"],
+    ["datatype", f"{CORPUS}/randbit_direct.dt", f"{CORPUS}/randbit_cached.dt",
+     "--context", f"{CORPUS}/ctx_sample_then_read.ctx"],
+    ["simulate", "--backward", f"{CORPUS}/randbit_cached.dt", f"{CORPUS}/randbit_direct.dt",
+     "--rep", f"{CORPUS}/rep_coin.prog"],
+]
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_a_budget_below_one_exits_2_on_every_route(capsys, monkeypatch, budget):
+    for argv in BUDGET_CHECKS:
+        for flag in (["--loop-budget", budget], []):
+            with monkeypatch.context() as m:
+                if not flag:
+                    m.setenv("PRELOSS_LOOP_BUDGET", budget)
+                code, out, err = run(capsys, *argv, *flag)
+            assert (code, out, err) == (2, "", "error: loop budget must be positive\n"), argv
+
+
 def test_oracle_reads_no_loop_budget(capsys, monkeypatch):
     """The oracle takes no ``--loop-budget``, and ignores the variable."""
     monkeypatch.setenv("PRELOSS_LOOP_BUDGET", "abc")

@@ -8,19 +8,27 @@ generators again.  The reference is ``losses._blockwise`` with
 adds the images.  Both must give the same ``gens`` and the same
 ``blocks``, on seeded canonical losses with ``INF`` entries and on sums of
 blocks with disjoint supports built on purpose.
+
+A `print`, `if` or `while` maps each branch by the diagonal transformer of
+a kernel column (``semantics._columns``); on the same losses that must give
+what the pointwise product ``loss_conj`` gives, and an all-ones column, the
+identity, makes no LP query.
 """
 
 import random
 
 from preloss import lp
 from preloss.contexts import EMPTY, VarContext
-from preloss.losses import _blockwise, loss_add, loss_canonicalize, loss_conj, loss_map
+from preloss.losses import (
+    LossFunction, _blockwise, loss_add, loss_canonicalize, loss_conj, loss_map,
+)
 from preloss.parsing import parse_program_text
 from preloss.predicates import INF_NUM, Predicate
-from preloss.semantics import _kernel_tf, linear_transformer
+from preloss.semantics import _columns, _kernel_tf, linear_transformer, weakest_preloss
+from preloss.syntax import If, Print, While, walk
 from preloss.typecheck import typecheck_program
 
-from conftest import gen_context, gen_loss
+from conftest import gen_context, gen_loss, gen_typed_program
 
 
 def _typed(src: str, ctx: VarContext):
@@ -92,3 +100,45 @@ def test_only_onto_weight_one_rows_copy():
     for src, phi in (("skip", (0, 1, 2, 3, 4, 5)), ("unvar v", (0, 0, 1, 1, 2, 2)),
                      ("u := (u + 1) mod 3", (2, 3, 4, 5, 0, 1))):
         assert _kernel_tf(_typed(src, ctx).stmts[0], EMPTY).copies == phi, src
+
+
+def test_column_diagonals_map_as_loss_conj_does():
+    rng = random.Random(20261022)
+    z = VarContext.of(("z", (0, 1)))
+    seen = dict.fromkeys(["Print", "If", "While", "all ones", "INF", "several blocks"], 0)
+    for case in range(120):
+        _, prog, _ = gen_typed_program(rng, depth=2)
+        ext = z if case % 3 == 0 else EMPTY
+        for s in walk(prog):
+            if not isinstance(s, (Print, If, While)):
+                continue
+            k, working = s.meta.kernel, s.meta.pre.merge(ext) if ext.vars else s.meta.pre
+            for diagonal, nums in zip(_columns(s, ext), k.columns):
+                column = Predicate.from_ints(k.src, k.den, nums).extend_to(working)
+                ones = column == Predicate.ones(working)
+                for E in _losses(rng, working):
+                    queries = lp.counters["member_queries"]
+                    got = loss_map(diagonal, E)
+                    assert not ones or lp.counters["member_queries"] == queries, case
+                    want = loss_conj(column, E)
+                    assert got.blocks == want.blocks, case
+                    assert got.gens == want.gens, case
+                    seen[type(s).__name__] += 1
+                    seen["all ones"] += ones
+                    seen["INF"] += any(INF_NUM in g.nums for g in E.gens)
+                    seen["several blocks"] += len(E.blocks) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_an_all_ones_column_maps_with_no_lp_query():
+    """``print 0`` has one all-ones column, whose diagonal is the identity;
+    ``print b`` has two indicator columns, each mapped through the LP."""
+    ctx = VarContext.of(("b", (0, 1)), ("c", (0, 1, 2)))
+    E = loss_canonicalize(LossFunction(ctx, tuple(
+        Predicate.from_ints(ctx, 1, nums) for nums in
+        ((1, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0), (1, 0, 1, 0, 1, 0)))))
+    assert len(E.gens) == 3
+    for src, member_queries in (("print 0", 0), ("print b", 6)):
+        queries = lp.counters["member_queries"]
+        weakest_preloss(_typed(src, ctx), E)
+        assert lp.counters["member_queries"] - queries == member_queries, src

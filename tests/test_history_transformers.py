@@ -18,7 +18,7 @@ from conftest import ProgramShape, gen_context, gen_loss, gen_program
 from preloss import semantics
 from preloss.contexts import EMPTY, VarContext
 from preloss.exprs import Bin, Lit, Name
-from preloss.losses import one_loss
+from preloss.losses import loss_canonicalize, one_loss
 from preloss.parsing import parse_program_text
 from preloss.refinement import _preloss
 from preloss.semantics import history_transformers, weakest_preloss
@@ -92,7 +92,7 @@ def test_history_sums_match_wpl(monkeypatch):
 
 
 def test_an_empty_part_is_its_post_loss():
-    E = gen_loss(random.Random(1), Z, max_gens=2)
+    E = loss_canonicalize(gen_loss(random.Random(1), Z, max_gens=2))
     empty = Program(())
     empty.meta.pre = empty.meta.post = Z
     assert _preloss(empty, E, EMPTY, 4).pre is E

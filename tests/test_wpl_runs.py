@@ -4,7 +4,8 @@
 composed transformer, and folds a loop's guard into the body's first run.
 ``_reference_wpl`` below is the evaluator that did neither: it maps the
 loss through every statement's own transformer and canonicalizes after
-each, and multiplies each loop term by the guard column on its own.  Both
+each, and multiplies each branch and each loop term by its column
+pointwise (``loss_conj``), columns it reads off the kernel itself.  Both
 must give the same generator list, in the same order, the same loop
 statuses and the same ``wpl_clauses`` count (one per source statement
 evaluated), on seeded programs with loops, prints, choices, discards,
@@ -21,10 +22,8 @@ from preloss.losses import (
     zero_loss,
 )
 from preloss import semantics
-from preloss.predicates import INF_NUM
-from preloss.semantics import (
-    LoopStatus, _columns, _kernel_tf, _loop_body, _Run, _segments, weakest_preloss,
-)
+from preloss.predicates import INF_NUM, Predicate
+from preloss.semantics import LoopStatus, _kernel_tf, _loop_body, _Run, _segments, weakest_preloss
 from preloss.syntax import KERNEL_STMTS, Abort, If, NonDet, Print, Program, Skip, Unvar, While
 from preloss.typecheck import typecheck_program
 
@@ -49,9 +48,15 @@ def _ref_program(prog, E, z, budget, statuses):
     return E
 
 
+def _ref_columns(s, z):
+    """The columns of the statement's kernel, as predicates over its working context."""
+    k, working = s.meta.kernel, _working(s.meta.pre, z)
+    return [Predicate.from_ints(k.src, k.den, column).extend_to(working) for column in k.columns]
+
+
 def _ref_observe(s, branch_losses, z):
     total = None
-    for column, loss in zip(_columns(s, z), branch_losses):
+    for column, loss in zip(_ref_columns(s, z), branch_losses):
         term = loss_conj(column, loss)
         total = term if total is None else loss_add(total, term)
     return total
@@ -76,9 +81,9 @@ def _ref_stmt(s, E, z, budget, statuses):
         return loss_min(_ref_program(s.left, E, z, budget, statuses),
                         _ref_program(s.right, E, z, budget, statuses))
     if isinstance(s, Print):
-        return _ref_observe(s, [E] * len(_columns(s, z)), z)
+        return _ref_observe(s, [E] * len(_ref_columns(s, z)), z)
     if isinstance(s, While):
-        g, not_g = _columns(s, z)
+        g, not_g = _ref_columns(s, z)
         term = total = loss_conj(not_g, E)
         n = 0
         while not is_zero_loss(term):
