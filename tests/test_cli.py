@@ -268,6 +268,13 @@ PINNED_REPORTS = [
      {"lp_solves": 4, "member_queries": 61, "wpl_clauses": 200},
      "38aa2892ae3dfd881a07fa5d893917e5a029ea4501abb32fe98fda65aaa2520e",
      "d8db34cd1af71521630f00e2e033690b770952943a42083cb422b75a7fc64f3b"),
+    # Two contexts in one request: probe-c holds, then probe fails at 1/2 vs 3/8.
+    (["datatype", f"{CORPUS}/encdb_membership.dt", f"{CORPUS}/encdb_offset_scan.dt",
+      "--context", f"{CORPUS}/ctx_lookup_probe_c.ctx", "--context",
+      f"{CORPUS}/ctx_lookup_probe.ctx"], 3,
+     {"lp_solves": 208, "member_queries": 1257, "wpl_clauses": 1780},
+     "e0836ac94603108b9af7e1fd93337bf5e3996e7b8a72c09ba8ead33d8f9abedf",
+     "23617c80b0e0ae6d1f2447884e90329771d908258666780ab2ae619d0a973648"),
     # The bench's corpus checks whose programs print.
     (["oracle", f"{CORPUS}/parity_reveal.prog", "--post", f"{CORPUS}/parity_post.loss",
       "--exhaustive"], 0,
