@@ -101,10 +101,8 @@ def _verdict_json(v: Verdict):
     if v.loop_notes:
         out["loop_notes"] = list(v.loop_notes)
     if v.squares:
-        out["squares"] = [
-            {"name": s.name, "kind": s.verdict.kind, "checked": s.verdict.checked}
-            for s in v.squares
-        ]
+        out["squares"] = [{"name": s.context_name, "kind": s.kind, "checked": s.checked}
+                          for s in v.squares]
     return out
 
 

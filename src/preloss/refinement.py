@@ -11,19 +11,24 @@ heads, and a part without `[]` is mapped by its history transformers (an
 empty part by the identity).  On a choiceless pair the entries implied
 by the unit entries (the indicators of single states) are decided
 without ``wpl``.  Both kinds still count in ``checked`` and move no
-witness.  Datatype refinement inlines both datatypes into each supplied
-program context.  The simulation checkers verify the three commuting
-squares and gate the result on the healthiness classifier (hidden for
-forward, choiceless for backward); a failed gate yields Inconclusive,
-never Holds.  Both build each family once per post context.
+witness.
+
+Datatype refinement and both simulations validate the two datatypes once
+per request (``_validate``), then check named pairs of typechecked
+programs (``_pair``), each on the family of its post context, built once
+per request.  Datatype refinement pairs the two inlinings of each
+supplied program context; a simulation pairs the two sides of each of
+its three commuting squares and gates the result on the healthiness
+classifier (hidden for forward, choiceless for backward): a failed gate
+yields Inconclusive, never Holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import cache, reduce
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .contexts import EMPTY, VarContext
 from .families import FamilyOptions, TestFamily, resolve_family
@@ -54,7 +59,7 @@ class Verdict:
     lhs_pre: Optional[LossFunction] = None
     rhs_pre: Optional[LossFunction] = None
     context_name: Optional[str] = None
-    squares: Tuple["SquareResult", ...] = ()
+    squares: Tuple["Verdict", ...] = ()  # a simulation's, each named by its square
     loop_notes: Tuple[str, ...] = ()
 
     def certificate_ok(self) -> bool:
@@ -64,12 +69,6 @@ class Verdict:
         lhs = eval_loss(self.lhs_pre, self.witness_prior)
         rhs = eval_loss(self.rhs_pre, self.witness_prior)
         return lhs == self.lhs_value and rhs == self.rhs_value and rhs < lhs
-
-
-@dataclass(frozen=True)
-class SquareResult:
-    name: str
-    verdict: Verdict
 
 
 def program_refines(
@@ -220,18 +219,6 @@ def _unit_state(E: LossFunction) -> Optional[int]:
     return g.nums.index(1)
 
 
-def _families(family: FamilyLike) -> Callable[[VarContext], TestFamily]:
-    """``resolve_family`` for one request: each post context's family is built once."""
-    built: Dict[VarContext, TestFamily] = {}
-
-    def family_for(ctx: VarContext) -> TestFamily:
-        if ctx not in built:
-            built[ctx] = resolve_family(ctx, family)
-        return built[ctx]
-
-    return family_for
-
-
 def data_refines(
     d_abstract: Datatype,
     d_concrete: Datatype,
@@ -240,30 +227,38 @@ def data_refines(
     loop_budget: int = DEFAULT_LOOP_BUDGET,
 ) -> Verdict:
     """Copy-rule refinement over the supplied program contexts."""
-    _check_signature(d_abstract, d_concrete)
+    _validate(d_abstract, d_concrete)
     if not contexts:
         raise ValueError("need at least one program context")
-    family_for = _families(family)
+    family_for = cache(lambda ctx: resolve_family(ctx, family))
     checked = 0
     for i, ctx_prog in enumerate(contexts):
-        name = ctx_prog.name or f"context#{i}"
-        comp_a = inline(ctx_prog, d_abstract)
-        comp_c = inline(ctx_prog, d_concrete)
-        fam = family_for(_post_context(comp_a, comp_c))
-        verdict = program_refines(comp_a, comp_c, fam, EMPTY, loop_budget)
+        verdict = _pair(ctx_prog.name or f"context#{i}", inline(ctx_prog, d_abstract),
+                        inline(ctx_prog, d_concrete), family_for, loop_budget)
         if verdict.kind != "holds":
-            return replace(verdict, context_name=name)
+            return verdict
         checked += verdict.checked
     return Verdict(kind="holds", checked=checked)
 
 
-def _check_signature(da: Datatype, dc: Datatype):
+def _validate(da: Datatype, dc: Datatype) -> Tuple[VarContext, VarContext]:
+    """Both datatypes' working contexts, once they are checked to share their
+    state and their operations (in any order) and each is valid."""
     if da.shared != dc.shared:
         raise TypecheckError("datatypes have different shared state")
-    if da.op_names() != dc.op_names():
+    if set(da.op_names()) != set(dc.op_names()):
         raise TypecheckError(
             f"datatypes export different operations: "
             f"{da.op_names()} vs {dc.op_names()}")
+    return validate_datatype(da), validate_datatype(dc)
+
+
+def _pair(name: str, lhs: Program, rhs: Program,
+          family_for: Callable[[VarContext], TestFamily], loop_budget: int) -> Verdict:
+    """``program_refines`` of two typechecked programs on the family of their
+    post context, named ``name``."""
+    fam = family_for(_post_context(lhs, rhs))
+    return replace(program_refines(lhs, rhs, fam, EMPTY, loop_budget), context_name=name)
 
 
 def _typecheck_rep(rep: Program, source: VarContext, target: VarContext, role: str) -> Program:
@@ -274,7 +269,7 @@ def _typecheck_rep(rep: Program, source: VarContext, target: VarContext, role: s
         raise TypecheckError(
             f"{role} simulation program must map the encapsulated state "
             f"[{source.pretty()}] on its own: {exc}") from None
-    if {n: d for n, d in post.vars} != {n: d for n, d in target.vars}:
+    if post != target:
         raise TypecheckError(
             f"{role} simulation program ends in [{post.pretty()}], "
             f"expected the encapsulated state [{target.pretty()}]")
@@ -283,14 +278,6 @@ def _typecheck_rep(rep: Program, source: VarContext, target: VarContext, role: s
 
 def _seq(*parts: Program) -> Program:
     return Program(tuple(s for part in parts for s in copy_program(part).stmts))
-
-
-def _square(name: str, lhs: Program, rhs: Program, pre: VarContext,
-            family_for: Callable[[VarContext], TestFamily], loop_budget: int) -> SquareResult:
-    typecheck_program(lhs, pre)
-    typecheck_program(rhs, pre)
-    fam = family_for(_post_context(lhs, rhs))
-    return SquareResult(name, program_refines(lhs, rhs, fam, EMPTY, loop_budget))
 
 
 def check_forward_simulation(
@@ -330,18 +317,18 @@ def _check_simulation(d_abstract: Datatype, d_concrete: Datatype, rep: Program,
     """The three squares of either simulation, then its healthiness gate.
 
     ``rep`` maps the encapsulated state of the side it follows (abstract
-    for forward, concrete for backward) to that of the side it precedes.
+    for forward, concrete for backward) to that of the side it precedes,
+    each in the order its ``init`` leaves it.  The op and final squares
+    start in the working context of the side ``rep`` follows.
     """
-    _check_signature(d_abstract, d_concrete)
-    validate_datatype(d_abstract)
-    validate_datatype(d_concrete)
-    source, target = d_abstract.encap, d_concrete.encap
+    source, target = _validate(d_abstract, d_concrete)
     if not forward:
         source, target = target, source
-    rep = _typecheck_rep(rep, source, target, "forward" if forward else "backward")
     shared = d_abstract.shared
-    working = shared.merge(source)
-    family_for = _families(family)
+    rep = _typecheck_rep(rep, reduce(VarContext.remove, shared.names, source),
+                         reduce(VarContext.remove, shared.names, target),
+                         "forward" if forward else "backward")
+    family_for = cache(lambda ctx: resolve_family(ctx, family))
 
     def side(prog: Program, stage: str, rep_follows: bool) -> Program:
         # Nothing runs before init or after final.
@@ -350,14 +337,16 @@ def _check_simulation(d_abstract: Datatype, d_concrete: Datatype, rep: Program,
         return _seq(prog) if stage == "init" else _seq(rep, prog)
 
     def square(name: str, stage: str, prog_a: Program, prog_c: Program,
-               pre: VarContext) -> SquareResult:
-        return _square(name, side(prog_a, stage, forward), side(prog_c, stage, not forward),
-                       pre, family_for, loop_budget)
+               pre: VarContext) -> Verdict:
+        lhs, rhs = side(prog_a, stage, forward), side(prog_c, stage, not forward)
+        typecheck_program(lhs, pre)
+        typecheck_program(rhs, pre)
+        return _pair(name, lhs, rhs, family_for, loop_budget)
 
-    squares = [square("init", "init", d_abstract.init, d_concrete.init, shared)]
-    for name, op_a in d_abstract.ops:
-        squares.append(square(f"op {name}", "op", op_a, d_concrete.op(name), working))
-    squares.append(square("final", "final", d_abstract.final, d_concrete.final, working))
+    squares = (square("init", "init", d_abstract.init, d_concrete.init, shared),
+               *(square(f"op {name}", "op", op_a, d_concrete.op(name), source)
+                 for name, op_a in d_abstract.ops),
+               square("final", "final", d_abstract.final, d_concrete.final, source))
 
     if forward:
         return _gate_verdict(squares, classify_hidden(rep),
@@ -368,15 +357,12 @@ def _check_simulation(d_abstract: Datatype, d_concrete: Datatype, rep: Program,
                          "choice); the backward simulation rule does not apply")
 
 
-def _gate_verdict(squares: List[SquareResult], gate_ok: bool, gate_reason: str) -> Verdict:
-    squares_t = tuple(squares)
+def _gate_verdict(squares: Tuple[Verdict, ...], gate_ok: bool, gate_reason: str) -> Verdict:
+    checked = sum(s.checked for s in squares)
     if not gate_ok:
-        return Verdict(kind="inconclusive", reason=gate_reason, squares=squares_t,
-                       checked=sum(s.verdict.checked for s in squares_t))
-    for s in squares_t:
-        if s.verdict.kind != "holds":
-            return replace(s.verdict,
-                           reason=s.verdict.reason or f"square '{s.name}' does not hold",
-                           context_name=s.name, squares=squares_t)
-    return Verdict(kind="holds", checked=sum(s.verdict.checked for s in squares_t),
-                   squares=squares_t)
+        return Verdict(kind="inconclusive", reason=gate_reason, squares=squares, checked=checked)
+    for s in squares:
+        if s.kind != "holds":
+            return replace(s, reason=s.reason or f"square '{s.context_name}' does not hold",
+                           squares=squares)
+    return Verdict(kind="holds", checked=checked, squares=squares)

@@ -27,7 +27,8 @@ name with no declared domain (the brace expansion of `hidvar x := d1 [] ...
 preorder pass labels each `print`, `if` and `[]` as `pr#n`, `if#n` or `nd#n`
 (one counter) and each `while` as `while#n@line:col` (its own counter).
 
-Classifiers visit statements with ``syntax.walk``.  Inlining builds the
+Classifiers visit statements with ``syntax.walk``.  ``validate_datatype``
+checks a datatype once; inlining takes a validated one and builds each
 composite from fresh copies (``copy_program``), renaming clashing names and
 splicing a copy of an operation's body at each `call`: no parsed tree is edited.
 """
@@ -404,15 +405,15 @@ def copy_program(prog: Program, mapping: Optional[Dict[str, str]] = None,
 def inline(ctx_prog: ProgramContext, d: Datatype) -> Program:
     """The copy rule: init ; body-with-holes-substituted ; final.
 
-    Encapsulated variables (and operation-local declarations) are renamed
-    with prime suffixes when they collide with shared or client names; the
-    composite is typechecked over shared+client.
+    ``d`` must have passed ``validate_datatype``: this checks only the
+    client against it.  Encapsulated variables (and operation-local
+    declarations) are renamed with prime suffixes when they collide with
+    shared or client names; the composite is typechecked over shared+client.
     """
     clash = set(ctx_prog.client.names) & set(d.shared.names)
     if clash:
         raise TypecheckError(f"client variables shadow shared state: {sorted(clash)}")
 
-    validate_datatype(d)
     progs = (d.init, *(p for _, p in d.ops), d.final)
     internal = list(dict.fromkeys(
         [*d.encap.names, *(n for p in progs for n in _declared_names(p))]))

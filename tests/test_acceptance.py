@@ -141,7 +141,7 @@ def test_criterion_3_random_bit_generator(capsys):
 
         forward = check_forward_simulation(da, dc, rep, opts)
         assert forward.kind == "holds"
-        assert [s.verdict.kind for s in forward.squares] == ["holds"] * 3
+        assert [s.kind for s in forward.squares] == ["holds"] * 3
 
         # the squares are refinement-equalities: both directions hold
         from preloss.refinement import _seq
@@ -176,7 +176,7 @@ def test_criterion_4_counterexample_fidelity(capsys):
         rep = load_prog("rep_leak.prog")
         v = check_forward_simulation(da, dc, rep, opts)
         assert v.kind == "inconclusive" and "hidden" in v.reason
-        assert [s.verdict.kind for s in v.squares] == ["holds"] * 3
+        assert [s.kind for s in v.squares] == ["holds"] * 3
         code, report = run_cli_json(
             capsys, ["datatype", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
                      "--context", f"{CORPUS}/ctx_flip_or_keep.ctx",
@@ -190,7 +190,7 @@ def test_criterion_4_counterexample_fidelity(capsys):
         rep = load_prog("rep_choice.prog")
         v = check_backward_simulation(da, dc, rep, opts)
         assert v.kind == "inconclusive" and "choiceless" in v.reason
-        assert [s.verdict.kind for s in v.squares] == ["holds"] * 3
+        assert [s.kind for s in v.squares] == ["holds"] * 3
         code, report = run_cli_json(
             capsys, ["datatype", f"{CORPUS}/refresh_after_read.dt",
                      f"{CORPUS}/refresh_before_read.dt",

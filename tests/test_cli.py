@@ -456,7 +456,7 @@ def test_readme_examples_match_ci_and_their_pins():
     ci = _shell_commands(pathlib.Path(".github/workflows/tests.yml").read_text(), "check")
     pinned = {tuple(argv): exit_code for argv, exit_code, *_ in PINNED_REPORTS}
     pinned |= {tuple(GEOMETRIC_BUDGET_5): 0, tuple(ENCDB2_BACKWARD): 3}
-    assert len(readme) == 18
+    assert len(readme) == 19
     assert [argv for _, *argv in ci] == readme
     assert [int(code) for code, *_ in ci] == [pinned[tuple(argv)] for argv in readme]
 

@@ -147,8 +147,8 @@ def test_forward_simulation_randbit():
     rep = load_prog("rep_coin.prog")
     v = check_forward_simulation(da, dc, rep, OPTS)
     assert v.kind == "holds"
-    assert [s.name for s in v.squares] == ["init", "op next", "final"]
-    assert all(s.verdict.kind == "holds" for s in v.squares)
+    assert [s.context_name for s in v.squares] == ["init", "op next", "final"]
+    assert all(s.kind == "holds" for s in v.squares)
 
 
 def test_forward_simulation_squares_are_equalities():
@@ -191,7 +191,7 @@ def test_leaky_forward_rep_gate():
     v = check_forward_simulation(da, dc, rep, OPTS)
     assert v.kind == "inconclusive"
     assert "hidden" in v.reason
-    assert all(s.verdict.kind == "holds" for s in v.squares)
+    assert all(s.kind == "holds" for s in v.squares)
 
 
 def test_choice_backward_rep_gate():
@@ -200,7 +200,7 @@ def test_choice_backward_rep_gate():
     v = check_backward_simulation(da, dc, rep, OPTS)
     assert v.kind == "inconclusive"
     assert "choiceless" in v.reason
-    assert all(s.verdict.kind == "holds" for s in v.squares)
+    assert all(s.kind == "holds" for s in v.squares)
 
 
 def test_rep_touching_shared_rejected():
