@@ -342,6 +342,12 @@ PINNED_REPORTS = [
      {"lp_solves": 5, "member_queries": 72, "wpl_clauses": 0},
      "5d297750c3f96755951a4c2a9768d0a162e2cfd0aaf43249441babd39dd295d5",
      "248d70fc1caced290070f55aff1c0406fabd64357fe835ebbdaacb7f26ec9a04"),
+    # A backward simulation whose squares hold: the reverse of the one above.
+    (["simulate", "--backward", f"{CORPUS}/randbit_cached.dt", f"{CORPUS}/randbit_direct.dt",
+      "--rep", f"{CORPUS}/rep_coin.prog"], 0,
+     {"lp_solves": 5, "member_queries": 72, "wpl_clauses": 0},
+     "c437df780955187a35f1678b01e5f9be449ed0b6e62f8d638565e0e38195cfe2",
+     "832ab916238fe0b980892601c04901ab14b6c20536946eb8c61bc7922b28787f"),
     (["simulate", "--forward", f"{CORPUS}/late_leak.dt", f"{CORPUS}/early_leak.dt",
       "--rep", f"{CORPUS}/rep_leak.prog"], 4,
      {"lp_solves": 17, "member_queries": 287, "wpl_clauses": 0},
@@ -456,7 +462,7 @@ def test_readme_examples_match_ci_and_their_pins():
     ci = _shell_commands(pathlib.Path(".github/workflows/tests.yml").read_text(), "check")
     pinned = {tuple(argv): exit_code for argv, exit_code, *_ in PINNED_REPORTS}
     pinned |= {tuple(GEOMETRIC_BUDGET_5): 0, tuple(ENCDB2_BACKWARD): 3}
-    assert len(readme) == 19
+    assert len(readme) == 20
     assert [argv for _, *argv in ci] == readme
     assert [int(code) for code, *_ in ci] == [pinned[tuple(argv)] for argv in readme]
 
