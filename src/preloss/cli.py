@@ -165,14 +165,14 @@ def _run_report(args) -> int:
 
 
 def _load_program(inputs: _Inputs, path: str, expected: Optional[VarContext] = None):
+    """Parse ``path``, then typecheck it or only match its declared vars to ``expected``."""
     initial, prog = parse_program_file(inputs.read(path))
-    if expected is not None:
-        if initial.vars and dict(initial.vars) != dict(expected.vars):
-            raise TypecheckError(
-                f"{path}: declared vars [{initial.pretty()}] do not match the "
-                f"expected context [{expected.pretty()}]")
-        initial = expected
-    typecheck_program(prog, initial)
+    if expected is None:
+        typecheck_program(prog, initial)
+    elif initial.vars and dict(initial.vars) != dict(expected.vars):
+        raise TypecheckError(
+            f"{path}: declared vars [{initial.pretty()}] do not match the "
+            f"expected context [{expected.pretty()}]")
     return initial, prog
 
 
@@ -239,7 +239,8 @@ def cmd_wpl(args, inputs: _Inputs) -> tuple:
 
 def cmd_refine(args, inputs: _Inputs) -> tuple:
     initial_p, p = _load_program(inputs, args.p)
-    _initial_q, q = _load_program(inputs, args.q, expected=initial_p)
+    q = _load_program(inputs, args.q, expected=initial_p)[1]
+    typecheck_program(q, initial_p)
     ext = parse_decls_text(args.ext) if args.ext else EMPTY
     opts = _family_options(args, inputs)
     verdict = program_refines(p, q, opts, ext, args.loop_budget)
@@ -261,7 +262,7 @@ def cmd_simulate(args, inputs: _Inputs) -> tuple:
     da = parse_datatype_file(inputs.read(args.abstract), name=args.abstract)
     dc = parse_datatype_file(inputs.read(args.concrete), name=args.concrete)
     forward = args.direction == "forward"
-    _rep_ctx, rep = _load_program(inputs, args.rep, expected=da.encap if forward else dc.encap)
+    rep = _load_program(inputs, args.rep, da.encap if forward else dc.encap)[1]
     opts = _family_options(args, inputs)
     check = check_forward_simulation if forward else check_backward_simulation
     verdict = check(da, dc, rep, opts, args.loop_budget)

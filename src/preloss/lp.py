@@ -105,8 +105,8 @@ membership queries (``loss_member_certified``) are not screened: the
 witness of a separation becomes the witness prior of a ``fails`` report,
 which a different valid witness would change.
 
-``counters`` counts member queries, simplex solves and pivots; the CLI's
-``--json`` timings report the first two.
+``counters`` counts member queries and simplex solves, which the CLI's
+``--json`` timings report.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .predicates import INF_NUM
 
-counters = {"lp_solves": 0, "member_queries": 0, "pivots": 0}
+counters = {"lp_solves": 0, "member_queries": 0}
 
 
 def _fractions(den: int, nums: Sequence[int]) -> Tuple[Fraction, ...]:
@@ -407,7 +407,6 @@ def _simplex_max_sum(
         if pivot_row is None:
             raise RuntimeError("unbounded simplex: a weight has no positive row")
 
-        counters["pivots"] += 1
         _pivot(rows, dens, pivot_row, enter)
         basis[pivot_row], nonbasic[enter] = nonbasic[enter], basis[pivot_row]
 

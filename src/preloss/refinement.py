@@ -17,10 +17,11 @@ Datatype refinement and both simulations validate the two datatypes once
 per request (``_validate``), then check named pairs of typechecked
 programs (``_pair``), each on the family of its post context, built once
 per request.  Datatype refinement pairs the two inlinings of each
-supplied program context; a simulation pairs the two sides of each of
-its three commuting squares and gates the result on the healthiness
-classifier (hidden for forward, choiceless for backward): a failed gate
-yields Inconclusive, never Holds.
+supplied program context.  A simulation pairs the two sides of each of
+its three commuting squares, each side the validated programs and the
+rep in sequence (``_seq``: no copy, no typecheck), and gates the result
+on the healthiness classifier (hidden for forward, choiceless for
+backward): a failed gate yields Inconclusive, never Holds.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .scalars import Scalar
 from .semantics import DEFAULT_LOOP_BUDGET, WplResult, history_transformers, weakest_preloss
 from .syntax import Datatype, Program, ProgramContext
 from .typecheck import (
-    TypecheckError, classify_choiceless, classify_hidden, copy_program, inline,
-    typecheck_program, validate_datatype,
+    TypecheckError, classify_choiceless, classify_hidden, inline, typecheck_program,
+    validate_datatype,
 )
 
 FamilyLike = Union[TestFamily, FamilyOptions, None]
@@ -261,23 +262,33 @@ def _pair(name: str, lhs: Program, rhs: Program,
     return replace(program_refines(lhs, rhs, fam, EMPTY, loop_budget), context_name=name)
 
 
-def _typecheck_rep(rep: Program, source: VarContext, target: VarContext, role: str) -> Program:
-    rep = copy_program(rep)
+def _typecheck_rep(rep: Program, shared: VarContext, source: VarContext, target: VarContext,
+                   role: str) -> None:
+    """Typecheck ``rep`` from the source side's encapsulated state to the
+    target's, then, over shared variables, from the source's working context
+    to the target's, where it runs in every square."""
+    own_source, own_target = (reduce(VarContext.remove, shared.names, c) for c in (source, target))
     try:
-        post = typecheck_program(rep, source)
+        post = typecheck_program(rep, own_source)
     except (TypecheckError, ValueError) as exc:
         raise TypecheckError(
             f"{role} simulation program must map the encapsulated state "
-            f"[{source.pretty()}] on its own: {exc}") from None
-    if post != target:
+            f"[{own_source.pretty()}] on its own: {exc}") from None
+    if post != own_target:
         raise TypecheckError(
             f"{role} simulation program ends in [{post.pretty()}], "
-            f"expected the encapsulated state [{target.pretty()}]")
-    return rep
+            f"expected the encapsulated state [{own_target.pretty()}]")
+    if shared.vars and typecheck_program(rep, source) != target:
+        raise TypecheckError(
+            f"{role} simulation program ends in [{rep.meta.post.pretty()}] with the "
+            f"shared state, expected [{target.pretty()}]")
 
 
 def _seq(*parts: Program) -> Program:
-    return Program(tuple(s for part in parts for s in copy_program(part).stmts))
+    """The typechecked parts in sequence, as one typechecked program."""
+    seq = Program(tuple(s for part in parts for s in part.stmts))
+    seq.meta.pre, seq.meta.post = parts[0].meta.pre, parts[-1].meta.post
+    return seq
 
 
 def check_forward_simulation(
@@ -312,49 +323,38 @@ def check_backward_simulation(
     return _check_simulation(d_abstract, d_concrete, rep, family, loop_budget, forward=False)
 
 
-def _check_simulation(d_abstract: Datatype, d_concrete: Datatype, rep: Program,
+def _check_simulation(da: Datatype, dc: Datatype, rep: Program,
                       family: FamilyLike, loop_budget: int, forward: bool) -> Verdict:
     """The three squares of either simulation, then its healthiness gate.
 
     ``rep`` maps the encapsulated state of the side it follows (abstract
     for forward, concrete for backward) to that of the side it precedes,
-    each in the order its ``init`` leaves it.  The op and final squares
-    start in the working context of the side ``rep`` follows.
+    each in the order its ``init`` leaves it, and so the working context of
+    the side it follows to that of the other.  Each square side is a
+    sequence of the validated ``init``, op and ``final`` programs and the
+    rep, each already typechecked in the context where it runs there: no
+    part is copied, and no square is typechecked.
     """
-    source, target = _validate(d_abstract, d_concrete)
+    source, target = _validate(da, dc)
     if not forward:
         source, target = target, source
-    shared = d_abstract.shared
-    rep = _typecheck_rep(rep, reduce(VarContext.remove, shared.names, source),
-                         reduce(VarContext.remove, shared.names, target),
-                         "forward" if forward else "backward")
+    _typecheck_rep(rep, da.shared, source, target, "forward" if forward else "backward")
+    ops = [(f"op {name}", op_a, dc.op(name)) for name, op_a in da.ops]
+    if forward:  # init_A;rep <= init_C, op_A;rep <= rep;op_C, final_A <= rep;final_C
+        sides = [("init", _seq(da.init, rep), dc.init),
+                 *((name, _seq(op_a, rep), _seq(rep, op_c)) for name, op_a, op_c in ops),
+                 ("final", da.final, _seq(rep, dc.final))]
+        gate = classify_hidden(rep), ("rep is not hidden (contains if/while/print); the "
+                                      "forward simulation rule does not apply")
+    else:  # init_A <= init_C;rep, rep;op_A <= op_C;rep, rep;final_A <= final_C
+        sides = [("init", da.init, _seq(dc.init, rep)),
+                 *((name, _seq(rep, op_a), _seq(op_c, rep)) for name, op_a, op_c in ops),
+                 ("final", _seq(rep, da.final), dc.final)]
+        gate = classify_choiceless(rep), ("rep is not choiceless (contains nondeterministic "
+                                          "choice); the backward simulation rule does not apply")
     family_for = cache(lambda ctx: resolve_family(ctx, family))
-
-    def side(prog: Program, stage: str, rep_follows: bool) -> Program:
-        # Nothing runs before init or after final.
-        if rep_follows:
-            return _seq(prog) if stage == "final" else _seq(prog, rep)
-        return _seq(prog) if stage == "init" else _seq(rep, prog)
-
-    def square(name: str, stage: str, prog_a: Program, prog_c: Program,
-               pre: VarContext) -> Verdict:
-        lhs, rhs = side(prog_a, stage, forward), side(prog_c, stage, not forward)
-        typecheck_program(lhs, pre)
-        typecheck_program(rhs, pre)
-        return _pair(name, lhs, rhs, family_for, loop_budget)
-
-    squares = (square("init", "init", d_abstract.init, d_concrete.init, shared),
-               *(square(f"op {name}", "op", op_a, d_concrete.op(name), source)
-                 for name, op_a in d_abstract.ops),
-               square("final", "final", d_abstract.final, d_concrete.final, source))
-
-    if forward:
-        return _gate_verdict(squares, classify_hidden(rep),
-                             "rep is not hidden (contains if/while/print); the "
-                             "forward simulation rule does not apply")
-    return _gate_verdict(squares, classify_choiceless(rep),
-                         "rep is not choiceless (contains nondeterministic "
-                         "choice); the backward simulation rule does not apply")
+    squares = tuple(_pair(name, lhs, rhs, family_for, loop_budget) for name, lhs, rhs in sides)
+    return _gate_verdict(squares, *gate)
 
 
 def _gate_verdict(squares: Tuple[Verdict, ...], gate_ok: bool, gate_reason: str) -> Verdict:

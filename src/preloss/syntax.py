@@ -4,8 +4,8 @@ statements (``sub_programs``, ``walk``), and a pretty printer.
 Statement nodes carry a mutable ``meta`` slot filled in by the typechecker
 (pre/post contexts and elaborated kernels); ``meta`` never takes part in
 structural equality, so ``parse(pretty(ast)) == ast``.  No pass edits any
-other field of a parsed node: inlining and the simulation squares build
-new trees (``typecheck.copy_program``).
+other field of a parsed node: inlining builds new trees
+(``typecheck.copy_program``); a simulation square reuses its parts' nodes.
 """
 
 from __future__ import annotations

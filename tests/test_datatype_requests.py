@@ -3,15 +3,21 @@
 ``data_refines`` and both simulations validate the two datatypes once per
 request, accept the same operations in any order, and compare a
 simulation's rep with the encapsulated state in the order each ``init``
-leaves it.
+leaves it, with its shared variables too.  A simulation typechecks each
+datatype program once, in validation, and the rep at most twice: its
+squares are sequences of those typechecked programs.
 """
+
+import pathlib
 
 import pytest
 
-from preloss import refinement, typecheck
+from preloss import cli, refinement, typecheck
 from preloss.cli import main
 from preloss.families import FamilyOptions
-from preloss.parsing import parse_context_file, parse_datatype_file, parse_program_text
+from preloss.parsing import (
+    parse_context_file, parse_datatype_file, parse_program_file, parse_program_text,
+)
 from preloss.refinement import (
     check_backward_simulation, check_forward_simulation, data_refines,
 )
@@ -65,6 +71,22 @@ final:
   unvar b;
   unvar c
 """
+# The bit kept as b, with the shared s declared again after it.
+SHARED_LAST = """\
+shared:
+  s : {0,1}
+encap:
+  b : {0,1}
+init:
+  unvar s;
+  hidvar b : {0,1} := 0 @ 1/2 | 1;
+  hidvar s : {0,1} := 0
+op get:
+  s := b
+final:
+  unvar b
+"""
+REP_A_TO_B = "hidvar b : {0,1} := a; unvar a"
 REP_B_THEN_C = "hidvar b : {0,1} := a; hidvar c : {0,1} := 0; unvar a"
 REP_C_THEN_B = "hidvar c : {0,1} := 0; hidvar b : {0,1} := a; unvar a"
 
@@ -155,6 +177,31 @@ def test_cli_names_the_rep_order(tmp_path, capsys):
         assert "program types differ" not in err
 
 
+@pytest.mark.parametrize("forward", [True, False])
+def test_rep_ending_before_a_shared_variable_names_both_orders(forward):
+    one, last = dt(ONE_BIT, "A.dt"), dt(SHARED_LAST, "C.dt")
+    rep = parse_program_text(REP_A_TO_B)
+    role = "forward" if forward else "backward"
+    with pytest.raises(TypecheckError) as exc:
+        if forward:
+            check_forward_simulation(one, last, rep, OPTS)
+        else:
+            check_backward_simulation(last, one, rep, OPTS)
+    assert str(exc.value) == (
+        f"{role} simulation program ends in [s:{{0,1}} b:{{0,1}}] with the shared state, "
+        f"expected [b:{{0,1}} s:{{0,1}}]")
+
+
+def test_cli_names_the_shared_variable_order(tmp_path, capsys):
+    path = write(tmp_path, {"A.dt": ONE_BIT, "C.dt": SHARED_LAST, "r.prog": REP_A_TO_B})
+    for role, argv in (("forward", ["--forward", path("A.dt"), path("C.dt")]),
+                       ("backward", ["--backward", path("C.dt"), path("A.dt")])):
+        code, out, err = run(capsys, "simulate", *argv, "--rep", path("r.prog"))
+        assert (code, out) == (2, "")
+        assert err == (f"type error: {role} simulation program ends in [s:{{0,1}} b:{{0,1}}] "
+                       "with the shared state, expected [b:{0,1} s:{0,1}]\n")
+
+
 def test_an_operation_no_context_calls_is_still_validated(tmp_path, capsys):
     good = NEXT_THEN_RESET.replace("final:", "op bad:\n  s := 1\nfinal:")
     bad = NEXT_THEN_RESET.replace("final:", "op bad:\n  s := zz\nfinal:")
@@ -189,3 +236,36 @@ def test_a_request_validates_each_datatype_once(monkeypatch):
     v = data_refines(dt(NEXT_THEN_RESET, "ab.dt"), dt(NEXT_THEN_RESET, "ab2.dt"), contexts, OPTS)
     assert v.kind == "holds"
     assert calls == ["ab.dt", "ab2.dt"]
+
+
+RANDBIT = {"--forward": ("corpus/randbit_direct.dt", "corpus/randbit_cached.dt"),
+           "--backward": ("corpus/randbit_cached.dt", "corpus/randbit_direct.dt")}
+
+
+@pytest.mark.parametrize("direction", ["--forward", "--backward"])
+def test_a_simulation_typechecks_no_square(monkeypatch, capsys, direction):
+    """Validation typechecks init, the one op and final of each datatype, and
+    the rep is typechecked on its own and over the shared state: 2 * 3 + 2."""
+    calls = []
+    original = typecheck.typecheck_program
+
+    def counted(prog, initial):
+        calls.append(prog)
+        return original(prog, initial)
+
+    for module in (typecheck, refinement, cli):
+        monkeypatch.setattr(module, "typecheck_program", counted)
+    abstract, concrete = RANDBIT[direction]
+    da, dc = (parse_datatype_file(pathlib.Path(p).read_text(), name=p)
+              for p in (abstract, concrete))
+    rep = parse_program_file(pathlib.Path("corpus/rep_coin.prog").read_text())[1]
+    check = check_forward_simulation if direction == "--forward" else check_backward_simulation
+    assert check(da, dc, rep, OPTS).kind == "holds"
+    parts = [p for d in (da, dc) for p in (d.init, *(op for _, op in d.ops), d.final)]
+    assert list(map(id, calls)) == [*map(id, parts), id(rep), id(rep)]
+
+    calls.clear()
+    code, _, err = run(capsys, "simulate", direction, abstract, concrete,
+                       "--rep", "corpus/rep_coin.prog")
+    assert (code, err) == (0, "")
+    assert len(calls) == 2 * (2 + 1) + 2
