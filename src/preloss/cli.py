@@ -15,8 +15,8 @@ baseline, hands the command an ``_Inputs`` that digests each file it reads,
 and prints the command's outcome once.  Commands only compute.
 
 Exit codes: 0 success/holds, 1 syntax error, 2 type error, 3 refinement
-fails, 4 inconclusive (healthiness gate or loop truncation), 5 internal
-error (a failed certificate re-check or another unexpected exception).
+fails, 4 inconclusive (healthiness gate, loop truncation or family cap), 5
+internal error (a failed certificate re-check or an unexpected exception).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import semantics as _semantics
 from .adversary import min_bayes_risk, min_bayes_risk_exhaustive
 from .contexts import EMPTY, VarContext
 from .exprs import EvalError
-from .families import FamilyOptions
+from .families import FamilyCapError, FamilyOptions
 from .losses import LossFunction
 from .parsing import (
     ParseError, parse_context_file, parse_datatype_file, parse_decls_text,
@@ -133,7 +133,10 @@ def _counters_snapshot():
     }
 
 
-def _verdict_outcome(command: str, v: Verdict, options: dict) -> tuple:
+def _verdict_outcome(args, v: Verdict) -> tuple:
+    command = f"simulate --{args.direction}" if args.command == "simulate" else args.command
+    options = {"family": args.family or "", **({"ext": args.ext or ""} if "ext" in args else {}),
+               "loop_budget": args.loop_budget}
     exit_code = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}[v.kind]
     result = _verdict_json(v)
     return command, result, options, lambda: _verdict_lines(result), exit_code
@@ -150,7 +153,11 @@ def _run_report(args) -> int:
     started = time.monotonic()
     baseline = _counters_snapshot()
     inputs = _Inputs()
-    command, result, options, human, exit_code = args.fn(args, inputs)
+    try:
+        command, result, options, human, exit_code = args.fn(args, inputs)
+    except FamilyCapError as exc:  # a resource limit: the verdict is inconclusive
+        command, result, options, human, exit_code = _verdict_outcome(args, Verdict(
+            kind="inconclusive", reason=f"the family's {exc}; --family k=1 builds none"))
     if args.json:
         now = _counters_snapshot()
         report = {"schema_version": SCHEMA_VERSION, "command": command,
@@ -243,9 +250,7 @@ def cmd_refine(args, inputs: _Inputs) -> tuple:
     typecheck_program(q, initial_p)
     ext = parse_decls_text(args.ext) if args.ext else EMPTY
     opts = _family_options(args, inputs)
-    verdict = program_refines(p, q, opts, ext, args.loop_budget)
-    return _verdict_outcome("refine", verdict, {"family": args.family or "", "ext": args.ext or "",
-                                                "loop_budget": args.loop_budget})
+    return _verdict_outcome(args, program_refines(p, q, opts, ext, args.loop_budget))
 
 
 def cmd_datatype(args, inputs: _Inputs) -> tuple:
@@ -253,9 +258,7 @@ def cmd_datatype(args, inputs: _Inputs) -> tuple:
     dc = parse_datatype_file(inputs.read(args.concrete), name=args.concrete)
     contexts = [parse_context_file(inputs.read(p), name=p) for p in args.context]
     opts = _family_options(args, inputs)
-    verdict = data_refines(da, dc, contexts, opts, args.loop_budget)
-    return _verdict_outcome("datatype", verdict,
-                            {"family": args.family or "", "loop_budget": args.loop_budget})
+    return _verdict_outcome(args, data_refines(da, dc, contexts, opts, args.loop_budget))
 
 
 def cmd_simulate(args, inputs: _Inputs) -> tuple:
@@ -265,9 +268,7 @@ def cmd_simulate(args, inputs: _Inputs) -> tuple:
     rep = _load_program(inputs, args.rep, da.encap if forward else dc.encap)[1]
     opts = _family_options(args, inputs)
     check = check_forward_simulation if forward else check_backward_simulation
-    verdict = check(da, dc, rep, opts, args.loop_budget)
-    return _verdict_outcome(f"simulate --{args.direction}", verdict,
-                            {"family": args.family or "", "loop_budget": args.loop_budget})
+    return _verdict_outcome(args, check(da, dc, rep, opts, args.loop_budget))
 
 
 def cmd_oracle(args, inputs: _Inputs) -> tuple:

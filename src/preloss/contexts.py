@@ -6,8 +6,8 @@ declaration order and then by domain order.  Domain values are ints,
 symbolic atoms (strings) or tuples of values.
 
 All state-index arithmetic is done here: ``index_of``, ``projection`` onto
-a sub-context, and ``layout``, where a kernel that writes some variables
-sends each state (the last two cached).
+a sub-context, ``layout``, where a kernel that writes some variables sends
+each state, and ``valuations`` (the last three cached).
 """
 
 from __future__ import annotations
@@ -215,3 +215,16 @@ def _layout(pre: VarContext, post: VarContext, targets: Tuple[str, ...]):
     offsets = tuple({v: i * strides[p] for i, v in enumerate(post.vars[p][1])}
                     for p in map(post.position_of, targets))
     return tuple(bases), offsets
+
+
+@lru_cache(maxsize=1024)
+def valuations(ctx: VarContext, read: frozenset) -> Tuple[Tuple[State, ...], Tuple[int, ...]]:
+    """``(points, index)``: per valuation of the variables ``read``, the first
+    state with it, in context order; state i has ``points[index[i]]``'s."""
+    points = tuple(itertools.product(*(dom if n in read else dom[:1] for n, dom in ctx.vars)))
+    index = [0]
+    for name, domain in ctx.vars:  # the valuation's place, digit by digit as in ``layout``
+        n = len(domain)
+        index = ([b * n + d for b in index for d in range(n)] if name in read
+                 else [b for b in index for _ in domain])
+    return points, tuple(index)

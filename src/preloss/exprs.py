@@ -17,9 +17,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
-from .contexts import State, VarContext, fmt_value
+from .contexts import State, VarContext, fmt_value, valuations
 from .predicates import Predicate
 
 
@@ -218,15 +218,36 @@ _STRICT = {
 }
 
 
+def evaluation_points(ctx: VarContext, exprs) -> Tuple[Iterable[State], Sequence[int]]:
+    """``(points, index)``: ``exprs`` take at state i their values at ``points[index[i]]``.
+
+    A compiled expression's value or ``EvalError`` depends only on the
+    variables it names.  If ``exprs`` name fewer than all, the points are the
+    first state of each valuation of those, in context order (``valuations``).
+    A state's point fails with it and comes no later, so evaluating all of
+    ``exprs`` at each point in turn first fails where, and as, each state would.
+    """
+    nodes = list(exprs)
+    for e in nodes:  # the list grows as it is walked, so every node is visited
+        kind = type(e)
+        nodes += ((e.operand,) if kind is Unary else (e.left, e.right) if kind is Bin
+                  else (e.base, e.index) if kind is Index else e.items if kind is TupleE else ())
+    read = frozenset(e.id for e in nodes if type(e) is Name and e.id in ctx)
+    if len(read) == len(ctx.vars):
+        return ctx.states(), range(ctx.n_states)
+    return valuations(ctx, read)
+
+
 def predicate_of(ctx: VarContext, expr: Expr, *, mode: str = "any") -> Predicate:
-    """Evaluate an expression statewise into a predicate.
+    """Evaluate an expression into a predicate, once per valuation of what it reads.
 
     mode: 'any' allows any nonnegative rational, 'unit' restricts to [0,1]
     (guards), 'bool' restricts to {0,1} (indicators).
     """
     value_of = compile_expr(expr, ctx)
+    points, index = evaluation_points(ctx, (expr,))
     entries = []
-    for s in ctx.states():
+    for s in points:
         try:
             v = value_of(s)
         except EvalError as exc:
@@ -240,7 +261,7 @@ def predicate_of(ctx: VarContext, expr: Expr, *, mode: str = "any") -> Predicate
         if mode == "bool" and v not in (0, 1):
             raise EvalError(f"boolean expression value {v} at state {fmt_value(s)}")
         entries.append(v)
-    return Predicate.from_entries(ctx, entries)
+    return Predicate.from_entries(ctx, map(entries.__getitem__, index))
 
 
 # Binary operator precedences, for the parser and for ``pretty``.

@@ -25,6 +25,10 @@ SUBSET_CAP = 4096
 RANDOM_CAP = 10000
 
 
+class FamilyCapError(ValueError):
+    """More subset indicators than ``SUBSET_CAP``: a limit of the context's size."""
+
+
 @dataclass(frozen=True)
 class FamilyOptions:
     max_subset: int = 2
@@ -120,9 +124,7 @@ def standard_family(ctx: VarContext, opts: FamilyOptions = FamilyOptions()) -> T
         math.comb(n, size) for size in range(2, min(opts.max_subset, n) + 1)
     )
     if subset_total > SUBSET_CAP:
-        raise ValueError(
-            f"{subset_total} subset indicators exceed the cap {SUBSET_CAP}; "
-            f"lower max_subset")
+        raise FamilyCapError(f"{subset_total} subset indicators exceed the cap {SUBSET_CAP}")
     for size in range(2, min(opts.max_subset, n) + 1):
         for combo in itertools.combinations(range(n), size):
             pred = units[combo[0]]

@@ -142,12 +142,13 @@ def _segments(prog: Program, z: VarContext) -> Tuple[Union[_Run, Stmt], ...]:
 def _kernel_tf(s: Stmt, z: VarContext) -> Transformer:
     """The dual of the statement's kernel, tensored with the identity on ``z``.
 
+    With no variables in ``z`` that is the dual itself, as in ``_working``.
     Kept on the statement per extension: every ``wpl`` run over the same
     statement gets the same transformer, so its rows and ELLPACK plan are
     built once, and equal kernels are never compared.
     """
-    return s.meta.derived(("tf", z),
-                          lambda: s.meta.kernel.dual().tensor(Transformer.identity(z)))
+    return s.meta.derived(("tf", z), lambda: s.meta.kernel.dual().tensor(Transformer.identity(z))
+                          if len(z.vars) else s.meta.kernel.dual())
 
 
 def _columns(s: Stmt, z: VarContext) -> Tuple[Transformer, ...]:

@@ -2,12 +2,11 @@
 validation, syntactic classifiers, and datatype inlining (the copy rule).
 
 Typechecking annotates each node's ``meta`` with pre/post contexts and the
-elaborated kernels the evaluator consumes.  Contexts are finite, so
-every expression is evaluated at every state up front: all type errors
-(unbound names, bad guard ranges, arity mismatches) surface here.  Each
-expression is compiled once per context (``exprs.compile_expr``), and a
-statement's branch weights are summed as integers over their common
-denominator.  Kernels are built in their integer form (``Kernel.from_ints``).
+elaborated kernels the evaluator consumes.  Contexts are finite, so every
+expression is evaluated up front, once per valuation of what it reads
+(``exprs.evaluation_points``): all type errors (unbound names, bad guard
+ranges, arity mismatches) surface here.  Expressions are compiled once per
+context, and branch weights summed as integers over their common denominator.
 
 The statements of ``syntax.KERNEL_STMTS`` elaborate to one kernel from
 their pre to their post context (``meta.kernel``).  One builder
@@ -38,11 +37,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .contexts import Value, VarContext, fmt_value
-from .exprs import Bin, EvalError, Index, Lit, Name, TupleE, Unary, compile_expr, predicate_of
+from .exprs import (Bin, EvalError, Index, Lit, Name, TupleE, Unary, compile_expr,
+                    evaluation_points, predicate_of)
 from .kernels import Kernel
 from .syntax import (
     PROGRAM_FIELDS, Abort, Assert, Assign, CallOp, Datatype, DistBranch, DistExpr, HidVar,
@@ -87,15 +87,15 @@ def _normalize_value(v: Value) -> Value:
     return v
 
 
-def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> Tuple[int, List[List[Tuple[Value, int]]]]:
-    """Per pre-state list of (value, weight) outcomes, weights accumulated.
-
-    The weights are integers over the returned common denominator.
-    """
+def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> Tuple[int, List[list], Sequence[int]]:
+    """``(den, outcomes, index)``: state i's (value, weight) outcomes, weights summed
+    as integers over ``den``, are ``outcomes[index[i]]``; all branches are evaluated
+    together, so each error names the state that per-state evaluation would."""
     den, weights = _branch_weights(dist, pos)
     branches = [(compile_expr(b.expr, ctx), w) for b, w in zip(dist.branches, weights)]
-    rows = []
-    for state in ctx.states():
+    points, index = evaluation_points(ctx, [b.expr for b in dist.branches])
+    outcomes = []
+    for state in points:
         acc: Dict[Value, int] = {}
         for value_of, w in branches:
             try:
@@ -105,30 +105,32 @@ def eval_dist(dist: DistExpr, ctx: VarContext, pos) -> Tuple[int, List[List[Tupl
             if type(v) is not int:
                 v = _normalize_value(v)
             acc[v] = acc.get(v, 0) + w
-        rows.append(list(acc.items()))
-    return den, rows
+        outcomes.append(list(acc.items()))
+    return den, outcomes, index
 
 
 def _kernel(pre: VarContext, post: VarContext, targets: Tuple[str, ...], den: int,
-            outcome_rows: List[List[Tuple[Value, int]]], pos=None) -> Kernel:
+            outcomes: List[list], index: Sequence[int], pos=None) -> Kernel:
     """The kernel that writes each ``eval_dist`` outcome into ``targets``.
 
     A tuple is spread over several targets.  Every other variable of
     ``post`` keeps its value from the pre state (``VarContext.layout``), and
-    a value outside its target's domain is abort mass.
+    a value outside its target's domain is abort mass.  Each outcome list's
+    steps are sorted and reduced once; each state adds its base to them.
     """
     bases, offsets = pre.layout(post, targets)
-    single = offsets[0] if len(offsets) == 1 else None
     rows = []
-    for base, outcomes in zip(bases, outcome_rows):
+    for pairs in outcomes:
         row: Dict[int, int] = {}
-        for value, w in outcomes:
-            step = single.get(value) if single is not None else _tuple_step(value, offsets, pos)
+        for value, w in pairs:
+            step = offsets[0].get(value) if len(offsets) == 1 else _tuple_step(value, offsets, pos)
             if step is not None:  # else a value outside its target's domain: abort mass
-                step += base
                 row[step] = row.get(step, 0) + w
         rows.append(row)
-    return Kernel.from_ints(pre, post, den, rows)
+    g = gcd(den, *(w for row in rows for w in row.values()))
+    steps = [sorted((j, w // g) for j, w in row.items()) for row in rows]
+    return Kernel(pre, post, den // g, tuple(
+        tuple([(j + base, w) for j, w in steps[c]]) for base, c in zip(bases, index)))
 
 
 def _tuple_step(value: Value, offsets, pos) -> Optional[int]:
@@ -140,10 +142,10 @@ def _tuple_step(value: Value, offsets, pos) -> Optional[int]:
     return None if None in steps else sum(steps)
 
 
-def _infer_domain(outcome_lists: Sequence[List[List[Tuple[Value, int]]]]) -> Tuple[Value, ...]:
-    """Every value in the ``eval_dist`` outcome rows, in first-met order."""
-    return tuple(dict.fromkeys(value for outcome_rows in outcome_lists
-                               for outcomes in outcome_rows for value, _ in outcomes))
+def _infer_domain(outcome_lists: Sequence[List[list]]) -> Tuple[Value, ...]:
+    """Every value in the ``eval_dist`` outcome lists, in first-met order."""
+    return tuple(dict.fromkeys(value for outcomes in outcome_lists
+                               for pairs in outcomes for value, _ in pairs))
 
 
 # ----------------------------------------------------------------- programs
@@ -200,19 +202,19 @@ def _check_stmt(s: Stmt, pre: VarContext, run: _Pass) -> VarContext:
         if s.name in pre:
             raise TypecheckError(f"hidvar re-declares {s.name!r}", pos)
         if id(s) in run.limbs:
-            domain, den, outcome_rows = run.limbs.pop(id(s))
+            domain, den, outcomes, index = run.limbs.pop(id(s))
         else:
-            den, outcome_rows = eval_dist(s.dist, pre, pos)
-            domain = s.domain if s.domain is not None else _infer_domain([outcome_rows])
+            den, outcomes, index = eval_dist(s.dist, pre, pos)
+            domain = s.domain if s.domain is not None else _infer_domain([outcomes])
         if not domain:
             raise TypecheckError(f"cannot infer a domain for {s.name!r}", pos)
         post = pre.append(s.name, domain)
-        s.meta.kernel = _kernel(pre, post, (s.name,), den, outcome_rows)
+        s.meta.kernel = _kernel(pre, post, (s.name,), den, outcomes, index)
     elif isinstance(s, Unvar):
         if s.name not in pre:
             raise TypecheckError(f"unvar of undeclared variable {s.name!r}", pos)
         post = pre.remove(s.name)
-        s.meta.kernel = _kernel(pre, post, (), 1, [[((), 1)]] * pre.n_states)
+        s.meta.kernel = _kernel(pre, post, (), 1, [[((), 1)]], (0,) * pre.n_states)
     elif isinstance(s, If):
         s.meta.kernel = _branch_kernel(s.guard, pre, pos)
         post_then = _check_program(s.then, pre, run)
@@ -231,9 +233,9 @@ def _check_stmt(s: Stmt, pre: VarContext, run: _Pass) -> VarContext:
                 f"while body must preserve its context, got [{body_post.pretty()}]", pos)
         post = pre
     elif isinstance(s, Print):
-        den, outcome_rows = eval_dist(s.dist, pre, pos)
-        shown = VarContext((("_new", _infer_domain([outcome_rows])),))
-        s.meta.kernel = _kernel(pre, shown, ("_new",), den, outcome_rows)
+        den, outcomes, index = eval_dist(s.dist, pre, pos)
+        shown = VarContext((("_new", _infer_domain([outcomes])),))
+        s.meta.kernel = _kernel(pre, shown, ("_new",), den, outcomes, index)
         post = pre
     elif isinstance(s, Assert):
         g = _guard_pred(s.guard, pre, pos)  # in lowest terms, each weight at most 1
@@ -247,10 +249,10 @@ def _check_stmt(s: Stmt, pre: VarContext, run: _Pass) -> VarContext:
         first = limbs[0]
         if (all(type(h) is HidVar and h.domain is None and h.name == first.name for h in limbs)
                 and first.name not in pre and id(first) not in run.limbs):
-            outcomes = [eval_dist(h.dist, pre, h.meta.pos) for h in limbs]
-            domain = _infer_domain([rows for _, rows in outcomes])
-            for h, (den, rows) in zip(limbs, outcomes):
-                run.limbs[id(h)] = domain, den, rows
+            dists = [eval_dist(h.dist, pre, h.meta.pos) for h in limbs]
+            domain = _infer_domain([outcomes for _, outcomes, _ in dists])
+            for h, (den, outcomes, index) in zip(limbs, dists):
+                run.limbs[id(h)] = domain, den, outcomes, index
         post_l = _check_program(s.left, pre, run)
         post_r = _check_program(s.right, pre, run)
         if post_l != post_r:

@@ -139,6 +139,14 @@ HUMAN_VERDICTS = [
      4,
      ["verdict: inconclusive (right-hand loop truncated; "
       "the refinement failure cannot be certified)"]),
+    (["refine", f"{CORPUS}/cycle96.prog", f"{CORPUS}/cycle96.prog"],
+     4,
+     ["verdict: inconclusive (the family's 4560 subset indicators exceed the cap 4096; "
+      "--family k=1 builds none)"]),
+    (["refine", f"{CORPUS}/cycle96.prog", f"{CORPUS}/cycle96.prog", "--family", "k=1"],
+     0,
+     ["verdict: holds",
+      "  checked 213 family losses (holds for this family only)"]),
 ]
 
 
@@ -358,6 +366,12 @@ PINNED_REPORTS = [
      {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0},
      "319c5185342cb3a83ac52e3e2058ff394d5fe7dff536069580b86a1527b2691e",
      "44545d9518708e0957ee39b9c0dc31f93ce5d8742f1f299d44aa0c93350644d4"),
+    # A context of 96 states: the default family's subset indicators exceed
+    # their cap, a resource limit, so the verdict is inconclusive (exit 4).
+    (["refine", f"{CORPUS}/cycle96.prog", f"{CORPUS}/cycle96.prog"], 4,
+     {"lp_solves": 0, "member_queries": 0, "wpl_clauses": 0},
+     "a1c0e21f5fe84fe57575136429d4aaa63779b2b0230c6e722032e5da9a3ae950",
+     "be23a1d4225fc718d0ed4d6a78979b2ca7439efad2c0f958a2f6bdcc5d4b5687"),
 ]
 
 # The README examples pinned outside PINNED_REPORTS, by the two tests below.
@@ -462,7 +476,7 @@ def test_readme_examples_match_ci_and_their_pins():
     ci = _shell_commands(pathlib.Path(".github/workflows/tests.yml").read_text(), "check")
     pinned = {tuple(argv): exit_code for argv, exit_code, *_ in PINNED_REPORTS}
     pinned |= {tuple(GEOMETRIC_BUDGET_5): 0, tuple(ENCDB2_BACKWARD): 3}
-    assert len(readme) == 20
+    assert len(readme) == 21
     assert [argv for _, *argv in ci] == readme
     assert [int(code) for code, *_ in ci] == [pinned[tuple(argv)] for argv in readme]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from preloss.contexts import VarContext
-from preloss.families import FamilyOptions, standard_family
+from preloss.families import FamilyCapError, FamilyOptions, standard_family
 from preloss.losses import loss_equal
 
 N4 = VarContext.of(("n", range(4)))
@@ -60,6 +60,17 @@ def test_subset_cap_errors():
         standard_family(big, FamilyOptions(max_subset=6, random=0))
     with pytest.raises(ValueError, match="10001 random losses exceed the cap 10000"):
         standard_family(N4, FamilyOptions(max_subset=1, random=10001))
+
+
+def test_the_subset_cap_is_its_own_error():
+    """The subset cap is met by a large context, and the random cap only by
+    the option itself, so only the first is a ``FamilyCapError``."""
+    with pytest.raises(FamilyCapError, match="4560 subset indicators exceed the cap 4096") as info:
+        standard_family(VarContext.of(("x", range(96))))
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(ValueError) as info:
+        standard_family(N4, FamilyOptions(max_subset=1, random=10001))
+    assert not isinstance(info.value, FamilyCapError)
 
 
 def test_random_losses_within_bounds():
